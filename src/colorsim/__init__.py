@@ -25,7 +25,6 @@ from .state import (
     Component,
     ComponentView,
     DerivedSnapshot,
-    StepDelta,
     init_fixed,
     init_random,
 )

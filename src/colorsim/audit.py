@@ -1,7 +1,7 @@
 """Exact verification of the one-step drift inequalities and bound calculators.
 
 The oracle enumerates every (vertex, color) outcome of a single recoloring
-step on a scratch copy of the state and averages the tracked quantities with
+step by a local recount and averages the tracked quantities with
 exact rational weights. Claim checks compare that oracle against the proven
 bounds in big-integer rational arithmetic; the bounds are theorems for
 k = max_degree + 1, so a negative margin always means an implementation bug.
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .state import ColoringState, Component
+from .state import ColoringState, Component, phi_numerator
 
 CLAIM_COMPONENT_EDGES = "component_edge_drift"
 CLAIM_ISOLATED_GENERAL = "isolated_edge_growth"
@@ -74,7 +74,8 @@ def exact_step_expectations(
     Vertex weights are uniform over the component's vertices when one is
     given, otherwise uniform over all conflicted vertices (the two-stage
     component pick composes to exactly that law). Colors are uniform over
-    1..k. Each outcome is evaluated by recoloring a scratch copy.
+    1..k. Each outcome is evaluated by a local recount of the changes that
+    recoloring would cause; the state itself is never modified.
     """
     if component is not None:
         if not _component_is_current(state, component):
@@ -85,20 +86,18 @@ def exact_step_expectations(
             raise ValueError("whole-state expectation needs at least one conflicted vertex")
         vertices = state.conflicted_vertices()
     k = state.k
-    mono_sum = 0
-    iso_sum = 0
-    eip_sum = 0
-    phi_sum = 0
+    outcomes = len(vertices) * k
+    mono_sum = outcomes * state.mono_edge_count
+    iso_sum = outcomes * state.iso_edge_count
+    eip_sum = outcomes * state.e_ip
     for v in vertices:
         for c in range(1, k + 1):
-            scratch = state.copy()
-            scratch.recolor(v, c)
-            mono_sum += scratch.mono_edge_count
-            iso_sum += scratch.iso_edge_count
-            eip_sum += scratch.e_ip
-            phi_sum += scratch.phi_num
-    outcomes = len(vertices) * k
+            d_mono, d_iso, d_eip = state.recount_change(v, c)
+            mono_sum += d_mono
+            iso_sum += d_iso
+            eip_sum += d_eip
     d = state.graph.max_degree
+    phi_sum = phi_numerator(d, mono_sum, iso_sum, eip_sum)
     return ExactExpectation(
         mono_edges=Fraction(mono_sum, outcomes),
         iso_edges=Fraction(iso_sum, outcomes),

@@ -253,10 +253,20 @@ def _cmd_sweep(args) -> int:
 # -- audit ------------------------------------------------------------------------
 
 
+_AUDIT_FAMILIES = ("er", "cliques", "bipartite", "cycle", "complete")
+
+
 def _cmd_audit(args) -> int:
-    families = tuple(_FAMILY_NAMES[f] for f in args.families.split(",")) if args.families else (
-        "erdos_renyi", "disjoint_cliques", "complete_bipartite", "cycle",
-    )
+    if args.families:
+        names = args.families.split(",")
+        for name in names:
+            if name not in _AUDIT_FAMILIES:
+                print(f"audit: unknown family {name!r} in --families; "
+                      f"choose from {','.join(_AUDIT_FAMILIES)}", file=sys.stderr)
+                return EXIT_USAGE
+        families = tuple(_FAMILY_NAMES[name] for name in names)
+    else:
+        families = ("erdos_renyi", "disjoint_cliques", "complete_bipartite", "cycle")
     spec = AuditSweepSpec(
         instances=args.instances,
         master_seed=args.seed,
@@ -359,7 +369,7 @@ def build_parser() -> _Parser:
     p_audit.add_argument("--instances", type=int, default=1000)
     p_audit.add_argument("--max-n", type=int, default=50)
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--families", help="comma list: er,cliques,bipartite,cycle,complete")
+    p_audit.add_argument("--families", help=f"comma list: {','.join(_AUDIT_FAMILIES)}")
     p_audit.add_argument("--out", help="JSONL output path (default stdout)")
     p_audit.add_argument("--self-test-fault", action="store_true", help=argparse.SUPPRESS)
     p_audit.set_defaults(fn=_cmd_audit)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .state import ColoringState
+from .state import ColoringState, phi_numerator
 
 VARIANTS = ("uniform", "component_view", "persistent", "parallel")
 
@@ -219,23 +219,20 @@ def run(
     if cap < 0:
         raise ValueError("cap must be >= 0")
     records: list[TraceRecord] = []
+    d = state.graph.max_degree
 
-    def record(t: int, vertices: tuple[int, ...], colors: tuple[int, ...]) -> None:
+    def record(t: int, vertices: tuple[int, ...], colors: tuple[int, ...],
+               counts: tuple[int, int, int]) -> None:
+        mono, iso, e_ip = counts
         records.append(
-            TraceRecord(
-                t=t,
-                vertices=vertices,
-                colors=colors,
-                mono_edge_count=state.mono_edge_count,
-                iso_edge_count=state.iso_edge_count,
-                e_ip=state.e_ip,
-                phi_num=state.phi_num,
-            )
+            TraceRecord(t, vertices, colors, mono, iso, e_ip, phi_numerator(d, mono, iso, e_ip))
         )
 
     initial_phi = state.potential()
     if trace:
-        record(0, (), ())
+        counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
+        shadow = list(state.colors)  # the colors at the latest record
+        record(0, (), (), counts)
     steps = 0
     stalled = False
     while state.conflicted_count > 0 and steps < cap:
@@ -255,7 +252,17 @@ def run(
                 stalled = True
                 break
         if trace and out.colors:
-            record(steps, out.vertices, out.colors)
+            if variant == "parallel":
+                counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
+            else:
+                # the counts before the step, minus what recoloring v back to
+                # its old color would change: local, where a full recount
+                # would cost O(n + m) per step
+                (v,), (c,) = out.vertices, out.colors
+                d_mono, d_iso, d_eip = state.recount_change(v, shadow[v])
+                counts = (counts[0] - d_mono, counts[1] - d_iso, counts[2] - d_eip)
+                shadow[v] = c
+            record(steps, out.vertices, out.colors, counts)
     result = RunResult(
         steps=steps,
         terminated=state.conflicted_count == 0,

@@ -33,7 +33,7 @@ class Graph:
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays of shape (m,), used by vectorized batch updates."""
+        """Endpoint arrays of shape (m,), used by the vectorized derivations in state."""
         if self.m == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty

@@ -350,8 +350,10 @@ def parallel_survival(
 ) -> tuple[SurvivalStats, list[SurvivalRecord]]:
     """Track how low the conflicted count gets under simultaneous recoloring.
 
-    Per run: rounds executed, the minimum conflicted count over rounds t >= 1,
-    and whether it ever dropped to epsilon_fraction * n. Runs stop at
+    Per run: rounds executed, the minimum conflicted count over the rounds
+    t >= 1 it ran, and whether that count ever dropped to epsilon_fraction * n.
+    A run whose initial coloring is already proper runs no round; it records
+    its terminal count 0, which is below every threshold. Runs stop at
     termination or at ``config.cap`` rounds.
     """
     if config.variant != "parallel":
@@ -362,8 +364,8 @@ def parallel_survival(
     for index in range(config.seeds):
         rng = make_rng(config.master_seed, index)
         state = initial_state(graph, config, rng)
-        min_conflicted = graph.n + 1
-        ever_below = False
+        ever_below = state.is_proper()
+        min_conflicted = 0 if ever_below else graph.n
         rounds = 0
         while state.conflicted_count > 0 and rounds < config.cap:
             step_parallel(state, rng)

@@ -1,8 +1,14 @@
-"""Coloring state with incrementally maintained conflict bookkeeping.
+"""Coloring state: the colors plus the conflict data the dynamics read.
 
-Tracked quantities (all exact integers):
+``recolor`` maintains, touching only the recolored vertex and its neighbors:
 
-* ``mono_edge_count``  edges whose endpoints currently share a color;
+* the conflict degree of every vertex (its number of same-colored neighbors)
+  and the dense conflicted set used for O(1) uniform picks;
+* ``mono_edge_count``  edges whose endpoints currently share a color.
+
+The potential's other terms are not maintained. They are derived from the
+colors when first read after a change and cached until the next recolor:
+
 * ``iso_edge_count``   monochromatic components that consist of a single edge
   (an "isolated pair": both endpoints have exactly one same-colored neighbor);
 * ``e_ip``             graph edges joining an isolated-pair endpoint to a
@@ -11,10 +17,13 @@ Tracked quantities (all exact integers):
   progress potential mono + iso/10 + e_ip/(100*D) equals phi_num/(100*D)
   exactly and all comparisons can stay in integer arithmetic.
 
-``recolor`` updates everything incrementally, touching only the recolored
-vertex, its neighbors, and isolated-pair partners at distance two.
-``recompute_all`` rebuilds the same quantities from scratch and serves as the
-correctness oracle for the incremental path.
+One numpy pass over the graph's edge arrays builds the conflict data (at
+construction and after ``apply_batch``) and the pair data (on read).
+``recount_change`` gives the change of (mono, iso, e_ip) that recoloring one
+vertex would cause without applying it, looking only at that vertex, its old-
+and new-colored neighbors and their pair partners; the exact audit and traced
+runs use it to follow the potential outcome by outcome. ``recompute_all``
+rebuilds every quantity in plain Python and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -27,17 +36,9 @@ import numpy as np
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class StepDelta:
-    """Signed change of every tracked quantity caused by one recolor call."""
-
-    vertex: int
-    old_color: int
-    new_color: int
-    d_mono: int
-    d_iso: int
-    d_eip: int
-    d_phi_num: int
+def phi_numerator(max_degree: int, mono: int, iso: int, e_ip: int) -> int:
+    """The integer numerator 100*D*mono + 10*D*iso + e_ip of the potential."""
+    return 100 * max_degree * mono + 10 * max_degree * iso + e_ip
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,7 @@ class ColoringState:
         "_conf_dense",
         "_conf_pos",
         "mono_edge_count",
-        "e_ip",
-        "_in_pair",
-        "_pair_vertex_count",
+        "_pairs",
     )
 
     def __init__(self, graph: Graph, k: int, colors: list[int]):
@@ -113,40 +112,44 @@ class ColoringState:
         self.graph = graph
         self.k = k
         self._color = list(colors)
-        self._init_derived()
+        self._refresh_conflicts()
 
-    # -- construction -----------------------------------------------------
+    # -- derivation from the colors ------------------------------------------
 
-    def _init_derived(self) -> None:
+    def _scan_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Monochromatic-edge mask and per-vertex conflict degrees, in numpy."""
         g = self.graph
-        n = g.n
-        color = self._color
-        cd = [0] * n
-        mono = 0
-        for u, w in g.edges:
-            if color[u] == color[w]:
-                cd[u] += 1
-                cd[w] += 1
-                mono += 1
-        in_pair = bytearray(n)
-        for u, w in g.edges:
-            if color[u] == color[w] and cd[u] == 1 and cd[w] == 1:
-                in_pair[u] = 1
-                in_pair[w] = 1
-        e_ip = 0
-        for u, w in g.edges:
-            if (in_pair[u] and cd[w] == 0) or (cd[u] == 0 and in_pair[w]):
-                e_ip += 1
-        self._conflict_deg = cd
-        self._conf_dense = [v for v in range(n) if cd[v] > 0]
-        pos = [-1] * n
-        for i, v in enumerate(self._conf_dense):
-            pos[v] = i
+        eu, ev = g.edge_arrays
+        col = np.asarray(self._color, dtype=np.int64)
+        mono = col[eu] == col[ev]
+        cd = np.bincount(eu[mono], minlength=g.n) + np.bincount(ev[mono], minlength=g.n)
+        return mono, cd
+
+    def _refresh_conflicts(self) -> None:
+        mono, cd = self._scan_edges()
+        self._conflict_deg = cd.tolist()
+        self.mono_edge_count = int(mono.sum())
+        dense = np.flatnonzero(cd).tolist()
+        self._conf_dense = dense
+        pos = [-1] * self.graph.n
+        for i, u in enumerate(dense):
+            pos[u] = i
         self._conf_pos = pos
-        self.mono_edge_count = mono
-        self.e_ip = e_ip
-        self._in_pair = in_pair
-        self._pair_vertex_count = sum(in_pair)
+        self._pairs = None
+
+    def _pair_counts(self) -> tuple[int, int]:
+        """(iso, e_ip) of the current coloring, derived once per coloring."""
+        if self._pairs is None:
+            eu, ev = self.graph.edge_arrays
+            mono, cd = self._scan_edges()
+            iso = mono & (cd[eu] == 1) & (cd[ev] == 1)
+            in_pair = np.zeros(self.graph.n, dtype=bool)
+            in_pair[eu[iso]] = True
+            in_pair[ev[iso]] = True
+            proper = cd == 0
+            e_ip = int(((in_pair[eu] & proper[ev]) | (proper[eu] & in_pair[ev])).sum())
+            self._pairs = (int(iso.sum()), e_ip)
+        return self._pairs
 
     def copy(self) -> "ColoringState":
         new = ColoringState.__new__(ColoringState)
@@ -157,9 +160,7 @@ class ColoringState:
         new._conf_dense = self._conf_dense.copy()
         new._conf_pos = self._conf_pos.copy()
         new.mono_edge_count = self.mono_edge_count
-        new.e_ip = self.e_ip
-        new._in_pair = bytearray(self._in_pair)
-        new._pair_vertex_count = self._pair_vertex_count
+        new._pairs = self._pairs
         return new
 
     # -- read access -------------------------------------------------------
@@ -173,12 +174,16 @@ class ColoringState:
 
     @property
     def iso_edge_count(self) -> int:
-        return self._pair_vertex_count // 2
+        return self._pair_counts()[0]
+
+    @property
+    def e_ip(self) -> int:
+        return self._pair_counts()[1]
 
     @property
     def phi_num(self) -> int:
-        d = self.graph.max_degree
-        return 100 * d * self.mono_edge_count + 10 * d * self.iso_edge_count + self.e_ip
+        iso, e_ip = self._pair_counts()
+        return phi_numerator(self.graph.max_degree, self.mono_edge_count, iso, e_ip)
 
     @property
     def conflicted_count(self) -> int:
@@ -238,40 +243,31 @@ class ColoringState:
 
     # -- recoloring ---------------------------------------------------------
 
-    def recolor(self, v: int, c: int) -> StepDelta:
-        """Set the color of ``v`` to ``c`` and update all derived quantities.
+    def recolor(self, v: int, c: int) -> None:
+        """Set the color of ``v`` to ``c`` and update the conflict data.
 
-        Work is confined to v, its neighbors, and the isolated-pair partners
-        of those neighbors, so a step costs O(max_degree^2) at worst and much
-        less once conflicts are sparse.
+        Work is confined to v and its neighbors, O(degree(v)). The cached
+        pair data is dropped and derived again when next read.
         """
         if not 0 <= v < self.graph.n:
             raise ValueError(f"vertex {v} out of range")
         if not 1 <= c <= self.k:
             raise ValueError(f"color {c} outside 1..{self.k}")
-        old = self._color[v]
-        if c == old:
-            return StepDelta(v, old, c, 0, 0, 0, 0)
-
         color = self._color
+        old = color[v]
+        if c == old:
+            return
         cd = self._conflict_deg
-        adjacency = self.graph.adjacency
         dec: list[int] = []  # neighbors losing their monochromatic edge to v
         inc: list[int] = []  # neighbors gaining one
-        for w in adjacency[v]:
+        for w in self.graph.adjacency[v]:
             cw = color[w]
             if cw == old:
                 dec.append(w)
             elif cw == c:
                 inc.append(w)
-        d_mono = len(inc) - len(dec)
-
-        before_cd = {v: cd[v]}
-        for w in dec:
-            before_cd[w] = cd[w]
-        for w in inc:
-            before_cd[w] = cd[w]
-
+        # removals before additions, then v: this fixes the dense order, and
+        # with it which vertex every later uniform pick draws
         color[v] = c
         for w in dec:
             nw = cd[w] - 1
@@ -282,116 +278,101 @@ class ColoringState:
             if cd[w] == 0:
                 self._conf_add(w)
             cd[w] += 1
-        old_cd_v = before_cd[v]
+        old_cd_v = cd[v]
         new_cd_v = len(inc)
         cd[v] = new_cd_v
         if old_cd_v == 0 and new_cd_v > 0:
             self._conf_add(v)
         elif old_cd_v > 0 and new_cd_v == 0:
             self._conf_remove(v)
-        self.mono_edge_count += d_mono
+        self.mono_edge_count += new_cd_v - len(dec)
+        self._pairs = None
 
-        # Membership in the isolated-pair set or the properly-colored set can
-        # only change for vertices whose conflict degree crossed the 0/1
-        # boundary, or for pair partners of such vertices.
-        seeds = [u for u, b in before_cd.items() if b <= 1 or cd[u] <= 1]
-        d_eip = 0
-        d_pair = 0
-        if seeds:
-            d_eip, d_pair = self._apply_membership_changes(v, dec, inc, before_cd, seeds)
-        d_iso = d_pair // 2
-        d = self.graph.max_degree
-        d_phi_num = 100 * d * d_mono + 10 * d * d_iso + d_eip
-        return StepDelta(v, old, c, d_mono, d_iso, d_eip, d_phi_num)
+    def recount_change(self, v: int, c: int) -> tuple[int, int, int]:
+        """Change of (mono, iso, e_ip) that ``recolor(v, c)`` would cause.
 
-    def _partner_now(self, u: int) -> int:
-        """The unique same-colored neighbor of ``u`` under the current coloring."""
-        color = self._color
-        cu = color[u]
-        for x in self.graph.adjacency[u]:
-            if color[x] == cu:
-                return x
-        raise AssertionError(f"vertex {u} has no monochromatic neighbor")
-
-    def _apply_membership_changes(self, v, dec, inc, before_cd, seeds):
-        """Resolve isolated-pair / properly-colored transitions around ``v``.
-
-        Returns the resulting change of (e_ip, pair-vertex count). Called
-        after colors and conflict degrees have been updated; ``_in_pair``
-        still reflects the previous step and is rewritten here.
+        The state is not modified. Only v, its neighbors of the old and the
+        new color, and the pair partners of those are inspected, plus a
+        partner lookup for neighbors of a vertex that becomes or stops being
+        properly colored; no full recount is made.
         """
-        cd = self._conflict_deg
         color = self._color
-        in_pair = self._in_pair
+        cd = self._conflict_deg
         adjacency = self.graph.adjacency
-        inc_set = set(inc)
+        old = color[v]
+        if c == old:
+            return 0, 0, 0
+        dec = [w for w in adjacency[v] if color[w] == old]
+        inc = [w for w in adjacency[v] if color[w] == c]
+        n_dec, n_inc = len(dec), len(inc)
 
-        # u -> (pair_before, proper_before, pair_after, proper_after)
-        trans: dict[int, tuple[bool, bool, bool, bool]] = {}
-        extras: set[int] = set()
-        for u in seeds:
-            b = before_cd[u]
-            a = cd[u]
-            pair_b = bool(in_pair[u])
-            if pair_b and u in inc_set:
-                # u's former partner kept its conflict degree but may still
-                # leave the pair set; under the previous coloring v never
-                # qualified as that partner, so skip it in the scan.
-                cu = color[u]
-                for x in adjacency[u]:
-                    if x != v and color[x] == cu:
-                        if x not in before_cd:
-                            extras.add(x)
-                        break
-            if a == 1:
-                if u == v:
-                    partner = inc[0]
-                elif u in inc_set:
-                    partner = v
-                else:
-                    partner = self._partner_now(u)
-                pair_a = cd[partner] == 1
-                if partner not in before_cd:
-                    extras.add(partner)
-            else:
-                pair_a = False
-            proper_b = b == 0
-            proper_a = a == 0
-            if pair_b != pair_a or proper_b != proper_a:
-                trans[u] = (pair_b, proper_b, pair_a, proper_a)
-        for t in extras:
-            pair_b = bool(in_pair[t])
-            pair_a = cd[t] == 1 and cd[self._partner_now(t)] == 1
-            if pair_a != pair_b:
-                proper = cd[t] == 0
-                trans[t] = (pair_b, proper, pair_a, proper)
-
-        d_eip = 0
-        d_pair = 0
-        for u, (pair_b, proper_b, pair_a, proper_a) in trans.items():
+        def partner(u: int) -> int:
+            """The neighbor sharing the current color of ``u``, other than v."""
+            cu = color[u]
             for x in adjacency[u]:
-                tx = trans.get(x)
-                if tx is not None:
-                    if x < u:
-                        continue  # each changed-changed edge counted once
-                    xpair_b, xproper_b, xpair_a, xproper_a = tx
+                if color[x] == cu and x != v:
+                    return x
+            raise AssertionError(f"vertex {u} has no monochromatic neighbor")
+
+        # (status before, status after) of every vertex whose status may
+        # change: 1 if properly colored, 2 if in an isolated pair, 0 otherwise,
+        # so an edge counts toward e_ip iff its endpoint statuses multiply to 2
+        status = {v: (1 if n_dec == 0 else 2 if n_dec == 1 and cd[dec[0]] == 1 else 0,
+                      1 if n_inc == 0 else 2 if n_inc == 1 and cd[inc[0]] == 0 else 0)}
+        for w in dec:
+            dw = cd[w]
+            before = 2 if dw == 1 and n_dec == 1 else 0
+            after = 1 if dw == 1 else 0
+            if dw == 2:  # w keeps exactly one same-colored neighbor x
+                x = partner(w)
+                if x in dec:
+                    if cd[x] == 2:
+                        after = 2
+                elif cd[x] == 1:
+                    after = 2
+                    status[x] = (0, 2)
+            status[w] = (before, after)
+        for w in inc:
+            dw = cd[w]
+            before = 1 if dw == 0 else 0
+            after = 2 if dw == 0 and n_inc == 1 else 0
+            if dw == 1:  # w leaves its pair partner x
+                x = partner(w)
+                if cd[x] == 1:
+                    before = 2
+                    if x not in inc:
+                        status[x] = (2, 0)
+            status[w] = (before, after)
+
+        d_pair = 0
+        d_eip = 0
+        for u, (before, after) in status.items():
+            if before == after:
+                continue
+            d_pair += (after == 2) - (before == 2)
+            proper_turns = before == 1 or after == 1
+            for x in adjacency[u]:
+                t = status.get(x)
+                if t is None:
+                    dx = cd[x]
+                    if dx == 0:
+                        xs = 1
+                    elif dx == 1 and proper_turns and cd[partner(x)] == 1:
+                        xs = 2
+                    else:
+                        continue
+                    d_eip += (after * xs == 2) - (before * xs == 2)
                 else:
-                    xpair_b = xpair_a = bool(in_pair[x])
-                    xproper_b = xproper_a = cd[x] == 0
-                d_eip += ((pair_a and xproper_a) or (proper_a and xpair_a)) - (
-                    (pair_b and xproper_b) or (proper_b and xpair_b)
-                )
-            if pair_a != pair_b:
-                in_pair[u] = 1 if pair_a else 0
-                d_pair += 1 if pair_a else -1
-        self._pair_vertex_count += d_pair
-        self.e_ip += d_eip
-        return d_eip, d_pair
+                    xb, xa = t
+                    if xb != xa and x < u:
+                        continue  # each edge between two changed vertices once
+                    d_eip += (after * xa == 2) - (before * xb == 2)
+        return n_inc - n_dec, d_pair // 2, d_eip
 
     # -- batch recoloring (simultaneous updates) ----------------------------
 
     def apply_batch(self, vertices, new_colors) -> None:
-        """Assign colors to many vertices at once, then refresh derived data.
+        """Assign colors to many vertices at once, then rebuild the conflict data.
 
         Used by the simultaneous-recoloring dynamics, where the whole frozen
         set changes in one round and an incremental walk would touch the full
@@ -402,34 +383,7 @@ class ColoringState:
             if not 1 <= c <= self.k:
                 raise ValueError(f"color {c} outside 1..{self.k}")
             color[v] = c
-        self._refresh_from_colors()
-
-    def _refresh_from_colors(self) -> None:
-        g = self.graph
-        n = g.n
-        if g.m == 0:
-            return
-        col = np.asarray(self._color, dtype=np.int64)
-        eu, ev = g.edge_arrays
-        mono = col[eu] == col[ev]
-        cd = np.bincount(eu[mono], minlength=n) + np.bincount(ev[mono], minlength=n)
-        iso = mono & (cd[eu] == 1) & (cd[ev] == 1)
-        in_pair = np.zeros(n, dtype=bool)
-        in_pair[eu[iso]] = True
-        in_pair[ev[iso]] = True
-        proper = cd == 0
-        e_ip = int(((in_pair[eu] & proper[ev]) | (proper[eu] & in_pair[ev])).sum())
-        self._conflict_deg = cd.tolist()
-        self.mono_edge_count = int(mono.sum())
-        self.e_ip = e_ip
-        self._in_pair = bytearray(in_pair.astype(np.uint8).tobytes())
-        self._pair_vertex_count = int(in_pair.sum())
-        dense = np.nonzero(cd)[0].tolist()
-        self._conf_dense = dense
-        pos = [-1] * n
-        for i, u in enumerate(dense):
-            pos[u] = i
-        self._conf_pos = pos
+        self._refresh_conflicts()
 
     # -- oracles -------------------------------------------------------------
 

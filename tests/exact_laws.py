@@ -95,16 +95,17 @@ def termination_cdf(n: int, rounds: int) -> np.ndarray:
 
 
 def reach_probability(n: int, threshold: int, rounds: int) -> float:
-    """P(the conflicted count is <= threshold at some round 1..rounds).
+    """P(the conflicted count is <= threshold at some round 1..rounds, or 0 at start).
 
     The event ``parallel_survival`` records as ``ever_below``: round 0 does not
-    count, and a run whose initial coloring is proper takes no rounds.
+    count, except that a run whose initial coloring is proper takes no rounds
+    and records its count 0.
     """
     matrix = transition_matrix(n)
     law = matrix[n].copy()
+    reached = float(law[0])
     law[0] = 0.0
     low = slice(0, threshold + 1)
-    reached = 0.0
     for _ in range(rounds):
         law = law @ matrix
         reached += law[low].sum()

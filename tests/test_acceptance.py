@@ -121,7 +121,11 @@ def test_criterion_03_sampling_equivalence():
 
 
 def test_criterion_04_incremental_vs_oracle():
-    """10^4 random recolor steps across 20 random graphs, exact agreement."""
+    """10^4 random recolor steps across 20 random graphs, exact agreement.
+
+    At every step both the state after the recolor and the local recount of
+    (mono, iso, e_ip) taken before it must equal the from-scratch oracle.
+    """
     rng = make_rng(4, 0)
     mismatches = 0
     steps_total = 0
@@ -129,12 +133,21 @@ def test_criterion_04_incremental_vs_oracle():
         g = erdos_renyi(10 + gi * 4, (0.1, 0.25, 0.5)[gi % 3], gi)
         k = max(1, g.max_degree + 1)
         s = init_random(g, k, rng)
+        prev = s.recompute_all()
         for _ in range(500):
-            s.recolor(int(rng.integers(g.n)), int(rng.integers(1, k + 1)))
+            v = int(rng.integers(g.n))
+            c = int(rng.integers(1, k + 1))
+            d_mono, d_iso, d_eip = s.recount_change(v, c)
+            s.recolor(v, c)
             steps_total += 1
-            if s.snapshot() != s.recompute_all():
+            now = s.recompute_all()
+            recounted = (prev.mono_edge_count + d_mono, prev.iso_edge_count + d_iso,
+                         prev.e_ip + d_eip)
+            if s.snapshot() != now or recounted != (now.mono_edge_count, now.iso_edge_count,
+                                                    now.e_ip):
                 mismatches += 1
                 break
+            prev = now
     ok = steps_total == 10_000 and mismatches == 0
     report(4, ok, f"{steps_total} steps across 20 graphs, {mismatches} mismatches")
 

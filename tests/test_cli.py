@@ -183,6 +183,20 @@ class TestAudit:
                                "--out", str(out), "--self-test-fault")
         assert code == 3 and "VIOLATION" in err
 
+    def test_unknown_family_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "audit.jsonl"
+        code, stdout, err = run_cli(capsys, "audit", "--families", "er,bogus", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.count("\n") == 1 and "'bogus'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_file_family_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "audit.jsonl"
+        code, _, err = run_cli(capsys, "audit", "--families", "file", "--out", str(out))
+        assert code == 1
+        assert err.count("\n") == 1 and "'file'" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_table(self, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from colorsim import (
+    VARIANTS,
     ProperColoringError,
     complete,
     cycle,
@@ -230,6 +231,25 @@ class TestRun:
                 rec.e_ip,
                 rec.phi_num,
             )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_trace_counts_match_oracle(self, variant):
+        # every record's counts equal a from-scratch recount of the replayed colors
+        g = erdos_renyi(14, 0.35, 3)
+        k = g.max_degree + 1
+        rng = make_rng(3, 1)
+        s = init_random(g, k, rng)
+        colors = list(s.colors)
+        _, trace = run(s, variant, 400, rng, trace=True)
+        assert len(trace) > 2
+        for rec in trace:
+            for v, c in zip(rec.vertices, rec.colors):
+                colors[v] = c
+            want = init_fixed(g, k, colors).recompute_all()
+            assert (rec.mono_edge_count, rec.iso_edge_count, rec.e_ip, rec.phi_num) == (
+                want.mono_edge_count, want.iso_edge_count, want.e_ip, want.phi_num
+            )
+        assert colors == list(s.colors)
 
     def test_cap_exhaustion(self):
         s = init_fixed(complete(30), 30, [1] * 30)

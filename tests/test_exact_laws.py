@@ -61,8 +61,8 @@ def test_survival_counts_rounds_from_one_after_the_initial_throw(n):
     cdf = termination_cdf(n, 40)
     assert cdf[0] == pytest.approx(float(Fraction(factorial(n), n**n)), rel=1e-12)
     assert cdf[1] == pytest.approx(float(done_by_round_one), rel=1e-12)
-    assert reach_probability(n, n, 1) == pytest.approx(1 - cdf[0], rel=1e-12)
-    assert reach_probability(n, 0, 40) == pytest.approx(cdf[40] - cdf[0], rel=1e-12)
+    assert reach_probability(n, n, 1) == pytest.approx(1.0, rel=1e-12)
+    assert reach_probability(n, 0, 40) == pytest.approx(cdf[40], rel=1e-12)
 
 
 def _solve(matrix, rhs):

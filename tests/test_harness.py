@@ -124,6 +124,16 @@ class TestParallelSurvival:
         with pytest.raises(ValueError):
             parallel_survival(cfg, 0.1)
 
+    def test_run_starting_proper_records_count_zero(self):
+        # K_2 at k=2, master seed 1: seeds 0 and 1 draw a proper coloring
+        cfg = ExperimentConfig(family="complete", n=2, k=2, variant="parallel",
+                               seeds=6, master_seed=1, cap=10**6)
+        stats, records = parallel_survival(cfg, 0.1)
+        assert [r.rounds for r in records[:2]] == [0, 0]
+        for r in records:
+            assert r.terminated and r.min_conflicted == 0 and r.ever_below
+        assert stats.min_conflicted_overall == 0 and stats.runs_ever_below == 6
+
     def test_record_shape(self):
         cfg = ExperimentConfig(family="complete", n=6, k=6, variant="parallel",
                                seeds=10, master_seed=7, cap=10**5)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorsim import (
-    StepDelta,
     complete,
     cycle,
     disjoint_cliques,
@@ -14,6 +13,7 @@ from colorsim import (
     init_random,
     make_rng,
 )
+from colorsim.harness import AuditSweepSpec, audit_instance
 
 
 def path3():
@@ -80,7 +80,10 @@ class TestInitRandom:
 class TestRecolor:
     def test_same_color_is_noop(self):
         s = init_fixed(path3(), 3, [1, 1, 2])
-        assert s.recolor(1, 1) == StepDelta(1, 1, 1, 0, 0, 0, 0)
+        before = s.snapshot()
+        assert s.recount_change(1, 1) == (0, 0, 0)
+        assert s.recolor(1, 1) is None
+        assert s.snapshot() == before and s.colors == (1, 1, 2)
 
     def test_path_to_proper(self):
         s = init_fixed(path3(), 3, [1, 1, 2])
@@ -89,9 +92,10 @@ class TestRecolor:
 
     def test_path_to_symmetric_state(self):
         s = init_fixed(path3(), 3, [1, 1, 2])
-        delta = s.recolor(1, 2)
+        assert s.recount_change(1, 2) == (0, 0, 0)
+        s.recolor(1, 2)
         assert s.potential() == Fraction(221, 200)
-        assert (delta.d_mono, delta.d_iso, delta.d_eip, delta.d_phi_num) == (0, 0, 0, 0)
+        assert (s.mono_edge_count, s.iso_edge_count, s.e_ip) == (1, 1, 1)
         assert s.conflicted_vertices() == (1, 2)
 
     def test_rejects_bad_vertex_and_color(self):
@@ -114,19 +118,50 @@ class TestRecolor:
         assert s.snapshot() == s.recompute_all()
 
     def test_deltas_are_consistent(self):
+        # the recount taken before each recolor equals the change of the snapshot
         g = erdos_renyi(25, 0.3, 2)
         k = g.max_degree + 1
         rng = make_rng(2, 0)
         s = init_random(g, k, rng)
         prev = s.snapshot()
         for _ in range(300):
-            d = s.recolor(int(rng.integers(g.n)), int(rng.integers(1, k + 1)))
+            v, c = int(rng.integers(g.n)), int(rng.integers(1, k + 1))
+            d_mono, d_iso, d_eip = s.recount_change(v, c)
+            s.recolor(v, c)
             cur = s.snapshot()
-            assert cur.mono_edge_count - prev.mono_edge_count == d.d_mono
-            assert cur.iso_edge_count - prev.iso_edge_count == d.d_iso
-            assert cur.e_ip - prev.e_ip == d.d_eip
-            assert cur.phi_num - prev.phi_num == d.d_phi_num
+            assert cur.mono_edge_count - prev.mono_edge_count == d_mono
+            assert cur.iso_edge_count - prev.iso_edge_count == d_iso
+            assert cur.e_ip - prev.e_ip == d_eip
             prev = cur
+
+
+class TestRecount:
+    def test_every_outcome_matches_oracle_on_a_recolored_copy(self):
+        # 110 audit instances over the four audit families, each at k = D+1
+        # and k = D: 220 states, every (vertex, color) pair including no-ops
+        spec = AuditSweepSpec(instances=110, master_seed=17, max_n=20, er_n_range=(5, 20))
+        states = 0
+        outcomes = 0
+        for index in range(spec.instances):
+            base, _ = audit_instance(spec, index)
+            g = base.graph
+            for k in (g.max_degree + 1, max(1, g.max_degree)):
+                s = init_fixed(g, k, [min(c, k) for c in base.colors])
+                now = s.recompute_all()
+                states += 1
+                for v in range(g.n):
+                    for c in range(1, k + 1):
+                        d_mono, d_iso, d_eip = s.recount_change(v, c)
+                        t = s.copy()
+                        t.recolor(v, c)
+                        want = t.recompute_all()
+                        assert (now.mono_edge_count + d_mono, now.iso_edge_count + d_iso,
+                                now.e_ip + d_eip) == (
+                            want.mono_edge_count, want.iso_edge_count, want.e_ip
+                        ), (index, k, v, c)
+                        outcomes += 1
+                assert s.recompute_all() == now  # the recount left the state alone
+        assert states == 220 and outcomes > 10_000
 
 
 class TestDerivedDefinitions:
