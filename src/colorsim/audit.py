@@ -53,17 +53,10 @@ class AuditEntry:
 
 
 def _component_is_current(state: ColoringState, component: Component) -> bool:
-    cu = component.color
-    members = set(component.vertices)
-    for u in component.vertices:
-        if state.color_of(u) != cu or state.is_properly_colored(u):
-            return False
-    view_member = None
-    for comp in state.monochromatic_components().components:
-        if component.vertices[0] in comp.vertices:
-            view_member = comp
-            break
-    return view_member is not None and set(view_member.vertices) == members
+    # a same-colored reach of two or more vertices is a monochromatic component
+    reach = state.same_color_reach(component.vertices[0], set())
+    return (len(reach) > 1 and state.color_of(reach[0]) == component.color
+            and set(reach) == set(component.vertices))
 
 
 def exact_step_expectations(

@@ -1,7 +1,10 @@
 """Command-line front end: gen, run, sweep, audit, compare.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 cap
-exhaustion, 3 audit violation. All run-affecting options have deterministic
+exhaustion, 3 audit violation. Bad input, whether flags, a sweep cell or an
+unreadable or unwritable file, exits 1 with a one-line reason on stderr,
+never a traceback. The family, variant and init names come from the tables
+in ``harness`` and ``dynamics``. All run-affecting options have deterministic
 defaults and end up in the output metadata; the only environment variable
 honored is COLORSIM_WORKERS (worker-pool width).
 """
@@ -16,8 +19,11 @@ import sys
 
 from ._version import __version__
 from . import graph as graphs
-from .dynamics import make_rng, run
+from .dynamics import STEPS, VARIANT_ALIASES, make_rng, run
 from .harness import (
+    FAMILIES,
+    FAMILY_ALIASES,
+    INIT_ALIASES,
     AuditSweepSpec,
     ExperimentConfig,
     aggregate_row,
@@ -56,63 +62,41 @@ def _default_workers() -> int:
         return 1
 
 
+_SIZE_FIELDS = ("n", "count", "size", "a", "b")
+
+
 def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
-                   choices=["complete", "cliques", "bipartite", "cycle", "er", "file"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
+    p.add_argument("--family", required=True, choices=list(FAMILY_ALIASES))
+    for name in _SIZE_FIELDS:
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--graph-seed", type=int, default=0)
     p.add_argument("--graph", help="edge-list path for --family file")
 
 
-_FAMILY_NAMES = {
-    "complete": "complete",
-    "cliques": "disjoint_cliques",
-    "bipartite": "complete_bipartite",
-    "cycle": "cycle",
-    "er": "erdos_renyi",
-    "file": "file",
-}
-
-_VARIANT_NAMES = {
-    "uniform": "uniform",
-    "component": "component_view",
-    "component_view": "component_view",
-    "persistent": "persistent",
-    "parallel": "parallel",
-}
+def _family_fields(args) -> dict:
+    sizes = {name: getattr(args, name) for name in _SIZE_FIELDS}
+    return dict(family=FAMILY_ALIASES[args.family], **sizes, p=args.p,
+                graph_seed=args.graph_seed, path=args.graph)
 
 
 def _config_from_args(args, seeds: int = 1) -> ExperimentConfig:
-    init = {"random": "random", "ones": "all_ones", "file": "explicit"}[args.init]
+    init = INIT_ALIASES[args.init]
     explicit = None
     if init == "explicit":
         if not args.init_file:
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError("--init file needs --init-file")
         with open(args.init_file, encoding="utf-8") as f:
             explicit = tuple(int(line) for line in f.read().split())
     return ExperimentConfig(
-        family=_FAMILY_NAMES[args.family],
-        n=args.n,
-        count=args.count,
-        size=args.size,
-        a=args.a,
-        b=args.b,
-        p=args.p,
-        graph_seed=args.graph_seed,
-        path=args.graph,
-        variant=_VARIANT_NAMES[args.variant],
+        **_family_fields(args),
+        variant=VARIANT_ALIASES.get(args.variant, args.variant),
         k=args.k,
         init=init,
         explicit_colors=explicit,
         seeds=seeds,
         master_seed=args.seed,
         cap=args.cap,
-        workers=getattr(args, "workers", 1),
     )
 
 
@@ -121,14 +105,8 @@ def _config_from_args(args, seeds: int = 1) -> ExperimentConfig:
 
 def _cmd_gen(args) -> int:
     try:
-        cfg = ExperimentConfig(
-            family=_FAMILY_NAMES[args.family],
-            n=args.n, count=args.count, size=args.size,
-            a=args.a, b=args.b, p=args.p,
-            graph_seed=args.graph_seed, path=args.graph, seeds=1,
-        )
-        g = build_graph(cfg)
-    except (ValueError, TypeError, OSError) as exc:
+        g = build_graph(ExperimentConfig(**_family_fields(args)))
+    except (ValueError, OSError) as exc:
         print(f"gen: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -150,22 +128,25 @@ def _cmd_run(args) -> int:
         graph = build_graph(config)
         rng = make_rng(config.master_seed, 0)
         state = initial_state(graph, config, rng)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result, trace = run(state, config.variant, config.cap, rng, trace=bool(args.trace_out), seed=0)
-    k = config.k if config.k is not None else graph.max_degree + 1
     print(
         f"config_id={config.resolved_id()} n={graph.n} m={graph.m} delta={graph.max_degree} "
-        f"k={k} variant={config.variant} init={config.init} master_seed={config.master_seed} "
+        f"k={state.k} variant={config.variant} init={config.init} master_seed={config.master_seed} "
         f"steps={result.steps} terminated={str(result.terminated).lower()} "
         f"stalled={str(result.stalled).lower()} "
         f"initial_phi={result.initial_phi} final_phi={result.final_phi}"
     )
     if args.trace_out:
         meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}
-        with open(args.trace_out, "w", encoding="utf-8") as f:
-            write_jsonl(f, meta, trace_lines(trace))
+        try:
+            with open(args.trace_out, "w", encoding="utf-8") as f:
+                write_jsonl(f, meta, trace_lines(trace))
+        except OSError as exc:
+            print(f"run: cannot write {args.trace_out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if not result.terminated:
         return EXIT_CAP
     return EXIT_OK
@@ -174,16 +155,15 @@ def _cmd_run(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-def _load_sweep_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
 def _cmd_sweep(args) -> int:
     try:
-        spec = _load_sweep_file(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(args.config, encoding="utf-8") as f:
+            spec = json.load(f)
+    except (OSError, ValueError) as exc:
         print(f"sweep: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not isinstance(spec, dict) or not isinstance(spec.get("cells", []), list):
+        print("sweep: config must be a JSON object with a list of cells", file=sys.stderr)
         return EXIT_USAGE
     defaults = {
         "seeds": spec.get("seeds", 200),
@@ -208,8 +188,8 @@ def _cmd_sweep(args) -> int:
             merged = dict(defaults)
             merged.update(cell)
             merged["workers"] = workers
-            if merged.get("family") in _FAMILY_NAMES:
-                merged["family"] = _FAMILY_NAMES[merged["family"]]
+            if merged.get("family") in FAMILY_ALIASES:
+                merged["family"] = FAMILY_ALIASES[merged["family"]]
             config = ExperimentConfig(**merged)
         except (TypeError, ValueError) as exc:
             print(f"sweep: bad cell {cell}: {exc}", file=sys.stderr)
@@ -231,15 +211,19 @@ def _cmd_sweep(args) -> int:
     if fit_spec and len(fit_points) >= 3:
         try:
             fit = scaling_fit(fit_points, fit_spec["model"])
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             print(f"sweep: fit failed: {exc}", file=sys.stderr)
-    if args.per_run:
-        with open(args.per_run, "w", encoding="utf-8", newline="") as f:
-            write_runs_csv(f, configs, all_rows)
-    if args.aggregate:
-        rows = [aggregate_row(c, g, s, fit) for c, g, s in agg_rows]
-        with open(args.aggregate, "w", encoding="utf-8", newline="") as f:
-            write_aggregate_csv(f, configs, rows)
+    try:
+        if args.per_run:
+            with open(args.per_run, "w", encoding="utf-8", newline="") as f:
+                write_runs_csv(f, configs, all_rows)
+        if args.aggregate:
+            rows = [aggregate_row(c, g, s, fit) for c, g, s in agg_rows]
+            with open(args.aggregate, "w", encoding="utf-8", newline="") as f:
+                write_aggregate_csv(f, configs, rows)
+    except OSError as exc:
+        print(f"sweep: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for config, graph, stats in agg_rows:
         print(
             f"{config.resolved_id()}: mean={stats.mean_steps:.2f} median={stats.median_steps:.1f} "
@@ -247,44 +231,30 @@ def _cmd_sweep(args) -> int:
         )
     if fit:
         print(f"fit[{fit.model}]: coefficient={fit.coefficient:.4f} r2={fit.r_squared:.4f}")
-    return EXIT_OK
+    return EXIT_USAGE if failures else EXIT_OK
 
 
 # -- audit ------------------------------------------------------------------------
 
 
-_AUDIT_FAMILIES = ("er", "cliques", "bipartite", "cycle", "complete")
-
-
 def _cmd_audit(args) -> int:
-    if args.families:
-        names = args.families.split(",")
-        for name in names:
-            if name not in _AUDIT_FAMILIES:
-                print(f"audit: unknown family {name!r} in --families; "
-                      f"choose from {','.join(_AUDIT_FAMILIES)}", file=sys.stderr)
-                return EXIT_USAGE
-        families = tuple(_FAMILY_NAMES[name] for name in names)
-    else:
-        families = ("erdos_renyi", "disjoint_cliques", "complete_bipartite", "cycle")
-    spec = AuditSweepSpec(
-        instances=args.instances,
-        master_seed=args.seed,
-        families=families,
-        max_n=args.max_n,
-        negate_margins=args.self_test_fault,
-    )
-    meta = {
-        "tool": f"colorsim {__version__}",
-        "spec": {
-            "instances": spec.instances,
-            "master_seed": spec.master_seed,
-            "families": list(spec.families),
-            "max_n": spec.max_n,
-        },
-    }
+    names = args.families.split(",") if args.families else AuditSweepSpec.families
+    families = tuple(FAMILY_ALIASES.get(name, name) for name in names)
+    try:
+        spec = AuditSweepSpec(
+            instances=args.instances,
+            master_seed=args.seed,
+            families=families,
+            max_n=args.max_n,
+            negate_margins=args.self_test_fault,
+        )
+        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except (ValueError, OSError) as exc:
+        print(f"audit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    keys = ("instances", "master_seed", "families", "max_n")
+    meta = {"tool": f"colorsim {__version__}", "spec": {k: getattr(spec, k) for k in keys}}
     violations = []
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
     def lines():
         for line in drift_audit_sweep(spec):
@@ -310,12 +280,12 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     try:
         base = _config_from_args(args, seeds=args.seeds)
+        configs = [dataclasses.replace(base, variant=VARIANT_ALIASES.get(v, v), config_id="")
+                   for v in args.variants.split(",")]
+        rows = compare_variants(configs, timing=args.timing)
     except (ValueError, OSError) as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    variants = [_VARIANT_NAMES[v] for v in args.variants.split(",")]
-    configs = [dataclasses.replace(base, variant=v, config_id="") for v in variants]
-    rows = compare_variants(configs, timing=args.timing)
     header = f"{'variant':<16}{'init':<10}{'mean':>12}{'median':>10}{'ci95':>22}{'term':>7}{'ratio':>8}"
     print(header)
     for row in rows:
@@ -345,11 +315,11 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="one seeded run of a variant")
     _add_family_args(p_run)
-    p_run.add_argument("--variant", default="uniform", choices=sorted(_VARIANT_NAMES))
+    p_run.add_argument("--variant", default="uniform", choices=sorted([*STEPS, *VARIANT_ALIASES]))
     p_run.add_argument("--k", type=int)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--cap", type=int, default=1_000_000)
-    p_run.add_argument("--init", default="random", choices=["random", "ones", "file"])
+    p_run.add_argument("--init", default="random", choices=list(INIT_ALIASES))
     p_run.add_argument("--init-file")
     p_run.add_argument("--trace-out")
     p_run.set_defaults(fn=_cmd_run)
@@ -369,7 +339,8 @@ def build_parser() -> _Parser:
     p_audit.add_argument("--instances", type=int, default=1000)
     p_audit.add_argument("--max-n", type=int, default=50)
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--families", help=f"comma list: {','.join(_AUDIT_FAMILIES)}")
+    p_audit.add_argument("--families", help="comma list: " + ",".join(
+        f.alias for f in FAMILIES.values() if f.sample))
     p_audit.add_argument("--out", help="JSONL output path (default stdout)")
     p_audit.add_argument("--self-test-fault", action="store_true", help=argparse.SUPPRESS)
     p_audit.set_defaults(fn=_cmd_audit)
@@ -382,7 +353,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--seeds", type=int, default=200)
     p_cmp.add_argument("--cap", type=int, default=1_000_000)
-    p_cmp.add_argument("--init", default="random", choices=["random", "ones", "file"])
+    p_cmp.add_argument("--init", default="random", choices=list(INIT_ALIASES))
     p_cmp.add_argument("--init-file")
     p_cmp.add_argument("--timing", action="store_true")
     p_cmp.set_defaults(fn=_cmd_compare)

@@ -27,7 +27,16 @@ import numpy as np
 
 from .state import ColoringState, phi_numerator
 
-VARIANTS = ("uniform", "component_view", "persistent", "parallel")
+# variant -> name of its step function here; ``run`` looks it up once per run,
+# so a wrapper installed on the module attribute sees every step
+STEPS = {
+    "uniform": "step_uniform",
+    "component_view": "step_component_view",
+    "persistent": "step_persistent",
+    "parallel": "step_parallel",
+}
+VARIANTS = tuple(STEPS)
+VARIANT_ALIASES = {"component": "component_view"}
 
 DEFAULT_PERSISTENT_DRAW_CAP = 10**6
 
@@ -214,7 +223,7 @@ def run(
     starts with a t=0 record of the initial state and then one record per
     applied step.
     """
-    if variant not in VARIANTS:
+    if variant not in STEPS:
         raise ValueError(f"unknown variant {variant!r}")
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -233,24 +242,16 @@ def run(
         counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
         shadow = list(state.colors)  # the colors at the latest record
         record(0, (), (), counts)
+    step = globals()[STEPS[variant]]
+    budgeted = variant == "persistent"
     steps = 0
     stalled = False
     while state.conflicted_count > 0 and steps < cap:
-        if variant == "uniform":
-            out = step_uniform(state, rng)
-            steps += 1
-        elif variant == "component_view":
-            out = step_component_view(state, rng)
-            steps += 1
-        elif variant == "parallel":
-            out = step_parallel(state, rng)
-            steps += 1
-        else:
-            out = step_persistent(state, rng, persistent_draw_cap, draw_budget=cap - steps)
-            steps += out.draws
-            if out.stalled:
-                stalled = True
-                break
+        out = step(state, rng, persistent_draw_cap, cap - steps) if budgeted else step(state, rng)
+        steps += out.draws
+        if out.stalled:
+            stalled = True
+            break
         if trace and out.colors:
             if variant == "parallel":
                 counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)

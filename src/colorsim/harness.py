@@ -1,5 +1,10 @@
 """Seeded ensembles, scaling experiments, and the randomized audit sweep.
 
+``FAMILIES`` is the one table of graph families (CLI alias, required
+config fields, graph constructor, audit sampler). ``ExperimentConfig`` and
+``AuditSweepSpec`` validate against it and the step and init tables on
+construction, raising a one-line ``ValueError``.
+
 Every run inside an ensemble draws from its own PCG64 stream derived from
 (master_seed, run_index), so aggregates do not depend on worker count or
 completion order. Results flow out as CSV (one row per run, one row per
@@ -15,7 +20,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, TextIO
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .audit import (
     multiplicative_drift_bound,
     state_digest,
 )
-from .dynamics import RunResult, TraceRecord, make_rng, run, step_parallel
+from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run, step_parallel
 from .graph import Graph
 from .state import ColoringState, init_fixed, init_random
 
@@ -80,8 +86,72 @@ PERSISTENT_STEP_NOTE = (
 
 
 @dataclass(frozen=True)
+class Family:
+    """A graph family: CLI alias, required config fields, constructor, audit sampler.
+
+    Both callables look the generators up in ``graphs`` when called, so a wrapper
+    installed there sees every build; ``min_max_n`` is the least usable ``max_n``.
+    """
+
+    alias: str
+    fields: tuple[str, ...]
+    build: Callable[[ExperimentConfig], Graph]
+    sample: Callable[[AuditSweepSpec, np.random.Generator], Graph] | None = None
+    min_max_n: Callable[[AuditSweepSpec], int] | None = None
+    bipartite: bool = False
+
+
+def _sample_erdos_renyi(spec: AuditSweepSpec, rng: np.random.Generator) -> Graph:
+    lo, hi = spec.er_n_range
+    n = lo + int(rng.integers(min(hi, spec.max_n) - lo + 1))
+    p = spec.er_p_values[int(rng.integers(len(spec.er_p_values)))]
+    return graphs.erdos_renyi(n, p, int(rng.integers(2**63)))
+
+
+# canonical name -> family, in the CLI's --family order; the samplers keep
+# the draw order of every audit instance
+FAMILIES = {
+    "complete": Family("complete", ("n",), lambda c: graphs.complete(c.n),
+                       lambda spec, rng: graphs.complete(2 + int(rng.integers(11)))),
+    "disjoint_cliques": Family(
+        "cliques", ("count", "size"), lambda c: graphs.disjoint_cliques(c.count, c.size),
+        lambda spec, rng: graphs.disjoint_cliques(1 + int(rng.integers(3)),
+                                                  2 + int(rng.integers(9)))),
+    "complete_bipartite": Family(
+        "bipartite", ("a", "b"), lambda c: graphs.complete_bipartite(c.a, c.b),
+        lambda spec, rng: graphs.complete_bipartite(1 + int(rng.integers(10)),
+                                                    1 + int(rng.integers(10))),
+        bipartite=True),
+    "cycle": Family("cycle", ("n",), lambda c: graphs.cycle(c.n),
+                    lambda spec, rng: graphs.cycle(3 + int(rng.integers(min(48, spec.max_n - 2)))),
+                    min_max_n=lambda spec: 3),
+    "erdos_renyi": Family("er", ("n", "p"), lambda c: graphs.erdos_renyi(c.n, c.p, c.graph_seed),
+                          _sample_erdos_renyi, min_max_n=lambda spec: spec.er_n_range[0]),
+    "file": Family("file", ("path",), lambda c: graphs.from_edge_list(
+        Path(c.path).read_text(encoding="utf-8"), n=c.n)),
+}
+FAMILY_ALIASES = {family.alias: name for name, family in FAMILIES.items()}
+
+# CLI name -> init
+INIT_ALIASES = {"random": "random", "ones": "all_ones", "file": "explicit"}
+
+# config fields can come from JSON, so their types are checked before any use
+_INT_OR_NONE = (int, type(None))
+_FIELD_TYPES = {
+    "family": str, "variant": str, "init": str, "config_id": str, "path": (str, type(None)),
+    "n": _INT_OR_NONE, "count": _INT_OR_NONE, "size": _INT_OR_NONE, "a": _INT_OR_NONE,
+    "b": _INT_OR_NONE, "k": _INT_OR_NONE, "p": (int, float, type(None)),
+    "graph_seed": int, "seeds": int, "master_seed": int, "cap": int, "workers": int,
+}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One ensemble cell: a graph family, a variant, and run parameters."""
+    """One ensemble cell: a graph family, a variant, and run parameters.
+
+    Construction validates the cell against the family, step and init tables
+    and raises ``ValueError`` with a one-line reason.
+    """
 
     family: str
     n: int | None = None
@@ -103,10 +173,32 @@ class ExperimentConfig:
     config_id: str = ""
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"bad {name}: {getattr(self, name)!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown graph family {self.family!r}; "
+                             f"choose from {', '.join(FAMILIES)}")
+        for name in FAMILIES[self.family].fields:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.family} needs {name}")
+        if self.variant not in STEPS:
+            raise ValueError(f"unknown variant {self.variant!r}; choose from {', '.join(STEPS)}")
+        if self.init not in INIT_ALIASES.values():
+            raise ValueError(f"unknown init {self.init!r}")
+        if self.init == "explicit" and self.explicit_colors is None:
+            raise ValueError("explicit init needs explicit_colors")
+        if self.explicit_colors is not None and not all(
+                isinstance(c, int) for c in self.explicit_colors):
+            raise ValueError("explicit_colors must be integers")
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
     def resolved_id(self) -> str:
         if self.config_id:
@@ -121,10 +213,6 @@ class ExperimentConfig:
         if self.k is not None:
             parts.append(f"k{self.k}")
         return "-".join(parts)
-
-    def family_signature(self) -> tuple:
-        return (self.family, self.n, self.count, self.size, self.a, self.b, self.p,
-                self.graph_seed, self.path)
 
 
 @dataclass(frozen=True)
@@ -171,34 +259,15 @@ FIT_MODELS = {
 
 
 def build_graph(config: ExperimentConfig) -> Graph:
-    family = config.family
-    if family == "complete":
-        return graphs.complete(config.n)
-    if family == "disjoint_cliques":
-        return graphs.disjoint_cliques(config.count, config.size)
-    if family == "complete_bipartite":
-        return graphs.complete_bipartite(config.a, config.b)
-    if family == "cycle":
-        return graphs.cycle(config.n)
-    if family == "erdos_renyi":
-        return graphs.erdos_renyi(config.n, config.p, config.graph_seed)
-    if family == "file":
-        with open(config.path, encoding="utf-8") as f:
-            return graphs.from_edge_list(f.read(), n=config.n)
-    raise ValueError(f"unknown graph family {config.family!r}")
+    return FAMILIES[config.family].build(config)
 
 
 def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
     k = config.k if config.k is not None else graph.max_degree + 1
     if config.init == "random":
         return init_random(graph, k, rng)
-    if config.init == "all_ones":
-        return init_fixed(graph, k, [1] * graph.n)
-    if config.init == "explicit":
-        if config.explicit_colors is None:
-            raise ValueError("explicit init needs explicit_colors")
-        return init_fixed(graph, k, config.explicit_colors)
-    raise ValueError(f"unknown init {config.init!r}")
+    colors = [1] * graph.n if config.init == "all_ones" else config.explicit_colors
+    return init_fixed(graph, k, colors)
 
 
 def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = False) -> RunRecord:
@@ -218,9 +287,10 @@ def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = F
     )
 
 
-def run_traced(config: ExperimentConfig, index: int) -> tuple[RunResult, list[TraceRecord]]:
+def run_traced(
+    graph: Graph, config: ExperimentConfig, index: int
+) -> tuple[RunResult, list[TraceRecord]]:
     """One run with its full trace; used by trace sinks and step-size checks."""
-    graph = build_graph(config)
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
     return run(state, config.variant, config.cap, rng, trace=True, seed=index)
@@ -404,10 +474,13 @@ def compare_variants(configs: list[ExperimentConfig], timing: bool = False) -> l
     """
     if not configs:
         return []
-    signature = configs[0].family_signature()
-    for cfg in configs[1:]:
-        if cfg.family_signature() != signature:
-            raise ValueError("compare_variants configs must share the graph family")
+
+    def graph_key(c: ExperimentConfig) -> tuple:  # n also sizes a file graph
+        fields = FAMILIES[c.family].fields
+        return (c.family, c.n, c.graph_seed, c.path, *(getattr(c, f) for f in fields))
+
+    if any(graph_key(cfg) != graph_key(configs[0]) for cfg in configs[1:]):
+        raise ValueError("compare_variants configs must share the graph")
     rows = []
     base_mean: float | None = None
     for cfg in configs:
@@ -468,6 +541,21 @@ class AuditSweepSpec:
     outcome_budget: int = 100_000
     negate_margins: bool = False  # test-only fault hook for the violation path
 
+    def __post_init__(self):
+        if self.instances < 0:
+            raise ValueError("instances must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
+        samplers = [name for name, family in FAMILIES.items() if family.sample]
+        for name in self.families:
+            if name not in samplers:
+                raise ValueError(f"unknown audit family {name!r}; "
+                                 f"choose from {', '.join(samplers)}")
+            fewest = FAMILIES[name].min_max_n
+            if fewest and self.max_n < fewest(self):
+                raise ValueError(f"max_n {self.max_n} is too small for {name}, whose "
+                                 f"instances have at least {fewest(self)} vertices")
+
 
 def audit_instance(spec: AuditSweepSpec, index: int) -> tuple[ColoringState, bool]:
     """Build audit instance ``index``: a graph plus a fresh random coloring.
@@ -476,35 +564,9 @@ def audit_instance(spec: AuditSweepSpec, index: int) -> tuple[ColoringState, boo
     determined by (spec, index).
     """
     rng = make_rng(spec.master_seed, index)
-    family = spec.families[index % len(spec.families)]
-    bipartite = False
-    if family == "erdos_renyi":
-        lo, hi = spec.er_n_range
-        hi = min(hi, spec.max_n)
-        n = lo + int(rng.integers(hi - lo + 1))
-        p = spec.er_p_values[int(rng.integers(len(spec.er_p_values)))]
-        g = graphs.erdos_renyi(n, p, int(rng.integers(2**63)))
-    elif family == "disjoint_cliques":
-        count = 1 + int(rng.integers(3))
-        size = 2 + int(rng.integers(9))
-        g = graphs.disjoint_cliques(count, size)
-    elif family == "complete_bipartite":
-        a = 1 + int(rng.integers(10))
-        b = 1 + int(rng.integers(10))
-        g = graphs.complete_bipartite(a, b)
-        bipartite = True
-    elif family == "cycle":
-        n = 3 + int(rng.integers(min(48, spec.max_n - 2)))
-        g = graphs.cycle(n)
-    elif family == "complete":
-        n = 2 + int(rng.integers(11))
-        g = graphs.complete(n)
-        bipartite = False
-    else:
-        raise ValueError(f"unknown audit family {family!r}")
-    k = g.max_degree + 1
-    state = init_random(g, k, rng)
-    return state, bipartite
+    family = FAMILIES[spec.families[index % len(spec.families)]]
+    g = family.sample(spec, rng)
+    return init_random(g, g.max_degree + 1, rng), family.bipartite
 
 
 def _frac(x: Fraction) -> str:
@@ -525,6 +587,21 @@ def _entry_line(entry: AuditEntry, digest: str, negate: bool) -> dict:
     return line
 
 
+def _instance_lines(spec: AuditSweepSpec, state: ColoringState, bipartite: bool,
+                    digest: str) -> list[dict]:
+    """The report lines of one audit instance."""
+    budget = state.k * state.conflicted_count
+    if budget > spec.outcome_budget:
+        reason = f"enumeration budget exceeded ({budget} outcomes)"
+        return [{"claim": "all", "skipped": True, "reason": reason, "state_digest": digest}]
+    lines = [_entry_line(e, digest, spec.negate_margins)
+             for e in audit_state(state, bipartite=bipartite)]
+    if state.conflicted_count == 0:
+        lines.append({"claim": "multiplicative_decay", "skipped": True,
+                      "reason": "proper coloring", "state_digest": digest})
+    return lines
+
+
 def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
     """Audit ``spec.instances`` random states, yielding one JSON-able line per check.
 
@@ -534,56 +611,15 @@ def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
     """
     for index in range(spec.instances):
         state, bipartite = audit_instance(spec, index)
-        digest = state_digest(state)
-        budget = state.k * state.conflicted_count
-        if budget > spec.outcome_budget:
-            yield {
-                "claim": "all",
-                "skipped": True,
-                "reason": f"enumeration budget exceeded ({budget} outcomes)",
-                "state_digest": digest,
-            }
-            continue
-        if state.conflicted_count == 0:
-            for entry in audit_state(state, bipartite=bipartite):
-                yield _entry_line(entry, digest, spec.negate_margins)
-            yield {
-                "claim": "multiplicative_decay",
-                "skipped": True,
-                "reason": "proper coloring",
-                "state_digest": digest,
-            }
-            continue
-        for entry in audit_state(state, bipartite=bipartite):
-            yield _entry_line(entry, digest, spec.negate_margins)
+        yield from _instance_lines(spec, state, bipartite, state_digest(state))
 
 
 def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:
     """Regenerate the report lines of the instance with the given digest."""
     for index in range(spec.instances):
         state, bipartite = audit_instance(spec, index)
-        if state_digest(state) != digest:
-            continue
-        lines = []
-        if state.conflicted_count == 0:
-            lines.extend(
-                _entry_line(e, digest, spec.negate_margins)
-                for e in audit_state(state, bipartite=bipartite)
-            )
-            lines.append(
-                {
-                    "claim": "multiplicative_decay",
-                    "skipped": True,
-                    "reason": "proper coloring",
-                    "state_digest": digest,
-                }
-            )
-        else:
-            lines.extend(
-                _entry_line(e, digest, spec.negate_margins)
-                for e in audit_state(state, bipartite=bipartite)
-            )
-        return lines
+        if state_digest(state) == digest:
+            return _instance_lines(spec, state, bipartite, digest)
     return []
 
 
@@ -600,55 +636,16 @@ def public_config(config: ExperimentConfig) -> dict:
 
 
 def metadata_lines(configs: list[ExperimentConfig]) -> list[str]:
-    lines = [
+    return [
         f"# colorsim {__version__}",
         "# rng: numpy PCG64 via SeedSequence(master_seed, spawn_key=(run_index,))",
         f"# note: {PERSISTENT_STEP_NOTE}",
         f"# config: {json.dumps([public_config(c) for c in configs], sort_keys=True)}",
     ]
-    return lines
 
 
-def run_rows(config: ExperimentConfig, graph: Graph, records: list[RunRecord]) -> list[dict]:
-    base = {
-        "config_id": config.resolved_id(),
-        "family": config.family,
-        "n": graph.n,
-        "m": graph.m,
-        "delta": graph.max_degree,
-        "k": config.k if config.k is not None else graph.max_degree + 1,
-        "variant": config.variant,
-        "init": config.init,
-    }
-    rows = []
-    for r in records:
-        row = dict(base)
-        row.update(
-            seed=r.seed,
-            steps=r.steps,
-            terminated="true" if r.terminated else "false",
-            initial_phi_num=r.initial_phi_num,
-            final_phi_num=r.final_phi_num,
-            wall_ns=r.wall_ns,
-        )
-        rows.append(row)
-    return rows
-
-
-def write_runs_csv(out: TextIO, configs: list[ExperimentConfig], rows: list[dict]) -> None:
-    for line in metadata_lines(configs):
-        out.write(line + "\n")
-    out.write(",".join(RUN_CSV_FIELDS) + "\n")
-    for row in rows:
-        out.write(",".join(str(row[f]) for f in RUN_CSV_FIELDS) + "\n")
-
-
-def aggregate_row(
-    config: ExperimentConfig,
-    graph: Graph,
-    stats: EnsembleStats,
-    fit: FitResult | None = None,
-) -> dict:
+def _cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
+    """The leading columns both CSVs share."""
     return {
         "config_id": config.resolved_id(),
         "family": config.family,
@@ -658,6 +655,41 @@ def aggregate_row(
         "k": config.k if config.k is not None else graph.max_degree + 1,
         "variant": config.variant,
         "init": config.init,
+    }
+
+
+def run_rows(config: ExperimentConfig, graph: Graph, records: list[RunRecord]) -> list[dict]:
+    base = _cell_columns(config, graph)
+    return [
+        {**base, "seed": r.seed, "steps": r.steps,
+         "terminated": "true" if r.terminated else "false",
+         "initial_phi_num": r.initial_phi_num, "final_phi_num": r.final_phi_num,
+         "wall_ns": r.wall_ns}
+        for r in records
+    ]
+
+
+def _write_csv(out: TextIO, configs: list[ExperimentConfig], fields: tuple[str, ...],
+               rows: list[dict]) -> None:
+    for line in metadata_lines(configs):
+        out.write(line + "\n")
+    out.write(",".join(fields) + "\n")
+    for row in rows:
+        out.write(",".join(str(row[f]) for f in fields) + "\n")
+
+
+def write_runs_csv(out: TextIO, configs: list[ExperimentConfig], rows: list[dict]) -> None:
+    _write_csv(out, configs, RUN_CSV_FIELDS, rows)
+
+
+def aggregate_row(
+    config: ExperimentConfig,
+    graph: Graph,
+    stats: EnsembleStats,
+    fit: FitResult | None = None,
+) -> dict:
+    return {
+        **_cell_columns(config, graph),
         "seeds": stats.seeds,
         "cap": config.cap,
         "master_seed": config.master_seed,
@@ -676,11 +708,7 @@ def aggregate_row(
 
 
 def write_aggregate_csv(out: TextIO, configs: list[ExperimentConfig], rows: list[dict]) -> None:
-    for line in metadata_lines(configs):
-        out.write(line + "\n")
-    out.write(",".join(AGGREGATE_CSV_FIELDS) + "\n")
-    for row in rows:
-        out.write(",".join(str(row[f]) for f in AGGREGATE_CSV_FIELDS) + "\n")
+    _write_csv(out, configs, AGGREGATE_CSV_FIELDS, rows)
 
 
 def write_jsonl(out: TextIO, meta: dict, lines: Iterable[dict]) -> int:

@@ -431,29 +431,35 @@ class ColoringState:
         demand by a traversal over same-colored neighbors; cost is linear in
         the conflicted region.
         """
-        color = self._color
         cd = self._conflict_deg
-        adjacency = self.graph.adjacency
         seen: set[int] = set()
         comps: list[Component] = []
         for root in sorted(self._conf_dense):
             if root in seen:
                 continue
-            cu = color[root]
-            members = [root]
-            seen.add(root)
-            queue = [root]
-            while queue:
-                u = queue.pop()
-                for w in adjacency[u]:
-                    if color[w] == cu and w not in seen:
-                        seen.add(w)
-                        members.append(w)
-                        queue.append(w)
-            members.sort()
+            members = self.same_color_reach(root, seen)
             edge_count = sum(cd[u] for u in members) // 2
-            comps.append(Component(vertices=tuple(members), edge_count=edge_count, color=cu))
+            comps.append(Component(vertices=tuple(members), edge_count=edge_count,
+                                   color=self._color[root]))
         return ComponentView(components=tuple(comps))
+
+    def same_color_reach(self, root: int, seen: set[int]) -> list[int]:
+        """Sorted vertices reachable from ``root`` over same-colored edges, added to ``seen``."""
+        color = self._color
+        adjacency = self.graph.adjacency
+        cu = color[root]
+        seen.add(root)
+        members = [root]
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            for w in adjacency[u]:
+                if color[w] == cu and w not in seen:
+                    seen.add(w)
+                    members.append(w)
+                    queue.append(w)
+        members.sort()
+        return members
 
 
 def init_random(g: Graph, k: int, rng) -> ColoringState:

@@ -321,7 +321,7 @@ def test_criterion_11_psi_step_size():
     worst = 0.0
     runs = 0
     for index in range(100):
-        result, trace = run_traced(cfg, index)
+        result, trace = run_traced(graph, cfg, index)
         assert result.terminated
         runs += 1
         prev = psi_value(Fraction(trace[0].phi_num, 100 * d), n, d)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from colorsim import from_edge_list
 from colorsim.cli import main
 
@@ -146,6 +148,19 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--seeds", "9")
         assert code == 0 and "overrides --seeds" in err
 
+    def test_bad_cell_exit_1_after_good_cells(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"seeds": 3, "cells": [
+            {"family": "complete", "n": 4}, {"family": "cycle"}, {"family": "cycle", "n": 5}]}))
+        runs = tmp_path / "runs.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path), "--per-run", str(runs))
+        assert code == 1
+        assert [line.split(":")[0] for line in stdout.splitlines()] == [
+            "complete-n4-uniform-random", "cycle-n5-uniform-random"]
+        assert err.count("\n") == 1 and "cycle needs n" in err
+        rows = [l for l in runs.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 1 + 2 * 3
+
     def test_missing_config_exit_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.json"))
         assert code == 1
@@ -206,6 +221,29 @@ class TestCompare:
         assert code == 0
         assert "uniform" in stdout and "persistent" in stdout
         assert "ratio" in stdout
+
+
+BAD_INPUT = [
+    ("compare", "--family", "complete", "--seeds", "2"),
+    ("compare", "--family", "file", "--graph", "{tmp}/missing.txt", "--seeds", "2"),
+    ("compare", "--family", "complete", "--n", "4", "--k", "0", "--seeds", "2"),
+    ("compare", "--family", "complete", "--n", "5", "--variants", "uniform,bogus", "--seeds", "2"),
+    ("sweep", "--config", "{tmp}/no_n.json"),
+    ("audit", "--instances", "3", "--max-n", "4"),
+    ("audit", "--instances", "3", "--max-n", "2", "--families", "cycle"),
+    ("audit", "--instances", "-1"),
+    ("run", "--family", "complete", "--n", "5", "--init", "file"),
+    ("run", "--family", "er", "--n", "10"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "no_n.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "variant": "uniform"}]}))
+    code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and stdout == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestTopLevel:

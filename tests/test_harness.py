@@ -253,7 +253,7 @@ class TestWriters:
 
     def test_jsonl_meta_first(self):
         cfg = ExperimentConfig(family="complete", n=5, k=5, seeds=1, master_seed=1)
-        result, trace = run_traced(cfg, 0)
+        result, trace = run_traced(build_graph(cfg), cfg, 0)
         buf = io.StringIO()
         count = write_jsonl(buf, {"kind": "trace"}, trace_lines(trace))
         lines = buf.getvalue().splitlines()
