@@ -198,7 +198,7 @@ def _cmd_sweep(args) -> int:
         configs.append(config)
         try:
             graph = build_graph(config)
-            stats, records = run_ensemble(config, timing=args.timing)
+            stats, records = run_ensemble(graph, config, timing=args.timing)
         except (ValueError, OSError) as exc:
             print(f"sweep: cell {config.resolved_id()} failed: {exc}", file=sys.stderr)
             failures += 1
@@ -337,7 +337,8 @@ def build_parser() -> _Parser:
 
     p_audit = sub.add_parser("audit", help="exact drift-inequality sweep")
     p_audit.add_argument("--instances", type=int, default=1000)
-    p_audit.add_argument("--max-n", type=int, default=50)
+    p_audit.add_argument("--max-n", type=int, default=50,
+                         help="vertex bound of the er and cycle instances only")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--families", help="comma list: " + ",".join(
         f.alias for f in FAMILIES.values() if f.sample))

@@ -3,6 +3,14 @@
 Vertices are dense 0-based indices so that hot loops can use plain arrays.
 All generators return a :class:`Graph`; the only ingestion format is the
 whitespace edge list understood by :func:`from_edge_list`.
+
+Every generator produces its candidate edges as numpy endpoint arrays and
+hands them to one assembly, ``_build``, which validates, deduplicates and
+sorts them with numpy, presets ``Graph.edge_arrays`` from the arrays it
+holds, and fills the tuple fields with one int object per vertex.
+``erdos_renyi`` draws its pairs in blocks, so each seeded graph is the one
+the row-by-row sampler draws (``tests/test_graph.py`` keeps that sampler as
+the reference).
 """
 
 from __future__ import annotations
@@ -33,85 +41,118 @@ class Graph:
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays of shape (m,), used by the vectorized derivations in state."""
-        if self.m == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        eu = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=self.m)
-        ev = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
-        return eu, ev
+        """Endpoint arrays of shape (m,), used by the vectorized derivations in state.
+
+        The generators store the arrays they assembled the graph from; a Graph
+        constructed directly derives them from ``edges``.
+        """
+        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
-def _build(n: int, edge_iter) -> Graph:
-    """Assemble a Graph from candidate edges, deduplicating as required."""
-    seen: set[tuple[int, int]] = set()
-    for u, v in edge_iter:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-        seen.add((u, v) if u < v else (v, u))
-    edges = tuple(sorted(seen))
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-    max_degree = max((len(ns) for ns in adjacency), default=0)
-    return Graph(n=n, adjacency=adjacency, edges=edges, m=len(edges), max_degree=max_degree)
+# draws per erdos_renyi block; larger blocks were no faster and raised the peak memory
+_BLOCK = 1 << 16
+# entries per tolist() call in _shared_ints: bounds the int objects it makes at once
+_CHUNK = 1 << 12
+
+
+def _shared_ints(vertex: list[int], a: np.ndarray) -> list[int]:
+    """``a`` as a list of the int objects in ``vertex``.
+
+    ``a.tolist()`` alone makes a new int object for every entry; mapping
+    through ``vertex`` keeps one object per vertex.
+    """
+    out: list[int] = []
+    for s in range(0, a.size, _CHUNK):
+        out.extend(map(vertex.__getitem__, a[s:s + _CHUNK].tolist()))
+    return out
+
+
+def _row_bounds(rows: np.ndarray, n: int) -> list[int]:
+    """n + 1 offsets: where each row's block starts in a list ordered by row, then its end."""
+    return [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
+
+
+def _build(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """Assemble a Graph from candidate edges (u[i], v[i]), deduplicating as required."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    bad = np.flatnonzero((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if bad.size:
+        a, b = int(u[bad[0]]), int(v[bad[0]])
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        raise ValueError(f"edge ({a}, {b}) outside vertex range 0..{n - 1}")
+    # one key per unordered pair: sorted keys are the edges in (min, max) order
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    eu, ev = np.divmod(keys[keep], n)
+    vertex = list(range(n))
+    us, vs = _shared_ints(vertex, eu), _shared_ints(vertex, ev)
+    # row w of the adjacency: its lower neighbors (x of the edges (x, w), in
+    # ascending order), then its upper ones (y of the edges (w, y))
+    lower = _shared_ints(vertex, np.sort(ev * n + eu) % n)
+    lo, up = _row_bounds(ev, n), _row_bounds(eu, n)
+    adjacency = tuple(tuple(lower[lo[w]:lo[w + 1]] + vs[up[w]:up[w + 1]]) for w in range(n))
+    g = Graph(n=n, adjacency=adjacency, edges=tuple(zip(us, vs)), m=len(us),
+              max_degree=max(map(len, adjacency), default=0))
+    object.__setattr__(g, "edge_arrays", (eu, ev))  # fills the cached_property
+    return g
 
 
 def complete(n: int) -> Graph:
     """Complete graph on ``n`` vertices."""
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return _build(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    return _build(n, *np.triu_indices(n, 1))
 
 
 def disjoint_cliques(count: int, size: int) -> Graph:
     """Vertex-disjoint union of ``count`` cliques, each on ``size`` vertices."""
     if count < 1 or size < 1:
         raise ValueError("disjoint_cliques needs count >= 1 and size >= 1")
-
-    def edges():
-        for c in range(count):
-            base = c * size
-            for u in range(size):
-                for v in range(u + 1, size):
-                    yield base + u, base + v
-
-    return _build(count * size, edges())
+    u, v = np.triu_indices(size, 1)
+    base = np.arange(count)[:, None] * size
+    return _build(count * size, (base + u).ravel(), (base + v).ravel())
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """Complete bipartite graph with parts {0..a-1} and {a..a+b-1}."""
     if a < 1 or b < 1:
         raise ValueError("complete_bipartite needs both part sizes >= 1")
-    return _build(a + b, ((u, a + v) for u in range(a) for v in range(b)))
+    return _build(a + b, np.repeat(np.arange(a), b), a + np.tile(np.arange(b), a))
 
 
 def cycle(n: int) -> Graph:
     """Cycle on ``n`` >= 3 vertices."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return _build(n, ((v, (v + 1) % n) for v in range(n)))
+    u = np.arange(n)
+    return _build(n, u, (u + 1) % n)
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) random graph; deterministic for fixed (n, p, seed)."""
+    """G(n, p) random graph; deterministic for fixed (n, p, seed).
+
+    Pair (u, v), u < v, is an edge when its uniform draw is below ``p``; the
+    draws come in row order (u ascending, then v), one ``random`` double per
+    pair. They are taken in blocks of ``_BLOCK``: concatenated ``random``
+    calls return the same doubles as one call of the total size.
+    """
     if n < 1:
         raise ValueError("erdos_renyi needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-    def edges():
-        for u in range(n - 1):
-            draws = rng.random(n - 1 - u)
-            for off in np.nonzero(draws < p)[0]:
-                yield u, u + 1 + int(off)
-
-    return _build(n, edges())
+    rows = np.arange(n - 1)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2  # flat index of pair (u, u + 1)
+    pairs = n * (n - 1) // 2
+    hits = [np.flatnonzero(rng.random(min(_BLOCK, pairs - s)) < p) + s
+            for s in range(0, pairs, _BLOCK)]
+    flat = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+    u = np.searchsorted(starts, flat, side="right") - 1
+    return _build(n, u, u + 1 + flat - starts[u])
 
 
 def from_edge_list(text: str, n: int | None = None) -> Graph:
@@ -142,7 +183,11 @@ def from_edge_list(text: str, n: int | None = None) -> Graph:
         edges.append((u, v))
         top = max(top, u, v)
     count = max(top + 1, n or 0)
-    return _build(count, edges)
+    try:
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(f"vertex index {top} too large") from None
+    return _build(count, pairs[:, 0], pairs[:, 1])
 
 
 def to_edge_list(g: Graph) -> str:

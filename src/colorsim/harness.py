@@ -7,7 +7,8 @@ construction, raising a one-line ``ValueError``.
 
 Every run inside an ensemble draws from its own PCG64 stream derived from
 (master_seed, run_index), so aggregates do not depend on worker count or
-completion order. Results flow out as CSV (one row per run, one row per
+completion order. An ensemble runs on a graph its caller built once; pool
+workers share it. Results flow out as CSV (one row per run, one row per
 config) and JSON lines (audit reports, traces); every output starts with a
 metadata header sufficient to reproduce it.
 """
@@ -300,28 +301,40 @@ def _phi_num(phi: Fraction, graph: Graph) -> int:
     return int(phi * 100 * graph.max_degree)
 
 
+# the ensemble's graph in a pool worker, set once per worker by the pool initializer
+_pool_graph: Graph | None = None
+
+
+def _init_pool_worker(graph: Graph) -> None:
+    global _pool_graph
+    _pool_graph = graph
+
+
 def _run_chunk(config: ExperimentConfig, start: int, stop: int, timing: bool) -> list[RunRecord]:
-    graph = build_graph(config)
-    return [run_one(graph, config, i, timing) for i in range(start, stop)]
+    return [run_one(_pool_graph, config, i, timing) for i in range(start, stop)]
 
 
 def run_ensemble(
-    config: ExperimentConfig, timing: bool = False
+    graph: Graph, config: ExperimentConfig, timing: bool = False
 ) -> tuple[EnsembleStats, list[RunRecord]]:
-    """Execute ``config.seeds`` independent runs and aggregate them.
+    """Execute ``config.seeds`` independent runs on ``graph`` and aggregate them.
 
+    ``graph`` is ``build_graph(config)``, built once by the caller. Pool
+    workers receive it through the pool initializer (under fork they inherit
+    it, nothing is pickled); the pool is no wider than its number of chunks.
     The reduction is by run index, never completion order, so the outcome is
     identical for any worker count.
     """
     seeds = config.seeds
     workers = max(1, config.workers)
     if workers == 1 or seeds < 4:
-        records = _run_chunk(config, 0, seeds, timing)
+        records = [run_one(graph, config, i, timing) for i in range(seeds)]
     else:
         chunk = max(1, math.ceil(seeds / (workers * 4)))
         spans = [(s, min(s + chunk, seeds)) for s in range(0, seeds, chunk)]
         starts, stops = zip(*spans)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(spans)),
+                                 initializer=_init_pool_worker, initargs=(graph,)) as pool:
             parts = pool.map(
                 _run_chunk, [config] * len(spans), starts, stops, [timing] * len(spans)
             )
@@ -481,10 +494,11 @@ def compare_variants(configs: list[ExperimentConfig], timing: bool = False) -> l
 
     if any(graph_key(cfg) != graph_key(configs[0]) for cfg in configs[1:]):
         raise ValueError("compare_variants configs must share the graph")
+    graph = build_graph(configs[0])
     rows = []
     base_mean: float | None = None
     for cfg in configs:
-        stats, _ = run_ensemble(cfg, timing=timing)
+        stats, _ = run_ensemble(graph, cfg, timing=timing)
         if base_mean is None:
             base_mean = stats.mean_steps
         ratio = stats.mean_steps / base_mean if base_mean else float("nan")
@@ -525,7 +539,12 @@ def theorem_step_budget(n: int, delta: int) -> float:
 
 @dataclass(frozen=True)
 class AuditSweepSpec:
-    """Deterministic generator spec for random (graph, coloring) audits."""
+    """Deterministic generator spec for random (graph, coloring) audits.
+
+    ``max_n`` bounds only the ``erdos_renyi`` and ``cycle`` samplers; the
+    ``complete`` (2..12 vertices), ``disjoint_cliques`` (up to 30) and
+    ``complete_bipartite`` (up to 20) samplers ignore it.
+    """
 
     instances: int = 1000
     master_seed: int = 0

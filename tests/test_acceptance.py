@@ -163,7 +163,7 @@ def coupon_sweep():
             seeds=500, master_seed=5, cap=10**6, workers=1,
         )
         graph = build_graph(cfg)
-        stats, records = run_ensemble(cfg)
+        stats, records = run_ensemble(graph, cfg)
         out.append((cfg, graph, stats, records))
     return out, time.perf_counter() - start
 
@@ -195,7 +195,7 @@ def test_criterion_06_n_log_delta_scaling():
             variant="uniform", seeds=200, master_seed=6, cap=10**7,
         )
         graph = build_graph(cfg)
-        stats, _ = run_ensemble(cfg)
+        stats, _ = run_ensemble(graph, cfg)
         points.append((graph.n, graph.max_degree, stats.mean_steps))
     fit = scaling_fit(points, "n_log_delta")
     elapsed = time.perf_counter() - start
@@ -211,7 +211,7 @@ def test_criterion_07_bipartite_linear_bound():
             family="complete_bipartite", a=m, b=m,
             variant="uniform", seeds=200, master_seed=7, cap=10**6,
         )
-        stats, _ = run_ensemble(cfg)
+        stats, _ = run_ensemble(build_graph(cfg), cfg)
         ratios.append(stats.mean_steps / m)
     center = sum(ratios) / len(ratios)
     max_dev = max(abs(r - center) / center for r in ratios)
@@ -244,7 +244,7 @@ def test_criterion_08_adversarial_contrast():
                 family="disjoint_cliques", count=32, size=delta, variant=variant,
                 init="all_ones", seeds=seeds, master_seed=8, cap=10**7,
             )
-            stats, _ = run_ensemble(cfg)
+            stats, _ = run_ensemble(build_graph(cfg), cfg)
             z = (stats.mean_steps - exact) / se
             ok = ok and stats.termination_fraction == 1.0 and abs(z) <= 4
             zs.append(f"{variant} {stats.mean_steps:.2f} (z={z:+.2f})")
@@ -348,7 +348,7 @@ def test_criterion_12_worker_determinism(coupon_sweep):
     for cfg, _, _, _ in ensembles:
         wide_cfg = dataclasses.replace(cfg, workers=3)
         graph = build_graph(wide_cfg)
-        _, records = run_ensemble(wide_cfg)
+        _, records = run_ensemble(graph, wide_cfg)
         wide_configs.append(wide_cfg)
         wide_rows.extend(run_rows(wide_cfg, graph, records))
     rerun = io.StringIO()

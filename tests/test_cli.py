@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 from colorsim import from_edge_list
+from colorsim import graph as graphs
 from colorsim.cli import main
 
 
@@ -221,6 +223,44 @@ class TestCompare:
         assert code == 0
         assert "uniform" in stdout and "persistent" in stdout
         assert "ratio" in stdout
+
+
+class TestBuildOnce:
+    """An ensemble's graph is built once, in the command's own process."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        pid = os.getpid()
+        original = graphs.complete
+
+        def counted(n):
+            if os.getpid() != pid:
+                raise RuntimeError("graph built in a pool worker")
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(graphs, "complete", counted)
+        return calls
+
+    def test_sweep_with_a_pool(self, tmp_path, capsys, builds):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"cells": [{"family": "complete", "n": 10, "k": 10}]}))
+        outputs = {}
+        for workers in ("1", "2"):
+            builds.clear()
+            runs, agg = tmp_path / f"runs{workers}.csv", tmp_path / f"agg{workers}.csv"
+            code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", workers,
+                                 "--seeds", "8", "--per-run", str(runs), "--aggregate", str(agg))
+            assert code == 0 and builds == [10]
+            outputs[workers] = runs.read_bytes(), agg.read_bytes()
+        assert outputs["1"] == outputs["2"]
+
+    def test_compare_over_three_variants(self, capsys, builds):
+        code, stdout, _ = run_cli(capsys, "compare", "--family", "complete", "--n", "7",
+                                  "--variants", "uniform,persistent,component", "--seeds", "4")
+        assert code == 0 and builds == [7]
+        assert len(stdout.splitlines()) == 4
 
 
 BAD_INPUT = [

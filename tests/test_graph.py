@@ -1,6 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from colorsim.graph import _BLOCK, _build
 from colorsim import (
     complete,
     complete_bipartite,
@@ -22,6 +26,27 @@ def check_invariants(g):
     assert g.max_degree == max((len(a) for a in g.adjacency), default=0)
     assert g.m == sum(len(a) for a in g.adjacency) // 2
     assert g.m == len(g.edges)
+    eu, ev = g.edge_arrays
+    assert list(zip(eu.tolist(), ev.tolist())) == list(g.edges)
+
+
+def reference_erdos_renyi(n, p, seed):
+    """(n, adjacency, edges, m, max_degree) of G(n, p), sampled row by row in Python.
+
+    The oracle for the blocked numpy sampler: one ``random(n - 1 - u)`` call per
+    row u, edges collected in row order and neighbor lists assembled in a loop.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    edges = []
+    for u in range(n - 1):
+        draws = rng.random(n - 1 - u)
+        edges.extend((u, u + 1 + int(off)) for off in np.nonzero(draws < p)[0])
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    return n, adjacency, tuple(edges), len(edges), max(map(len, adjacency), default=0)
 
 
 class TestComplete:
@@ -112,6 +137,47 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 800])
+    @pytest.mark.parametrize("p", [0.0, 5e-4, 0.1, 0.3, 0.7, 1.0, 1 / 3])
+    def test_matches_row_by_row_reference(self, n, p):
+        assert 800 * 799 // 2 > 2 * _BLOCK  # n = 800 spans several draw blocks
+        for seed in (0, 7, 2**40 + 3):
+            g = erdos_renyi(n, p, seed)
+            assert (g.n, g.adjacency, g.edges, g.m, g.max_degree) == reference_erdos_renyi(n, p, seed)
+            eu, ev = g.edge_arrays
+            assert list(zip(eu.tolist(), ev.tolist())) == list(g.edges)
+
+
+class TestBuild:
+    def test_deduplicates_both_orientations(self):
+        g = _build(3, np.array([0, 1, 2, 0]), np.array([1, 0, 1, 1]))
+        assert g.edges == ((0, 1), (1, 2)) and g.adjacency == ((1,), (0, 2), (1,))
+        check_invariants(g)
+
+    def test_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            _build(3, np.array([1]), np.array([1]))
+
+    @pytest.mark.parametrize("u,v", [(0, 3), (-1, 2), (5, 1)])
+    def test_out_of_range(self, u, v):
+        with pytest.raises(ValueError, match=rf"edge \({u}, {v}\) outside vertex range 0..2"):
+            _build(3, np.array([u]), np.array([v]))
+
+    def test_reports_the_first_bad_edge(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            _build(3, np.array([0, 2, 0]), np.array([1, 2, 7]))
+
+    def test_edge_arrays_of_a_graph_made_directly(self):
+        g = cycle(5)
+        made = dataclasses.replace(g)  # through the constructor, not the builder
+        for built, derived in zip(g.edge_arrays, made.edge_arrays):
+            assert built.dtype == derived.dtype and np.array_equal(built, derived)
+
+    def test_no_vertices(self):
+        g = from_edge_list("")
+        assert (g.n, g.m, g.max_degree, g.adjacency) == (0, 0, 0, ())
+        check_invariants(g)
+
 
 class TestEdgeList:
     def test_path(self):
@@ -128,6 +194,10 @@ class TestEdgeList:
     def test_non_integer_cites_line(self):
         with pytest.raises(ValueError, match="line 2"):
             from_edge_list("0 1\n1 x")
+
+    def test_index_beyond_int64_is_a_value_error(self):
+        with pytest.raises(ValueError, match="too large"):
+            from_edge_list("0 1\n0 99999999999999999999")
 
     def test_comments_and_blanks_ignored(self):
         g = from_edge_list("# header\n\n0 1\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from colorsim import (
     scaling_fit,
     theorem_step_budget,
 )
+from colorsim import harness
 from colorsim.harness import (
     audit_instance,
     build_graph,
@@ -71,32 +73,63 @@ class TestScalingFit:
 class TestRunEnsemble:
     def test_edgeless_mean_zero(self):
         cfg = ExperimentConfig(family="erdos_renyi", n=6, p=0.0, k=2, seeds=10, master_seed=1)
-        stats, records = run_ensemble(cfg)
+        stats, records = run_ensemble(build_graph(cfg), cfg)
         assert stats.mean_steps == 0 and stats.termination_fraction == 1.0
 
     def test_deterministic_across_calls(self):
         cfg = ExperimentConfig(family="complete", n=8, k=8, seeds=25, master_seed=3)
-        a = run_ensemble(cfg)
-        b = run_ensemble(cfg)
+        a = run_ensemble(build_graph(cfg), cfg)
+        b = run_ensemble(build_graph(cfg), cfg)
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
         base = ExperimentConfig(family="complete", n=8, k=8, seeds=16, master_seed=5, workers=1)
         wide = ExperimentConfig(family="complete", n=8, k=8, seeds=16, master_seed=5, workers=3)
-        assert run_ensemble(base)[1] == run_ensemble(wide)[1]
+        g = build_graph(base)
+        assert run_ensemble(g, base)[1] == run_ensemble(g, wide)[1]
 
     def test_termination_fraction_on_small_complete(self):
         cfg = ExperimentConfig(family="complete", n=8, k=8, seeds=50, master_seed=2, cap=10**6)
-        stats, _ = run_ensemble(cfg)
+        stats, _ = run_ensemble(build_graph(cfg), cfg)
         assert stats.termination_fraction == 1.0
         assert stats.ci95_low <= stats.mean_steps <= stats.ci95_high
 
     def test_wall_ns_zero_without_timing(self):
         cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=5, master_seed=0)
-        _, records = run_ensemble(cfg)
+        g = build_graph(cfg)
+        _, records = run_ensemble(g, cfg)
         assert all(r.wall_ns == 0 for r in records)
-        _, timed = run_ensemble(cfg, timing=True)
+        _, timed = run_ensemble(g, cfg, timing=True)
         assert any(r.wall_ns > 0 for r in timed)
+
+    def test_pool_width_capped_at_chunks(self, monkeypatch):
+        widths = []
+
+        class InlinePool:
+            """Records the requested width and runs the pool's work in this process."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                widths.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_pool_graph", None)
+        cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=8, master_seed=4,
+                               workers=10_000)
+        g = build_graph(cfg)
+        _, records = run_ensemble(g, cfg)
+        assert widths and max(widths) <= 8
+        assert records == run_ensemble(g, dataclasses.replace(cfg, workers=1))[1]
 
     def test_validates_config(self):
         with pytest.raises(ValueError):
@@ -107,7 +140,7 @@ class TestRunEnsemble:
     def test_mean_below_theorem_budget(self):
         cfg = ExperimentConfig(family="disjoint_cliques", count=8, size=8, seeds=50, master_seed=4)
         g = build_graph(cfg)
-        stats, _ = run_ensemble(cfg)
+        stats, _ = run_ensemble(g, cfg)
         assert stats.mean_steps <= theorem_step_budget(g.n, g.max_degree)
 
 
@@ -215,7 +248,7 @@ class TestWriters:
     def _ensemble(self):
         cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=8, master_seed=12)
         graph = build_graph(cfg)
-        stats, records = run_ensemble(cfg)
+        stats, records = run_ensemble(graph, cfg)
         return cfg, graph, stats, records
 
     def test_runs_csv_layout(self):
