@@ -6,6 +6,10 @@ exact rational weights. Claim checks compare that oracle against the proven
 bounds in big-integer rational arithmetic; the bounds are theorems for
 k = max_degree + 1, so a negative margin always means an implementation bug.
 
+This module owns the audit report's JSONL line format: ``report_lines``
+renders the entries of one state, every rational as "num/den", plus the
+lines of a skipped check. ``harness`` only chooses the states to audit.
+
 Floats appear only in the drift/tail bound calculators, which evaluate
 analytic formulas rather than inequalities on simulated data. Logarithms are
 natural throughout.
@@ -18,6 +22,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .state import ColoringState, Component, phi_numerator
 
@@ -42,14 +48,24 @@ class ExactExpectation:
 
 @dataclass(frozen=True)
 class AuditEntry:
-    """One checked inequality: satisfied means margin = rhs - lhs >= 0."""
+    """One checked inequality lhs <= rhs; satisfied means margin = rhs - lhs >= 0."""
 
     claim: str
     lhs: Fraction
     rhs: Fraction
-    margin: Fraction
-    satisfied: bool
     detail: dict = field(default_factory=dict)
+
+    @property
+    def margin(self) -> Fraction:
+        return self.rhs - self.lhs
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin >= 0
+
+
+def _frac(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _component_is_current(state: ColoringState, component: Component) -> bool:
@@ -130,21 +146,9 @@ def check_claim_edges(
     """
     e = expectation or exact_step_expectations(state, component)
     d = state.graph.max_degree
-    rhs = (
-        Fraction(state.mono_edge_count)
-        - component.average_degree
-        + 1
-        - Fraction(1, d + 1)
-    )
-    margin = rhs - e.mono_edges
-    return AuditEntry(
-        claim=CLAIM_COMPONENT_EDGES,
-        lhs=e.mono_edges,
-        rhs=rhs,
-        margin=margin,
-        satisfied=margin >= 0,
-        detail={"component": list(component.vertices)},
-    )
+    rhs = state.mono_edge_count - component.average_degree + 1 - Fraction(1, d + 1)
+    return AuditEntry(CLAIM_COMPONENT_EDGES, e.mono_edges, rhs,
+                      detail={"component": list(component.vertices)})
 
 
 def check_claim_isolated(
@@ -162,32 +166,15 @@ def check_claim_isolated(
     e = expectation or exact_step_expectations(state, component)
     d = state.graph.max_degree
     iso_now = Fraction(state.iso_edge_count)
-    rhs1 = iso_now + component.average_degree + 1
-    entries = [
-        AuditEntry(
-            claim=CLAIM_ISOLATED_GENERAL,
-            lhs=e.iso_edges,
-            rhs=rhs1,
-            margin=rhs1 - e.iso_edges,
-            satisfied=rhs1 - e.iso_edges >= 0,
-            detail={"component": list(component.vertices)},
-        )
-    ]
+    detail = {"component": list(component.vertices)}
+    entries = [AuditEntry(CLAIM_ISOLATED_GENERAL, e.iso_edges,
+                          iso_now + component.average_degree + 1, detail=detail)]
     if component.is_isolated_edge:
         u, w = component.vertices
         pu = state.properly_colored_neighbor_count(u)
         pw = state.properly_colored_neighbor_count(w)
-        rhs2 = iso_now - Fraction(d, d + 1) + Fraction(pu + pw, 2 * (d + 1))
-        entries.append(
-            AuditEntry(
-                claim=CLAIM_ISOLATED_PAIR,
-                lhs=e.iso_edges,
-                rhs=rhs2,
-                margin=rhs2 - e.iso_edges,
-                satisfied=rhs2 - e.iso_edges >= 0,
-                detail={"component": list(component.vertices)},
-            )
-        )
+        rhs = iso_now - Fraction(d, d + 1) + Fraction(pu + pw, 2 * (d + 1))
+        entries.append(AuditEntry(CLAIM_ISOLATED_PAIR, e.iso_edges, rhs, detail=detail))
     return entries
 
 
@@ -195,21 +182,8 @@ def check_claim_mono_phi(state: ColoringState) -> list[AuditEntry]:
     """Sandwich: mono count <= potential <= twice the mono count, exactly."""
     phi = state.potential()
     mono = Fraction(state.mono_edge_count)
-    lower = AuditEntry(
-        claim=CLAIM_SANDWICH_LOWER,
-        lhs=mono,
-        rhs=phi,
-        margin=phi - mono,
-        satisfied=phi - mono >= 0,
-    )
-    upper = AuditEntry(
-        claim=CLAIM_SANDWICH_UPPER,
-        lhs=phi,
-        rhs=2 * mono,
-        margin=2 * mono - phi,
-        satisfied=2 * mono - phi >= 0,
-    )
-    return [lower, upper]
+    return [AuditEntry(CLAIM_SANDWICH_LOWER, mono, phi),
+            AuditEntry(CLAIM_SANDWICH_UPPER, phi, 2 * mono)]
 
 
 def check_claim_mult(
@@ -220,18 +194,8 @@ def check_claim_mult(
     if phi <= 0:
         raise ValueError("multiplicative decay check needs a positive potential")
     e = expectation or exact_step_expectations(state)
-    n = state.graph.n
-    rhs = phi * (1 - Fraction(1, 1000 * n))
-    margin = rhs - e.phi
-    ratio = e.phi / phi
-    return AuditEntry(
-        claim=CLAIM_MULTIPLICATIVE,
-        lhs=e.phi,
-        rhs=rhs,
-        margin=margin,
-        satisfied=margin >= 0,
-        detail={"decay_ratio": f"{ratio.numerator}/{ratio.denominator}"},
-    )
+    rhs = phi * (1 - Fraction(1, 1000 * state.graph.n))
+    return AuditEntry(CLAIM_MULTIPLICATIVE, e.phi, rhs, detail={"decay_ratio": _frac(e.phi / phi)})
 
 
 def check_claim_bipartite_isolated(
@@ -249,16 +213,9 @@ def check_claim_bipartite_isolated(
         raise ValueError("bipartite refinement applies to isolated pairs only")
     e = expectation or exact_step_expectations(state, component)
     d = state.graph.max_degree
-    rhs = Fraction(state.iso_edge_count) - Fraction(d, 2 * (d + 1))
-    margin = rhs - e.iso_edges
-    return AuditEntry(
-        claim=CLAIM_BIPARTITE_PAIR,
-        lhs=e.iso_edges,
-        rhs=rhs,
-        margin=margin,
-        satisfied=margin >= 0,
-        detail={"component": list(component.vertices)},
-    )
+    rhs = state.iso_edge_count - Fraction(d, 2 * (d + 1))
+    return AuditEntry(CLAIM_BIPARTITE_PAIR, e.iso_edges, rhs,
+                      detail={"component": list(component.vertices)})
 
 
 def audit_state(state: ColoringState, bipartite: bool = False) -> list[AuditEntry]:
@@ -286,10 +243,34 @@ def state_digest(state: ColoringState) -> str:
         "n": state.graph.n,
         "k": state.k,
         "colors": list(state.colors),
-        "edges": [[u, v] for u, v in state.graph.edges],
+        "edges": np.column_stack(state.graph.edge_arrays).tolist(),
     }
     blob = json.dumps(payload, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def report_lines(state: ColoringState, bipartite: bool, digest: str,
+                 outcome_budget: int) -> list[dict]:
+    """The JSONL report lines of one audited state, each tagged with ``digest``.
+
+    One line per entry of ``audit_state``. A state whose enumeration would
+    exceed ``outcome_budget`` (vertex, color) outcomes gets a single skip
+    line instead; a proper coloring adds a skip line for the decay check.
+    """
+    outcomes = state.k * state.conflicted_count
+    if outcomes > outcome_budget:
+        reason = f"enumeration budget exceeded ({outcomes} outcomes)"
+        return [{"claim": "all", "skipped": True, "reason": reason, "state_digest": digest}]
+    lines = []
+    for entry in audit_state(state, bipartite=bipartite):
+        margin = entry.margin
+        lines.append({"claim": entry.claim, "lhs": _frac(entry.lhs), "rhs": _frac(entry.rhs),
+                      "margin": _frac(margin), "satisfied": margin >= 0,
+                      "state_digest": digest, **entry.detail})
+    if state.conflicted_count == 0:
+        lines.append({"claim": CLAIM_MULTIPLICATIVE, "skipped": True,
+                      "reason": "proper coloring", "state_digest": digest})
+    return lines
 
 
 # -- drift and tail bound calculators ---------------------------------------

@@ -1,12 +1,13 @@
 """Command-line front end: gen, run, sweep, audit, compare.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 cap
-exhaustion, 3 audit violation. Bad input, whether flags, a sweep cell or an
-unreadable or unwritable file, exits 1 with a one-line reason on stderr,
-never a traceback. The family, variant and init names come from the tables
-in ``harness`` and ``dynamics``. All run-affecting options have deterministic
-defaults and end up in the output metadata; the only environment variable
-honored is COLORSIM_WORKERS (worker-pool width).
+exhaustion, 3 audit violation. Bad input, whether flags, a sweep cell, an
+unreadable or unwritable file or a graph too large to allocate, exits 1 with
+a one-line reason on stderr, never a traceback. The family, variant and
+init names come from the tables in ``harness`` and ``dynamics``. All
+run-affecting options have deterministic defaults and end up in the output
+metadata; the only environment variable honored is COLORSIM_WORKERS
+(worker-pool width).
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def _default_workers() -> int:
         return 1
 
 
+def _reason(exc: Exception) -> str:
+    # numpy's MemoryError names the failed request; one raised by Python itself is empty
+    return str(exc) or "out of memory"
+
+
 _SIZE_FIELDS = ("n", "count", "size", "a", "b")
 
 
@@ -106,8 +112,8 @@ def _config_from_args(args, seeds: int = 1) -> ExperimentConfig:
 def _cmd_gen(args) -> int:
     try:
         g = build_graph(ExperimentConfig(**_family_fields(args)))
-    except (ValueError, OSError) as exc:
-        print(f"gen: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"gen: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
     try:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -128,10 +134,10 @@ def _cmd_run(args) -> int:
         graph = build_graph(config)
         rng = make_rng(config.master_seed, 0)
         state = initial_state(graph, config, rng)
-    except (ValueError, OSError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"run: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
-    result, trace = run(state, config.variant, config.cap, rng, trace=bool(args.trace_out), seed=0)
+    result, trace = run(state, config.variant, config.cap, rng, trace=bool(args.trace_out))
     print(
         f"config_id={config.resolved_id()} n={graph.n} m={graph.m} delta={graph.max_degree} "
         f"k={state.k} variant={config.variant} init={config.init} master_seed={config.master_seed} "
@@ -199,8 +205,8 @@ def _cmd_sweep(args) -> int:
         try:
             graph = build_graph(config)
             stats, records = run_ensemble(graph, config, timing=args.timing)
-        except (ValueError, OSError) as exc:
-            print(f"sweep: cell {config.resolved_id()} failed: {exc}", file=sys.stderr)
+        except (ValueError, OSError, MemoryError) as exc:
+            print(f"sweep: cell {config.resolved_id()} failed: {_reason(exc)}", file=sys.stderr)
             failures += 1
             continue
         all_rows.extend(run_rows(config, graph, records))
@@ -246,7 +252,6 @@ def _cmd_audit(args) -> int:
             master_seed=args.seed,
             families=families,
             max_n=args.max_n,
-            negate_margins=args.self_test_fault,
         )
         sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     except (ValueError, OSError) as exc:
@@ -282,9 +287,9 @@ def _cmd_compare(args) -> int:
         base = _config_from_args(args, seeds=args.seeds)
         configs = [dataclasses.replace(base, variant=VARIANT_ALIASES.get(v, v), config_id="")
                    for v in args.variants.split(",")]
-        rows = compare_variants(configs, timing=args.timing)
-    except (ValueError, OSError) as exc:
-        print(f"compare: {exc}", file=sys.stderr)
+        rows = compare_variants(configs)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"compare: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
     header = f"{'variant':<16}{'init':<10}{'mean':>12}{'median':>10}{'ci95':>22}{'term':>7}{'ratio':>8}"
     print(header)
@@ -343,7 +348,6 @@ def build_parser() -> _Parser:
     p_audit.add_argument("--families", help="comma list: " + ",".join(
         f.alias for f in FAMILIES.values() if f.sample))
     p_audit.add_argument("--out", help="JSONL output path (default stdout)")
-    p_audit.add_argument("--self-test-fault", action="store_true", help=argparse.SUPPRESS)
     p_audit.set_defaults(fn=_cmd_audit)
 
     p_cmp = sub.add_parser("compare", help="side-by-side variant comparison")
@@ -356,7 +360,6 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--cap", type=int, default=1_000_000)
     p_cmp.add_argument("--init", default="random", choices=list(INIT_ALIASES))
     p_cmp.add_argument("--init-file")
-    p_cmp.add_argument("--timing", action="store_true")
     p_cmp.set_defaults(fn=_cmd_compare)
 
     return parser

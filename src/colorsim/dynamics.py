@@ -90,11 +90,8 @@ class RunResult:
 
     steps: int
     terminated: bool
-    cap: int
-    seed: int
     initial_phi: Fraction
     final_phi: Fraction
-    variant: str
     stalled: bool = False
 
 
@@ -214,7 +211,6 @@ def run(
     cap: int,
     rng: np.random.Generator,
     trace: bool = False,
-    seed: int = 0,
     persistent_draw_cap: int = DEFAULT_PERSISTENT_DRAW_CAP,
 ) -> tuple[RunResult, list[TraceRecord]]:
     """Apply the variant's step until the coloring is proper or ``cap`` is spent.
@@ -267,11 +263,8 @@ def run(
     result = RunResult(
         steps=steps,
         terminated=state.conflicted_count == 0,
-        cap=cap,
-        seed=seed,
         initial_phi=initial_phi,
         final_phi=state.potential(),
-        variant=variant,
         stalled=stalled,
     )
     return result, records

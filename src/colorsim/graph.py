@@ -7,7 +7,8 @@ whitespace edge list understood by :func:`from_edge_list`.
 Every generator produces its candidate edges as numpy endpoint arrays and
 hands them to one assembly, ``_build``, which validates, deduplicates and
 sorts them with numpy, presets ``Graph.edge_arrays`` from the arrays it
-holds, and fills the tuple fields with one int object per vertex.
+holds, and fills the adjacency tuples with one int object per vertex. The
+edge tuples are derived from ``edge_arrays`` on first read.
 ``erdos_renyi`` draws its pairs in blocks, so each seeded graph is the one
 the row-by-row sampler draws (``tests/test_graph.py`` keeps that sampler as
 the reference).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +34,6 @@ class Graph:
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
     m: int
     max_degree: int
 
@@ -41,13 +42,21 @@ class Graph:
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays of shape (m,), used by the vectorized derivations in state.
+        """Endpoint arrays (u, v), u < v, of shape (m,), in ascending (u, v) order.
 
         The generators store the arrays they assembled the graph from; a Graph
-        constructed directly derives them from ``edges``.
+        constructed directly derives them from ``adjacency``.
         """
-        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0].copy(), pairs[:, 1].copy()
+        u = np.repeat(np.arange(self.n, dtype=np.int64), list(map(len, self.adjacency)))
+        v = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64, count=u.size)
+        upper = u < v
+        return u[upper], v[upper]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) tuples, in the order of ``edge_arrays``."""
+        eu, ev = self.edge_arrays
+        return tuple(zip(eu.tolist(), ev.tolist()))
 
 
 # draws per erdos_renyi block; larger blocks were no faster and raised the peak memory
@@ -88,14 +97,16 @@ def _build(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     keep = np.ones(keys.size, dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
     eu, ev = np.divmod(keys[keep], n)
+    # the numpy row bounds come first: a vertex count too large to allocate
+    # then fails there, with numpy's one-line MemoryError reason
+    lo, up = _row_bounds(ev, n), _row_bounds(eu, n)
     vertex = list(range(n))
-    us, vs = _shared_ints(vertex, eu), _shared_ints(vertex, ev)
     # row w of the adjacency: its lower neighbors (x of the edges (x, w), in
     # ascending order), then its upper ones (y of the edges (w, y))
     lower = _shared_ints(vertex, np.sort(ev * n + eu) % n)
-    lo, up = _row_bounds(ev, n), _row_bounds(eu, n)
-    adjacency = tuple(tuple(lower[lo[w]:lo[w + 1]] + vs[up[w]:up[w + 1]]) for w in range(n))
-    g = Graph(n=n, adjacency=adjacency, edges=tuple(zip(us, vs)), m=len(us),
+    upper = _shared_ints(vertex, ev)
+    adjacency = tuple(tuple(lower[lo[w]:lo[w + 1]] + upper[up[w]:up[w + 1]]) for w in range(n))
+    g = Graph(n=n, adjacency=adjacency, m=int(eu.size),
               max_degree=max(map(len, adjacency), default=0))
     object.__setattr__(g, "edge_arrays", (eu, ev))  # fills the cached_property
     return g

@@ -10,7 +10,8 @@ Every run inside an ensemble draws from its own PCG64 stream derived from
 completion order. An ensemble runs on a graph its caller built once; pool
 workers share it. Results flow out as CSV (one row per run, one row per
 config) and JSON lines (audit reports, traces); every output starts with a
-metadata header sufficient to reproduce it.
+metadata header sufficient to reproduce it. The audit sweep here picks the
+states to audit; ``audit.report_lines`` owns the format of its lines.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ import numpy as np
 
 from ._version import __version__
 from . import graph as graphs
-from .audit import (
-    AuditEntry,
-    additive_drift_bound,
-    audit_state,
-    multiplicative_drift_bound,
-    state_digest,
-)
+from .audit import additive_drift_bound, multiplicative_drift_bound, report_lines, state_digest
 from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run, step_parallel
 from .graph import Graph
 from .state import ColoringState, init_fixed, init_random
@@ -223,7 +218,6 @@ class RunRecord:
     seed: int
     steps: int
     terminated: bool
-    stalled: bool
     initial_phi_num: int
     final_phi_num: int
     wall_ns: int
@@ -275,13 +269,12 @@ def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = F
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
     start = time.perf_counter_ns() if timing else 0
-    result, _ = run(state, config.variant, config.cap, rng, trace=False, seed=index)
+    result, _ = run(state, config.variant, config.cap, rng, trace=False)
     wall = time.perf_counter_ns() - start if timing else 0
     return RunRecord(
         seed=index,
         steps=result.steps,
         terminated=result.terminated,
-        stalled=result.stalled,
         initial_phi_num=_phi_num(result.initial_phi, graph),
         final_phi_num=_phi_num(result.final_phi, graph),
         wall_ns=wall,
@@ -294,7 +287,7 @@ def run_traced(
     """One run with its full trace; used by trace sinks and step-size checks."""
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
-    return run(state, config.variant, config.cap, rng, trace=True, seed=index)
+    return run(state, config.variant, config.cap, rng, trace=True)
 
 
 def _phi_num(phi: Fraction, graph: Graph) -> int:
@@ -479,7 +472,7 @@ def parallel_survival(
 # -- variant comparison --------------------------------------------------------
 
 
-def compare_variants(configs: list[ExperimentConfig], timing: bool = False) -> list[dict]:
+def compare_variants(configs: list[ExperimentConfig]) -> list[dict]:
     """Side-by-side ensemble stats for configs differing only in variant/init.
 
     The first config is the baseline; each row reports its mean divided by
@@ -498,7 +491,7 @@ def compare_variants(configs: list[ExperimentConfig], timing: bool = False) -> l
     rows = []
     base_mean: float | None = None
     for cfg in configs:
-        stats, _ = run_ensemble(graph, cfg, timing=timing)
+        stats, _ = run_ensemble(graph, cfg)
         if base_mean is None:
             base_mean = stats.mean_steps
         ratio = stats.mean_steps / base_mean if base_mean else float("nan")
@@ -558,7 +551,6 @@ class AuditSweepSpec:
     er_p_values: tuple[float, ...] = (0.1, 0.3, 0.7)
     max_n: int = 200
     outcome_budget: int = 100_000
-    negate_margins: bool = False  # test-only fault hook for the violation path
 
     def __post_init__(self):
         if self.instances < 0:
@@ -588,49 +580,17 @@ def audit_instance(spec: AuditSweepSpec, index: int) -> tuple[ColoringState, boo
     return init_random(g, g.max_degree + 1, rng), family.bipartite
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _entry_line(entry: AuditEntry, digest: str, negate: bool) -> dict:
-    margin = -entry.margin if negate else entry.margin
-    line = {
-        "claim": entry.claim,
-        "lhs": _frac(entry.lhs),
-        "rhs": _frac(entry.rhs),
-        "margin": _frac(margin),
-        "satisfied": margin >= 0,
-        "state_digest": digest,
-    }
-    line.update(entry.detail)
-    return line
-
-
-def _instance_lines(spec: AuditSweepSpec, state: ColoringState, bipartite: bool,
-                    digest: str) -> list[dict]:
-    """The report lines of one audit instance."""
-    budget = state.k * state.conflicted_count
-    if budget > spec.outcome_budget:
-        reason = f"enumeration budget exceeded ({budget} outcomes)"
-        return [{"claim": "all", "skipped": True, "reason": reason, "state_digest": digest}]
-    lines = [_entry_line(e, digest, spec.negate_margins)
-             for e in audit_state(state, bipartite=bipartite)]
-    if state.conflicted_count == 0:
-        lines.append({"claim": "multiplicative_decay", "skipped": True,
-                      "reason": "proper coloring", "state_digest": digest})
-    return lines
-
-
 def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
     """Audit ``spec.instances`` random states, yielding one JSON-able line per check.
 
-    Proper colorings skip the decay check with an explicit marker; instances
-    whose enumeration would exceed the outcome budget are skipped whole.
-    Every line carries the state digest needed to replay it.
+    The lines are ``audit.report_lines``: proper colorings skip the decay
+    check with an explicit marker, and instances whose enumeration would
+    exceed the outcome budget are skipped whole. Every line carries the state
+    digest needed to replay it.
     """
     for index in range(spec.instances):
         state, bipartite = audit_instance(spec, index)
-        yield from _instance_lines(spec, state, bipartite, state_digest(state))
+        yield from report_lines(state, bipartite, state_digest(state), spec.outcome_budget)
 
 
 def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:
@@ -638,7 +598,7 @@ def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:
     for index in range(spec.instances):
         state, bipartite = audit_instance(spec, index)
         if state_digest(state) == digest:
-            return _instance_lines(spec, state, bipartite, digest)
+            return report_lines(state, bipartite, digest, spec.outcome_budget)
     return []
 
 

@@ -199,9 +199,6 @@ class ColoringState:
     def is_proper(self) -> bool:
         return not self._conf_dense
 
-    def is_properly_colored(self, v: int) -> bool:
-        return self._conflict_deg[v] == 0
-
     def properly_colored_neighbor_count(self, v: int) -> int:
         cd = self._conflict_deg
         return sum(1 for w in self.graph.adjacency[v] if cd[w] == 0)

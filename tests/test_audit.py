@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from colorsim import (
     psi_potential,
     state_digest,
 )
+from colorsim import harness
 from colorsim.audit import combine_component_expectations, psi_value
 
 
@@ -181,6 +183,53 @@ class TestDigest:
         assert state_digest(a) == state_digest(b)
         b.recolor(1, 3)
         assert state_digest(a) != state_digest(b)
+
+
+class TestReportLines:
+    """The exact JSONL lines of the audit report, pinned through the sweep."""
+
+    @staticmethod
+    def sweep_lines(monkeypatch, state, **spec):
+        monkeypatch.setattr(harness, "audit_instance", lambda spec, index: (state, False))
+        lines = harness.drift_audit_sweep(harness.AuditSweepSpec(instances=1, **spec))
+        return [json.dumps(line, sort_keys=True) for line in lines]
+
+    def test_claim_lines_of_the_path(self, monkeypatch):
+        digest = '"state_digest": "1b47fcd583e365ea"'
+        assert self.sweep_lines(monkeypatch, path_state()) == [
+            '{"claim": "potential_sandwich_lower", "lhs": "1/1", "margin": "21/200", '
+            f'"rhs": "221/200", "satisfied": true, {digest}}}',
+            '{"claim": "potential_sandwich_upper", "lhs": "221/200", "margin": "179/200", '
+            f'"rhs": "2/1", "satisfied": true, {digest}}}',
+            '{"claim": "component_edge_drift", "component": [0, 1], "lhs": "1/2", '
+            f'"margin": "1/6", "rhs": "2/3", "satisfied": true, {digest}}}',
+            '{"claim": "isolated_edge_growth", "component": [0, 1], "lhs": "1/2", '
+            f'"margin": "5/2", "rhs": "3/1", "satisfied": true, {digest}}}',
+            '{"claim": "isolated_edge_pair_drift", "component": [0, 1], "lhs": "1/2", '
+            f'"margin": "0/1", "rhs": "1/2", "satisfied": true, {digest}}}',
+            '{"claim": "multiplicative_decay", "decay_ratio": "1/2", "lhs": "221/400", '
+            '"margin": "331279/600000", "rhs": "662779/600000", "satisfied": true, '
+            f'{digest}}}',
+        ]
+
+    def test_proper_coloring_skips_the_decay_line(self, monkeypatch):
+        proper = init_fixed(from_edge_list("0 1\n1 2"), 3, [1, 2, 1])
+        digest = '"state_digest": "50b53c438c7e3267"'
+        assert self.sweep_lines(monkeypatch, proper) == [
+            '{"claim": "potential_sandwich_lower", "lhs": "0/1", "margin": "0/1", '
+            f'"rhs": "0/1", "satisfied": true, {digest}}}',
+            '{"claim": "potential_sandwich_upper", "lhs": "0/1", "margin": "0/1", '
+            f'"rhs": "0/1", "satisfied": true, {digest}}}',
+            '{"claim": "multiplicative_decay", "reason": "proper coloring", '
+            f'"skipped": true, {digest}}}',
+        ]
+
+    def test_budget_skip_line(self, monkeypatch):
+        # 2 conflicted vertices times k = 3 colors is 6 outcomes
+        assert self.sweep_lines(monkeypatch, path_state(), outcome_budget=5) == [
+            '{"claim": "all", "reason": "enumeration budget exceeded (6 outcomes)", '
+            '"skipped": true, "state_digest": "1b47fcd583e365ea"}',
+        ]
 
 
 class TestDriftCalculators:

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
-from colorsim import from_edge_list
+from colorsim import audit, from_edge_list
 from colorsim import graph as graphs
 from colorsim.cli import main
 
@@ -194,10 +195,14 @@ class TestAudit:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1  # metadata only
 
-    def test_fault_injection_exit_3(self, tmp_path, capsys):
+    def test_fault_injection_exit_3(self, tmp_path, capsys, monkeypatch):
+        # swapping each entry's sides turns every positive margin negative
+        checks = audit.audit_state
+        monkeypatch.setattr(audit, "audit_state", lambda state, bipartite=False: [
+            dataclasses.replace(e, lhs=e.rhs, rhs=e.lhs) for e in checks(state, bipartite)])
         out = tmp_path / "audit.jsonl"
         code, _, err = run_cli(capsys, "audit", "--instances", "20", "--seed", "1",
-                               "--out", str(out), "--self-test-fault")
+                               "--out", str(out))
         assert code == 3 and "VIOLATION" in err
 
     def test_unknown_family_exit_1(self, tmp_path, capsys):
@@ -274,6 +279,13 @@ BAD_INPUT = [
     ("audit", "--instances", "-1"),
     ("run", "--family", "complete", "--n", "5", "--init", "file"),
     ("run", "--family", "er", "--n", "10"),
+    # graphs too large to allocate: each request exceeds the 128 TiB user
+    # address space, so it fails at once and allocates nothing
+    ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--out", "{tmp}/g.txt"),
+    ("gen", "--family", "complete", "--n", "100000000", "--out", "{tmp}/g.txt"),
+    ("run", "--family", "cycle", "--n", "1000000000000000"),
+    ("compare", "--family", "cycle", "--n", "1000000000000000", "--seeds", "2"),
+    ("sweep", "--config", "{tmp}/huge.json"),
 ]
 
 
@@ -281,9 +293,21 @@ BAD_INPUT = [
 def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "no_n.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "variant": "uniform"}]}))
+    (tmp_path / "huge.txt").write_text("0 1000000000000000\n")
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"cells": [{"family": "cycle", "n": 10**15}], "seeds": 1}))
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_bare_memory_error_has_a_reason(tmp_path, capsys, monkeypatch):
+    def no_memory(n):
+        raise MemoryError
+    monkeypatch.setattr(graphs, "complete", no_memory)
+    code, stdout, err = run_cli(capsys, "gen", "--family", "complete", "--n", "5",
+                                "--out", str(tmp_path / "g.txt"))
+    assert (code, stdout, err) == (1, "", "gen: out of memory\n")
 
 
 class TestTopLevel:

@@ -107,12 +107,9 @@ def gen_argv(draw, paths):
 def audit_argv(draw, paths):
     families = st.lists(mostly(st.sampled_from(ALIASES), JUNK_NAME), min_size=1, max_size=3)
     argv = ["audit", "--instances", draw(count(5))]
-    argv += _flags(draw, [("--max-n", count(60)), ("--seed", SEED),
+    return argv + _flags(draw, [("--max-n", count(60)), ("--seed", SEED),
         ("--families", families.map(",".join)), ("--out", st.sampled_from(paths["out"])),
     ])
-    if draw(st.integers(0, 7)) == 0:
-        argv.append("--self-test-fault")
-    return argv
 
 
 CELL_VALUES = {

@@ -189,7 +189,7 @@ class TestRun:
         for i in range(1000):
             rng = make_rng(1, i)
             s = init_random(g, 8, rng)
-            result, _ = run(s, "uniform", 10**6, rng, seed=i)
+            result, _ = run(s, "uniform", 10**6, rng)
             assert result.terminated and result.final_phi == 0
 
     def test_absorption(self):
@@ -207,7 +207,7 @@ class TestRun:
         def one():
             rng = make_rng(12, 5)
             s = init_random(g, k, rng)
-            return run(s, "component_view", 10**5, rng, trace=True, seed=5)
+            return run(s, "component_view", 10**5, rng, trace=True)
 
         r1, t1 = one()
         r2, t2 = one()

@@ -168,10 +168,16 @@ class TestBuild:
             _build(3, np.array([0, 2, 0]), np.array([1, 2, 7]))
 
     def test_edge_arrays_of_a_graph_made_directly(self):
-        g = cycle(5)
-        made = dataclasses.replace(g)  # through the constructor, not the builder
-        for built, derived in zip(g.edge_arrays, made.edge_arrays):
-            assert built.dtype == derived.dtype and np.array_equal(built, derived)
+        for g in (cycle(5), erdos_renyi(30, 0.3, 2), complete_bipartite(2, 3), from_edge_list("")):
+            made = dataclasses.replace(g)  # through the constructor, not the builder
+            for built, derived in zip(g.edge_arrays, made.edge_arrays):
+                assert built.dtype == derived.dtype and np.array_equal(built, derived)
+            assert made.edges == g.edges and made == g
+
+    def test_edge_tuples_made_on_first_read(self):
+        g = complete(5)
+        assert "edges" not in vars(g)
+        assert g.edges == tuple((u, v) for u in range(5) for v in range(u + 1, 5))
 
     def test_no_vertices(self):
         g = from_edge_list("")

@@ -17,7 +17,7 @@ from colorsim import (
     scaling_fit,
     theorem_step_budget,
 )
-from colorsim import harness
+from colorsim import audit, harness
 from colorsim.harness import (
     audit_instance,
     build_graph,
@@ -238,8 +238,12 @@ class TestAuditSweep:
         b = [state_digest(audit_instance(spec, i)[0]) for i in range(6)]
         assert a == b
 
-    def test_fault_hook_flips_margins(self):
-        spec = AuditSweepSpec(instances=20, master_seed=6, negate_margins=True)
+    def test_fault_hook_flips_margins(self, monkeypatch):
+        # swapping each entry's sides turns every positive margin negative
+        checks = audit.audit_state
+        monkeypatch.setattr(audit, "audit_state", lambda state, bipartite=False: [
+            dataclasses.replace(e, lhs=e.rhs, rhs=e.lhs) for e in checks(state, bipartite)])
+        spec = AuditSweepSpec(instances=20, master_seed=6)
         lines = [l for l in drift_audit_sweep(spec) if not l.get("skipped")]
         assert any(not l["satisfied"] for l in lines)
 
