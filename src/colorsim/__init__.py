@@ -56,7 +56,6 @@ from .audit import (
     exact_step_expectations,
     multiplicative_drift_bound,
     multiplicative_tail,
-    psi_potential,
     state_digest,
 )
 from .harness import (

@@ -333,12 +333,3 @@ def psi_value(phi: Fraction, n: int, max_degree: int) -> float:
     if scaled <= 1:
         return 0.0
     return math.log(float(scaled))
-
-
-def psi_potential(state: ColoringState) -> float:
-    """Log-scale progress measure used to turn decay rates into flat drift.
-
-    Zero whenever the potential is at or below n / max_degree (including the
-    proper coloring), natural log of (max_degree * potential / n) above.
-    """
-    return psi_value(state.potential(), state.graph.n, state.graph.max_degree)

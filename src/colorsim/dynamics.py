@@ -15,7 +15,12 @@ Four variants share one state representation:
 RNG contract: a named, versioned, splittable generator (numpy PCG64 seeded
 through SeedSequence). Per-run streams come from
 ``make_rng(master_seed, stream)``; draw order is fixed and documented on each
-step function, so equal inputs reproduce traces byte for byte.
+step function, so equal inputs reproduce traces byte for byte. ``run`` reads
+its draws through ``BufferedDraws``: blocks of raw PCG64 words, turned into
+bounded integers by numpy's own method (Lemire's rejection on 32-bit halves,
+low half first). Every draw and the generator state left behind are
+bit-identical to ``Generator.integers``; ``tests/test_draws.py`` checks this
+against numpy, so a numpy release that changes its method fails there.
 """
 
 from __future__ import annotations
@@ -52,6 +57,118 @@ def make_rng(master_seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
+_HALF = 1 << 32  # bound of one 32-bit half-word
+_MASK = _HALF - 1
+_TOP = 1 << 63  # bounds of numpy's default int64 draws: -2**63 <= low, high <= 2**63
+_LOW = _TOP - _HALF  # a low value below this keeps a bound under 2**32 in int64
+
+
+class BufferedDraws:
+    """``Generator.integers`` for a PCG64 generator, read from raw word blocks.
+
+    numpy draws an integer in [low, low + n) with n < 2**32 from 32-bit
+    halves of 64-bit PCG64 words, low half first: m = x * n for a half x,
+    redrawn while m mod 2**32 < (2**32 - n) mod n (only tested once
+    m mod 2**32 < n), giving low + (m >> 32). n = 1 reads nothing and
+    n = 2**32 returns the half itself; a bulk ``size=`` draw is the same
+    method element by element, returned here as a list. This class reads
+    the halves from ``random_raw`` blocks instead of one numpy call per
+    draw. A half left pending in the generator (``has_uint32``) is read
+    first. Wider bounds, other argument types and invalid arguments hand the
+    stream back to numpy for that call.
+
+    The generator runs ahead of what was read until ``close()``, which
+    leaves it exactly where ``Generator.integers`` would have: advanced by
+    the words read, with an unread high half pending. Draw nothing after
+    ``close()``.
+    """
+
+    BLOCK = 256  # words per ``random_raw`` call
+
+    def __init__(self, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError("BufferedDraws needs a PCG64 generator")
+        self._rng = rng
+        self._bg = rng.bit_generator
+        self._open()
+
+    def _open(self) -> None:
+        entry = self._bg.state
+        self._entry = entry
+        self._pending = entry["has_uint32"]
+        self._buf = [entry["uinteger"]] if self._pending else []  # unread halves, last first
+        self._fetched = self._pending  # halves ever put in the buffer
+
+    def _refill(self) -> int:
+        """Fetch a block, keep its halves and return the first."""
+        if self._entry is None:
+            raise ValueError("draws are closed")
+        raw = self._bg.random_raw(self.BLOCK).astype("<u8", copy=False)
+        halves = raw.view("<u4")[::-1].tolist()
+        self._fetched += len(halves)
+        self._buf = halves
+        return halves.pop()
+
+    def integers(self, low, high=None, size=None):
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if size is not None or type(n) is not int or not 1 < n < _HALF or not 0 <= low < _LOW:
+            return self._other(low, high, size)
+        buf = self._buf
+        m = (buf.pop() if buf else self._refill()) * n
+        if m & _MASK < n:
+            t = (_HALF - n) % n
+            while m & _MASK < t:
+                buf = self._buf
+                m = (buf.pop() if buf else self._refill()) * n
+        return low + (m >> 32)
+
+    def _other(self, low, high, size):
+        """Bulk draws, bounds 1 and 2**32 and a low outside the fast range;
+        numpy itself takes other argument types, whole-word bounds and
+        anything it would reject."""
+        n = high - low
+        if (type(n) is not int or not (-_TOP <= low and high <= _TOP and 0 < n <= _HALF)
+                or size is not None and (type(size) is not int or size < 0)):
+            return self._numpy(low, high, size)
+        if size is not None:
+            return [self.integers(low, high) for _ in range(size)]
+        if n == 1:
+            return low
+        if n < _HALF:
+            return low + self.integers(n)
+        buf = self._buf
+        return low + (buf.pop() if buf else self._refill())
+
+    def _numpy(self, low, high, size):
+        if self._entry is None:
+            raise ValueError("draws are closed")
+        self.close()
+        try:
+            return self._rng.integers(low, high, size)
+        finally:
+            self._open()
+
+    def close(self) -> None:
+        """Hand the stream back: the generator state numpy would have left."""
+        if self._entry is None:
+            return
+        used = self._fetched - len(self._buf)
+        bg = self._bg
+        if used == 0:
+            bg.state = self._entry
+        else:
+            halves = used - self._pending  # read from fetched words
+            bg.state = {**self._entry, "has_uint32": 0, "uinteger": 0}
+            bg.advance((halves + 1) // 2)
+            if halves % 2:
+                state = bg.state
+                state["has_uint32"], state["uinteger"] = 1, self._buf[-1]
+                bg.state = state
+        self._entry, self._buf = None, []
+
+
 @dataclass(frozen=True)
 class StepOutcome:
     """What one step changed: the recolored vertices and their new colors.
@@ -86,12 +203,16 @@ class RunResult:
     color draw (including draws equal to the current color), for the parallel
     variant it counts rounds. ``terminated`` implies the final coloring is
     proper; a non-terminated, non-stalled run used exactly ``cap`` steps.
+    The potentials come as exact Fractions and as their integer numerators
+    over 100 * max_degree.
     """
 
     steps: int
     terminated: bool
     initial_phi: Fraction
     final_phi: Fraction
+    initial_phi_num: int
+    final_phi_num: int
     stalled: bool = False
 
 
@@ -177,7 +298,7 @@ def step_parallel(state: ColoringState, rng: np.random.Generator) -> StepOutcome
     _require_conflict(state)
     frozen = state.conflicted_vertices()
     draws = rng.integers(1, state.k + 1, size=len(frozen))
-    colors = tuple(int(c) for c in draws)
+    colors = tuple(map(int, draws))
     state.apply_batch(frozen, colors)
     return StepOutcome(frozen, colors)
 
@@ -217,7 +338,9 @@ def run(
 
     Cap exhaustion is a result, not an error. The trace (when requested)
     starts with a t=0 record of the initial state and then one record per
-    applied step.
+    applied step. ``rng`` is a PCG64 generator; the steps read it through
+    ``BufferedDraws``, and on return it stands where plain
+    ``Generator.integers`` calls would have left it.
     """
     if variant not in STEPS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -233,7 +356,7 @@ def run(
             TraceRecord(t, vertices, colors, mono, iso, e_ip, phi_numerator(d, mono, iso, e_ip))
         )
 
-    initial_phi = state.potential()
+    initial_phi, initial_num = state.potential(), state.phi_num  # one cached pair count
     if trace:
         counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
         shadow = list(state.colors)  # the colors at the latest record
@@ -242,29 +365,36 @@ def run(
     budgeted = variant == "persistent"
     steps = 0
     stalled = False
-    while state.conflicted_count > 0 and steps < cap:
-        out = step(state, rng, persistent_draw_cap, cap - steps) if budgeted else step(state, rng)
-        steps += out.draws
-        if out.stalled:
-            stalled = True
-            break
-        if trace and out.colors:
-            if variant == "parallel":
-                counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
-            else:
-                # the counts before the step, minus what recoloring v back to
-                # its old color would change: local, where a full recount
-                # would cost O(n + m) per step
-                (v,), (c,) = out.vertices, out.colors
-                d_mono, d_iso, d_eip = state.recount_change(v, shadow[v])
-                counts = (counts[0] - d_mono, counts[1] - d_iso, counts[2] - d_eip)
-                shadow[v] = c
-            record(steps, out.vertices, out.colors, counts)
+    draws = BufferedDraws(rng)
+    try:
+        while state.conflicted_count > 0 and steps < cap:
+            out = (step(state, draws, persistent_draw_cap, cap - steps) if budgeted
+                   else step(state, draws))
+            steps += out.draws
+            if out.stalled:
+                stalled = True
+                break
+            if trace and out.colors:
+                if variant == "parallel":
+                    counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
+                else:
+                    # the counts before the step, minus what recoloring v back
+                    # to its old color would change: local, where a full
+                    # recount would cost O(n + m) per step
+                    (v,), (c,) = out.vertices, out.colors
+                    d_mono, d_iso, d_eip = state.recount_change(v, shadow[v])
+                    counts = (counts[0] - d_mono, counts[1] - d_iso, counts[2] - d_eip)
+                    shadow[v] = c
+                record(steps, out.vertices, out.colors, counts)
+    finally:
+        draws.close()
     result = RunResult(
         steps=steps,
         terminated=state.conflicted_count == 0,
         initial_phi=initial_phi,
         final_phi=state.potential(),
+        initial_phi_num=initial_num,
+        final_phi_num=state.phi_num,
         stalled=stalled,
     )
     return result, records

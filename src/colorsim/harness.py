@@ -30,7 +30,7 @@ import numpy as np
 from ._version import __version__
 from . import graph as graphs
 from .audit import additive_drift_bound, multiplicative_drift_bound, report_lines, state_digest
-from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run, step_parallel
+from .dynamics import STEPS, BufferedDraws, RunResult, TraceRecord, make_rng, run, step_parallel
 from .graph import Graph
 from .state import ColoringState, init_fixed, init_random
 
@@ -275,8 +275,8 @@ def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = F
         seed=index,
         steps=result.steps,
         terminated=result.terminated,
-        initial_phi_num=_phi_num(result.initial_phi, graph),
-        final_phi_num=_phi_num(result.final_phi, graph),
+        initial_phi_num=result.initial_phi_num,
+        final_phi_num=result.final_phi_num,
         wall_ns=wall,
     )
 
@@ -288,10 +288,6 @@ def run_traced(
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
     return run(state, config.variant, config.cap, rng, trace=True)
-
-
-def _phi_num(phi: Fraction, graph: Graph) -> int:
-    return int(phi * 100 * graph.max_degree)
 
 
 # the ensemble's graph in a pool worker, set once per worker by the pool initializer
@@ -443,13 +439,15 @@ def parallel_survival(
         ever_below = state.is_proper()
         min_conflicted = 0 if ever_below else graph.n
         rounds = 0
+        draws = BufferedDraws(rng)
         while state.conflicted_count > 0 and rounds < config.cap:
-            step_parallel(state, rng)
+            step_parallel(state, draws)
             rounds += 1
             x = state.conflicted_count
             min_conflicted = min(min_conflicted, x)
             if x <= threshold:
                 ever_below = True
+        draws.close()
         records.append(
             SurvivalRecord(
                 seed=index,

@@ -15,7 +15,6 @@ from colorsim import (
     check_claim_mult,
     complete,
     complete_bipartite,
-    cycle,
     erdos_renyi,
     exact_step_expectations,
     from_edge_list,
@@ -24,7 +23,6 @@ from colorsim import (
     make_rng,
     multiplicative_drift_bound,
     multiplicative_tail,
-    psi_potential,
     state_digest,
 )
 from colorsim import harness
@@ -297,14 +295,7 @@ class TestPsi:
         assert psi_value(Fraction(n, d) / 2, n, d) == 0.0
         assert psi_value(Fraction(n * d), n, d) == pytest.approx(2 * math.log(d))
 
-    def test_on_states(self):
-        s = init_fixed(complete(4), 4, [1, 1, 1, 1])
-        # potential 6 on n=4, max degree 3: psi = ln(4.5)
-        assert psi_potential(s) == pytest.approx(math.log(4.5))
-        proper = init_fixed(cycle(4), 3, [1, 2, 1, 2])
-        assert psi_potential(proper) == 0.0
-
     def test_edgeless(self):
         g = erdos_renyi(4, 0.0, 0)
         s = init_fixed(g, 2, [1, 1, 1, 1])
-        assert psi_potential(s) == 0.0
+        assert psi_value(s.potential(), g.n, g.max_degree) == 0.0
