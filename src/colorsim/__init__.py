@@ -31,7 +31,6 @@ from .state import (
 from .dynamics import (
     ProperColoringError,
     RunResult,
-    StepOutcome,
     TraceRecord,
     VARIANTS,
     make_rng,
@@ -67,7 +66,6 @@ from .harness import (
     compare_variants,
     coupon_reference,
     drift_audit_sweep,
-    parallel_survival,
     run_ensemble,
     scaling_fit,
     theorem_step_budget,

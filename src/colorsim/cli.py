@@ -13,7 +13,6 @@ metadata; the only environment variable honored is COLORSIM_WORKERS
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -86,7 +85,7 @@ def _family_fields(args) -> dict:
                 graph_seed=args.graph_seed, path=args.graph)
 
 
-def _config_from_args(args, seeds: int = 1) -> ExperimentConfig:
+def _config_from_args(args, variant: str, seeds: int = 1) -> ExperimentConfig:
     init = INIT_ALIASES[args.init]
     explicit = None
     if init == "explicit":
@@ -96,7 +95,7 @@ def _config_from_args(args, seeds: int = 1) -> ExperimentConfig:
             explicit = tuple(int(line) for line in f.read().split())
     return ExperimentConfig(
         **_family_fields(args),
-        variant=VARIANT_ALIASES.get(args.variant, args.variant),
+        variant=VARIANT_ALIASES.get(variant, variant),
         k=args.k,
         init=init,
         explicit_colors=explicit,
@@ -130,7 +129,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        config = _config_from_args(args, seeds=1)
+        config = _config_from_args(args, args.variant)
         graph = build_graph(config)
         rng = make_rng(config.master_seed, 0)
         state = initial_state(graph, config, rng)
@@ -284,9 +283,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_compare(args) -> int:
     try:
-        base = _config_from_args(args, seeds=args.seeds)
-        configs = [dataclasses.replace(base, variant=VARIANT_ALIASES.get(v, v), config_id="")
-                   for v in args.variants.split(",")]
+        configs = [_config_from_args(args, v, seeds=args.seeds) for v in args.variants.split(",")]
         rows = compare_variants(configs)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"compare: {_reason(exc)}", file=sys.stderr)
@@ -353,7 +350,6 @@ def build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", help="side-by-side variant comparison")
     _add_family_args(p_cmp)
     p_cmp.add_argument("--variants", default="uniform,persistent")
-    p_cmp.add_argument("--variant", default="uniform", help=argparse.SUPPRESS)
     p_cmp.add_argument("--k", type=int)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--seeds", type=int, default=200)

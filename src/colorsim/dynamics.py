@@ -12,6 +12,12 @@ Four variants share one state representation:
 * ``parallel``        freeze the conflicted set and redraw every member at once;
   one round counts as one step.
 
+Every step function returns a plain ``(vertices, colors, draws)`` tuple: the
+recolored vertices, their new colors and the color draws it consumed (only
+the persistent variant uses more than one). A persistent step that accepts no
+color returns ``colors == ()`` and leaves the state unchanged; ``run`` tells
+a tripped draw guard (a stall) from a spent cap by whether steps remain.
+
 RNG contract: a named, versioned, splittable generator (numpy PCG64 seeded
 through SeedSequence). Per-run streams come from
 ``make_rng(master_seed, stream)``; draw order is fixed and documented on each
@@ -170,21 +176,6 @@ class BufferedDraws:
 
 
 @dataclass(frozen=True)
-class StepOutcome:
-    """What one step changed: the recolored vertices and their new colors.
-
-    ``draws`` counts color draws consumed (only the persistent variant uses
-    more than one). ``stalled`` marks a persistent step whose per-vertex draw
-    guard tripped before a usable color appeared; the state is unchanged then.
-    """
-
-    vertices: tuple[int, ...]
-    colors: tuple[int, ...]
-    draws: int = 1
-    stalled: bool = False
-
-
-@dataclass(frozen=True)
 class TraceRecord:
     t: int
     vertices: tuple[int, ...]
@@ -204,7 +195,9 @@ class RunResult:
     variant it counts rounds. ``terminated`` implies the final coloring is
     proper; a non-terminated, non-stalled run used exactly ``cap`` steps.
     The potentials come as exact Fractions and as their integer numerators
-    over 100 * max_degree.
+    over 100 * max_degree. ``min_conflicted`` is the least conflicted count
+    after step 1 or later, or the initial count if the run took no step, so
+    a proper start gives 0.
     """
 
     steps: int
@@ -213,6 +206,7 @@ class RunResult:
     final_phi: Fraction
     initial_phi_num: int
     final_phi_num: int
+    min_conflicted: int
     stalled: bool = False
 
 
@@ -221,7 +215,10 @@ def _require_conflict(state: ColoringState) -> None:
         raise ProperColoringError("coloring is already proper; no step to take")
 
 
-def step_uniform(state: ColoringState, rng: np.random.Generator) -> StepOutcome:
+Step = tuple[tuple[int, ...], tuple[int, ...], int]  # (vertices, colors, draws)
+
+
+def step_uniform(state: ColoringState, rng: np.random.Generator) -> Step:
     """One step: vertex uniform over the conflicted set, then color uniform.
 
     Consumes exactly two draws, vertex first, color second. The new color may
@@ -231,10 +228,10 @@ def step_uniform(state: ColoringState, rng: np.random.Generator) -> StepOutcome:
     v = state.conflicted_at(int(rng.integers(state.conflicted_count)))
     c = int(rng.integers(1, state.k + 1))
     state.recolor(v, c)
-    return StepOutcome((v,), (c,))
+    return (v,), (c,), 1
 
 
-def step_component_view(state: ColoringState, rng: np.random.Generator) -> StepOutcome:
+def step_component_view(state: ColoringState, rng: np.random.Generator) -> Step:
     """One step through the component decomposition.
 
     Three draws in order: component (weighted by vertex count), vertex inside
@@ -254,7 +251,7 @@ def step_component_view(state: ColoringState, rng: np.random.Generator) -> StepO
     v = chosen.vertices[int(rng.integers(chosen.size))]
     c = int(rng.integers(1, state.k + 1))
     state.recolor(v, c)
-    return StepOutcome((v,), (c,))
+    return (v,), (c,), 1
 
 
 def step_persistent(
@@ -262,16 +259,16 @@ def step_persistent(
     rng: np.random.Generator,
     draw_cap: int = DEFAULT_PERSISTENT_DRAW_CAP,
     draw_budget: int | None = None,
-) -> StepOutcome:
+) -> Step:
     """One persistent step: redraw the picked vertex until it fits.
 
     Draw order: vertex first, then colors one at a time until the candidate
     color appears on no neighbor. Intermediate draws touch nothing; only the
     accepted color is applied. With k = max_degree + 1 a free color always
     exists; with smaller palettes the neighborhood can cover every color, so
-    the loop is guarded by ``draw_cap`` and reports a stall distinctly.
-    ``draw_budget`` (when given) additionally bounds the draws this step may
-    consume; running out of budget is not a stall.
+    the loop is guarded by ``draw_cap``. ``draw_budget`` (when given)
+    additionally bounds the draws this step may consume. Either way a step
+    that runs out of draws returns no color and changes nothing.
     """
     _require_conflict(state)
     v = state.conflicted_at(int(rng.integers(state.conflicted_count)))
@@ -284,12 +281,11 @@ def step_persistent(
         draws += 1
         if c not in blocked:
             state.recolor(v, c)
-            return StepOutcome((v,), (c,), draws=draws)
-    stalled = draw_budget is None or draw_cap < draw_budget
-    return StepOutcome((v,), (), draws=draws, stalled=stalled)
+            return (v,), (c,), draws
+    return (v,), (), draws
 
 
-def step_parallel(state: ColoringState, rng: np.random.Generator) -> StepOutcome:
+def step_parallel(state: ColoringState, rng: np.random.Generator) -> Step:
     """One round: every currently conflicted vertex redraws simultaneously.
 
     Membership in the recoloring set is frozen before any draw; draws happen
@@ -300,7 +296,7 @@ def step_parallel(state: ColoringState, rng: np.random.Generator) -> StepOutcome
     draws = rng.integers(1, state.k + 1, size=len(frozen))
     colors = tuple(map(int, draws))
     state.apply_batch(frozen, colors)
-    return StepOutcome(frozen, colors)
+    return frozen, colors, 1
 
 
 def selection_distribution(state: ColoringState, variant: str) -> dict[int, Fraction]:
@@ -332,15 +328,15 @@ def run(
     cap: int,
     rng: np.random.Generator,
     trace: bool = False,
-    persistent_draw_cap: int = DEFAULT_PERSISTENT_DRAW_CAP,
 ) -> tuple[RunResult, list[TraceRecord]]:
     """Apply the variant's step until the coloring is proper or ``cap`` is spent.
 
-    Cap exhaustion is a result, not an error. The trace (when requested)
-    starts with a t=0 record of the initial state and then one record per
-    applied step. ``rng`` is a PCG64 generator; the steps read it through
-    ``BufferedDraws``, and on return it stands where plain
-    ``Generator.integers`` calls would have left it.
+    Cap exhaustion is a result, not an error; so is a stall, a persistent step
+    whose ``DEFAULT_PERSISTENT_DRAW_CAP`` draws were all blocked while steps
+    remained. The trace (when requested) starts with a t=0 record of the
+    initial state and then one record per applied step. ``rng`` is a PCG64
+    generator; the steps read it through ``BufferedDraws``, and on return it
+    stands where plain ``Generator.integers`` calls would have left it.
     """
     if variant not in STEPS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -357,6 +353,8 @@ def run(
         )
 
     initial_phi, initial_num = state.potential(), state.phi_num  # one cached pair count
+    conflicted = initial_conflicted = state.conflicted_count
+    least = state.graph.n  # no count after a step exceeds n
     if trace:
         counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
         shadow = list(state.colors)  # the colors at the latest record
@@ -367,25 +365,29 @@ def run(
     stalled = False
     draws = BufferedDraws(rng)
     try:
-        while state.conflicted_count > 0 and steps < cap:
-            out = (step(state, draws, persistent_draw_cap, cap - steps) if budgeted
-                   else step(state, draws))
-            steps += out.draws
-            if out.stalled:
-                stalled = True
+        while conflicted and steps < cap:
+            vertices, colors, used = (
+                step(state, draws, DEFAULT_PERSISTENT_DRAW_CAP, cap - steps) if budgeted
+                else step(state, draws))
+            steps += used
+            conflicted = state.conflicted_count
+            if conflicted < least:
+                least = conflicted
+            if not colors:  # the draw guard tripped, or the cap ran out
+                stalled = steps < cap
                 break
-            if trace and out.colors:
+            if trace:
                 if variant == "parallel":
                     counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
                 else:
                     # the counts before the step, minus what recoloring v back
                     # to its old color would change: local, where a full
                     # recount would cost O(n + m) per step
-                    (v,), (c,) = out.vertices, out.colors
+                    (v,), (c,) = vertices, colors
                     d_mono, d_iso, d_eip = state.recount_change(v, shadow[v])
                     counts = (counts[0] - d_mono, counts[1] - d_iso, counts[2] - d_eip)
                     shadow[v] = c
-                record(steps, out.vertices, out.colors, counts)
+                record(steps, vertices, colors, counts)
     finally:
         draws.close()
     result = RunResult(
@@ -395,6 +397,7 @@ def run(
         final_phi=state.potential(),
         initial_phi_num=initial_num,
         final_phi_num=state.phi_num,
+        min_conflicted=least if steps else initial_conflicted,
         stalled=stalled,
     )
     return result, records

@@ -30,7 +30,7 @@ import numpy as np
 from ._version import __version__
 from . import graph as graphs
 from .audit import additive_drift_bound, multiplicative_drift_bound, report_lines, state_digest
-from .dynamics import STEPS, BufferedDraws, RunResult, TraceRecord, make_rng, run, step_parallel
+from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run
 from .graph import Graph
 from .state import ColoringState, init_fixed, init_random
 
@@ -213,7 +213,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Per-run CSV payload; ``seed`` is the run index under the master seed."""
+    """One run of an ensemble; ``seed`` is the run index under the master seed.
+
+    The per-run CSV writes every field but ``min_conflicted`` (see
+    ``RunResult``), which survival checks read from the records.
+    """
 
     seed: int
     steps: int
@@ -221,6 +225,7 @@ class RunRecord:
     initial_phi_num: int
     final_phi_num: int
     wall_ns: int
+    min_conflicted: int
 
 
 @dataclass(frozen=True)
@@ -278,6 +283,7 @@ def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = F
         initial_phi_num=result.initial_phi_num,
         final_phi_num=result.final_phi_num,
         wall_ns=wall,
+        min_conflicted=result.min_conflicted,
     )
 
 
@@ -394,77 +400,6 @@ def scaling_fit(points: Iterable[tuple[int, int, float]], model: str) -> FitResu
         r_squared=r2,
         residuals=tuple(float(r) for r in residuals),
     )
-
-
-# -- parallel-variant survival ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    seed: int
-    rounds: int
-    terminated: bool
-    min_conflicted: int
-    ever_below: bool
-
-
-@dataclass(frozen=True)
-class SurvivalStats:
-    seeds: int
-    terminations: int
-    min_conflicted_overall: int
-    runs_ever_below: int
-    median_rounds: float
-
-
-def parallel_survival(
-    config: ExperimentConfig, epsilon_fraction: float
-) -> tuple[SurvivalStats, list[SurvivalRecord]]:
-    """Track how low the conflicted count gets under simultaneous recoloring.
-
-    Per run: rounds executed, the minimum conflicted count over the rounds
-    t >= 1 it ran, and whether that count ever dropped to epsilon_fraction * n.
-    A run whose initial coloring is already proper runs no round; it records
-    its terminal count 0, which is below every threshold. Runs stop at
-    termination or at ``config.cap`` rounds.
-    """
-    if config.variant != "parallel":
-        raise ValueError("parallel_survival needs variant='parallel'")
-    graph = build_graph(config)
-    threshold = epsilon_fraction * graph.n
-    records: list[SurvivalRecord] = []
-    for index in range(config.seeds):
-        rng = make_rng(config.master_seed, index)
-        state = initial_state(graph, config, rng)
-        ever_below = state.is_proper()
-        min_conflicted = 0 if ever_below else graph.n
-        rounds = 0
-        draws = BufferedDraws(rng)
-        while state.conflicted_count > 0 and rounds < config.cap:
-            step_parallel(state, draws)
-            rounds += 1
-            x = state.conflicted_count
-            min_conflicted = min(min_conflicted, x)
-            if x <= threshold:
-                ever_below = True
-        draws.close()
-        records.append(
-            SurvivalRecord(
-                seed=index,
-                rounds=rounds,
-                terminated=state.conflicted_count == 0,
-                min_conflicted=min_conflicted,
-                ever_below=ever_below,
-            )
-        )
-    stats = SurvivalStats(
-        seeds=len(records),
-        terminations=sum(r.terminated for r in records),
-        min_conflicted_overall=min(r.min_conflicted for r in records),
-        runs_ever_below=sum(r.ever_below for r in records),
-        median_rounds=float(np.median([r.rounds for r in records])),
-    )
-    return stats, records
 
 
 # -- variant comparison --------------------------------------------------------

@@ -81,8 +81,8 @@ def transition_matrix(n: int) -> np.ndarray:
 def termination_cdf(n: int, rounds: int) -> np.ndarray:
     """F[t] = P(a run on K_n terminates within t rounds), t = 0..rounds.
 
-    Rounds count from 1 as in ``parallel_survival``; F[0] is the chance that
-    the initial coloring, the chain's first throw from r = n, is proper.
+    Rounds count from 1 as the parallel variant's steps do; F[0] is the chance
+    that the initial coloring, the chain's first throw from r = n, is proper.
     """
     matrix = transition_matrix(n)
     law = matrix[n].copy()
@@ -97,9 +97,9 @@ def termination_cdf(n: int, rounds: int) -> np.ndarray:
 def reach_probability(n: int, threshold: int, rounds: int) -> float:
     """P(the conflicted count is <= threshold at some round 1..rounds, or 0 at start).
 
-    The event ``parallel_survival`` records as ``ever_below``: round 0 does not
-    count, except that a run whose initial coloring is proper takes no rounds
-    and records its count 0.
+    The event ``min_conflicted <= threshold`` of a run's record: round 0 does
+    not count, except that a run whose initial coloring is proper takes no
+    rounds and records its count 0.
     """
     matrix = transition_matrix(n)
     law = matrix[n].copy()

@@ -229,6 +229,17 @@ class TestCompare:
         assert "uniform" in stdout and "persistent" in stdout
         assert "ratio" in stdout
 
+    def test_variant_abbreviates_variants(self, capsys):
+        # compare has no flag of its own named --variant; argparse takes it
+        # as the unique prefix of --variants
+        cells = ("compare", "--family", "complete", "--n", "5", "--seeds", "3")
+        code, stdout, _ = run_cli(capsys, *cells, "--variants", "uniform", "--variant", "parallel")
+        _, want, _ = run_cli(capsys, *cells, "--variants", "parallel")
+        assert code == 0 and stdout == want
+        assert [line.split()[0] for line in stdout.splitlines()[1:]] == ["parallel"]
+        code, _, err = run_cli(capsys, *cells, "--variant", "bogus")
+        assert code == 1 and err.count("\n") == 1 and "'bogus'" in err
+
 
 class TestBuildOnce:
     """An ensemble's graph is built once, in the command's own process."""

@@ -194,19 +194,22 @@ def reference_run(state, variant, cap, rng, trace):
 
     records = [record(0, (), ())] if trace else []
     steps, stalled = 0, False
-    while state.conflicted_count > 0 and steps < cap:
+    counts = [len(state.recompute_all().conflicted)]  # the initial count, then one per step
+    while counts[-1] > 0 and steps < cap:
+        before = steps
         if variant == "persistent":
-            out = step(state, rng, DEFAULT_PERSISTENT_DRAW_CAP, cap - steps)
+            vertices, colors, draws = step(state, rng, DEFAULT_PERSISTENT_DRAW_CAP, cap - before)
         else:
-            out = step(state, rng)
-        steps += out.draws
-        if out.stalled:
+            vertices, colors, draws = step(state, rng)
+        steps += draws
+        counts.append(len(state.recompute_all().conflicted))
+        if not colors and draws == DEFAULT_PERSISTENT_DRAW_CAP < cap - before:
             stalled = True
             break
-        if trace and out.colors:
-            records.append(record(steps, out.vertices, out.colors))
-    result = RunResult(steps, state.conflicted_count == 0, initial_phi, state.potential(),
-                       initial_num, state.phi_num, stalled)
+        if trace and colors:
+            records.append(record(steps, vertices, colors))
+    result = RunResult(steps, counts[-1] == 0, initial_phi, state.potential(),
+                       initial_num, state.phi_num, min(counts[1:] or counts), stalled)
     return result, records
 
 

@@ -20,6 +20,7 @@ from colorsim import (
     step_persistent,
     step_uniform,
 )
+from colorsim.dynamics import DEFAULT_PERSISTENT_DRAW_CAP
 
 
 def conflicted_pair():
@@ -54,7 +55,7 @@ class TestStepUniform:
         rng = make_rng(5, 0)
         v = int(rng.integers(3))  # the dense conflicted array holds (0, 1, 2)
         c = int(rng.integers(1, 4))
-        assert out.vertices == (v,) and out.colors == (c,)
+        assert out == ((v,), (c,), 1)
 
 
 class TestStepComponentView:
@@ -90,8 +91,8 @@ class TestStepComponentView:
 
     def test_step_applies_a_recolor(self):
         s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
-        out = step_component_view(s, make_rng(1, 0))
-        assert len(out.vertices) == 1 and s.color_of(out.vertices[0]) == out.colors[0]
+        (v,), (c,), draws = step_component_view(s, make_rng(1, 0))
+        assert s.color_of(v) == c and draws == 1
 
 
 class TestStepPersistent:
@@ -101,8 +102,7 @@ class TestStepPersistent:
         draws = 0
         for _ in range(trials):
             s = conflicted_pair()
-            out = step_persistent(s, rng)
-            draws += out.draws
+            draws += step_persistent(s, rng)[2]
             assert s.is_proper()
         assert draws / trials == pytest.approx(2.0, rel=0.02)
 
@@ -113,21 +113,21 @@ class TestStepPersistent:
         for _ in range(50):
             s = init_random(g, k, rng)
             while not s.is_proper():
-                out = step_persistent(s, rng)
-                assert not out.stalled
+                _, colors, _ = step_persistent(s, rng)
+                assert colors
 
     def test_stall_when_neighborhood_covers_palette(self):
         # triangle with colors (1, 2, 1) at k=2: either conflicted vertex sees
         # both colors, so no draw can ever be accepted
         s = init_fixed(complete(3), 2, [1, 2, 1])
-        out = step_persistent(s, make_rng(0, 0), draw_cap=100)
-        assert out.stalled and out.draws == 100 and out.colors == ()
+        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_cap=100)
+        assert colors == () and draws == 100
         assert s.colors == (1, 2, 1)
 
-    def test_budget_exhaustion_is_not_a_stall(self):
+    def test_draw_budget_bounds_the_draws(self):
         s = init_fixed(complete(3), 2, [1, 2, 1])
-        out = step_persistent(s, make_rng(0, 0), draw_cap=100, draw_budget=10)
-        assert not out.stalled and out.draws == 10
+        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_cap=100, draw_budget=10)
+        assert colors == () and draws == 10
 
 
 class TestStepParallel:
@@ -143,8 +143,8 @@ class TestStepParallel:
 
     def test_whole_component_recolored(self):
         s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 3, 2])
-        out = step_parallel(s, make_rng(2, 0))
-        assert out.vertices == (0, 1, 2, 3, 5)
+        vertices, colors, draws = step_parallel(s, make_rng(2, 0))
+        assert vertices == (0, 1, 2, 3, 5) and len(colors) == 5 and draws == 1
 
     def test_frozen_membership(self):
         # vertices proper before the round stay untouched even if the round
@@ -183,6 +183,21 @@ class TestRun:
         s = init_fixed(cycle(4), 3, [1, 2, 1, 2])
         result, _ = run(s, "uniform", 1000, make_rng(0, 0))
         assert result.steps == 0 and result.terminated and result.final_phi == 0
+        assert result.min_conflicted == 0
+
+    def test_min_conflicted_counts_from_step_one(self):
+        # star: the center and one leaf share color 1, three leaves hold 2;
+        # recoloring the center to 2 raises the conflicted count from 2 to 4
+        g = from_edge_list("0 1\n0 2\n0 3\n0 4")
+        result, _ = run(init_fixed(g, 2, [1, 1, 2, 2, 2]), "uniform", 0, make_rng(0, 0))
+        assert result.steps == 0 and result.min_conflicted == 2
+        rises = 0
+        for seed in range(20):
+            s = init_fixed(g, 2, [1, 1, 2, 2, 2])
+            result, _ = run(s, "uniform", 1, make_rng(0, seed))
+            assert result.min_conflicted == s.conflicted_count
+            rises += s.conflicted_count > 2
+        assert rises
 
     def test_complete_8_always_terminates(self):
         g = complete(8)
@@ -265,9 +280,17 @@ class TestRun:
             assert result.steps == 40
 
     def test_persistent_stall_reported(self):
+        # triangle (1, 2, 1) at k=2: every draw is blocked, so the draw guard
+        # trips with one step of the cap to spare
         s = init_fixed(complete(3), 2, [1, 2, 1])
-        result, _ = run(s, "persistent", 10**4, make_rng(0, 0), persistent_draw_cap=50)
-        assert result.stalled and not result.terminated and result.steps == 50
+        result, _ = run(s, "persistent", DEFAULT_PERSISTENT_DRAW_CAP + 1, make_rng(0, 0))
+        assert result.stalled and not result.terminated
+        assert result.steps == DEFAULT_PERSISTENT_DRAW_CAP and result.min_conflicted == 2
+
+    def test_budget_exhaustion_is_not_a_stall(self):
+        s = init_fixed(complete(3), 2, [1, 2, 1])
+        result, _ = run(s, "persistent", 10, make_rng(0, 0))
+        assert not result.stalled and not result.terminated and result.steps == 10
 
     def test_rejects_unknown_variant(self):
         s = conflicted_pair()

@@ -12,7 +12,6 @@ from colorsim import (
     compare_variants,
     coupon_reference,
     drift_audit_sweep,
-    parallel_survival,
     run_ensemble,
     scaling_fit,
     theorem_step_budget,
@@ -145,36 +144,32 @@ class TestRunEnsemble:
 
 
 class TestParallelSurvival:
-    def test_k2_terminates_quickly(self):
-        cfg = ExperimentConfig(family="complete", n=2, k=2, variant="parallel",
-                               seeds=50, master_seed=6, cap=10**6)
-        stats, records = parallel_survival(cfg, 0.1)
-        assert stats.terminations == 50
-        assert stats.median_rounds <= 16
+    """Survival of the parallel variant, read from ``run_ensemble`` records."""
 
-    def test_requires_parallel_variant(self):
-        cfg = ExperimentConfig(family="complete", n=4, seeds=2)
-        with pytest.raises(ValueError):
-            parallel_survival(cfg, 0.1)
+    @staticmethod
+    def ensemble(**fields):
+        cfg = ExperimentConfig(family="complete", variant="parallel", **fields)
+        return run_ensemble(build_graph(cfg), cfg)
+
+    def test_k2_terminates_quickly(self):
+        stats, records = self.ensemble(n=2, k=2, seeds=50, master_seed=6, cap=10**6)
+        assert all(r.terminated for r in records)
+        assert stats.median_steps <= 16
 
     def test_run_starting_proper_records_count_zero(self):
         # K_2 at k=2, master seed 1: seeds 0 and 1 draw a proper coloring
-        cfg = ExperimentConfig(family="complete", n=2, k=2, variant="parallel",
-                               seeds=6, master_seed=1, cap=10**6)
-        stats, records = parallel_survival(cfg, 0.1)
-        assert [r.rounds for r in records[:2]] == [0, 0]
-        for r in records:
-            assert r.terminated and r.min_conflicted == 0 and r.ever_below
-        assert stats.min_conflicted_overall == 0 and stats.runs_ever_below == 6
+        stats, records = self.ensemble(n=2, k=2, seeds=6, master_seed=1, cap=10**6)
+        assert [(r.steps, r.min_conflicted) for r in records[:2]] == [(0, 0), (0, 0)]
+        for r in records:  # 0 is below every threshold epsilon * n
+            assert r.terminated and r.min_conflicted == 0
 
     def test_record_shape(self):
-        cfg = ExperimentConfig(family="complete", n=6, k=6, variant="parallel",
-                               seeds=10, master_seed=7, cap=10**5)
-        stats, records = parallel_survival(cfg, 0.5)
-        assert len(records) == 10
+        stats, records = self.ensemble(n=6, k=6, seeds=10, master_seed=7, cap=10**5)
+        assert len(records) == 10 == stats.seeds
         for r in records:
-            assert r.terminated or r.rounds == cfg.cap
-            assert r.min_conflicted >= 0
+            assert r.terminated or r.steps == 10**5
+            assert 0 <= r.min_conflicted <= 6
+            assert r.terminated == (r.min_conflicted == 0)
 
 
 class TestCompareVariants:
