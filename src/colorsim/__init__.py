@@ -23,7 +23,6 @@ from .graph import (
 from .state import (
     ColoringState,
     Component,
-    ComponentView,
     DerivedSnapshot,
     init_fixed,
     init_random,

@@ -35,6 +35,9 @@ CLAIM_SANDWICH_UPPER = "potential_sandwich_upper"
 CLAIM_MULTIPLICATIVE = "multiplicative_decay"
 CLAIM_BIPARTITE_PAIR = "bipartite_pair_drift"
 
+# most (vertex, color) outcomes a state may enumerate; larger states get a skip line
+OUTCOME_BUDGET = 100_000
+
 
 @dataclass(frozen=True)
 class ExactExpectation:
@@ -116,16 +119,16 @@ def exact_step_expectations(
 
 
 def combine_component_expectations(
-    view_components: tuple[Component, ...], expectations: list[ExactExpectation]
+    components: tuple[Component, ...], expectations: list[ExactExpectation]
 ) -> ExactExpectation:
     """Mix component-scoped expectations by vertex-count weights.
 
     By the law of total expectation this equals the whole-state oracle
     exactly; the equality is asserted in tests.
     """
-    total = sum(c.size for c in view_components)
+    total = sum(c.size for c in components)
     mono = iso = eip = phi = Fraction(0)
-    for comp, e in zip(view_components, expectations):
+    for comp, e in zip(components, expectations):
         w = Fraction(comp.size, total)
         mono += w * e.mono_edges
         iso += w * e.iso_edges
@@ -135,26 +138,22 @@ def combine_component_expectations(
 
 
 def check_claim_edges(
-    state: ColoringState,
-    component: Component,
-    expectation: ExactExpectation | None = None,
+    state: ColoringState, component: Component, expectation: ExactExpectation
 ) -> AuditEntry:
     """Expected monochromatic edges after recoloring inside the component.
 
-    Bound: current count minus the component's average degree, plus
-    1 - 1/(max_degree + 1).
+    ``expectation`` is ``exact_step_expectations(state, component)``, as for
+    every component-scoped check. Bound: current count minus the component's
+    average degree, plus 1 - 1/(max_degree + 1).
     """
-    e = expectation or exact_step_expectations(state, component)
     d = state.graph.max_degree
     rhs = state.mono_edge_count - component.average_degree + 1 - Fraction(1, d + 1)
-    return AuditEntry(CLAIM_COMPONENT_EDGES, e.mono_edges, rhs,
+    return AuditEntry(CLAIM_COMPONENT_EDGES, expectation.mono_edges, rhs,
                       detail={"component": list(component.vertices)})
 
 
 def check_claim_isolated(
-    state: ColoringState,
-    component: Component,
-    expectation: ExactExpectation | None = None,
+    state: ColoringState, component: Component, expectation: ExactExpectation
 ) -> list[AuditEntry]:
     """Expected isolated-pair count after recoloring inside the component.
 
@@ -163,18 +162,17 @@ def check_claim_isolated(
     current count minus D/(D+1) plus the properly colored neighborhoods of u
     and w averaged over the two picks, D being the max degree.
     """
-    e = expectation or exact_step_expectations(state, component)
     d = state.graph.max_degree
     iso_now = Fraction(state.iso_edge_count)
     detail = {"component": list(component.vertices)}
-    entries = [AuditEntry(CLAIM_ISOLATED_GENERAL, e.iso_edges,
+    entries = [AuditEntry(CLAIM_ISOLATED_GENERAL, expectation.iso_edges,
                           iso_now + component.average_degree + 1, detail=detail)]
     if component.is_isolated_edge:
         u, w = component.vertices
         pu = state.properly_colored_neighbor_count(u)
         pw = state.properly_colored_neighbor_count(w)
         rhs = iso_now - Fraction(d, d + 1) + Fraction(pu + pw, 2 * (d + 1))
-        entries.append(AuditEntry(CLAIM_ISOLATED_PAIR, e.iso_edges, rhs, detail=detail))
+        entries.append(AuditEntry(CLAIM_ISOLATED_PAIR, expectation.iso_edges, rhs, detail=detail))
     return entries
 
 
@@ -186,22 +184,21 @@ def check_claim_mono_phi(state: ColoringState) -> list[AuditEntry]:
             AuditEntry(CLAIM_SANDWICH_UPPER, phi, 2 * mono)]
 
 
-def check_claim_mult(
-    state: ColoringState, expectation: ExactExpectation | None = None
-) -> AuditEntry:
-    """Whole-state expected potential decays by a factor 1 - 1/(1000 n)."""
+def check_claim_mult(state: ColoringState, expectation: ExactExpectation) -> AuditEntry:
+    """Whole-state expected potential decays by a factor 1 - 1/(1000 n).
+
+    ``expectation`` is the whole-state one, ``exact_step_expectations(state)``.
+    """
     phi = state.potential()
     if phi <= 0:
         raise ValueError("multiplicative decay check needs a positive potential")
-    e = expectation or exact_step_expectations(state)
     rhs = phi * (1 - Fraction(1, 1000 * state.graph.n))
-    return AuditEntry(CLAIM_MULTIPLICATIVE, e.phi, rhs, detail={"decay_ratio": _frac(e.phi / phi)})
+    return AuditEntry(CLAIM_MULTIPLICATIVE, expectation.phi, rhs,
+                      detail={"decay_ratio": _frac(expectation.phi / phi)})
 
 
 def check_claim_bipartite_isolated(
-    state: ColoringState,
-    component: Component,
-    expectation: ExactExpectation | None = None,
+    state: ColoringState, component: Component, expectation: ExactExpectation
 ) -> AuditEntry:
     """Sharper pair bound on complete bipartite graphs with a full palette.
 
@@ -211,10 +208,9 @@ def check_claim_bipartite_isolated(
     """
     if not component.is_isolated_edge:
         raise ValueError("bipartite refinement applies to isolated pairs only")
-    e = expectation or exact_step_expectations(state, component)
     d = state.graph.max_degree
     rhs = state.iso_edge_count - Fraction(d, 2 * (d + 1))
-    return AuditEntry(CLAIM_BIPARTITE_PAIR, e.iso_edges, rhs,
+    return AuditEntry(CLAIM_BIPARTITE_PAIR, expectation.iso_edges, rhs,
                       detail={"component": list(component.vertices)})
 
 
@@ -223,17 +219,17 @@ def audit_state(state: ColoringState, bipartite: bool = False) -> list[AuditEntr
     entries = check_claim_mono_phi(state)
     if state.conflicted_count == 0:
         return entries
-    view = state.monochromatic_components()
+    components = state.monochromatic_components()
     expectations = []
-    for comp in view.components:
+    for comp in components:
         e = exact_step_expectations(state, comp)
         expectations.append(e)
-        entries.append(check_claim_edges(state, comp, expectation=e))
-        entries.extend(check_claim_isolated(state, comp, expectation=e))
+        entries.append(check_claim_edges(state, comp, e))
+        entries.extend(check_claim_isolated(state, comp, e))
         if bipartite and comp.is_isolated_edge:
-            entries.append(check_claim_bipartite_isolated(state, comp, expectation=e))
-    whole = combine_component_expectations(view.components, expectations)
-    entries.append(check_claim_mult(state, expectation=whole))
+            entries.append(check_claim_bipartite_isolated(state, comp, e))
+    whole = combine_component_expectations(components, expectations)
+    entries.append(check_claim_mult(state, whole))
     return entries
 
 
@@ -249,23 +245,21 @@ def state_digest(state: ColoringState) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def report_lines(state: ColoringState, bipartite: bool, digest: str,
-                 outcome_budget: int) -> list[dict]:
+def report_lines(state: ColoringState, bipartite: bool, digest: str) -> list[dict]:
     """The JSONL report lines of one audited state, each tagged with ``digest``.
 
     One line per entry of ``audit_state``. A state whose enumeration would
-    exceed ``outcome_budget`` (vertex, color) outcomes gets a single skip
+    exceed ``OUTCOME_BUDGET`` (vertex, color) outcomes gets a single skip
     line instead; a proper coloring adds a skip line for the decay check.
     """
     outcomes = state.k * state.conflicted_count
-    if outcomes > outcome_budget:
+    if outcomes > OUTCOME_BUDGET:
         reason = f"enumeration budget exceeded ({outcomes} outcomes)"
         return [{"claim": "all", "skipped": True, "reason": reason, "state_digest": digest}]
     lines = []
     for entry in audit_state(state, bipartite=bipartite):
-        margin = entry.margin
         lines.append({"claim": entry.claim, "lhs": _frac(entry.lhs), "rhs": _frac(entry.rhs),
-                      "margin": _frac(margin), "satisfied": margin >= 0,
+                      "margin": _frac(entry.margin), "satisfied": entry.satisfied,
                       "state_digest": digest, **entry.detail})
     if state.conflicted_count == 0:
         lines.append({"claim": CLAIM_MULTIPLICATIVE, "skipped": True,

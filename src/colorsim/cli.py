@@ -170,18 +170,16 @@ def _cmd_sweep(args) -> int:
     if not isinstance(spec, dict) or not isinstance(spec.get("cells", []), list):
         print("sweep: config must be a JSON object with a list of cells", file=sys.stderr)
         return EXIT_USAGE
-    defaults = {
-        "seeds": spec.get("seeds", 200),
-        "master_seed": spec.get("master_seed", 0),
-        "cap": spec.get("cap", 1_000_000),
-    }
-    for key, flag_name in (("seeds", "--seeds"), ("master_seed", "--seed"), ("cap", "--cap")):
-        flag = getattr(args, key if key != "master_seed" else "seed", None)
-        if flag is not None:
-            if key in spec:
-                print(f"sweep: config file overrides {flag_name}", file=sys.stderr)
-            else:
-                defaults[key] = flag
+    # the config file's value, else the flag's; ExperimentConfig supplies the rest
+    defaults = {}
+    for key, dest in (("seeds", "seeds"), ("master_seed", "seed"), ("cap", "cap")):
+        flag = getattr(args, dest)
+        if key in spec:
+            defaults[key] = spec[key]
+            if flag is not None:
+                print(f"sweep: config file overrides --{dest}", file=sys.stderr)
+        elif flag is not None:
+            defaults[key] = flag
     workers = args.workers if args.workers is not None else _default_workers()
     configs = []
     all_rows = []
@@ -320,7 +318,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--variant", default="uniform", choices=sorted([*STEPS, *VARIANT_ALIASES]))
     p_run.add_argument("--k", type=int)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--cap", type=int, default=1_000_000)
+    p_run.add_argument("--cap", type=int, default=ExperimentConfig.cap)
     p_run.add_argument("--init", default="random", choices=list(INIT_ALIASES))
     p_run.add_argument("--init-file")
     p_run.add_argument("--trace-out")
@@ -338,8 +336,8 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="exact drift-inequality sweep")
-    p_audit.add_argument("--instances", type=int, default=1000)
-    p_audit.add_argument("--max-n", type=int, default=50,
+    p_audit.add_argument("--instances", type=int, default=AuditSweepSpec.instances)
+    p_audit.add_argument("--max-n", type=int, default=AuditSweepSpec.max_n,
                          help="vertex bound of the er and cycle instances only")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--families", help="comma list: " + ",".join(
@@ -352,8 +350,8 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--variants", default="uniform,persistent")
     p_cmp.add_argument("--k", type=int)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--seeds", type=int, default=200)
-    p_cmp.add_argument("--cap", type=int, default=1_000_000)
+    p_cmp.add_argument("--seeds", type=int, default=ExperimentConfig.seeds)
+    p_cmp.add_argument("--cap", type=int, default=ExperimentConfig.cap)
     p_cmp.add_argument("--init", default="random", choices=list(INIT_ALIASES))
     p_cmp.add_argument("--init-file")
     p_cmp.set_defaults(fn=_cmd_compare)

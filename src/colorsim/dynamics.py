@@ -65,8 +65,7 @@ def make_rng(master_seed: int, stream: int = 0) -> np.random.Generator:
 
 _HALF = 1 << 32  # bound of one 32-bit half-word
 _MASK = _HALF - 1
-_TOP = 1 << 63  # bounds of numpy's default int64 draws: -2**63 <= low, high <= 2**63
-_LOW = _TOP - _HALF  # a low value below this keeps a bound under 2**32 in int64
+_LOW = (1 << 63) - _HALF  # a low below this keeps low + n, n < 2**32, inside int64
 
 
 class BufferedDraws:
@@ -75,13 +74,16 @@ class BufferedDraws:
     numpy draws an integer in [low, low + n) with n < 2**32 from 32-bit
     halves of 64-bit PCG64 words, low half first: m = x * n for a half x,
     redrawn while m mod 2**32 < (2**32 - n) mod n (only tested once
-    m mod 2**32 < n), giving low + (m >> 32). n = 1 reads nothing and
-    n = 2**32 returns the half itself; a bulk ``size=`` draw is the same
-    method element by element, returned here as a list. This class reads
-    the halves from ``random_raw`` blocks instead of one numpy call per
-    draw. A half left pending in the generator (``has_uint32``) is read
-    first. Wider bounds, other argument types and invalid arguments hand the
-    stream back to numpy for that call.
+    m mod 2**32 < n), giving low + (m >> 32). n = 1 reads nothing; a bulk
+    ``size=`` draw is the same method element by element, returned here as
+    a list. This class reads the halves from ``random_raw`` blocks instead
+    of one numpy call per draw. A half left pending in the generator
+    (``has_uint32``) is read first.
+
+    It serves the draws steps make: Python ints with 0 <= low < 2**63 - 2**32
+    and bounds 1 to 2**32 - 1, alone or in bulk. Every other call (bound
+    2**32, a negative low, a wider bound, another argument type, an invalid
+    argument) hands the stream back to numpy for that call.
 
     The generator runs ahead of what was read until ``close()``, which
     leaves it exactly where ``Generator.integers`` would have: advanced by
@@ -131,21 +133,14 @@ class BufferedDraws:
         return low + (m >> 32)
 
     def _other(self, low, high, size):
-        """Bulk draws, bounds 1 and 2**32 and a low outside the fast range;
-        numpy itself takes other argument types, whole-word bounds and
-        anything it would reject."""
+        """Bulk draws and bound 1; numpy itself takes every other call."""
         n = high - low
-        if (type(n) is not int or not (-_TOP <= low and high <= _TOP and 0 < n <= _HALF)
+        if (type(n) is not int or not 0 < n < _HALF or not 0 <= low < _LOW
                 or size is not None and (type(size) is not int or size < 0)):
             return self._numpy(low, high, size)
-        if size is not None:
-            return [self.integers(low, high) for _ in range(size)]
-        if n == 1:
-            return low
-        if n < _HALF:
-            return low + self.integers(n)
-        buf = self._buf
-        return low + (buf.pop() if buf else self._refill())
+        if size is None:
+            return low  # bound 1 reads nothing
+        return [self.integers(low, high) for _ in range(size)]
 
     def _numpy(self, low, high, size):
         if self._entry is None:
@@ -238,12 +233,11 @@ def step_component_view(state: ColoringState, rng: np.random.Generator) -> Step:
     the component, color.
     """
     _require_conflict(state)
-    view = state.monochromatic_components()
-    total = view.total_vertices
-    r = int(rng.integers(total))
+    components = state.monochromatic_components()
+    r = int(rng.integers(state.conflicted_count))  # the components' total size
     acc = 0
-    chosen = view.components[-1]
-    for comp in view.components:
+    chosen = components[-1]
+    for comp in components:
         acc += comp.size
         if r < acc:
             chosen = comp
@@ -257,8 +251,7 @@ def step_component_view(state: ColoringState, rng: np.random.Generator) -> Step:
 def step_persistent(
     state: ColoringState,
     rng: np.random.Generator,
-    draw_cap: int = DEFAULT_PERSISTENT_DRAW_CAP,
-    draw_budget: int | None = None,
+    draw_limit: int = DEFAULT_PERSISTENT_DRAW_CAP,
 ) -> Step:
     """One persistent step: redraw the picked vertex until it fits.
 
@@ -266,17 +259,17 @@ def step_persistent(
     color appears on no neighbor. Intermediate draws touch nothing; only the
     accepted color is applied. With k = max_degree + 1 a free color always
     exists; with smaller palettes the neighborhood can cover every color, so
-    the loop is guarded by ``draw_cap``. ``draw_budget`` (when given)
-    additionally bounds the draws this step may consume. Either way a step
-    that runs out of draws returns no color and changes nothing.
+    the loop makes at most ``draw_limit`` color draws. ``run`` passes the
+    draw guard ``DEFAULT_PERSISTENT_DRAW_CAP`` or the steps left of its cap,
+    whichever is smaller. A step that runs out of draws returns no color and
+    changes nothing.
     """
     _require_conflict(state)
     v = state.conflicted_at(int(rng.integers(state.conflicted_count)))
     blocked = state.neighbor_colors(v)
-    limit = draw_cap if draw_budget is None else min(draw_cap, draw_budget)
     k = state.k
     draws = 0
-    while draws < limit:
+    while draws < draw_limit:
         c = int(rng.integers(1, k + 1))
         draws += 1
         if c not in blocked:
@@ -311,10 +304,9 @@ def selection_distribution(state: ColoringState, variant: str) -> dict[int, Frac
         w = Fraction(1, state.conflicted_count)
         return {v: w for v in state.conflicted_vertices()}
     if variant == "component_view":
-        view = state.monochromatic_components()
-        total = view.total_vertices
+        total = state.conflicted_count
         out: dict[int, Fraction] = {}
-        for comp in view.components:
+        for comp in state.monochromatic_components():
             w = Fraction(comp.size, total) * Fraction(1, comp.size)
             for v in comp.vertices:
                 out[v] = w
@@ -367,7 +359,7 @@ def run(
     try:
         while conflicted and steps < cap:
             vertices, colors, used = (
-                step(state, draws, DEFAULT_PERSISTENT_DRAW_CAP, cap - steps) if budgeted
+                step(state, draws, min(DEFAULT_PERSISTENT_DRAW_CAP, cap - steps)) if budgeted
                 else step(state, draws))
             steps += used
             conflicted = state.conflicted_count

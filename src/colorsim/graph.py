@@ -5,10 +5,11 @@ All generators return a :class:`Graph`; the only ingestion format is the
 whitespace edge list understood by :func:`from_edge_list`.
 
 Every generator produces its candidate edges as numpy endpoint arrays and
-hands them to one assembly, ``_build``, which validates, deduplicates and
-sorts them with numpy, presets ``Graph.edge_arrays`` from the arrays it
-holds, and fills the adjacency tuples with one int object per vertex. The
-edge tuples are derived from ``edge_arrays`` on first read.
+hands them to one assembly, ``_build``, the only code that constructs a
+``Graph``. It validates, deduplicates and sorts the edges with numpy, keeps
+the sorted endpoint arrays as ``Graph.edge_arrays``, and fills the adjacency
+tuples with one int object per vertex. The edge tuples are derived from
+``edge_arrays`` on first read.
 ``erdos_renyi`` draws its pairs in blocks, so each seeded graph is the one
 the row-by-row sampler draws (``tests/test_graph.py`` keeps that sampler as
 the reference).
@@ -16,9 +17,8 @@ the reference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -29,28 +29,19 @@ class Graph:
 
     Invariants: no self-loops or duplicate edges, adjacency is symmetric and
     each neighbor list is sorted, and ``max_degree`` equals the true maximum
-    adjacency length (0 for an edgeless graph).
+    adjacency length (0 for an edgeless graph). ``edge_arrays`` holds the
+    endpoint arrays (u, v), u < v, of shape (m,), in ascending (u, v) order;
+    equality and hashing leave it out, as it repeats ``adjacency``.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     m: int
     max_degree: int
+    edge_arrays: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (u, v), u < v, of shape (m,), in ascending (u, v) order.
-
-        The generators store the arrays they assembled the graph from; a Graph
-        constructed directly derives them from ``adjacency``.
-        """
-        u = np.repeat(np.arange(self.n, dtype=np.int64), list(map(len, self.adjacency)))
-        v = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64, count=u.size)
-        upper = u < v
-        return u[upper], v[upper]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -106,10 +97,8 @@ def _build(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     lower = _shared_ints(vertex, np.sort(ev * n + eu) % n)
     upper = _shared_ints(vertex, ev)
     adjacency = tuple(tuple(lower[lo[w]:lo[w + 1]] + upper[up[w]:up[w + 1]]) for w in range(n))
-    g = Graph(n=n, adjacency=adjacency, m=int(eu.size),
-              max_degree=max(map(len, adjacency), default=0))
-    object.__setattr__(g, "edge_arrays", (eu, ev))  # fills the cached_property
-    return g
+    return Graph(n=n, adjacency=adjacency, m=int(eu.size),
+                 max_degree=max(map(len, adjacency), default=0), edge_arrays=(eu, ev))
 
 
 def complete(n: int) -> Graph:

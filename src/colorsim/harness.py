@@ -86,21 +86,28 @@ class Family:
     """A graph family: CLI alias, required config fields, constructor, audit sampler.
 
     Both callables look the generators up in ``graphs`` when called, so a wrapper
-    installed there sees every build; ``min_max_n`` is the least usable ``max_n``.
+    installed there sees every build. ``min_max_n`` is the least ``max_n`` the
+    sampler accepts, the fewest vertices of its instances, or 0 where the
+    sampler ignores ``max_n``.
     """
 
     alias: str
     fields: tuple[str, ...]
     build: Callable[[ExperimentConfig], Graph]
     sample: Callable[[AuditSweepSpec, np.random.Generator], Graph] | None = None
-    min_max_n: Callable[[AuditSweepSpec], int] | None = None
+    min_max_n: int = 0
     bipartite: bool = False
 
 
+# vertex range (capped above by max_n) and edge probabilities of the er audit instances
+ER_N_RANGE = (5, 50)
+ER_P_VALUES = (0.1, 0.3, 0.7)
+
+
 def _sample_erdos_renyi(spec: AuditSweepSpec, rng: np.random.Generator) -> Graph:
-    lo, hi = spec.er_n_range
+    lo, hi = ER_N_RANGE
     n = lo + int(rng.integers(min(hi, spec.max_n) - lo + 1))
-    p = spec.er_p_values[int(rng.integers(len(spec.er_p_values)))]
+    p = ER_P_VALUES[int(rng.integers(len(ER_P_VALUES)))]
     return graphs.erdos_renyi(n, p, int(rng.integers(2**63)))
 
 
@@ -120,9 +127,9 @@ FAMILIES = {
         bipartite=True),
     "cycle": Family("cycle", ("n",), lambda c: graphs.cycle(c.n),
                     lambda spec, rng: graphs.cycle(3 + int(rng.integers(min(48, spec.max_n - 2)))),
-                    min_max_n=lambda spec: 3),
+                    min_max_n=3),
     "erdos_renyi": Family("er", ("n", "p"), lambda c: graphs.erdos_renyi(c.n, c.p, c.graph_seed),
-                          _sample_erdos_renyi, min_max_n=lambda spec: spec.er_n_range[0]),
+                          _sample_erdos_renyi, min_max_n=ER_N_RANGE[0]),
     "file": Family("file", ("path",), lambda c: graphs.from_edge_list(
         Path(c.path).read_text(encoding="utf-8"), n=c.n)),
 }
@@ -467,9 +474,12 @@ def theorem_step_budget(n: int, delta: int) -> float:
 class AuditSweepSpec:
     """Deterministic generator spec for random (graph, coloring) audits.
 
-    ``max_n`` bounds only the ``erdos_renyi`` and ``cycle`` samplers; the
-    ``complete`` (2..12 vertices), ``disjoint_cliques`` (up to 30) and
-    ``complete_bipartite`` (up to 20) samplers ignore it.
+    The four fields are the ``audit`` command's options, and its defaults.
+    ``max_n`` bounds only the ``erdos_renyi`` (``ER_N_RANGE``) and ``cycle``
+    (3..50 vertices) samplers, so every ``max_n`` >= 50 draws the same
+    instances; the ``complete`` (2..12 vertices), ``disjoint_cliques`` (up to
+    30) and ``complete_bipartite`` (up to 20) samplers ignore it. States
+    whose enumeration exceeds ``audit.OUTCOME_BUDGET`` outcomes are skipped.
     """
 
     instances: int = 1000
@@ -480,10 +490,7 @@ class AuditSweepSpec:
         "complete_bipartite",
         "cycle",
     )
-    er_n_range: tuple[int, int] = (5, 50)
-    er_p_values: tuple[float, ...] = (0.1, 0.3, 0.7)
-    max_n: int = 200
-    outcome_budget: int = 100_000
+    max_n: int = 50
 
     def __post_init__(self):
         if self.instances < 0:
@@ -496,9 +503,9 @@ class AuditSweepSpec:
                 raise ValueError(f"unknown audit family {name!r}; "
                                  f"choose from {', '.join(samplers)}")
             fewest = FAMILIES[name].min_max_n
-            if fewest and self.max_n < fewest(self):
+            if fewest and self.max_n < fewest:
                 raise ValueError(f"max_n {self.max_n} is too small for {name}, whose "
-                                 f"instances have at least {fewest(self)} vertices")
+                                 f"instances have at least {fewest} vertices")
 
 
 def audit_instance(spec: AuditSweepSpec, index: int) -> tuple[ColoringState, bool]:
@@ -523,7 +530,7 @@ def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
     """
     for index in range(spec.instances):
         state, bipartite = audit_instance(spec, index)
-        yield from report_lines(state, bipartite, state_digest(state), spec.outcome_budget)
+        yield from report_lines(state, bipartite, state_digest(state))
 
 
 def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:
@@ -531,7 +538,7 @@ def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:
     for index in range(spec.instances):
         state, bipartite = audit_instance(spec, index)
         if state_digest(state) == digest:
-            return report_lines(state, bipartite, digest, spec.outcome_budget)
+            return report_lines(state, bipartite, digest)
     return []
 
 

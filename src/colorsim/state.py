@@ -73,17 +73,6 @@ class Component:
         return len(self.vertices) == 2
 
 
-@dataclass(frozen=True)
-class ComponentView:
-    """Decomposition of the conflicted vertices into monochromatic components."""
-
-    components: tuple[Component, ...]
-
-    @property
-    def total_vertices(self) -> int:
-        return sum(c.size for c in self.components)
-
-
 class ColoringState:
     """Mutable coloring of an immutable graph plus derived conflict data.
 
@@ -420,13 +409,13 @@ class ColoringState:
             phi_num=100 * d * mono + 10 * d * iso + e_ip,
         )
 
-    def monochromatic_components(self) -> ComponentView:
-        """Connected components of the monochromatic-edge subgraph.
+    def monochromatic_components(self) -> tuple[Component, ...]:
+        """Connected components of the monochromatic-edge subgraph, by least vertex.
 
-        Components partition the conflicted vertices; each has at least two
-        vertices, at least one edge, and a single shared color. Computed on
-        demand by a traversal over same-colored neighbors; cost is linear in
-        the conflicted region.
+        Components partition the conflicted vertices, so their sizes sum to
+        ``conflicted_count``; each has at least two vertices, at least one
+        edge, and a single shared color. Computed on demand by a traversal
+        over same-colored neighbors; cost is linear in the conflicted region.
         """
         cd = self._conflict_deg
         seen: set[int] = set()
@@ -438,7 +427,7 @@ class ColoringState:
             edge_count = sum(cd[u] for u in members) // 2
             comps.append(Component(vertices=tuple(members), edge_count=edge_count,
                                    color=self._color[root]))
-        return ComponentView(components=tuple(comps))
+        return tuple(comps)
 
     def same_color_reach(self, root: int, seen: set[int]) -> list[int]:
         """Sorted vertices reachable from ``root`` over same-colored edges, added to ``seen``."""

@@ -56,8 +56,6 @@ def test_criterion_01_exact_audit_sweep():
         instances=1000,
         master_seed=1,
         families=("erdos_renyi", "disjoint_cliques", "complete_bipartite", "cycle"),
-        er_n_range=(5, 50),
-        er_p_values=(0.1, 0.3, 0.7),
         max_n=50,
     )
     start = time.perf_counter()
@@ -77,7 +75,7 @@ def test_criterion_01_exact_audit_sweep():
 def test_criterion_02_hand_enumeration_fixture():
     """Path (1,1,2) at k=3: e_m = e_i = 1/2 and a tight pair bound."""
     state = init_fixed(from_edge_list("0 1\n1 2"), 3, [1, 1, 2])
-    comp = state.monochromatic_components().components[0]
+    comp = state.monochromatic_components()[0]
     e = exact_step_expectations(state, comp)
     _, pair_entry = check_claim_isolated(state, comp, expectation=e)
     ok = (

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from colorsim import (
+    ExactExpectation,
     additive_drift_bound,
     additive_tail,
     audit_state,
@@ -25,7 +26,7 @@ from colorsim import (
     multiplicative_tail,
     state_digest,
 )
-from colorsim import harness
+from colorsim import audit, harness
 from colorsim.audit import combine_component_expectations, psi_value
 
 
@@ -34,7 +35,13 @@ def path_state():
 
 
 def single_component(state):
-    return state.monochromatic_components().components[0]
+    return state.monochromatic_components()[0]
+
+
+def check_single_component(check, state):
+    """``check`` on the state's first component, given its exact expectation."""
+    comp = single_component(state)
+    return check(state, comp, exact_step_expectations(state, comp))
 
 
 class TestExactExpectations:
@@ -66,9 +73,9 @@ class TestExactExpectations:
             s = init_random(g, g.max_degree + 1, rng)
             if s.is_proper():
                 continue
-            view = s.monochromatic_components()
-            parts = [exact_step_expectations(s, c) for c in view.components]
-            assert combine_component_expectations(view.components, parts) == exact_step_expectations(s)
+            components = s.monochromatic_components()
+            parts = [exact_step_expectations(s, c) for c in components]
+            assert combine_component_expectations(components, parts) == exact_step_expectations(s)
 
     def test_relabeling_invariance(self):
         g = erdos_renyi(12, 0.3, 21)
@@ -105,27 +112,27 @@ class TestExactExpectations:
 class TestClaimChecks:
     def test_path_edge_claim_margin(self):
         s = path_state()
-        entry = check_claim_edges(s, single_component(s))
+        entry = check_single_component(check_claim_edges, s)
         assert entry.lhs == Fraction(1, 2)
         assert entry.rhs == Fraction(2, 3)
         assert entry.margin == Fraction(1, 6) and entry.satisfied
 
     def test_triangle_edge_claim_is_tight(self):
         s = init_fixed(complete(3), 3, [1, 1, 1])
-        entry = check_claim_edges(s, single_component(s))
+        entry = check_single_component(check_claim_edges, s)
         assert entry.rhs == Fraction(5, 3)
         assert entry.margin == 0 and entry.satisfied
 
     def test_path_isolated_claims(self):
         s = path_state()
-        general, pair = check_claim_isolated(s, single_component(s))
+        general, pair = check_single_component(check_claim_isolated, s)
         assert general.rhs == 3 and general.satisfied
         assert pair.rhs == Fraction(1, 2)
         assert pair.margin == 0 and pair.satisfied
 
     def test_size_three_component_has_single_isolated_entry(self):
         s = init_fixed(complete(3), 3, [1, 1, 1])
-        entries = check_claim_isolated(s, single_component(s))
+        entries = check_single_component(check_claim_isolated, s)
         assert len(entries) == 1
 
     def test_sandwich_entries(self):
@@ -137,7 +144,7 @@ class TestClaimChecks:
 
     def test_mult_on_path(self):
         s = path_state()
-        entry = check_claim_mult(s)
+        entry = check_claim_mult(s, exact_step_expectations(s))
         assert entry.lhs == Fraction(221, 400)
         assert entry.rhs == Fraction(221, 200) * (1 - Fraction(1, 3000))
         assert entry.satisfied
@@ -145,7 +152,7 @@ class TestClaimChecks:
     def test_mult_rejects_proper(self):
         s = init_fixed(complete(2), 2, [1, 2])
         with pytest.raises(ValueError):
-            check_claim_mult(s)
+            check_claim_mult(s, ExactExpectation(*[Fraction(0)] * 4))
 
     def test_small_random_sweep_no_violations(self):
         rng = make_rng(99, 0)
@@ -161,9 +168,10 @@ class TestClaimChecks:
         pair_margins = []
         for _ in range(200):
             s = init_random(g, g.max_degree + 1, rng)
-            for comp in s.monochromatic_components().components:
+            for comp in s.monochromatic_components():
                 if comp.is_isolated_edge:
-                    entry = check_claim_bipartite_isolated(s, comp)
+                    entry = check_claim_bipartite_isolated(
+                        s, comp, exact_step_expectations(s, comp))
                     assert entry.satisfied
                     pair_margins.append(entry.margin)
         assert pair_margins  # the sweep must actually exercise the bound
@@ -171,7 +179,7 @@ class TestClaimChecks:
     def test_bipartite_refinement_needs_pair(self):
         s = init_fixed(complete(3), 3, [1, 1, 1])
         with pytest.raises(ValueError):
-            check_claim_bipartite_isolated(s, single_component(s))
+            check_single_component(check_claim_bipartite_isolated, s)
 
 
 class TestDigest:
@@ -187,9 +195,9 @@ class TestReportLines:
     """The exact JSONL lines of the audit report, pinned through the sweep."""
 
     @staticmethod
-    def sweep_lines(monkeypatch, state, **spec):
+    def sweep_lines(monkeypatch, state):
         monkeypatch.setattr(harness, "audit_instance", lambda spec, index: (state, False))
-        lines = harness.drift_audit_sweep(harness.AuditSweepSpec(instances=1, **spec))
+        lines = harness.drift_audit_sweep(harness.AuditSweepSpec(instances=1))
         return [json.dumps(line, sort_keys=True) for line in lines]
 
     def test_claim_lines_of_the_path(self, monkeypatch):
@@ -224,7 +232,8 @@ class TestReportLines:
 
     def test_budget_skip_line(self, monkeypatch):
         # 2 conflicted vertices times k = 3 colors is 6 outcomes
-        assert self.sweep_lines(monkeypatch, path_state(), outcome_budget=5) == [
+        monkeypatch.setattr(audit, "OUTCOME_BUDGET", 5)
+        assert self.sweep_lines(monkeypatch, path_state()) == [
             '{"claim": "all", "reason": "enumeration budget exceeded (6 outcomes)", '
             '"skipped": true, "state_digest": "1b47fcd583e365ea"}',
         ]

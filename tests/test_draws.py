@@ -128,7 +128,8 @@ class TestHandBack:
         plain.integers(5, size=1)
         pending = plain.bit_generator.state["uinteger"]
         draws = BufferedDraws(buffered)
-        assert draws.integers(HALF) == pending == plain.integers(HALF)
+        # bound 2**32 - 1 maps a half x to x - 1 (rejecting only x = 0)
+        assert draws.integers(HALF - 1) == pending - 1 == plain.integers(HALF - 1)
         draws.close()
         assert stream_state(buffered) == stream_state(plain)
 
@@ -136,8 +137,8 @@ class TestHandBack:
     def test_odd_halves_leave_the_high_half_pending(self, halves):
         buffered, plain = pcg_pair(np.random.SeedSequence(3))
         draws = BufferedDraws(buffered)
-        assert [draws.integers(HALF) for _ in range(halves)] == [
-            plain.integers(HALF) for _ in range(halves)]
+        assert [draws.integers(HALF - 1) for _ in range(halves)] == [
+            plain.integers(HALF - 1) for _ in range(halves)]
         draws.close()
         assert stream_state(buffered) == stream_state(plain)
         assert buffered.bit_generator.state["has_uint32"] == halves % 2
@@ -198,7 +199,8 @@ def reference_run(state, variant, cap, rng, trace):
     while counts[-1] > 0 and steps < cap:
         before = steps
         if variant == "persistent":
-            vertices, colors, draws = step(state, rng, DEFAULT_PERSISTENT_DRAW_CAP, cap - before)
+            limit = min(DEFAULT_PERSISTENT_DRAW_CAP, cap - before)
+            vertices, colors, draws = step(state, rng, limit)
         else:
             vertices, colors, draws = step(state, rng)
         steps += draws
@@ -240,5 +242,18 @@ def test_run_from_a_fixed_coloring_without_pending_half():
     buffered, plain = make_rng(9, 0), make_rng(9, 0)
     got = run(init_fixed(g, 8, [1] * 8), "uniform", 10**5, buffered)
     want = reference_run(init_fixed(g, 8, [1] * 8), "uniform", 10**5, plain, False)
+    assert got == want
+    assert stream_state(buffered) == stream_state(plain)
+
+
+def test_persistent_stall_equals_reference_loop():
+    # the triangle colored (1, 2, 1) with k = 2: the picked vertex sees both
+    # colors, so the draw guard trips while one step of the cap remains
+    g = complete(3)
+    cap = DEFAULT_PERSISTENT_DRAW_CAP + 1
+    buffered, plain = make_rng(3, 0), make_rng(3, 0)
+    got = run(init_fixed(g, 2, [1, 2, 1]), "persistent", cap, buffered)
+    want = reference_run(init_fixed(g, 2, [1, 2, 1]), "persistent", cap, plain, False)
+    assert got[0].stalled and got[0].steps == DEFAULT_PERSISTENT_DRAW_CAP
     assert got == want
     assert stream_state(buffered) == stream_state(plain)

@@ -84,8 +84,7 @@ class TestStepComponentView:
         # (3/5)*(1/3) = (2/5)*(1/2) = 1/5 for every conflicted vertex
         g = from_edge_list("0 1\n0 2\n1 2\n3 4")
         s = init_fixed(g, 3, [1, 1, 1, 2, 2])
-        view = s.monochromatic_components()
-        assert sorted(c.size for c in view.components) == [2, 3]
+        assert sorted(c.size for c in s.monochromatic_components()) == [2, 3]
         dist = selection_distribution(s, "component_view")
         assert dist == {v: Fraction(1, 5) for v in range(5)}
 
@@ -120,13 +119,13 @@ class TestStepPersistent:
         # triangle with colors (1, 2, 1) at k=2: either conflicted vertex sees
         # both colors, so no draw can ever be accepted
         s = init_fixed(complete(3), 2, [1, 2, 1])
-        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_cap=100)
+        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_limit=100)
         assert colors == () and draws == 100
         assert s.colors == (1, 2, 1)
 
     def test_draw_budget_bounds_the_draws(self):
         s = init_fixed(complete(3), 2, [1, 2, 1])
-        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_cap=100, draw_budget=10)
+        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_limit=10)
         assert colors == () and draws == 10
 
 

@@ -1,16 +1,17 @@
 """Byte identity of the CLI's default outputs on a small fixed command set.
 
-Each case runs one command in-process and compares the sha256 of its stdout,
-its exit code and every file it writes against recorded digests. A change
-that is meant to keep every seeded result and output byte passes as is; a
-change that alters an output on purpose records the new digests here and says
-why. Print fresh digests with ``PYTHONPATH=src python tests/test_golden.py``.
+Each case runs one command in-process, in a scratch directory, and compares
+the sha256 of its stdout, its exit code and every file it writes against
+recorded digests. A change that is meant to keep every seeded result and
+output byte passes as is; a change that alters an output on purpose records
+the new digests here and says why. Print fresh digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -46,7 +47,20 @@ CASES = {
     "audit": (("audit", "--instances", "30", "--max-n", "20",
                "--families", "cliques,bipartite,complete,cycle,er",
                "--out", "{tmp}/audit.jsonl"), ("audit.jsonl",)),
+    # the bipartite refinement: 27 bipartite_pair_drift lines
+    "audit_bipartite": (("audit", "--instances", "20", "--families", "bipartite", "--seed", "1",
+                         "--out", "{tmp}/bipartite.jsonl"), ("bipartite.jsonl",)),
+    "gen_er": (("gen", "--family", "er", "--n", "40", "--p", "0.2", "--graph-seed", "3",
+                "--out", "{tmp}/g.txt"), ("g.txt",)),
+    # an edge list read back; --n 8 adds vertices 6 and 7, past its largest index.
+    # The path is relative (commands run in the scratch directory) because the
+    # trace metadata records it
+    "run_file": (("run", "--family", "file", "--graph", "graph.txt", "--n", "8",
+                  "--seed", "2", "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
 }
+
+# K3,3 as a hexagon and its three long diagonals, with a comment and a duplicate edge
+EDGE_LIST = "# utility graph\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n1 4\n2 5\n3 0\n"
 
 # name -> (exit code, sha256 of stdout, sha256 of each output file)
 GOLDEN = {
@@ -67,6 +81,12 @@ GOLDEN = {
         ()),
     "audit": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ("ce54e2e8e2b8ffc4a925f645ffa9d09b5660716a91b678af3283211935810c89",)),
+    "audit_bipartite": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("563f5336dd6274fb736898845d747e035271194ce85902595c59e11fd86950c3",)),
+    "gen_er": (0, "94dadc038de79323383e3ebc5c57886d9f87c005fc7f9c956f2136e101eeb3f0",
+        ("8e8420deae3b218603a6c3c3e618618f89f016747858e10b5709ab69928a8168",)),
+    "run_file": (0, "1e9ec23782e2a2f12955234812dc4f99dd1a260f46bc9fb563c086d0de4e2423",
+        ("1c8ce17db96b262af979fd0fed95be894749bcdf1b2e6f7bfbd312b26b5d1981",)),
 }
 
 
@@ -77,10 +97,16 @@ def sha(data: bytes) -> str:
 def outputs(name: str, tmp: Path) -> tuple:
     (tmp / "colors.txt").write_text("1\n2\n1\n")
     (tmp / "sweep.json").write_text(json.dumps(SWEEP))
+    (tmp / "graph.txt").write_text(EDGE_LIST)
     argv, files = CASES[name]
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+    finally:
+        os.chdir(cwd)
     return code, sha(stdout.getvalue().encode()), tuple(sha((tmp / f).read_bytes()) for f in files)
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -166,13 +164,6 @@ class TestBuild:
     def test_reports_the_first_bad_edge(self):
         with pytest.raises(ValueError, match="self-loop at vertex 2"):
             _build(3, np.array([0, 2, 0]), np.array([1, 2, 7]))
-
-    def test_edge_arrays_of_a_graph_made_directly(self):
-        for g in (cycle(5), erdos_renyi(30, 0.3, 2), complete_bipartite(2, 3), from_edge_list("")):
-            made = dataclasses.replace(g)  # through the constructor, not the builder
-            for built, derived in zip(g.edge_arrays, made.edge_arrays):
-                assert built.dtype == derived.dtype and np.array_equal(built, derived)
-            assert made.edges == g.edges and made == g
 
     def test_edge_tuples_made_on_first_read(self):
         g = complete(5)

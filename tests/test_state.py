@@ -139,7 +139,7 @@ class TestRecount:
     def test_every_outcome_matches_oracle_on_a_recolored_copy(self):
         # 110 audit instances over the four audit families, each at k = D+1
         # and k = D: 220 states, every (vertex, color) pair including no-ops
-        spec = AuditSweepSpec(instances=110, master_seed=17, max_n=20, er_n_range=(5, 20))
+        spec = AuditSweepSpec(instances=110, master_seed=17, max_n=20)
         states = 0
         outcomes = 0
         for index in range(spec.instances):
@@ -173,7 +173,7 @@ class TestDerivedDefinitions:
             s = init_random(g, k, rng)
             conflicted = set(s.conflicted_vertices())
             pair_members = set()
-            for comp in s.monochromatic_components().components:
+            for comp in s.monochromatic_components():
                 if comp.size == 2:
                     pair_members.update(comp.vertices)
             count = sum(
@@ -188,37 +188,36 @@ class TestDerivedDefinitions:
         g = erdos_renyi(40, 0.15, 9)
         rng = make_rng(9, 0)
         s = init_random(g, g.max_degree + 1, rng)
-        pairs = sum(1 for c in s.monochromatic_components().components if c.size == 2)
+        pairs = sum(1 for c in s.monochromatic_components() if c.size == 2)
         assert pairs == s.iso_edge_count
 
 
 class TestComponents:
     def test_monochromatic_k4(self):
         s = init_fixed(complete(4), 4, [1, 1, 1, 1])
-        view = s.monochromatic_components()
-        assert len(view.components) == 1
-        comp = view.components[0]
+        components = s.monochromatic_components()
+        assert len(components) == 1
+        comp = components[0]
         assert comp.size == 4 and comp.average_degree == 3
 
     def test_path_isolated_pair(self):
         s = init_fixed(path3(), 3, [1, 1, 2])
-        comp = s.monochromatic_components().components[0]
+        comp = s.monochromatic_components()[0]
         assert comp.vertices == (0, 1)
         assert comp.average_degree == 1
         assert comp.is_isolated_edge
 
     def test_two_monochromatic_triangles(self):
         s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
-        view = s.monochromatic_components()
-        assert [c.size for c in view.components] == [3, 3]
-        assert {c.color for c in view.components} == {1, 2}
+        components = s.monochromatic_components()
+        assert [c.size for c in components] == [3, 3]
+        assert {c.color for c in components} == {1, 2}
 
     def test_partition_properties(self):
         g = erdos_renyi(35, 0.2, 4)
         s = init_random(g, g.max_degree + 1, make_rng(4, 0))
-        view = s.monochromatic_components()
         seen = []
-        for comp in view.components:
+        for comp in s.monochromatic_components():
             assert comp.size >= 2 and comp.edge_count >= 1
             assert comp.average_degree >= 1
             assert len({s.color_of(v) for v in comp.vertices}) == 1
