@@ -61,7 +61,6 @@ from .harness import (
     EnsembleStats,
     ExperimentConfig,
     FitResult,
-    RunRecord,
     compare_variants,
     coupon_reference,
     drift_audit_sweep,

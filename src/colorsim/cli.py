@@ -3,11 +3,11 @@
 Exit codes are a stable contract: 0 success, 1 usage error, 2 cap
 exhaustion, 3 audit violation. Bad input, whether flags, a sweep cell, an
 unreadable or unwritable file or a graph too large to allocate, exits 1 with
-a one-line reason on stderr, never a traceback. The family, variant and
-init names come from the tables in ``harness`` and ``dynamics``. All
-run-affecting options have deterministic defaults and end up in the output
-metadata; the only environment variable honored is COLORSIM_WORKERS
-(worker-pool width).
+a one-line reason on stderr, never a traceback; so does a reader that closes
+stdout early. The family, variant and init names come from the tables in
+``harness`` and ``dynamics``. All run-affecting options have deterministic
+defaults and end up in the output metadata; no environment variable is read.
+``sweep --workers`` sets the worker-pool width only, which changes no output.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("COLORSIM_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _reason(exc: Exception) -> str:
@@ -136,13 +129,14 @@ def _cmd_run(args) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"run: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
+    initial_phi = state.potential()
     result, trace = run(state, config.variant, config.cap, rng, trace=bool(args.trace_out))
     print(
         f"config_id={config.resolved_id()} n={graph.n} m={graph.m} delta={graph.max_degree} "
         f"k={state.k} variant={config.variant} init={config.init} master_seed={config.master_seed} "
         f"steps={result.steps} terminated={str(result.terminated).lower()} "
         f"stalled={str(result.stalled).lower()} "
-        f"initial_phi={result.initial_phi} final_phi={result.final_phi}"
+        f"initial_phi={initial_phi} final_phi={state.potential()}"
     )
     if args.trace_out:
         meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}
@@ -161,6 +155,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        print("sweep: --workers must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         with open(args.config, encoding="utf-8") as f:
             spec = json.load(f)
@@ -180,7 +177,6 @@ def _cmd_sweep(args) -> int:
                 print(f"sweep: config file overrides --{dest}", file=sys.stderr)
         elif flag is not None:
             defaults[key] = flag
-    workers = args.workers if args.workers is not None else _default_workers()
     configs = []
     all_rows = []
     agg_rows = []
@@ -190,7 +186,6 @@ def _cmd_sweep(args) -> int:
         try:
             merged = dict(defaults)
             merged.update(cell)
-            merged["workers"] = workers
             if merged.get("family") in FAMILY_ALIASES:
                 merged["family"] = FAMILY_ALIASES[merged["family"]]
             config = ExperimentConfig(**merged)
@@ -201,12 +196,12 @@ def _cmd_sweep(args) -> int:
         configs.append(config)
         try:
             graph = build_graph(config)
-            stats, records = run_ensemble(graph, config, timing=args.timing)
+            stats, results = run_ensemble(graph, config, args.workers, args.timing)
         except (ValueError, OSError, MemoryError) as exc:
             print(f"sweep: cell {config.resolved_id()} failed: {_reason(exc)}", file=sys.stderr)
             failures += 1
             continue
-        all_rows.extend(run_rows(config, graph, records))
+        all_rows.extend(run_rows(config, graph, results))
         agg_rows.append((config, graph, stats))
         fit_points.append((graph.n, graph.max_degree, stats.mean_steps))
     fit = None
@@ -282,18 +277,19 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     try:
         configs = [_config_from_args(args, v, seeds=args.seeds) for v in args.variants.split(",")]
-        rows = compare_variants(configs)
+        pairs = compare_variants(configs)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"compare: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
     header = f"{'variant':<16}{'init':<10}{'mean':>12}{'median':>10}{'ci95':>22}{'term':>7}{'ratio':>8}"
     print(header)
-    for row in rows:
-        ci = f"[{row['ci95_low']:.1f}, {row['ci95_high']:.1f}]"
+    base = pairs[0][1].mean_steps  # the first variant is the baseline
+    for config, stats in pairs:
+        ci = f"[{stats.ci95_low:.1f}, {stats.ci95_high:.1f}]"
+        ratio = stats.mean_steps / base if base else float("nan")
         print(
-            f"{row['variant']:<16}{row['init']:<10}{row['mean_steps']:>12.2f}"
-            f"{row['median_steps']:>10.1f}{ci:>22}{row['termination_fraction']:>7.2f}"
-            f"{row['mean_ratio_vs_first']:>8.3f}"
+            f"{config.variant:<16}{config.init:<10}{stats.mean_steps:>12.2f}"
+            f"{stats.median_steps:>10.1f}{ci:>22}{stats.termination_fraction:>7.2f}{ratio:>8.3f}"
         )
     return EXIT_OK
 
@@ -329,7 +325,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--seeds", type=int)
     p_sweep.add_argument("--seed", type=int, dest="seed")
     p_sweep.add_argument("--cap", type=int)
-    p_sweep.add_argument("--workers", type=int)
+    p_sweep.add_argument("--workers", type=int, default=1, help="worker-pool width")
     p_sweep.add_argument("--per-run", help="per-run CSV output path")
     p_sweep.add_argument("--aggregate", help="aggregate CSV output path")
     p_sweep.add_argument("--timing", action="store_true", help="measure wall_ns per run")
@@ -360,15 +356,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

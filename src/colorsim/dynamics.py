@@ -183,26 +183,26 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Terminal statistics of one seeded run.
+    """One seeded run: what ``run`` returns and a row of the per-run CSV.
 
     ``steps`` counts recolorings; for the persistent variant it counts every
     color draw (including draws equal to the current color), for the parallel
     variant it counts rounds. ``terminated`` implies the final coloring is
     proper; a non-terminated, non-stalled run used exactly ``cap`` steps.
-    The potentials come as exact Fractions and as their integer numerators
-    over 100 * max_degree. ``min_conflicted`` is the least conflicted count
-    after step 1 or later, or the initial count if the run took no step, so
-    a proper start gives 0.
+    The potentials are the integer numerators over 100 * max_degree
+    (``ColoringState.potential`` gives the Fraction). ``min_conflicted`` is the
+    least conflicted count after step 1 or later, or the initial count if the
+    run took no step, so a proper start gives 0. ``wall_ns`` is the run's wall
+    time where ``harness.run_one`` was asked to time it, else 0.
     """
 
     steps: int
     terminated: bool
-    initial_phi: Fraction
-    final_phi: Fraction
     initial_phi_num: int
     final_phi_num: int
     min_conflicted: int
     stalled: bool = False
+    wall_ns: int = 0
 
 
 def _require_conflict(state: ColoringState) -> None:
@@ -344,7 +344,7 @@ def run(
             TraceRecord(t, vertices, colors, mono, iso, e_ip, phi_numerator(d, mono, iso, e_ip))
         )
 
-    initial_phi, initial_num = state.potential(), state.phi_num  # one cached pair count
+    initial_num = state.phi_num
     conflicted = initial_conflicted = state.conflicted_count
     least = state.graph.n  # no count after a step exceeds n
     if trace:
@@ -385,8 +385,6 @@ def run(
     result = RunResult(
         steps=steps,
         terminated=state.conflicted_count == 0,
-        initial_phi=initial_phi,
-        final_phi=state.potential(),
         initial_phi_num=initial_num,
         final_phi_num=state.phi_num,
         min_conflicted=least if steps else initial_conflicted,

@@ -7,11 +7,12 @@ construction, raising a one-line ``ValueError``.
 
 Every run inside an ensemble draws from its own PCG64 stream derived from
 (master_seed, run_index), so aggregates do not depend on worker count or
-completion order. An ensemble runs on a graph its caller built once; pool
-workers share it. Results flow out as CSV (one row per run, one row per
-config) and JSON lines (audit reports, traces); every output starts with a
-metadata header sufficient to reproduce it. The audit sweep here picks the
-states to audit; ``audit.report_lines`` owns the format of its lines.
+completion order; an ensemble returns its ``RunResult``s in run-index
+order. An ensemble runs on a graph its caller built once; pool workers share
+it. Results flow out as CSV (one row per run, one row per config) and JSON
+lines (audit reports, traces); every output starts with a metadata header
+sufficient to reproduce it. The audit sweep here picks the states to audit;
+``audit.report_lines`` owns the format of its lines.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -144,7 +145,7 @@ _FIELD_TYPES = {
     "family": str, "variant": str, "init": str, "config_id": str, "path": (str, type(None)),
     "n": _INT_OR_NONE, "count": _INT_OR_NONE, "size": _INT_OR_NONE, "a": _INT_OR_NONE,
     "b": _INT_OR_NONE, "k": _INT_OR_NONE, "p": (int, float, type(None)),
-    "graph_seed": int, "seeds": int, "master_seed": int, "cap": int, "workers": int,
+    "graph_seed": int, "seeds": int, "master_seed": int, "cap": int,
 }
 
 
@@ -172,7 +173,6 @@ class ExperimentConfig:
     seeds: int = 200
     master_seed: int = 0
     cap: int = 1_000_000
-    workers: int = 1
     config_id: str = ""
 
     def __post_init__(self):
@@ -219,23 +219,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One run of an ensemble; ``seed`` is the run index under the master seed.
-
-    The per-run CSV writes every field but ``min_conflicted`` (see
-    ``RunResult``), which survival checks read from the records.
-    """
-
-    seed: int
-    steps: int
-    terminated: bool
-    initial_phi_num: int
-    final_phi_num: int
-    wall_ns: int
-    min_conflicted: int
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
     seeds: int
     mean_steps: float
@@ -277,21 +260,15 @@ def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
     return init_fixed(graph, k, colors)
 
 
-def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = False) -> RunRecord:
+def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = False) -> RunResult:
+    """Run ``index`` of the ensemble; ``timing`` fills in its ``wall_ns``."""
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
-    start = time.perf_counter_ns() if timing else 0
-    result, _ = run(state, config.variant, config.cap, rng, trace=False)
-    wall = time.perf_counter_ns() - start if timing else 0
-    return RunRecord(
-        seed=index,
-        steps=result.steps,
-        terminated=result.terminated,
-        initial_phi_num=result.initial_phi_num,
-        final_phi_num=result.final_phi_num,
-        wall_ns=wall,
-        min_conflicted=result.min_conflicted,
-    )
+    start = time.perf_counter_ns()
+    result, _ = run(state, config.variant, config.cap, rng)
+    if timing:
+        result = replace(result, wall_ns=time.perf_counter_ns() - start)
+    return result
 
 
 def run_traced(
@@ -312,25 +289,29 @@ def _init_pool_worker(graph: Graph) -> None:
     _pool_graph = graph
 
 
-def _run_chunk(config: ExperimentConfig, start: int, stop: int, timing: bool) -> list[RunRecord]:
+def _run_chunk(config: ExperimentConfig, start: int, stop: int, timing: bool) -> list[RunResult]:
     return [run_one(_pool_graph, config, i, timing) for i in range(start, stop)]
 
 
 def run_ensemble(
-    graph: Graph, config: ExperimentConfig, timing: bool = False
-) -> tuple[EnsembleStats, list[RunRecord]]:
+    graph: Graph, config: ExperimentConfig, workers: int = 1, timing: bool = False
+) -> tuple[EnsembleStats, list[RunResult]]:
     """Execute ``config.seeds`` independent runs on ``graph`` and aggregate them.
 
-    ``graph`` is ``build_graph(config)``, built once by the caller. Pool
-    workers receive it through the pool initializer (under fork they inherit
-    it, nothing is pickled); the pool is no wider than its number of chunks.
-    The reduction is by run index, never completion order, so the outcome is
-    identical for any worker count.
+    ``graph`` is ``build_graph(config)``, built once by the caller. The runs
+    come back in run-index order, so a run's position is its index under the
+    master seed. ``workers`` is the width of the process pool (1 runs in this
+    process); pool workers receive the graph through the pool initializer
+    (under fork they inherit it, nothing is pickled), and the pool is no wider
+    than its number of chunks. The reduction is by run index, never
+    completion order, so the outcome is identical for any worker count.
+    ``timing`` fills in each run's ``wall_ns``.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     seeds = config.seeds
-    workers = max(1, config.workers)
     if workers == 1 or seeds < 4:
-        records = [run_one(graph, config, i, timing) for i in range(seeds)]
+        results = [run_one(graph, config, i, timing) for i in range(seeds)]
     else:
         chunk = max(1, math.ceil(seeds / (workers * 4)))
         spans = [(s, min(s + chunk, seeds)) for s in range(0, seeds, chunk)]
@@ -340,13 +321,13 @@ def run_ensemble(
             parts = pool.map(
                 _run_chunk, [config] * len(spans), starts, stops, [timing] * len(spans)
             )
-            records = [r for part in parts for r in part]
-    return summarize(records), records
+            results = [r for part in parts for r in part]
+    return summarize(results), results
 
 
-def summarize(records: list[RunRecord]) -> EnsembleStats:
-    steps = np.array([r.steps for r in records], dtype=np.float64)
-    seeds = len(records)
+def summarize(results: list[RunResult]) -> EnsembleStats:
+    steps = np.array([r.steps for r in results], dtype=np.float64)
+    seeds = len(results)
     mean = float(steps.mean())
     std = float(steps.std(ddof=1)) if seeds > 1 else 0.0
     half = 1.96 * std / math.sqrt(seeds) if seeds > 1 else 0.0
@@ -357,7 +338,7 @@ def summarize(records: list[RunRecord]) -> EnsembleStats:
         std_steps=std,
         ci95_low=mean - half,
         ci95_high=mean + half,
-        termination_fraction=sum(r.terminated for r in records) / seeds,
+        termination_fraction=sum(r.terminated for r in results) / seeds,
         min_steps=int(steps.min()),
         max_steps=int(steps.max()),
     )
@@ -412,11 +393,12 @@ def scaling_fit(points: Iterable[tuple[int, int, float]], model: str) -> FitResu
 # -- variant comparison --------------------------------------------------------
 
 
-def compare_variants(configs: list[ExperimentConfig]) -> list[dict]:
-    """Side-by-side ensemble stats for configs differing only in variant/init.
+def compare_variants(
+    configs: list[ExperimentConfig],
+) -> list[tuple[ExperimentConfig, EnsembleStats]]:
+    """Ensemble stats of configs that share one graph, each beside its config.
 
-    The first config is the baseline; each row reports its mean divided by
-    the baseline mean.
+    The graph is built once, from the first config.
     """
     if not configs:
         return []
@@ -428,29 +410,7 @@ def compare_variants(configs: list[ExperimentConfig]) -> list[dict]:
     if any(graph_key(cfg) != graph_key(configs[0]) for cfg in configs[1:]):
         raise ValueError("compare_variants configs must share the graph")
     graph = build_graph(configs[0])
-    rows = []
-    base_mean: float | None = None
-    for cfg in configs:
-        stats, _ = run_ensemble(graph, cfg)
-        if base_mean is None:
-            base_mean = stats.mean_steps
-        ratio = stats.mean_steps / base_mean if base_mean else float("nan")
-        rows.append(
-            {
-                "config_id": cfg.resolved_id(),
-                "variant": cfg.variant,
-                "init": cfg.init,
-                "k": cfg.k,
-                "mean_steps": stats.mean_steps,
-                "median_steps": stats.median_steps,
-                "std_steps": stats.std_steps,
-                "ci95_low": stats.ci95_low,
-                "ci95_high": stats.ci95_high,
-                "termination_fraction": stats.termination_fraction,
-                "mean_ratio_vs_first": ratio,
-            }
-        )
-    return rows
+    return [(cfg, run_ensemble(graph, cfg)[0]) for cfg in configs]
 
 
 def theorem_step_budget(n: int, delta: int) -> float:
@@ -495,6 +455,8 @@ class AuditSweepSpec:
     def __post_init__(self):
         if self.instances < 0:
             raise ValueError("instances must be >= 0")
+        if self.max_n < 1:
+            raise ValueError("max_n must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         samplers = [name for name, family in FAMILIES.items() if family.sample]
@@ -546,12 +508,7 @@ def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:
 
 
 def public_config(config: ExperimentConfig) -> dict:
-    # workers shape execution only, never results; keep them out so reruns
-    # with different pool widths stay byte-identical.
-    payload = asdict(config)
-    payload.pop("workers")
-    payload["config_id"] = config.resolved_id()
-    return payload
+    return {**asdict(config), "config_id": config.resolved_id()}
 
 
 def metadata_lines(configs: list[ExperimentConfig]) -> list[str]:
@@ -577,14 +534,15 @@ def _cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
     }
 
 
-def run_rows(config: ExperimentConfig, graph: Graph, records: list[RunRecord]) -> list[dict]:
+def run_rows(config: ExperimentConfig, graph: Graph, results: list[RunResult]) -> list[dict]:
+    """Per-run CSV rows of an ensemble's results, in run-index order."""
     base = _cell_columns(config, graph)
     return [
-        {**base, "seed": r.seed, "steps": r.steps,
+        {**base, "seed": seed, "steps": r.steps,
          "terminated": "true" if r.terminated else "false",
          "initial_phi_num": r.initial_phi_num, "final_phi_num": r.final_phi_num,
          "wall_ns": r.wall_ns}
-        for r in records
+        for seed, r in enumerate(results)
     ]
 
 

@@ -7,7 +7,6 @@ its ensemble against the exact law of the process, computed in
 ``tests/exact_laws.py`` and pinned in the test's docstring.
 """
 
-import dataclasses
 import io
 import math
 import sys
@@ -157,7 +156,7 @@ def coupon_sweep():
     for n in (8, 16, 32, 64):
         cfg = ExperimentConfig(
             family="complete", n=n, k=n, variant="uniform",
-            seeds=500, master_seed=5, cap=10**6, workers=1,
+            seeds=500, master_seed=5, cap=10**6,
         )
         graph = build_graph(cfg)
         stats, records = run_ensemble(graph, cfg)
@@ -343,14 +342,11 @@ def test_criterion_12_worker_determinism(coupon_sweep):
     write_runs_csv(baseline, configs, rows)
 
     wide_rows = []
-    wide_configs = []
     for cfg, _, _, _ in ensembles:
-        wide_cfg = dataclasses.replace(cfg, workers=3)
-        graph = build_graph(wide_cfg)
-        _, records = run_ensemble(graph, wide_cfg)
-        wide_configs.append(wide_cfg)
-        wide_rows.extend(run_rows(wide_cfg, graph, records))
+        graph = build_graph(cfg)
+        _, records = run_ensemble(graph, cfg, workers=3)
+        wide_rows.extend(run_rows(cfg, graph, records))
     rerun = io.StringIO()
-    write_runs_csv(rerun, wide_configs, wide_rows)
+    write_runs_csv(rerun, configs, wide_rows)
     ok = baseline.getvalue() == rerun.getvalue()
     report(12, ok, f"per-run CSV bytes equal across worker counts: {ok}")

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,17 +171,6 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.json"))
         assert code == 1
 
-    def test_workers_env_var_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        cfg = self._config(tmp_path, seeds=8)
-        narrow = tmp_path / "narrow.csv"
-        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--per-run", str(narrow))
-        assert code == 0
-        monkeypatch.setenv("COLORSIM_WORKERS", "2")
-        wide = tmp_path / "wide.csv"
-        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--per-run", str(wide))
-        assert code == 0
-        assert narrow.read_bytes() == wide.read_bytes()
-
 
 class TestAudit:
     def test_small_sweep_exit_0(self, tmp_path, capsys):
@@ -285,9 +277,13 @@ BAD_INPUT = [
     ("compare", "--family", "complete", "--n", "4", "--k", "0", "--seeds", "2"),
     ("compare", "--family", "complete", "--n", "5", "--variants", "uniform,bogus", "--seeds", "2"),
     ("sweep", "--config", "{tmp}/no_n.json"),
+    ("sweep", "--config", "{tmp}/small.json", "--workers", "0"),
+    # the pool width is a flag, not a field of a cell
+    ("sweep", "--config", "{tmp}/cell_workers.json"),
     ("audit", "--instances", "3", "--max-n", "4"),
     ("audit", "--instances", "3", "--max-n", "2", "--families", "cycle"),
     ("audit", "--instances", "-1"),
+    ("audit", "--instances", "2", "--max-n", "-5", "--families", "complete"),
     ("run", "--family", "complete", "--n", "5", "--init", "file"),
     ("run", "--family", "er", "--n", "10"),
     # graphs too large to allocate: each request exceeds the 128 TiB user
@@ -304,6 +300,10 @@ BAD_INPUT = [
 def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "no_n.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "variant": "uniform"}]}))
+    (tmp_path / "small.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4}], "seeds": 2}))
+    (tmp_path / "cell_workers.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4, "workers": 2}], "seeds": 2}))
     (tmp_path / "huge.txt").write_text("0 1000000000000000\n")
     (tmp_path / "huge.json").write_text(json.dumps(
         {"cells": [{"family": "cycle", "n": 10**15}], "seeds": 1}))
@@ -319,6 +319,24 @@ def test_bare_memory_error_has_a_reason(tmp_path, capsys, monkeypatch):
     code, stdout, err = run_cli(capsys, "gen", "--family", "complete", "--n", "5",
                                 "--out", str(tmp_path / "g.txt"))
     assert (code, stdout, err) == (1, "", "gen: out of memory\n")
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the audit writes far more than a pipe holds, so it is still writing
+    # when the reader closes its end
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "colorsim.cli", "audit", "--instances", "200",
+         "--families", "complete"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert json.loads(proc.stdout.readline())["meta"]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1 and err == b""
 
 
 class TestTopLevel:

@@ -186,7 +186,7 @@ class TestHandBack:
 def reference_run(state, variant, cap, rng, trace):
     """``run`` rebuilt from step calls on a plain generator, traced by the oracle."""
     step = getattr(dynamics, STEPS[variant])
-    initial_phi, initial_num = state.potential(), state.phi_num
+    initial_num = state.phi_num
 
     def record(t, vertices, colors):
         snap = state.recompute_all()
@@ -210,8 +210,8 @@ def reference_run(state, variant, cap, rng, trace):
             break
         if trace and colors:
             records.append(record(steps, vertices, colors))
-    result = RunResult(steps, counts[-1] == 0, initial_phi, state.potential(),
-                       initial_num, state.phi_num, min(counts[1:] or counts), stalled)
+    result = RunResult(steps, counts[-1] == 0, initial_num, state.phi_num,
+                       min(counts[1:] or counts), stalled)
     return result, records
 
 

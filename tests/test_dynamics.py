@@ -181,7 +181,7 @@ class TestRun:
     def test_proper_initial_coloring(self):
         s = init_fixed(cycle(4), 3, [1, 2, 1, 2])
         result, _ = run(s, "uniform", 1000, make_rng(0, 0))
-        assert result.steps == 0 and result.terminated and result.final_phi == 0
+        assert result.steps == 0 and result.terminated and result.final_phi_num == 0
         assert result.min_conflicted == 0
 
     def test_min_conflicted_counts_from_step_one(self):
@@ -204,7 +204,7 @@ class TestRun:
             rng = make_rng(1, i)
             s = init_random(g, 8, rng)
             result, _ = run(s, "uniform", 10**6, rng)
-            assert result.terminated and result.final_phi == 0
+            assert result.terminated and result.final_phi_num == 0
 
     def test_absorption(self):
         g = complete(6)

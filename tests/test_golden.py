@@ -44,6 +44,9 @@ CASES = {
               ("runs.csv", "aggregate.csv")),
     "compare": (("compare", *CLIQUES, "--variants", ",".join(VARIANT_NAMES),
                  "--seeds", "12", "--seed", "4"), ()),
+    # an edgeless graph: every mean is 0, so the ratio column prints nan
+    "compare_nan": (("compare", "--family", "er", "--n", "6", "--p", "0", "--seeds", "3",
+                     "--variants", "uniform,persistent"), ()),
     "audit": (("audit", "--instances", "30", "--max-n", "20",
                "--families", "cliques,bipartite,complete,cycle,er",
                "--out", "{tmp}/audit.jsonl"), ("audit.jsonl",)),
@@ -78,6 +81,8 @@ GOLDEN = {
         ("807d613b1dd9aace600507b550b2e89ef66a80b3fa7798c8e8f92e0b3c6eb476",
          "f3fe6c68f7dac9ff1d9fa06e6ee5fc90bace631b961939b492e10001db0a19dd")),
     "compare": (0, "2fcbe2fc4862f4c7ee3a49c53bac6bd8335bef25386ceb876e9e29a2d197c57a",
+        ()),
+    "compare_nan": (0, "22c1da39f9febe6212e7f10077954039a186d404dab5059886142143d3dd956b",
         ()),
     "audit": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ("ce54e2e8e2b8ffc4a925f645ffa9d09b5660716a91b678af3283211935810c89",)),

@@ -82,10 +82,9 @@ class TestRunEnsemble:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        base = ExperimentConfig(family="complete", n=8, k=8, seeds=16, master_seed=5, workers=1)
-        wide = ExperimentConfig(family="complete", n=8, k=8, seeds=16, master_seed=5, workers=3)
-        g = build_graph(base)
-        assert run_ensemble(g, base)[1] == run_ensemble(g, wide)[1]
+        cfg = ExperimentConfig(family="complete", n=8, k=8, seeds=16, master_seed=5)
+        g = build_graph(cfg)
+        assert run_ensemble(g, cfg, workers=1)[1] == run_ensemble(g, cfg, workers=3)[1]
 
     def test_termination_fraction_on_small_complete(self):
         cfg = ExperimentConfig(family="complete", n=8, k=8, seeds=50, master_seed=2, cap=10**6)
@@ -123,18 +122,20 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_pool_graph", None)
-        cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=8, master_seed=4,
-                               workers=10_000)
+        cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=8, master_seed=4)
         g = build_graph(cfg)
-        _, records = run_ensemble(g, cfg)
+        _, records = run_ensemble(g, cfg, workers=10_000)
         assert widths and max(widths) <= 8
-        assert records == run_ensemble(g, dataclasses.replace(cfg, workers=1))[1]
+        assert records == run_ensemble(g, cfg, workers=1)[1]
 
     def test_validates_config(self):
         with pytest.raises(ValueError):
             ExperimentConfig(family="complete", n=4, seeds=0)
         with pytest.raises(ValueError):
             ExperimentConfig(family="complete", n=4, cap=0)
+        cfg = ExperimentConfig(family="complete", n=4, seeds=2)
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(build_graph(cfg), cfg, workers=0)
 
     def test_mean_below_theorem_budget(self):
         cfg = ExperimentConfig(family="disjoint_cliques", count=8, size=8, seeds=50, master_seed=4)
@@ -175,9 +176,8 @@ class TestParallelSurvival:
 class TestCompareVariants:
     def test_self_comparison_ratio_one(self):
         cfg = ExperimentConfig(family="complete", n=8, k=8, seeds=40, master_seed=9)
-        rows = compare_variants([cfg, cfg])
-        assert rows[0]["mean_ratio_vs_first"] == 1.0
-        assert rows[1]["mean_ratio_vs_first"] == 1.0
+        (_, first), (_, second) = compare_variants([cfg, cfg])
+        assert first == second and first.mean_steps > 0
 
     def test_rejects_mixed_families(self):
         a = ExperimentConfig(family="complete", n=8, seeds=2)
@@ -191,9 +191,9 @@ class TestCompareVariants:
                              init="all_ones", seeds=30, master_seed=10)
             for v in ("uniform", "persistent")
         ]
-        rows = compare_variants(configs)
-        assert [r["variant"] for r in rows] == ["uniform", "persistent"]
-        assert all(r["termination_fraction"] == 1.0 for r in rows)
+        pairs = compare_variants(configs)
+        assert [cfg for cfg, _ in pairs] == configs
+        assert all(stats.termination_fraction == 1.0 for _, stats in pairs)
 
 
 class TestAuditSweep:
