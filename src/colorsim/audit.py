@@ -1,10 +1,12 @@
 """Exact verification of the one-step drift inequalities and bound calculators.
 
-The oracle enumerates every (vertex, color) outcome of a single recoloring
-step by a local recount and averages the tracked quantities with
-exact rational weights. Claim checks compare that oracle against the proven
-bounds in big-integer rational arithmetic; the bounds are theorems for
-k = max_degree + 1, so a negative margin always means an implementation bug.
+The oracle averages the tracked quantities over every (vertex, color)
+outcome of a single recoloring step with exact rational weights. It recounts
+each vertex's outcome classes locally, once per class: every color that no
+neighbor carries gives the same change, so those colors share one recount.
+Claim checks compare that oracle against the proven bounds in big-integer
+rational arithmetic; the bounds are theorems for k = max_degree + 1, so a
+negative margin always means an implementation bug.
 
 This module owns the audit report's JSONL line format: ``report_lines``
 renders the entries of one state, every rational as "num/den", plus the
@@ -86,8 +88,10 @@ def exact_step_expectations(
     Vertex weights are uniform over the component's vertices when one is
     given, otherwise uniform over all conflicted vertices (the two-stage
     component pick composes to exactly that law). Colors are uniform over
-    1..k. Each outcome is evaluated by a local recount of the changes that
-    recoloring would cause; the state itself is never modified.
+    1..k. The k colors of a vertex fall into its ``outcome_classes``: the
+    colors no neighbor carries give one change between them, so each class
+    is recounted once, locally, and counted with its weight. The no-op color
+    adds nothing; the state itself is never modified.
     """
     if component is not None:
         if not _component_is_current(state, component):
@@ -103,11 +107,10 @@ def exact_step_expectations(
     iso_sum = outcomes * state.iso_edge_count
     eip_sum = outcomes * state.e_ip
     for v in vertices:
-        for c in range(1, k + 1):
-            d_mono, d_iso, d_eip = state.recount_change(v, c)
-            mono_sum += d_mono
-            iso_sum += d_iso
-            eip_sum += d_eip
+        for weight, (d_mono, d_iso, d_eip) in state.outcome_classes(v):
+            mono_sum += weight * d_mono
+            iso_sum += weight * d_iso
+            eip_sum += weight * d_eip
     d = state.graph.max_degree
     phi_sum = phi_numerator(d, mono_sum, iso_sum, eip_sum)
     return ExactExpectation(

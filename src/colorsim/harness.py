@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -303,8 +304,9 @@ def run_ensemble(
     master seed. ``workers`` is the width of the process pool (1 runs in this
     process); pool workers receive the graph through the pool initializer
     (under fork they inherit it, nothing is pickled), and the pool is no wider
-    than its number of chunks. The reduction is by run index, never
-    completion order, so the outcome is identical for any worker count.
+    than its number of chunks or the machine's CPU count. The reduction is by
+    run index, never completion order, so the outcome is identical for any
+    worker count.
     ``timing`` fills in each run's ``wall_ns``.
     """
     if workers < 1:
@@ -316,7 +318,8 @@ def run_ensemble(
         chunk = max(1, math.ceil(seeds / (workers * 4)))
         spans = [(s, min(s + chunk, seeds)) for s in range(0, seeds, chunk)]
         starts, stops = zip(*spans)
-        with ProcessPoolExecutor(max_workers=min(workers, len(spans)),
+        width = min(workers, len(spans), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=width,
                                  initializer=_init_pool_worker, initargs=(graph,)) as pool:
             parts = pool.map(
                 _run_chunk, [config] * len(spans), starts, stops, [timing] * len(spans)

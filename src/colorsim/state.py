@@ -21,9 +21,13 @@ One numpy pass over the graph's edge arrays builds the conflict data (at
 construction and after ``apply_batch``) and the pair data (on read).
 ``recount_change`` gives the change of (mono, iso, e_ip) that recoloring one
 vertex would cause without applying it, looking only at that vertex, its old-
-and new-colored neighbors and their pair partners; the exact audit and traced
-runs use it to follow the potential outcome by outcome. ``recompute_all``
-rebuilds every quantity in plain Python and serves as the independent oracle.
+and new-colored neighbors and their pair partners; traced runs use it to
+follow the potential step by step. ``outcome_classes`` gives the same changes
+for all k colors of a vertex at once, one recount per neighbor color plus one
+for the colors no neighbor carries, each with the number of colors it stands
+for; the exact audit sums them. Both share one private recount.
+``recompute_all`` rebuilds every quantity in plain Python and serves as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -283,13 +287,47 @@ class ColoringState:
         properly colored; no full recount is made.
         """
         color = self._color
-        cd = self._conflict_deg
-        adjacency = self.graph.adjacency
         old = color[v]
         if c == old:
             return 0, 0, 0
+        adjacency = self.graph.adjacency
         dec = [w for w in adjacency[v] if color[w] == old]
         inc = [w for w in adjacency[v] if color[w] == c]
+        return self._recount(v, dec, inc)
+
+    def outcome_classes(self, v: int) -> list[tuple[int, tuple[int, int, int]]]:
+        """The distinct outcomes of recoloring ``v``, as (weight, change) pairs.
+
+        ``change`` is the ``recount_change`` of every color the class holds
+        and ``weight`` the number of those colors. Each color carried by a
+        neighbor, other than v's own, is a class of weight 1. The colors no
+        neighbor carries, other than v's own, all give the same change and
+        form one class, present when there is at least one such color. The
+        no-op outcome (v's own color) changes nothing and has no class, so
+        the weights sum to k - 1. One pass over v's neighbors groups them by
+        color; the state is not modified.
+        """
+        color = self._color
+        old = color[v]
+        groups: dict[int, list[int]] = {}
+        for w in self.graph.adjacency[v]:
+            groups.setdefault(color[w], []).append(w)
+        dec = groups.pop(old, [])
+        classes = [(1, self._recount(v, dec, inc)) for inc in groups.values()]
+        free = self.k - 1 - len(groups)
+        if free > 0:
+            classes.append((free, self._recount(v, dec, [])))
+        return classes
+
+    def _recount(self, v: int, dec: list[int], inc: list[int]) -> tuple[int, int, int]:
+        """Change of (mono, iso, e_ip) when ``v`` leaves its color for another.
+
+        ``dec`` holds v's neighbors of its current color and ``inc`` its
+        neighbors of the new color, which differs from the current one.
+        """
+        color = self._color
+        cd = self._conflict_deg
+        adjacency = self.graph.adjacency
         n_dec, n_inc = len(dec), len(inc)
 
         def partner(u: int) -> int:

@@ -28,6 +28,7 @@ from colorsim import (
 )
 from colorsim import audit, harness
 from colorsim.audit import combine_component_expectations, psi_value
+from colorsim.harness import AuditSweepSpec, audit_instance
 
 
 def path_state():
@@ -44,7 +45,49 @@ def check_single_component(check, state):
     return check(state, comp, exact_step_expectations(state, comp))
 
 
+def recolored_copy_expectation(state, vertices):
+    """Mean of (mono, iso, e_ip, phi) over every (v, c) outcome, by full recomputation.
+
+    Each outcome is applied to a copy of the state with ``recolor`` and read
+    back through ``recompute_all``, sharing no code with the local recount.
+    """
+    k = state.k
+    sums = [0, 0, 0]
+    for v in vertices:
+        for c in range(1, k + 1):
+            t = state.copy()
+            t.recolor(v, c)
+            after = t.recompute_all()
+            sums[0] += after.mono_edge_count
+            sums[1] += after.iso_edge_count
+            sums[2] += after.e_ip
+    outcomes = len(vertices) * k
+    d = state.graph.max_degree
+    phi_num = 100 * d * sums[0] + 10 * d * sums[1] + sums[2]
+    return ExactExpectation(Fraction(sums[0], outcomes), Fraction(sums[1], outcomes),
+                            Fraction(sums[2], outcomes), Fraction(phi_num, outcomes * 100 * d))
+
+
 class TestExactExpectations:
+    def test_matches_copy_recolor_oracle(self):
+        # 60 audit instances over the four audit families, each at k = D+1,
+        # k = D and k = 1; the whole state and every component
+        spec = AuditSweepSpec(instances=60, master_seed=23, max_n=12)
+        checked = 0
+        for index in range(spec.instances):
+            base, _ = audit_instance(spec, index)
+            g = base.graph
+            for k in sorted({g.max_degree + 1, max(1, g.max_degree), 1}):
+                s = init_fixed(g, k, [min(c, k) for c in base.colors])
+                if s.is_proper():
+                    continue
+                assert exact_step_expectations(s) == recolored_copy_expectation(
+                    s, s.conflicted_vertices()), (index, k)
+                for comp in s.monochromatic_components():
+                    assert exact_step_expectations(s, comp) == recolored_copy_expectation(
+                        s, comp.vertices), (index, k, comp.vertices)
+                checked += 1
+        assert checked > 100
     def test_path_six_outcome_enumeration(self):
         s = path_state()
         e = exact_step_expectations(s, single_component(s))

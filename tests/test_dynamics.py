@@ -23,8 +23,11 @@ from colorsim import (
 from colorsim.dynamics import DEFAULT_PERSISTENT_DRAW_CAP
 
 
+K2 = complete(2)  # built once: the 10^5-trial tests below start from it every trial
+
+
 def conflicted_pair():
-    return init_fixed(complete(2), 2, [1, 1])
+    return init_fixed(K2, 2, [1, 1])
 
 
 class TestStepUniform:

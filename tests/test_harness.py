@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -100,7 +101,9 @@ class TestRunEnsemble:
         _, timed = run_ensemble(g, cfg, timing=True)
         assert any(r.wall_ns > 0 for r in timed)
 
-    def test_pool_width_capped_at_chunks(self, monkeypatch):
+    @pytest.fixture
+    def pool_widths(self, monkeypatch):
+        """Widths requested from a pool that runs its work in this process."""
         widths = []
 
         class InlinePool:
@@ -122,11 +125,28 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_pool_graph", None)
+        return widths
+
+    def test_pool_width_capped_at_chunks(self, pool_widths):
         cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=8, master_seed=4)
         g = build_graph(cfg)
         _, records = run_ensemble(g, cfg, workers=10_000)
-        assert widths and max(widths) <= 8
+        assert pool_widths and max(pool_widths) <= 8
         assert records == run_ensemble(g, cfg, workers=1)[1]
+
+    def test_pool_width_capped_at_cpu_count(self, pool_widths, monkeypatch):
+        # sweep --workers 5000 --seeds 1000 makes 1000 one-run chunks
+        cfg = ExperimentConfig(family="complete", n=3, k=3, seeds=1000, master_seed=4)
+        g = build_graph(cfg)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _, records = run_ensemble(g, cfg, workers=5000)
+        assert pool_widths == [2]
+        assert records == run_ensemble(g, cfg, workers=1)[1]
+        # two workers on two CPUs keep their width
+        run_ensemble(g, cfg, workers=2)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_ensemble(g, cfg, workers=5000)
+        assert pool_widths == [2, 2, 1]
 
     def test_validates_config(self):
         with pytest.raises(ValueError):

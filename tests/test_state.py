@@ -135,33 +135,62 @@ class TestRecolor:
             prev = cur
 
 
+def recount_states():
+    """110 audit instances over the four audit families, each at k = D+1 and k = D."""
+    spec = AuditSweepSpec(instances=110, master_seed=17, max_n=20)
+    for index in range(spec.instances):
+        base, _ = audit_instance(spec, index)
+        g = base.graph
+        for k in (g.max_degree + 1, max(1, g.max_degree)):
+            yield index, init_fixed(g, k, [min(c, k) for c in base.colors])
+
+
 class TestRecount:
     def test_every_outcome_matches_oracle_on_a_recolored_copy(self):
-        # 110 audit instances over the four audit families, each at k = D+1
-        # and k = D: 220 states, every (vertex, color) pair including no-ops
-        spec = AuditSweepSpec(instances=110, master_seed=17, max_n=20)
+        # 220 states, every (vertex, color) pair including no-ops
         states = 0
         outcomes = 0
-        for index in range(spec.instances):
-            base, _ = audit_instance(spec, index)
-            g = base.graph
-            for k in (g.max_degree + 1, max(1, g.max_degree)):
-                s = init_fixed(g, k, [min(c, k) for c in base.colors])
-                now = s.recompute_all()
-                states += 1
-                for v in range(g.n):
-                    for c in range(1, k + 1):
-                        d_mono, d_iso, d_eip = s.recount_change(v, c)
-                        t = s.copy()
-                        t.recolor(v, c)
-                        want = t.recompute_all()
-                        assert (now.mono_edge_count + d_mono, now.iso_edge_count + d_iso,
-                                now.e_ip + d_eip) == (
-                            want.mono_edge_count, want.iso_edge_count, want.e_ip
-                        ), (index, k, v, c)
-                        outcomes += 1
-                assert s.recompute_all() == now  # the recount left the state alone
+        for index, s in recount_states():
+            g, k = s.graph, s.k
+            now = s.recompute_all()
+            states += 1
+            for v in range(g.n):
+                for c in range(1, k + 1):
+                    d_mono, d_iso, d_eip = s.recount_change(v, c)
+                    t = s.copy()
+                    t.recolor(v, c)
+                    want = t.recompute_all()
+                    assert (now.mono_edge_count + d_mono, now.iso_edge_count + d_iso,
+                            now.e_ip + d_eip) == (
+                        want.mono_edge_count, want.iso_edge_count, want.e_ip
+                    ), (index, k, v, c)
+                    outcomes += 1
+            assert s.recompute_all() == now  # the recount left the state alone
         assert states == 220 and outcomes > 10_000
+
+    def test_outcome_classes_match_recount_change(self):
+        # every vertex of the same 220 states: one weight-1 class per other
+        # neighbor color, one class for the free colors if any, weights k - 1
+        vertices = without_free_class = 0
+        for index, s in recount_states():
+            now = s.recompute_all()
+            for v in range(s.graph.n):
+                old = s.color_of(v)
+                classes = s.outcome_classes(v)
+                assert sum(weight for weight, _ in classes) == s.k - 1, (index, s.k, v)
+                taken = s.neighbor_colors(v) - {old}
+                free = [c for c in range(1, s.k + 1) if c != old and c not in taken]
+                want = [(1, s.recount_change(v, c)) for c in taken]
+                if free:
+                    change = s.recount_change(v, free[0])
+                    assert all(s.recount_change(v, c) == change for c in free)
+                    want.append((len(free), change))
+                else:
+                    without_free_class += 1
+                assert sorted(classes) == sorted(want), (index, s.k, v)
+                vertices += 1
+            assert s.recompute_all() == now  # the classes left the state alone
+        assert vertices > 1_000 and without_free_class > 0
 
 
 class TestDerivedDefinitions:
