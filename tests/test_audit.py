@@ -88,6 +88,7 @@ class TestExactExpectations:
                         s, comp.vertices), (index, k, comp.vertices)
                 checked += 1
         assert checked > 100
+
     def test_path_six_outcome_enumeration(self):
         s = path_state()
         e = exact_step_expectations(s, single_component(s))

@@ -92,8 +92,6 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     report = {"parent": commit_of(args.parent), "change": commit_of(args.change),
               "workloads": {}}
-    if args.out.exists():
-        report = json.loads(args.out.read_text())
     for item in args.workloads:
         name, _, pairs = item.partition(":")
         report["workloads"][name] = bench_workload(
