@@ -294,6 +294,13 @@ def _run_chunk(config: ExperimentConfig, start: int, stop: int, timing: bool) ->
     return [run_one(_pool_graph, config, i, timing) for i in range(start, stop)]
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ensemble(
     graph: Graph, config: ExperimentConfig, workers: int = 1, timing: bool = False
 ) -> tuple[EnsembleStats, list[RunResult]]:
@@ -303,14 +310,15 @@ def run_ensemble(
     come back in run-index order, so a run's position is its index under the
     master seed. ``workers`` is the width of the process pool (1 runs in this
     process); pool workers receive the graph through the pool initializer
-    (under fork they inherit it, nothing is pickled), and the pool is no wider
-    than its number of chunks or the machine's CPU count. The reduction is by
-    run index, never completion order, so the outcome is identical for any
-    worker count.
+    (under fork they inherit it, nothing is pickled). ``workers`` is first
+    bounded by the CPUs this process may use, and the pool is no wider than
+    its number of chunks. The reduction is by run index, never completion
+    order, so the outcome is identical for any worker count.
     ``timing`` fills in each run's ``wall_ns``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, _usable_cpus())
     seeds = config.seeds
     if workers == 1 or seeds < 4:
         results = [run_one(graph, config, i, timing) for i in range(seeds)]
@@ -318,8 +326,7 @@ def run_ensemble(
         chunk = max(1, math.ceil(seeds / (workers * 4)))
         spans = [(s, min(s + chunk, seeds)) for s in range(0, seeds, chunk)]
         starts, stops = zip(*spans)
-        width = min(workers, len(spans), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=width,
+        with ProcessPoolExecutor(max_workers=min(workers, len(spans)),
                                  initializer=_init_pool_worker, initargs=(graph,)) as pool:
             parts = pool.map(
                 _run_chunk, [config] * len(spans), starts, stops, [timing] * len(spans)

@@ -102,15 +102,15 @@ class TestRunEnsemble:
         assert any(r.wall_ns > 0 for r in timed)
 
     @pytest.fixture
-    def pool_widths(self, monkeypatch):
-        """Widths requested from a pool that runs its work in this process."""
-        widths = []
+    def pools(self, monkeypatch):
+        """(width, chunks) of each pool, run in this process instead of in workers."""
+        pools = []
 
         class InlinePool:
-            """Records the requested width and runs the pool's work in this process."""
+            """Records the requested width and chunk count and runs the work in this process."""
 
             def __init__(self, max_workers, initializer=None, initargs=()):
-                widths.append(max_workers)
+                self.width = max_workers
                 if initializer is not None:
                     initializer(*initargs)
 
@@ -121,32 +121,45 @@ class TestRunEnsemble:
                 return False
 
             def map(self, fn, *iterables):
+                pools.append((self.width, len(iterables[0])))
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_pool_graph", None)
-        return widths
+        return pools
 
-    def test_pool_width_capped_at_chunks(self, pool_widths):
+    @staticmethod
+    def set_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    def test_pool_width_capped_at_chunks(self, pools, monkeypatch):
+        self.set_cpus(monkeypatch, 64)
         cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=8, master_seed=4)
         g = build_graph(cfg)
         _, records = run_ensemble(g, cfg, workers=10_000)
-        assert pool_widths and max(pool_widths) <= 8
+        assert pools == [(8, 8)]
         assert records == run_ensemble(g, cfg, workers=1)[1]
 
-    def test_pool_width_capped_at_cpu_count(self, pool_widths, monkeypatch):
-        # sweep --workers 5000 --seeds 1000 makes 1000 one-run chunks
+    def test_pool_width_capped_at_cpu_count(self, pools, monkeypatch):
+        # sweep --workers 5000 --seeds 1000 on 2 CPUs sends what --workers 2 sends
         cfg = ExperimentConfig(family="complete", n=3, k=3, seeds=1000, master_seed=4)
         g = build_graph(cfg)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        self.set_cpus(monkeypatch, 2)
         _, records = run_ensemble(g, cfg, workers=5000)
-        assert pool_widths == [2]
+        assert pools == [(2, 8)]
         assert records == run_ensemble(g, cfg, workers=1)[1]
-        # two workers on two CPUs keep their width
         run_ensemble(g, cfg, workers=2)
+        assert pools == [(2, 8), (2, 8)]
+        # one usable CPU runs in this process; an unknown CPU count counts as one
+        self.set_cpus(monkeypatch, 1)
+        run_ensemble(g, cfg, workers=5000)
+        monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         run_ensemble(g, cfg, workers=5000)
-        assert pool_widths == [2, 2, 1]
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_ensemble(g, cfg, workers=5000)
+        assert pools == [(2, 8), (2, 8), (3, 12)]
 
     def test_validates_config(self):
         with pytest.raises(ValueError):

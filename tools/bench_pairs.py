@@ -4,12 +4,15 @@
         --workloads audit_mixed:10 cliques_uniform:3 --out BENCH.json
 
 Each checkout is a directory holding a full tree (``perfbench/`` and
-``src/``). Pair ``i`` of a workload runs ``perfbench/run.py --workload W
---seed S --seconds T --trace 0`` in both directories with ``S = first_seed +
-i``; the parent runs first in even pairs and the change first in odd ones.
-Nothing here measures anything itself: every number is read from the last
-line ``run.py`` prints, and the machine record from the result file it saves
-under ``perfbench/.out/results``.
+``src/``). A workload runs in at least 2 pairs. Pair ``i`` (from 0) runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in both
+directories with ``S = i + 1``; the parent runs first in even pairs and the
+change first in odd ones. Nothing here measures anything itself: every number
+is read from the last line ``run.py`` prints, and the machine record and the
+``comparable`` flag (false when the workload uses more workers than the
+machine has CPUs) from the result file it saves under
+``perfbench/.out/results``. A run that is not comparable is kept, flagged in
+the output and reported on stderr.
 
 The output JSON holds, per workload, the seeds and run order, every run's
 metrics and failure counts, and per metric and side the median with its
@@ -35,9 +38,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, capture_output=True, text=True, check=True)
     final = json.loads(proc.stdout.strip().splitlines()[-1])
     saved = checkout / "perfbench" / ".out" / "results" / f"{workload}-seed{seed}-trace0.json"
-    machine = json.loads(saved.read_text())["machine"]
+    record = json.loads(saved.read_text())
     return {"metrics": {k: v["value"] for k, v in final["metrics"].items()},
-            "attempted": final["attempted"], "failed": final["failed"], "machine": machine}
+            "attempted": final["attempted"], "failed": final["failed"],
+            "comparable": record["comparable"], "machine": record["machine"]}
 
 
 def commit_of(checkout: Path) -> str:
@@ -50,12 +54,12 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def bench_workload(parent: Path, change: Path, workload: str, pairs: int, first_seed: int,
-                   seconds: float, better: dict[str, str]) -> dict:
+def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seconds: float,
+                   better: dict[str, str]) -> dict:
     runs = {"parent": [], "change": []}
     order = []
     for i in range(pairs):
-        seed = first_seed + i
+        seed = i + 1
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(list(sides))
         for side in sides:
@@ -64,7 +68,8 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, first_
             runs[side].append({"seed": seed, **result})
             print(f"{workload} seed {seed} {side}: "
                   + " ".join(f"{k}={v:.6g}" for k, v in result["metrics"].items())
-                  + f" failed={result['failed']}", file=sys.stderr, flush=True)
+                  + f" failed={result['failed']}"
+                  + ("" if result["comparable"] else " NOT COMPARABLE"), file=sys.stderr, flush=True)
     metrics = {}
     for name, direction in better.items():
         p = [r["metrics"][name] for r in runs["parent"]]
@@ -72,7 +77,7 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, first_
         sign = 1 if direction == "higher" else -1
         metrics[name] = {"better": direction, "parent": summary(p), "change": summary(c),
                          "change_better_pairs": sum(sign * (b - a) > 0 for a, b in zip(p, c))}
-    return {"pairs": pairs, "seeds": [first_seed + i for i in range(pairs)],
+    return {"pairs": pairs, "seeds": [i + 1 for i in range(pairs)],
             "seconds": seconds, "order": order, "machine": machine,
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
@@ -84,18 +89,24 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", required=True, metavar="NAME:PAIRS")
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    report = {"parent": commit_of(args.parent), "change": commit_of(args.change),
-              "workloads": {}}
+    names = {w["name"] for w in declared["workloads"]}
+    plan = []
     for item in args.workloads:
         name, _, pairs = item.partition(":")
+        if name not in names or not pairs.isdigit() or int(pairs) < 2:
+            parser.error(f"--workloads: {item!r} is not NAME:PAIRS with NAME one of "
+                         f"{', '.join(sorted(names))} and PAIRS >= 2")
+        plan.append((name, int(pairs)))
+    report = {"parent": commit_of(args.parent), "change": commit_of(args.change),
+              "workloads": {}}
+    for name, pairs in plan:
         report["workloads"][name] = bench_workload(
-            args.parent, args.change, name, int(pairs), args.first_seed, args.seconds, better)
+            args.parent, args.change, name, pairs, args.seconds, better)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
