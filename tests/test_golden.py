@@ -55,6 +55,10 @@ CASES = {
                          "--out", "{tmp}/bipartite.jsonl"), ("bipartite.jsonl",)),
     "gen_er": (("gen", "--family", "er", "--n", "40", "--p", "0.2", "--graph-seed", "3",
                 "--out", "{tmp}/g.txt"), ("g.txt",)),
+    # 1999000 pairs: 31 draw blocks, drawn in spans on several threads where
+    # the CPUs allow; recorded from the single-stream sampler
+    "gen_er_blocks": (("gen", "--family", "er", "--n", "2000", "--p", "0.01", "--graph-seed", "3",
+                       "--out", "{tmp}/g.txt"), ("g.txt",)),
     # an edge list read back; --n 8 adds vertices 6 and 7, past its largest index.
     # The path is relative (commands run in the scratch directory) because the
     # trace metadata records it
@@ -90,6 +94,8 @@ GOLDEN = {
         ("563f5336dd6274fb736898845d747e035271194ce85902595c59e11fd86950c3",)),
     "gen_er": (0, "94dadc038de79323383e3ebc5c57886d9f87c005fc7f9c956f2136e101eeb3f0",
         ("8e8420deae3b218603a6c3c3e618618f89f016747858e10b5709ab69928a8168",)),
+    "gen_er_blocks": (0, "74f2fd5f1ff20f1719920533cb6f4f3e669234556cb217f4acee388072b7664b",
+        ("51e9e8b1a0b117d9fd4fb20c50099a5c3befc9d81e33eae6ebc2210043003407",)),
     "run_file": (0, "1e9ec23782e2a2f12955234812dc4f99dd1a260f46bc9fb563c086d0de4e2423",
         ("1c8ce17db96b262af979fd0fed95be894749bcdf1b2e6f7bfbd312b26b5d1981",)),
 }
