@@ -12,11 +12,17 @@ tuples with one int object per vertex. The edge tuples are derived from
 ``edge_arrays`` on first read.
 ``erdos_renyi`` draws its pairs in blocks, so each seeded graph is the one
 the row-by-row sampler draws (``tests/test_graph.py`` keeps that sampler as
-the reference).
+the reference). The blocks are split into one contiguous span per usable CPU
+and the spans are drawn on threads: pair j takes word j of the seeded PCG64
+stream, and a span's generator is the seeded one moved forward with
+``advance`` to the span's first pair, so the graph does not depend on the
+number of spans. ``usable_cpus`` is also the bound on ensemble pool width.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +60,13 @@ class Graph:
 _BLOCK = 1 << 16
 # entries per tolist() call in _shared_ints: bounds the int objects it makes at once
 _CHUNK = 1 << 12
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _shared_ints(vertex: list[int], a: np.ndarray) -> list[int]:
@@ -132,6 +145,22 @@ def cycle(n: int) -> Graph:
     return _build(n, u, (u + 1) % n)
 
 
+def _draw_hits(rng: np.random.Generator, p: float, start: int, stop: int) -> list[np.ndarray]:
+    """The flat pair indices in [start, stop) whose draw is below ``p``, one array per block.
+
+    ``rng`` must stand at word ``start`` of the seeded stream. One draw
+    buffer and one mask serve every block of the span.
+    """
+    buf = np.empty(min(_BLOCK, stop - start))
+    mask = np.empty(buf.size, dtype=bool)
+    hits = []
+    for s in range(start, stop, _BLOCK):
+        size = min(_BLOCK, stop - s)
+        draws = rng.random(out=buf[:size])
+        hits.append(np.flatnonzero(np.less(draws, p, out=mask[:size])) + s)
+    return hits
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) random graph; deterministic for fixed (n, p, seed).
 
@@ -139,6 +168,15 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     draws come in row order (u ascending, then v), one ``random`` double per
     pair. They are taken in blocks of ``_BLOCK``: concatenated ``random``
     calls return the same doubles as one call of the total size.
+
+    The blocks are split into T = min(usable CPUs, blocks) contiguous spans,
+    drawn on T threads (numpy's fill, compare and ``flatnonzero`` release the
+    GIL). A PCG64 ``random`` double uses exactly one 64-bit word, so pair j
+    takes word j of the seeded stream: span 0 draws from the seeded
+    generator, and span i > 0 from a copy of its entry state moved forward
+    with ``advance`` to the span's first pair. The hits are joined in span
+    order, so every T gives the same graph. With T = 1 the blocks are drawn
+    inline; otherwise the threads are joined before this returns.
     """
     if n < 1:
         raise ValueError("erdos_renyi needs n >= 1")
@@ -148,8 +186,21 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rows = np.arange(n - 1)
     starts = rows * (n - 1) - rows * (rows - 1) // 2  # flat index of pair (u, u + 1)
     pairs = n * (n - 1) // 2
-    hits = [np.flatnonzero(rng.random(min(_BLOCK, pairs - s)) < p) + s
-            for s in range(0, pairs, _BLOCK)]
+    blocks = -(-pairs // _BLOCK)
+    threads = min(usable_cpus(), blocks)
+    if threads <= 1:
+        hits = _draw_hits(rng, p, 0, pairs)
+    else:
+        bounds = [min(i * blocks // threads * _BLOCK, pairs) for i in range(threads + 1)]
+        entry = rng.bit_generator.state
+        gens = [rng]
+        for first in bounds[1:-1]:
+            bits = np.random.PCG64()
+            bits.state = entry
+            gens.append(np.random.Generator(bits.advance(first)))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            spans = pool.map(_draw_hits, gens, [p] * threads, bounds[:-1], bounds[1:])
+            hits = [h for span in spans for h in span]
     flat = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
     u = np.searchsorted(starts, flat, side="right") - 1
     return _build(n, u, u + 1 + flat - starts[u])

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -33,7 +32,7 @@ from ._version import __version__
 from . import graph as graphs
 from .audit import additive_drift_bound, multiplicative_drift_bound, report_lines, state_digest
 from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run
-from .graph import Graph
+from .graph import Graph, usable_cpus
 from .state import ColoringState, init_fixed, init_random
 
 RUN_CSV_FIELDS = (
@@ -294,13 +293,6 @@ def _run_chunk(config: ExperimentConfig, start: int, stop: int, timing: bool) ->
     return [run_one(_pool_graph, config, i, timing) for i in range(start, stop)]
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_ensemble(
     graph: Graph, config: ExperimentConfig, workers: int = 1, timing: bool = False
 ) -> tuple[EnsembleStats, list[RunResult]]:
@@ -318,7 +310,7 @@ def run_ensemble(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, _usable_cpus())
+    workers = min(workers, usable_cpus())
     seeds = config.seeds
     if workers == 1 or seeds < 4:
         results = [run_one(graph, config, i, timing) for i in range(seeds)]

@@ -1,7 +1,12 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from colorsim import graph
 from colorsim.graph import _BLOCK, _build
 from colorsim import (
     complete,
@@ -144,6 +149,33 @@ class TestErdosRenyi:
             assert (g.n, g.adjacency, g.edges, g.m, g.max_degree) == reference_erdos_renyi(n, p, seed)
             eu, ev = g.edge_arrays
             assert list(zip(eu.tolist(), ev.tolist())) == list(g.edges)
+
+    # n = 363: 65703 pairs, one full block and a 167-pair last span
+    @pytest.mark.parametrize("n,widths", [(800, [2, 3, 5, 4]), (363, [2, 2, 2, 2])])
+    def test_same_graph_for_any_thread_count(self, n, widths, monkeypatch):
+        made = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(graph, "ThreadPoolExecutor", RecordingPool)
+        want = reference_erdos_renyi(n, 0.05, 11)
+        # CPU masks of 1, 2, 3 and 7, then no affinity call: os.cpu_count() decides
+        for cpus in (1, 2, 3, 7, None):
+            if cpus is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: 4)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                                    raising=False)
+            before = threading.active_count()
+            g = erdos_renyi(n, 0.05, 11)
+            assert threading.active_count() == before
+            assert (g.n, g.adjacency, g.edges, g.m, g.max_degree) == want
+        # one CPU draws inline; otherwise one thread per span, no more spans than blocks
+        assert made == widths
 
 
 class TestBuild:
