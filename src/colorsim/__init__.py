@@ -31,10 +31,8 @@ from .dynamics import (
     ProperColoringError,
     RunResult,
     TraceRecord,
-    VARIANTS,
     make_rng,
     run,
-    selection_distribution,
     step_component_view,
     step_parallel,
     step_persistent,
@@ -43,8 +41,6 @@ from .dynamics import (
 from .audit import (
     AuditEntry,
     ExactExpectation,
-    additive_drift_bound,
-    additive_tail,
     audit_state,
     check_claim_bipartite_isolated,
     check_claim_edges,
@@ -52,8 +48,6 @@ from .audit import (
     check_claim_mono_phi,
     check_claim_mult,
     exact_step_expectations,
-    multiplicative_drift_bound,
-    multiplicative_tail,
     state_digest,
 )
 from .harness import (
@@ -62,11 +56,9 @@ from .harness import (
     ExperimentConfig,
     FitResult,
     compare_variants,
-    coupon_reference,
     drift_audit_sweep,
     run_ensemble,
     scaling_fit,
-    theorem_step_budget,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Exact verification of the one-step drift inequalities and bound calculators.
+"""Exact verification of the one-step drift inequalities.
 
 The oracle averages the tracked quantities over every (vertex, color)
 outcome of a single recoloring step with exact rational weights. It recounts
@@ -11,17 +11,12 @@ negative margin always means an implementation bug.
 This module owns the audit report's JSONL line format: ``report_lines``
 renders the entries of one state, every rational as "num/den", plus the
 lines of a skipped check. ``harness`` only chooses the states to audit.
-
-Floats appear only in the drift/tail bound calculators, which evaluate
-analytic formulas rather than inequalities on simulated data. Logarithms are
-natural throughout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -269,64 +264,3 @@ def report_lines(state: ColoringState, bipartite: bool, digest: str) -> list[dic
                       "reason": "proper coloring", "state_digest": digest})
     return lines
 
-
-# -- drift and tail bound calculators ---------------------------------------
-
-
-def additive_drift_bound(x0: float, delta: float) -> float:
-    """Expected hitting time of 0 under a constant per-step drift of delta."""
-    if delta <= 0:
-        raise ValueError("drift delta must be > 0")
-    if x0 < 0:
-        raise ValueError("initial value must be >= 0")
-    return x0 / delta
-
-
-def multiplicative_drift_bound(s0: float, smin: float, delta: float) -> float:
-    """Expected hitting time under per-step decay by a factor (1 - delta)."""
-    if delta <= 0:
-        raise ValueError("drift delta must be > 0")
-    if not s0 >= smin > 0:
-        raise ValueError("need s0 >= smin > 0")
-    return (1 + math.log(s0 / smin)) / delta
-
-
-def multiplicative_tail(r: float, s0: float, smin: float, delta: float) -> tuple[int, float]:
-    """Time threshold and overshoot probability for multiplicative decay.
-
-    Returns (ceil((r + ln(s0/smin)) / delta), exp(-r)); the hitting time
-    exceeds the threshold with probability below the second entry.
-    """
-    if r < 0:
-        raise ValueError("tail parameter r must be >= 0")
-    if delta <= 0:
-        raise ValueError("drift delta must be > 0")
-    if not s0 >= smin > 0:
-        raise ValueError("need s0 >= smin > 0")
-    threshold = math.ceil((r + math.log(s0 / smin)) / delta)
-    return threshold, math.exp(-r)
-
-
-def additive_tail(r: float, x0: float, delta: float, step_bound_c: float) -> float:
-    """Overshoot probability exp(-r delta^2 / (8 c^2)) for bounded steps.
-
-    Valid only for r >= 2 x0 / delta; below that threshold no bound is given
-    and the call is rejected.
-    """
-    if delta <= 0:
-        raise ValueError("drift delta must be > 0")
-    if step_bound_c <= 0:
-        raise ValueError("step bound c must be > 0")
-    if r < 2 * x0 / delta:
-        raise ValueError("additive tail bound requires r >= 2*x0/delta")
-    return math.exp(-r * delta * delta / (8 * step_bound_c * step_bound_c))
-
-
-def psi_value(phi: Fraction, n: int, max_degree: int) -> float:
-    """Clamped log potential: max(ln(max_degree * phi / n), 0)."""
-    if max_degree < 1:
-        return 0.0
-    scaled = Fraction(max_degree, n) * phi
-    if scaled <= 1:
-        return 0.0
-    return math.log(float(scaled))

@@ -3,10 +3,11 @@
 Exit codes are a stable contract: 0 success, 1 usage error, 2 cap
 exhaustion, 3 audit violation. Bad input, whether flags, a sweep cell, an
 unreadable or unwritable file or a graph too large to allocate, exits 1 with
-a one-line reason on stderr, never a traceback; so does a reader that closes
-stdout early. The family, variant and init names come from the tables in
-``harness`` and ``dynamics``. All run-affecting options have deterministic
-defaults and end up in the output metadata; no environment variable is read.
+a one-line reason on stderr, never a traceback; so does a failed write to
+stdout, which is silent when the reader closed it early. The family, variant
+and init names come from the tables in ``harness`` and ``dynamics``. All
+run-affecting options have deterministic defaults and end up in the output
+metadata; no environment variable is read.
 ``sweep --workers`` sets the worker-pool width only, which changes no output.
 """
 
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from ._version import __version__
 from . import graph as graphs
@@ -245,7 +247,7 @@ def _cmd_audit(args) -> int:
             families=families,
             max_n=args.max_n,
         )
-        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"audit: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -260,10 +262,13 @@ def _cmd_audit(args) -> int:
             yield line
 
     try:
-        write_jsonl(sink, meta, lines())
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+        with sink as out:
+            write_jsonl(out, meta, lines())
+    except OSError as exc:
+        if not args.out:
+            raise  # a failed stdout write is main's to report
+        print(f"audit: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if violations:
         for line in violations[:10]:
             print(f"audit: VIOLATION {line['claim']} digest={line['state_digest']}", file=sys.stderr)
@@ -357,14 +362,19 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except BrokenPipeError:
-        # the reader closed stdout early; point it at devnull so that the
-        # interpreter's final flush cannot raise again
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        finally:
+            sys.stdout.flush()  # a write that fails here is still reported below
+    except OSError as exc:
+        # stdout failed: the reader closed it early or its device is full. Point
+        # it at devnull so that the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"colorsim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -32,7 +32,6 @@ against numpy, so a numpy release that changes its method fails there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,7 +45,6 @@ STEPS = {
     "persistent": "step_persistent",
     "parallel": "step_parallel",
 }
-VARIANTS = tuple(STEPS)
 VARIANT_ALIASES = {"component": "component_view"}
 
 DEFAULT_PERSISTENT_DRAW_CAP = 10**6
@@ -290,28 +288,6 @@ def step_parallel(state: ColoringState, rng: np.random.Generator) -> Step:
     colors = tuple(map(int, draws))
     state.apply_batch(frozen, colors)
     return frozen, colors, 1
-
-
-def selection_distribution(state: ColoringState, variant: str) -> dict[int, Fraction]:
-    """Exact vertex-selection law of the given variant on the current state.
-
-    Mirrors the sampling structure the step functions actually use, so the
-    equality of the ``uniform`` and ``component_view`` laws is a checkable
-    property rather than an assumption.
-    """
-    _require_conflict(state)
-    if variant == "uniform" or variant == "persistent":
-        w = Fraction(1, state.conflicted_count)
-        return {v: w for v in state.conflicted_vertices()}
-    if variant == "component_view":
-        total = state.conflicted_count
-        out: dict[int, Fraction] = {}
-        for comp in state.monochromatic_components():
-            w = Fraction(comp.size, total) * Fraction(1, comp.size)
-            for v in comp.vertices:
-                out[v] = w
-        return out
-    raise ValueError(f"no single-vertex selection law for variant {variant!r}")
 
 
 def run(

@@ -46,9 +46,6 @@ class Graph:
     max_degree: int
     edge_arrays: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as (u, v) tuples, in the order of ``edge_arrays``."""

@@ -22,7 +22,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from ._version import __version__
 from . import graph as graphs
-from .audit import additive_drift_bound, multiplicative_drift_bound, report_lines, state_digest
+from .audit import report_lines, state_digest
 from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run
 from .graph import Graph, usable_cpus
 from .state import ColoringState, init_fixed, init_random
@@ -139,7 +138,8 @@ FAMILY_ALIASES = {family.alias: name for name, family in FAMILIES.items()}
 # CLI name -> init
 INIT_ALIASES = {"random": "random", "ones": "all_ones", "file": "explicit"}
 
-# config fields can come from JSON, so their types are checked before any use
+# config fields can come from JSON, so their types are checked before any use; a
+# JSON true or false is a bool, which Python also counts as an int, so bools are refused
 _INT_OR_NONE = (int, type(None))
 _FIELD_TYPES = {
     "family": str, "variant": str, "init": str, "config_id": str, "path": (str, type(None)),
@@ -177,8 +177,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"bad {name}: {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"bad {name}: {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
@@ -192,7 +193,7 @@ class ExperimentConfig:
         if self.init == "explicit" and self.explicit_colors is None:
             raise ValueError("explicit init needs explicit_colors")
         if self.explicit_colors is not None and not all(
-                isinstance(c, int) for c in self.explicit_colors):
+                isinstance(c, int) and not isinstance(c, bool) for c in self.explicit_colors):
             raise ValueError("explicit_colors must be integers")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
@@ -271,15 +272,6 @@ def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = F
     return result
 
 
-def run_traced(
-    graph: Graph, config: ExperimentConfig, index: int
-) -> tuple[RunResult, list[TraceRecord]]:
-    """One run with its full trace; used by trace sinks and step-size checks."""
-    rng = make_rng(config.master_seed, index)
-    state = initial_state(graph, config, rng)
-    return run(state, config.variant, config.cap, rng, trace=True)
-
-
 # the ensemble's graph in a pool worker, set once per worker by the pool initializer
 _pool_graph: Graph | None = None
 
@@ -346,13 +338,6 @@ def summarize(results: list[RunResult]) -> EnsembleStats:
     )
 
 
-def coupon_reference(n: int) -> Fraction:
-    """Expected rounds of the classical collect-all-n process: n times H_n."""
-    if n < 1:
-        raise ValueError("coupon_reference needs n >= 1")
-    return n * sum(Fraction(1, i) for i in range(1, n + 1))
-
-
 def scaling_fit(points: Iterable[tuple[int, int, float]], model: str) -> FitResult:
     """Fit mean steps to coefficient * regressor, through the origin.
 
@@ -413,20 +398,6 @@ def compare_variants(
         raise ValueError("compare_variants configs must share the graph")
     graph = build_graph(configs[0])
     return [(cfg, run_ensemble(graph, cfg)[0]) for cfg in configs]
-
-
-def theorem_step_budget(n: int, delta: int) -> float:
-    """Loose two-phase budget implied by the proven decay and endgame drifts.
-
-    Decay phase: multiplicative drift 1/(1000 n) from at most n*delta down to
-    n/delta. Endgame: additive drift 1/(delta+1) on at most 2n/delta
-    monochromatic edges. Empirical means must come in far below this.
-    """
-    if delta < 1:
-        return 0.0
-    decay = multiplicative_drift_bound(n * delta, n / delta, 1.0 / (1000 * n))
-    endgame = additive_drift_bound(2 * n / delta, 1.0 / (delta + 1))
-    return decay + endgame
 
 
 # -- randomized audit sweep ----------------------------------------------------

@@ -1,7 +1,9 @@
-"""Exact laws that acceptance criteria 8, 9 and 10 check the simulator against.
+"""Exact laws and paper formulas that the tests check the simulator against.
 
 These are oracles: they are derived from the rules of the process on paper
-and share no code with ``colorsim.dynamics`` or ``ColoringState``.
+and share no code with ``colorsim.dynamics`` or ``ColoringState``, beyond the
+conflicted vertices and monochromatic components that
+``selection_distribution`` reads off a state.
 
 * ``clique_draws_law``: on a clique K_s with k = s colors the number u of
   distinct colors in use never falls, and in both the ``uniform`` and the
@@ -16,6 +18,19 @@ and share no code with ``colorsim.dynamics`` or ``ColoringState``.
   more. The random initial coloring is the same throw with r = n, so the
   chain started at r = n is one throw ahead of round 0.
 
+* ``selection_distribution``: the exact vertex-selection law of a variant's
+  step on a state (criterion 3, ``test_dynamics``). ``uniform`` and
+  ``persistent`` pick a conflicted vertex uniformly; ``component_view`` picks
+  a monochromatic component with weight proportional to its size and then a
+  vertex uniformly inside it, so the two laws agree exactly.
+* ``psi_value``: the clamped log potential ψ = max(ln(D·φ/n), 0) whose
+  one-step changes criterion 11 bounds.
+* ``theorem_step_budget``: the two-phase step budget that the proven drifts
+  give through the additive and multiplicative drift theorems
+  (``additive_drift_bound``, ``multiplicative_drift_bound``). The decay phase
+  runs until φ falls to n/D, the decay/endgame boundary; the endgame then
+  removes the at most 2n/D monochromatic edges left.
+
 Transition rows are exact Fractions. Laws over many rounds are iterated in
 float64: exact denominators would grow by about n log10 n digits per round.
 """
@@ -25,7 +40,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, log
 
 import numpy as np
 
@@ -149,3 +164,68 @@ def median_band(cdf: np.ndarray, runs: int, alpha: float) -> tuple[int, int]:
         if _mass(range(above), runs, cdf[hi]) <= alpha / 2:
             return lo, hi
     raise ValueError("cdf too short for the upper end of the median band")
+
+
+def selection_distribution(state, variant: str) -> dict[int, Fraction]:
+    """Exact vertex-selection law of the given variant on the current state.
+
+    Mirrors the sampling structure the step functions actually use, so the
+    equality of the ``uniform`` and ``component_view`` laws is a checkable
+    property rather than an assumption.
+    """
+    if state.conflicted_count == 0:
+        raise ValueError("coloring is already proper; no step to take")
+    if variant == "uniform" or variant == "persistent":
+        w = Fraction(1, state.conflicted_count)
+        return {v: w for v in state.conflicted_vertices()}
+    if variant == "component_view":
+        total = state.conflicted_count
+        out: dict[int, Fraction] = {}
+        for comp in state.monochromatic_components():
+            w = Fraction(comp.size, total) * Fraction(1, comp.size)
+            for v in comp.vertices:
+                out[v] = w
+        return out
+    raise ValueError(f"no single-vertex selection law for variant {variant!r}")
+
+
+def psi_value(phi: Fraction, n: int, max_degree: int) -> float:
+    """Clamped log potential: max(ln(max_degree * phi / n), 0)."""
+    if max_degree < 1:
+        return 0.0
+    scaled = Fraction(max_degree, n) * phi
+    if scaled <= 1:
+        return 0.0
+    return log(float(scaled))
+
+
+def additive_drift_bound(x0: float, delta: float) -> float:
+    """Expected hitting time of 0 under a constant per-step drift of delta."""
+    if delta <= 0:
+        raise ValueError("drift delta must be > 0")
+    if x0 < 0:
+        raise ValueError("initial value must be >= 0")
+    return x0 / delta
+
+
+def multiplicative_drift_bound(s0: float, smin: float, delta: float) -> float:
+    """Expected hitting time under per-step decay by a factor (1 - delta)."""
+    if delta <= 0:
+        raise ValueError("drift delta must be > 0")
+    if not s0 >= smin > 0:
+        raise ValueError("need s0 >= smin > 0")
+    return (1 + log(s0 / smin)) / delta
+
+
+def theorem_step_budget(n: int, delta: int) -> float:
+    """Loose two-phase budget implied by the proven decay and endgame drifts.
+
+    Decay phase: multiplicative drift 1/(1000 n) from at most n*delta down to
+    n/delta. Endgame: additive drift 1/(delta+1) on at most 2n/delta
+    monochromatic edges. Empirical means must come in far below this.
+    """
+    if delta < 1:
+        return 0.0
+    decay = multiplicative_drift_bound(n * delta, n / delta, 1.0 / (1000 * n))
+    endgame = additive_drift_bound(2 * n / delta, 1.0 / (delta + 1))
+    return decay + endgame

@@ -28,18 +28,19 @@ from colorsim import (
     init_fixed,
     init_random,
     make_rng,
+    run,
     run_ensemble,
     scaling_fit,
-    selection_distribution,
 )
-from colorsim.audit import psi_value
-from colorsim.harness import build_graph, run_rows, run_traced, write_runs_csv
+from colorsim.harness import build_graph, initial_state, run_rows, write_runs_csv
 from exact_laws import (
     binomial_two_sided_p,
     cdf_median,
     clique_draws_law,
     median_band,
+    psi_value,
     reach_probability,
+    selection_distribution,
     termination_cdf,
 )
 
@@ -319,7 +320,8 @@ def test_criterion_11_psi_step_size():
     worst = 0.0
     runs = 0
     for index in range(100):
-        result, trace = run_traced(graph, cfg, index)
+        rng = make_rng(cfg.master_seed, index)
+        result, trace = run(initial_state(graph, cfg, rng), cfg.variant, cfg.cap, rng, trace=True)
         assert result.terminated
         runs += 1
         prev = psi_value(Fraction(trace[0].phi_num, 100 * d), n, d)

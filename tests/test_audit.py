@@ -6,8 +6,6 @@ import pytest
 
 from colorsim import (
     ExactExpectation,
-    additive_drift_bound,
-    additive_tail,
     audit_state,
     check_claim_bipartite_isolated,
     check_claim_edges,
@@ -22,13 +20,12 @@ from colorsim import (
     init_fixed,
     init_random,
     make_rng,
-    multiplicative_drift_bound,
-    multiplicative_tail,
     state_digest,
 )
 from colorsim import audit, harness
-from colorsim.audit import combine_component_expectations, psi_value
+from colorsim.audit import combine_component_expectations
 from colorsim.harness import AuditSweepSpec, audit_instance
+from exact_laws import additive_drift_bound, multiplicative_drift_bound, psi_value
 
 
 def path_state():
@@ -310,35 +307,6 @@ class TestDriftCalculators:
             multiplicative_drift_bound(1, 2, 0.1)
         with pytest.raises(ValueError):
             multiplicative_drift_bound(2, 1, 0)
-
-    def test_multiplicative_tail(self):
-        threshold, prob = multiplicative_tail(2, 100, 1, 0.01)
-        assert threshold == 661
-        assert prob == pytest.approx(math.exp(-2))
-
-    def test_multiplicative_tail_vacuous(self):
-        assert multiplicative_tail(0, 7, 7, 0.3) == (0, 1.0)
-
-    def test_multiplicative_tail_rejects(self):
-        with pytest.raises(ValueError):
-            multiplicative_tail(-1, 2, 1, 0.1)
-
-    def test_additive_tail(self):
-        assert additive_tail(100, 10, 0.5, 1) == pytest.approx(math.exp(-3.125))
-
-    def test_additive_tail_boundary_accepted(self):
-        additive_tail(40, 10, 0.5, 1)  # r == 2*x0/delta exactly
-
-    def test_additive_tail_rejects_below_threshold(self):
-        with pytest.raises(ValueError):
-            additive_tail(39.9, 10, 0.5, 1)
-
-    def test_additive_tail_phase_two_shape(self):
-        # the endgame application needs 4 + ln(delta) >= 8, i.e. delta >= e^4
-        n, delta = 256, 100
-        r = (4 + math.log(delta)) * n
-        prob = additive_tail(r, 2 * n / delta, 1 / (2 * delta), delta)
-        assert prob == pytest.approx(math.exp(-(4 + math.log(delta)) * n / (32 * delta**4)))
 
 
 class TestPsi:

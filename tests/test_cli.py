@@ -271,6 +271,9 @@ class TestBuildOnce:
         assert len(stdout.splitlines()) == 4
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
 BAD_INPUT = [
     ("compare", "--family", "complete", "--seeds", "2"),
     ("compare", "--family", "file", "--graph", "{tmp}/missing.txt", "--seeds", "2"),
@@ -293,6 +296,12 @@ BAD_INPUT = [
     ("run", "--family", "cycle", "--n", "1000000000000000"),
     ("compare", "--family", "cycle", "--n", "1000000000000000", "--seeds", "2"),
     ("sweep", "--config", "{tmp}/huge.json"),
+    # JSON true and false are bools, which Python also counts as ints
+    ("sweep", "--config", "{tmp}/bool_n.json"),
+    ("sweep", "--config", "{tmp}/bool_p.json"),
+    ("sweep", "--config", "{tmp}/bool_k.json"),
+    # every write to a full device fails
+    pytest.param(("audit", "--instances", "50", "--out", "/dev/full"), marks=needs_dev_full),
 ]
 
 
@@ -307,6 +316,12 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "huge.txt").write_text("0 1000000000000000\n")
     (tmp_path / "huge.json").write_text(json.dumps(
         {"cells": [{"family": "cycle", "n": 10**15}], "seeds": 1}))
+    (tmp_path / "bool_n.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": True, "seeds": True, "cap": True}]}))
+    (tmp_path / "bool_p.json").write_text(json.dumps(
+        {"cells": [{"family": "er", "n": 5, "p": True}], "seeds": 2}))
+    (tmp_path / "bool_k.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4, "k": True}], "seeds": 2}))
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -321,15 +336,19 @@ def test_bare_memory_error_has_a_reason(tmp_path, capsys, monkeypatch):
     assert (code, stdout, err) == (1, "", "gen: out of memory\n")
 
 
+def cli_env() -> dict:
+    """The environment of a ``python -m colorsim.cli`` subprocess run on this tree."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # the audit writes far more than a pipe holds, so it is still writing
     # when the reader closes its end
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
         [sys.executable, "-m", "colorsim.cli", "audit", "--instances", "200",
          "--families", "complete"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
     try:
         assert json.loads(proc.stdout.readline())["meta"]
         proc.stdout.close()
@@ -337,6 +356,21 @@ def test_closed_stdout_exits_1_without_a_traceback():
     finally:
         proc.kill()
     assert proc.returncode == 1 and err == b""
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ("compare", "--family", "complete", "--n", "5", "--seeds", "3"),
+    ("run", "--family", "complete", "--n", "5"),
+    ("audit", "--instances", "50"),
+], ids=" ".join)
+def test_full_stdout_exits_1_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "colorsim.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=cli_env(), timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err.startswith("colorsim: cannot write output: ") and err.count("\n") == 1
 
 
 class TestTopLevel:

@@ -112,12 +112,17 @@ def audit_argv(draw, paths):
     ])
 
 
+def cell_int(lo, hi):
+    """An integer cell field: lo..hi seven times in eight, else JSON true or false."""
+    return mostly(st.integers(lo, hi), st.booleans())
+
+
 CELL_VALUES = {
-    "n": st.integers(1, 12), "count": st.integers(1, 12), "size": st.integers(1, 12),
-    "a": st.integers(1, 12), "b": st.integers(1, 12), "k": st.integers(1, 12),
+    "n": cell_int(1, 12), "count": cell_int(1, 12), "size": cell_int(1, 12),
+    "a": cell_int(1, 12), "b": cell_int(1, 12), "k": cell_int(1, 12),
     "p": st.floats(-0.2, 1.2) | st.just(float("nan")),
-    "graph_seed": st.integers(0, 3), "master_seed": st.integers(0, 3),
-    "seeds": st.integers(1, 3), "cap": st.integers(1, 200),
+    "graph_seed": cell_int(0, 3), "master_seed": cell_int(0, 3),
+    "seeds": cell_int(1, 3), "cap": cell_int(1, 200),
     "variant": st.sampled_from(VARIANTS),
     "init": st.sampled_from(list(INITS.values())),
     "explicit_colors": st.lists(st.integers(-1, 4), max_size=12),

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from colorsim import (
-    VARIANTS,
     complete,
     disjoint_cliques,
     dynamics,
@@ -225,7 +224,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", tuple(STEPS))
 def test_run_equals_reference_loop(variant, trace):
     for case, (g, k, cap) in enumerate(CASES):
         k = k or g.max_degree + 1

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from colorsim import (
-    VARIANTS,
     ProperColoringError,
     complete,
     cycle,
@@ -14,13 +13,13 @@ from colorsim import (
     init_random,
     make_rng,
     run,
-    selection_distribution,
     step_component_view,
     step_parallel,
     step_persistent,
     step_uniform,
 )
-from colorsim.dynamics import DEFAULT_PERSISTENT_DRAW_CAP
+from colorsim.dynamics import DEFAULT_PERSISTENT_DRAW_CAP, STEPS
+from exact_laws import selection_distribution
 
 
 K2 = complete(2)  # built once: the 10^5-trial tests below start from it every trial
@@ -249,7 +248,7 @@ class TestRun:
                 rec.phi_num,
             )
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", tuple(STEPS))
     def test_trace_counts_match_oracle(self, variant):
         # every record's counts equal a from-scratch recount of the replayed colors
         g = erdos_renyi(14, 0.35, 3)

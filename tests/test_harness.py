@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-from fractions import Fraction
 
 import pytest
 
@@ -11,19 +10,17 @@ from colorsim import (
     AuditSweepSpec,
     ExperimentConfig,
     compare_variants,
-    coupon_reference,
     drift_audit_sweep,
     run_ensemble,
     scaling_fit,
-    theorem_step_budget,
 )
 from colorsim import audit, harness
 from colorsim.harness import (
     audit_instance,
     build_graph,
+    initial_state,
     replay_audit,
     run_rows,
-    run_traced,
     trace_lines,
     write_aggregate_csv,
     write_jsonl,
@@ -31,17 +28,8 @@ from colorsim.harness import (
     aggregate_row,
 )
 from colorsim.audit import state_digest
-
-
-class TestCouponReference:
-    def test_exact_values(self):
-        assert coupon_reference(1) == 1
-        assert coupon_reference(4) == Fraction(25, 3)
-        assert float(coupon_reference(16)) == pytest.approx(54.0917, abs=0.001)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            coupon_reference(0)
+from colorsim.dynamics import make_rng, run
+from exact_laws import theorem_step_budget
 
 
 class TestScalingFit:
@@ -169,6 +157,16 @@ class TestRunEnsemble:
         cfg = ExperimentConfig(family="complete", n=4, seeds=2)
         with pytest.raises(ValueError, match="workers"):
             run_ensemble(build_graph(cfg), cfg, workers=0)
+
+    @pytest.mark.parametrize("name", sorted(harness._FIELD_TYPES))
+    def test_rejects_a_bool_in_every_typed_field(self, name):
+        # a JSON true is a bool, which Python also counts as an int
+        with pytest.raises(ValueError, match=f"^bad {name}: True$"):
+            ExperimentConfig(**{"family": "complete", "n": 4, name: True})
+
+    def test_rejects_bool_explicit_colors(self):
+        with pytest.raises(ValueError, match="explicit_colors"):
+            ExperimentConfig(family="complete", n=2, init="explicit", explicit_colors=(True, 2))
 
     def test_mean_below_theorem_budget(self):
         cfg = ExperimentConfig(family="disjoint_cliques", count=8, size=8, seeds=50, master_seed=4)
@@ -318,7 +316,9 @@ class TestWriters:
 
     def test_jsonl_meta_first(self):
         cfg = ExperimentConfig(family="complete", n=5, k=5, seeds=1, master_seed=1)
-        result, trace = run_traced(build_graph(cfg), cfg, 0)
+        rng = make_rng(cfg.master_seed, 0)
+        state = initial_state(build_graph(cfg), cfg, rng)
+        result, trace = run(state, cfg.variant, cfg.cap, rng, trace=True)
         buf = io.StringIO()
         count = write_jsonl(buf, {"kind": "trace"}, trace_lines(trace))
         lines = buf.getvalue().splitlines()
