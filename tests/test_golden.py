@@ -64,6 +64,16 @@ CASES = {
     # trace metadata records it
     "run_file": (("run", "--family", "file", "--graph", "graph.txt", "--n", "8",
                   "--seed", "2", "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
+    # k = 1: every draw has bound 1 and reads nothing; the cap ends the run
+    "run_k1": (("run", "--family", "complete", "--n", "3", "--k", "1", "--cap", "20",
+                "--seed", "1", "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
+    # color bounds above 2**31, where the bounded-integer method often redraws
+    "run_wide_k": (("run", "--family", "complete", "--n", "4", "--k", "3000000000",
+                    "--init", "ones", "--seed", "1", "--trace-out", "{tmp}/trace.jsonl"),
+                   ("trace.jsonl",)),
+    "run_wide_k_parallel": (("run", "--family", "complete", "--n", "5", "--k", "4000000000",
+                             "--init", "ones", "--variant", "parallel", "--seed", "1",
+                             "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
 }
 
 # K3,3 as a hexagon and its three long diagonals, with a comment and a duplicate edge
@@ -98,6 +108,12 @@ GOLDEN = {
         ("51e9e8b1a0b117d9fd4fb20c50099a5c3befc9d81e33eae6ebc2210043003407",)),
     "run_file": (0, "1e9ec23782e2a2f12955234812dc4f99dd1a260f46bc9fb563c086d0de4e2423",
         ("1c8ce17db96b262af979fd0fed95be894749bcdf1b2e6f7bfbd312b26b5d1981",)),
+    "run_k1": (2, "9c0e889a354b222d8ac81485f2d1229ef0a75f8937f1789588b8a4b67163c8f4",
+        ("a089002598a3f4c1dc6807ea0972249d136bf029fc8c62c5453dbaf55a984511",)),
+    "run_wide_k": (0, "d77c994bccbcc086c44637d2a81ef59ad1910cbbb0528e07a8d0afc76f702f02",
+        ("372470f29b3e464e14fba4dc4dad61231c3039908054f44ee43e0d07f6ea9f58",)),
+    "run_wide_k_parallel": (0, "6c1373332eb6d814a5ca3caccaafd801b6e1dbfb901d8cd41e4e503d35fe28f3",
+        ("b43292a2052afa158f8691ec388487abce70c21dae46b6ccb8e1829a1ebfee3e",)),
 }
 
 
