@@ -56,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; one to stdout (--version, --help) is main's to report
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _reason(exc: Exception) -> str:
     # numpy's MemoryError names the failed request; one raised by Python itself is empty

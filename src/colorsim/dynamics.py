@@ -12,26 +12,29 @@ Four variants share one state representation:
 * ``parallel``        freeze the conflicted set and redraw every member at once;
   one round counts as one step.
 
-Every step function returns a plain ``(vertices, colors, draws)`` tuple: the
-recolored vertices, their new colors and the color draws it consumed (only
-the persistent variant uses more than one). A persistent step that accepts no
-color returns ``colors == ()`` and leaves the state unchanged; ``run`` tells
-a tripped draw guard (a stall) from a spent cap by whether steps remain.
+Every step function takes the state and ``draw`` and returns a plain
+``(vertices, colors, draws)`` tuple: the recolored vertices, their new colors
+and the color draws it consumed (only the persistent variant uses more than
+one). A persistent step that accepts no color returns ``colors == ()`` and
+leaves the state unchanged; ``run`` tells a tripped draw guard (a stall) from
+a spent cap by whether steps remain.
 
 RNG contract: a named, versioned, splittable generator (numpy PCG64 seeded
 through SeedSequence). Per-run streams come from
-``make_rng(master_seed, stream)``; draw order is fixed and documented on each
-step function, so equal inputs reproduce traces byte for byte. ``run`` reads
-its draws through ``BufferedDraws``: blocks of raw PCG64 words, turned into
-bounded integers by numpy's own method (Lemire's rejection on 32-bit halves,
-low half first). Every draw and the generator state left behind are
-bit-identical to ``Generator.integers``; ``tests/test_draws.py`` checks this
+``make_rng(master_seed, stream)``. A step makes every random choice with
+``draw(n)``, uniform on 0..n-1 for 1 <= n < 2**32, in the order its docstring
+fixes, so equal inputs reproduce traces byte for byte; a color is
+``1 + draw(k)``. ``run`` passes ``BufferedDraws.draw``, bit-identical to
+``Generator.integers(n)`` down to the generator state left behind; under
+numpy's method ``integers(1, k + 1)`` is ``1 + integers(k)`` and a ``size=``
+draw is the same draws one by one. ``tests/test_draws.py`` checks this
 against numpy, so a numpy release that changes its method fails there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,25 +66,21 @@ def make_rng(master_seed: int, stream: int = 0) -> np.random.Generator:
 
 _HALF = 1 << 32  # bound of one 32-bit half-word
 _MASK = _HALF - 1
-_LOW = (1 << 63) - _HALF  # a low below this keeps low + n, n < 2**32, inside int64
+
+Draw = Callable[[int], int]  # draw(n): uniform on 0..n-1
 
 
 class BufferedDraws:
-    """``Generator.integers`` for a PCG64 generator, read from raw word blocks.
+    """``draw(n)``, uniform on 0..n-1, read from raw PCG64 word blocks.
 
-    numpy draws an integer in [low, low + n) with n < 2**32 from 32-bit
-    halves of 64-bit PCG64 words, low half first: m = x * n for a half x,
-    redrawn while m mod 2**32 < (2**32 - n) mod n (only tested once
-    m mod 2**32 < n), giving low + (m >> 32). n = 1 reads nothing; a bulk
-    ``size=`` draw is the same method element by element, returned here as
-    a list. This class reads the halves from ``random_raw`` blocks instead
-    of one numpy call per draw. A half left pending in the generator
-    (``has_uint32``) is read first.
-
-    It serves the draws steps make: Python ints with 0 <= low < 2**63 - 2**32
-    and bounds 1 to 2**32 - 1, alone or in bulk. Every other call (bound
-    2**32, a negative low, a wider bound, another argument type, an invalid
-    argument) hands the stream back to numpy for that call.
+    ``draw(n)`` equals ``Generator.integers(n)`` on the same generator for
+    every int bound 1 <= n < 2**32. numpy draws it from 32-bit halves of
+    64-bit PCG64 words, low half first: m = x * n for a half x, redrawn
+    while m mod 2**32 < (2**32 - n) mod n (only tested once
+    m mod 2**32 < n), giving m >> 32. n = 1 reads nothing; every other bound
+    raises ``ValueError``. This class reads the halves from ``random_raw``
+    blocks instead of one numpy call per draw. A half left pending in the
+    generator (``has_uint32``) is read first.
 
     The generator runs ahead of what was read until ``close()``, which
     leaves it exactly where ``Generator.integers`` would have: advanced by
@@ -94,11 +93,7 @@ class BufferedDraws:
     def __init__(self, rng: np.random.Generator):
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise TypeError("BufferedDraws needs a PCG64 generator")
-        self._rng = rng
         self._bg = rng.bit_generator
-        self._open()
-
-    def _open(self) -> None:
         entry = self._bg.state
         self._entry = entry
         self._pending = entry["has_uint32"]
@@ -115,12 +110,11 @@ class BufferedDraws:
         self._buf = halves
         return halves.pop()
 
-    def integers(self, low, high=None, size=None):
-        if high is None:
-            low, high = 0, low
-        n = high - low
-        if size is not None or type(n) is not int or not 1 < n < _HALF or not 0 <= low < _LOW:
-            return self._other(low, high, size)
+    def draw(self, n: int) -> int:
+        if type(n) is not int or not 1 < n < _HALF:
+            if type(n) is int and n == 1:
+                return 0  # bound 1 reads nothing
+            raise ValueError(f"draw bound must be an int in 1..2**32 - 1, got {n!r}")
         buf = self._buf
         m = (buf.pop() if buf else self._refill()) * n
         if m & _MASK < n:
@@ -128,26 +122,7 @@ class BufferedDraws:
             while m & _MASK < t:
                 buf = self._buf
                 m = (buf.pop() if buf else self._refill()) * n
-        return low + (m >> 32)
-
-    def _other(self, low, high, size):
-        """Bulk draws and bound 1; numpy itself takes every other call."""
-        n = high - low
-        if (type(n) is not int or not 0 < n < _HALF or not 0 <= low < _LOW
-                or size is not None and (type(size) is not int or size < 0)):
-            return self._numpy(low, high, size)
-        if size is None:
-            return low  # bound 1 reads nothing
-        return [self.integers(low, high) for _ in range(size)]
-
-    def _numpy(self, low, high, size):
-        if self._entry is None:
-            raise ValueError("draws are closed")
-        self.close()
-        try:
-            return self._rng.integers(low, high, size)
-        finally:
-            self._open()
+        return m >> 32
 
     def close(self) -> None:
         """Hand the stream back: the generator state numpy would have left."""
@@ -211,20 +186,20 @@ def _require_conflict(state: ColoringState) -> None:
 Step = tuple[tuple[int, ...], tuple[int, ...], int]  # (vertices, colors, draws)
 
 
-def step_uniform(state: ColoringState, rng: np.random.Generator) -> Step:
+def step_uniform(state: ColoringState, draw: Draw) -> Step:
     """One step: vertex uniform over the conflicted set, then color uniform.
 
     Consumes exactly two draws, vertex first, color second. The new color may
     equal the old one.
     """
     _require_conflict(state)
-    v = state.conflicted_at(int(rng.integers(state.conflicted_count)))
-    c = int(rng.integers(1, state.k + 1))
+    v = state.conflicted_at(draw(state.conflicted_count))
+    c = 1 + draw(state.k)
     state.recolor(v, c)
     return (v,), (c,), 1
 
 
-def step_component_view(state: ColoringState, rng: np.random.Generator) -> Step:
+def step_component_view(state: ColoringState, draw: Draw) -> Step:
     """One step through the component decomposition.
 
     Three draws in order: component (weighted by vertex count), vertex inside
@@ -232,7 +207,7 @@ def step_component_view(state: ColoringState, rng: np.random.Generator) -> Step:
     """
     _require_conflict(state)
     components = state.monochromatic_components()
-    r = int(rng.integers(state.conflicted_count))  # the components' total size
+    r = draw(state.conflicted_count)  # the components' total size
     acc = 0
     chosen = components[-1]
     for comp in components:
@@ -240,15 +215,15 @@ def step_component_view(state: ColoringState, rng: np.random.Generator) -> Step:
         if r < acc:
             chosen = comp
             break
-    v = chosen.vertices[int(rng.integers(chosen.size))]
-    c = int(rng.integers(1, state.k + 1))
+    v = chosen.vertices[draw(chosen.size)]
+    c = 1 + draw(state.k)
     state.recolor(v, c)
     return (v,), (c,), 1
 
 
 def step_persistent(
     state: ColoringState,
-    rng: np.random.Generator,
+    draw: Draw,
     draw_limit: int = DEFAULT_PERSISTENT_DRAW_CAP,
 ) -> Step:
     """One persistent step: redraw the picked vertex until it fits.
@@ -263,12 +238,12 @@ def step_persistent(
     changes nothing.
     """
     _require_conflict(state)
-    v = state.conflicted_at(int(rng.integers(state.conflicted_count)))
+    v = state.conflicted_at(draw(state.conflicted_count))
     blocked = state.neighbor_colors(v)
     k = state.k
     draws = 0
     while draws < draw_limit:
-        c = int(rng.integers(1, k + 1))
+        c = 1 + draw(k)
         draws += 1
         if c not in blocked:
             state.recolor(v, c)
@@ -276,7 +251,7 @@ def step_persistent(
     return (v,), (), draws
 
 
-def step_parallel(state: ColoringState, rng: np.random.Generator) -> Step:
+def step_parallel(state: ColoringState, draw: Draw) -> Step:
     """One round: every currently conflicted vertex redraws simultaneously.
 
     Membership in the recoloring set is frozen before any draw; draws happen
@@ -284,8 +259,8 @@ def step_parallel(state: ColoringState, rng: np.random.Generator) -> Step:
     """
     _require_conflict(state)
     frozen = state.conflicted_vertices()
-    draws = rng.integers(1, state.k + 1, size=len(frozen))
-    colors = tuple(map(int, draws))
+    k = state.k
+    colors = tuple([1 + draw(k) for _ in frozen])
     state.apply_batch(frozen, colors)
     return frozen, colors, 1
 
@@ -303,8 +278,9 @@ def run(
     whose ``DEFAULT_PERSISTENT_DRAW_CAP`` draws were all blocked while steps
     remained. The trace (when requested) starts with a t=0 record of the
     initial state and then one record per applied step. ``rng`` is a PCG64
-    generator; the steps read it through ``BufferedDraws``, and on return it
-    stands where plain ``Generator.integers`` calls would have left it.
+    generator; the steps draw from it through ``BufferedDraws.draw``, and on
+    return it stands where the same ``Generator.integers(n)`` calls would
+    have left it.
     """
     if variant not in STEPS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -332,11 +308,12 @@ def run(
     steps = 0
     stalled = False
     draws = BufferedDraws(rng)
+    draw = draws.draw
     try:
         while conflicted and steps < cap:
             vertices, colors, used = (
-                step(state, draws, min(DEFAULT_PERSISTENT_DRAW_CAP, cap - steps)) if budgeted
-                else step(state, draws))
+                step(state, draw, min(DEFAULT_PERSISTENT_DRAW_CAP, cap - steps)) if budgeted
+                else step(state, draw))
             steps += used
             conflicted = state.conflicted_count
             if conflicted < least:

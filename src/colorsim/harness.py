@@ -142,7 +142,7 @@ INIT_ALIASES = {"random": "random", "ones": "all_ones", "file": "explicit"}
 # JSON true or false is a bool, which Python also counts as an int, so bools are refused
 _INT_OR_NONE = (int, type(None))
 _FIELD_TYPES = {
-    "family": str, "variant": str, "init": str, "config_id": str, "path": (str, type(None)),
+    "family": str, "variant": str, "init": str, "path": (str, type(None)),
     "n": _INT_OR_NONE, "count": _INT_OR_NONE, "size": _INT_OR_NONE, "a": _INT_OR_NONE,
     "b": _INT_OR_NONE, "k": _INT_OR_NONE, "p": (int, float, type(None)),
     "graph_seed": int, "seeds": int, "master_seed": int, "cap": int,
@@ -173,7 +173,6 @@ class ExperimentConfig:
     seeds: int = 200
     master_seed: int = 0
     cap: int = 1_000_000
-    config_id: str = ""
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
@@ -205,8 +204,6 @@ class ExperimentConfig:
             raise ValueError("master_seed must be >= 0")
 
     def resolved_id(self) -> str:
-        if self.config_id:
-            return self.config_id
         parts = [self.family]
         for name in ("n", "count", "size", "a", "b", "p"):
             value = getattr(self, name)

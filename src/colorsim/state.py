@@ -95,8 +95,8 @@ class ColoringState:
     )
 
     def __init__(self, graph: Graph, k: int, colors: list[int]):
-        if k < 1:
-            raise ValueError("palette size k must be >= 1")
+        if not 1 <= k < 2**32:  # a color is 1 + draw(k), and draw takes bounds below 2**32
+            raise ValueError(f"palette size k must be in 1..2**32 - 1, got {k}")
         if len(colors) != graph.n:
             raise ValueError(f"expected {graph.n} colors, got {len(colors)}")
         for v, c in enumerate(colors):
@@ -491,8 +491,8 @@ def init_random(g: Graph, k: int, rng) -> ColoringState:
 
     Consumes one bulk draw of ``n`` integers, in ascending vertex order.
     """
-    if k < 1:
-        raise ValueError("palette size k must be >= 1")
+    if not 1 <= k < 2**32:
+        raise ValueError(f"palette size k must be in 1..2**32 - 1, got {k}")
     colors = rng.integers(1, k + 1, size=g.n)
     return ColoringState(g, k, [int(c) for c in colors])
 

@@ -281,14 +281,18 @@ BAD_INPUT = [
     ("compare", "--family", "complete", "--n", "5", "--variants", "uniform,bogus", "--seeds", "2"),
     ("sweep", "--config", "{tmp}/no_n.json"),
     ("sweep", "--config", "{tmp}/small.json", "--workers", "0"),
-    # the pool width is a flag, not a field of a cell
+    # the pool width is a flag, not a field of a cell; nor is the id, which is
+    # derived from the cell
     ("sweep", "--config", "{tmp}/cell_workers.json"),
+    ("sweep", "--config", "{tmp}/cell_config_id.json"),
     ("audit", "--instances", "3", "--max-n", "4"),
     ("audit", "--instances", "3", "--max-n", "2", "--families", "cycle"),
     ("audit", "--instances", "-1"),
     ("audit", "--instances", "2", "--max-n", "-5", "--families", "complete"),
     ("run", "--family", "complete", "--n", "5", "--init", "file"),
     ("run", "--family", "er", "--n", "10"),
+    # a color is 1 + draw(k), and draw takes bounds below 2**32
+    ("run", "--family", "complete", "--n", "4", "--k", "4294967296"),
     # graphs too large to allocate: each request exceeds the 128 TiB user
     # address space, so it fails at once and allocates nothing
     ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--out", "{tmp}/g.txt"),
@@ -313,6 +317,8 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
         {"cells": [{"family": "complete", "n": 4}], "seeds": 2}))
     (tmp_path / "cell_workers.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4, "workers": 2}], "seeds": 2}))
+    (tmp_path / "cell_config_id.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4, "config_id": "a,b"}], "seeds": 2}))
     (tmp_path / "huge.txt").write_text("0 1000000000000000\n")
     (tmp_path / "huge.json").write_text(json.dumps(
         {"cells": [{"family": "cycle", "n": 10**15}], "seeds": 1}))
@@ -363,6 +369,7 @@ def test_closed_stdout_exits_1_without_a_traceback():
     ("compare", "--family", "complete", "--n", "5", "--seeds", "3"),
     ("run", "--family", "complete", "--n", "5"),
     ("audit", "--instances", "50"),
+    ("--version",),
 ], ids=" ".join)
 def test_full_stdout_exits_1_with_one_line(argv):
     with open("/dev/full", "w") as full:

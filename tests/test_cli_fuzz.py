@@ -126,7 +126,6 @@ CELL_VALUES = {
     "variant": st.sampled_from(VARIANTS),
     "init": st.sampled_from(list(INITS.values())),
     "explicit_colors": st.lists(st.integers(-1, 4), max_size=12),
-    "config_id": st.text(max_size=4),
 }
 JUNK_VALUE = st.sampled_from([None, "x", 1.5, True, [1], {"n": 1}, 0, -1])
 

@@ -1,11 +1,13 @@
-"""``BufferedDraws`` against its oracle, ``Generator.integers``.
+"""``BufferedDraws.draw`` against its oracle, ``Generator.integers``.
 
 ``BufferedDraws`` reproduces numpy's bounded-integer method on raw PCG64
 words, which numpy does not promise to keep; these tests are what catch a
-numpy release that changes it. Every draw must equal the plain generator's,
-and after ``close()`` the generator state must too. numpy leaves a stale
-``uinteger`` behind when ``has_uint32`` is 0, so that field is compared only
-while a half-word is pending.
+numpy release that changes it. ``draw(n)`` must equal the plain generator's
+draw in each shape the steps' draws once took on a generator: ``integers(n)``,
+``integers(1, k + 1)`` as ``1 + draw(k)`` and ``integers(1, k + 1, size=m)``
+as m such draws; after ``close()`` the generator state must equal it too.
+numpy leaves a stale ``uinteger`` behind when ``has_uint32`` is 0, so that
+field is compared only while a half-word is pending.
 """
 
 import numpy as np
@@ -46,8 +48,8 @@ def stream_state(rng):
 
 
 def random_call(script):
-    """(low, high, size) of one draw, spread over every kind of bound."""
-    kind = int(script.integers(8))
+    """(low, n, size) of one draw, spread over every kind of bound below 2**32."""
+    kind = int(script.integers(6))
     low = int(script.integers(-3, 4))
     if kind == 0:
         n = 1
@@ -58,13 +60,24 @@ def random_call(script):
     elif kind == 3:
         n = int(script.integers(2**31, HALF))
     elif kind == 4:
-        n = HALF
-    elif kind == 5:
-        n = int(script.integers(HALF + 1, 2**40))
+        n = int(script.integers(1000, 2**31))
     else:
         n = int(script.integers(2, 1000))
     size = int(script.integers(0, 10)) if script.integers(6) == 0 else None
-    return low, low + n, size
+    return low, n, size
+
+
+def numpy_call(plain, low, n, size):
+    """The draw on the oracle, in the one-argument form at low 0."""
+    if size is None:
+        return int(plain.integers(n) if low == 0 else plain.integers(low, low + n))
+    return plain.integers(low, low + n, size).tolist()
+
+
+def draw_call(draw, low, n, size):
+    if size is None:
+        return low + draw(n)
+    return [low + draw(n) for _ in range(size)]
 
 
 @pytest.mark.parametrize("part", range(4))
@@ -79,12 +92,9 @@ def test_draws_and_final_state_equal_numpy(part):
             assert buffered.bit_generator.state["has_uint32"] == 1
         draws = BufferedDraws(buffered)
         for _ in range(int(script.integers(1, 1500))):  # a block holds 512 halves
-            low, high, size = random_call(script)
-            got, want = draws.integers(low, high, size), plain.integers(low, high, size)
-            if size is None:
-                assert got == want, (i, low, high)
-            else:
-                assert list(got) == want.tolist(), (i, low, high, size)
+            low, n, size = random_call(script)
+            got, want = draw_call(draws.draw, low, n, size), numpy_call(plain, low, n, size)
+            assert got == want, (i, low, n, size)
         draws.close()
         assert stream_state(buffered) == stream_state(plain), i
 
@@ -94,18 +104,25 @@ def test_draws_and_final_state_equal_numpy(part):
 def test_scalar_runs_of_one_bound(bound, count):
     buffered, plain = pcg_pair(np.random.SeedSequence([bound % 9973, count]))
     draws = BufferedDraws(buffered)
-    got = [draws.integers(bound) for _ in range(count)]
-    assert got == [int(plain.integers(bound)) for _ in range(count)]
+    if bound < HALF:
+        got = [draws.draw(bound) for _ in range(count)]
+        assert got == [int(plain.integers(bound)) for _ in range(count)]
+    else:  # past the range of draw: every call raises and reads nothing
+        for _ in range(count):
+            with pytest.raises(ValueError):
+                draws.draw(bound)
     draws.close()
     assert stream_state(buffered) == stream_state(plain)
 
 
-def test_numpy_argument_types_and_the_low_only_form():
-    buffered, plain = pcg_pair(np.random.SeedSequence(5))
+@pytest.mark.parametrize("bound", [0, -1, HALF, 2**40, 2.0, np.int64(5), True, None])
+def test_bounds_outside_the_range_raise(bound):
+    buffered, plain = pcg_pair(np.random.SeedSequence(7))
     draws = BufferedDraws(buffered)
-    for args in [(np.int64(7),), (np.int32(2), np.uint8(9)), (True, 5), (-2**63, -2**63 + 10)]:
-        assert draws.integers(*args) == plain.integers(*args)
-    assert list(draws.integers(4, size=np.int64(3))) == plain.integers(4, size=3).tolist()
+    assert draws.draw(9) == plain.integers(9)
+    with pytest.raises(ValueError):
+        draws.draw(bound)
+    assert draws.draw(9) == plain.integers(9)
     draws.close()
     assert stream_state(buffered) == stream_state(plain)
 
@@ -116,7 +133,7 @@ class TestHandBack:
         buffered.integers(5, size=3)
         plain.integers(5, size=3)
         draws = BufferedDraws(buffered)
-        assert draws.integers(1, 2) == 1  # bound 1 reads nothing
+        assert draws.draw(1) == 0  # bound 1 reads nothing
         draws.close()
         assert stream_state(buffered) == stream_state(plain)
         assert buffered.bit_generator.state["has_uint32"] == 1
@@ -128,7 +145,7 @@ class TestHandBack:
         pending = plain.bit_generator.state["uinteger"]
         draws = BufferedDraws(buffered)
         # bound 2**32 - 1 maps a half x to x - 1 (rejecting only x = 0)
-        assert draws.integers(HALF - 1) == pending - 1 == plain.integers(HALF - 1)
+        assert draws.draw(HALF - 1) == pending - 1 == plain.integers(HALF - 1)
         draws.close()
         assert stream_state(buffered) == stream_state(plain)
 
@@ -136,44 +153,36 @@ class TestHandBack:
     def test_odd_halves_leave_the_high_half_pending(self, halves):
         buffered, plain = pcg_pair(np.random.SeedSequence(3))
         draws = BufferedDraws(buffered)
-        assert [draws.integers(HALF - 1) for _ in range(halves)] == [
+        assert [draws.draw(HALF - 1) for _ in range(halves)] == [
             plain.integers(HALF - 1) for _ in range(halves)]
         draws.close()
         assert stream_state(buffered) == stream_state(plain)
         assert buffered.bit_generator.state["has_uint32"] == halves % 2
 
-    def test_wide_bound_hands_the_stream_to_numpy_and_back(self):
-        buffered, plain = pcg_pair(np.random.SeedSequence(4))
-        draws = BufferedDraws(buffered)
-        for bound in (7, 2**40, 7, 7, 2**63, 3):
-            assert draws.integers(bound) == plain.integers(bound)
-        draws.close()
-        assert stream_state(buffered) == stream_state(plain)
-
     def test_bad_arguments_raise_like_numpy(self):
         buffered, plain = pcg_pair(np.random.SeedSequence(5))
         draws = BufferedDraws(buffered)
-        draws.integers(9)
+        draws.draw(9)
         plain.integers(9)
-        for args in [(5, 5), (0,), (2**63, 2**63 + 2), (0, 2**63 + 1)]:
+        for bound in (0, -5):
             with pytest.raises(ValueError):
-                plain.integers(*args)
+                plain.integers(bound)
             with pytest.raises(ValueError):
-                draws.integers(*args)
-        assert draws.integers(9) == plain.integers(9)
+                draws.draw(bound)
+        assert draws.draw(9) == plain.integers(9)
         draws.close()
         assert stream_state(buffered) == stream_state(plain)
 
     def test_closed_draws_refuse_to_read(self):
         buffered, _ = pcg_pair(np.random.SeedSequence(6))
         draws = BufferedDraws(buffered)
-        draws.integers(10)
+        draws.draw(10)
         draws.close()
         state = stream_state(buffered)
         with pytest.raises(ValueError):
-            draws.integers(10)
+            draws.draw(10)
         with pytest.raises(ValueError):
-            draws.integers(2**40)
+            draws.draw(2**40)
         draws.close()
         assert stream_state(buffered) == state
 
@@ -185,6 +194,7 @@ class TestHandBack:
 def reference_run(state, variant, cap, rng, trace):
     """``run`` rebuilt from step calls on a plain generator, traced by the oracle."""
     step = getattr(dynamics, STEPS[variant])
+    draw = lambda n: int(rng.integers(n))
     initial_num = state.phi_num
 
     def record(t, vertices, colors):
@@ -199,9 +209,9 @@ def reference_run(state, variant, cap, rng, trace):
         before = steps
         if variant == "persistent":
             limit = min(DEFAULT_PERSISTENT_DRAW_CAP, cap - before)
-            vertices, colors, draws = step(state, rng, limit)
+            vertices, colors, draws = step(state, draw, limit)
         else:
-            vertices, colors, draws = step(state, rng)
+            vertices, colors, draws = step(state, draw)
         steps += draws
         counts.append(len(state.recompute_all().conflicted))
         if not colors and draws == DEFAULT_PERSISTENT_DRAW_CAP < cap - before:

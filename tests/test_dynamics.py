@@ -29,14 +29,19 @@ def conflicted_pair():
     return init_fixed(K2, 2, [1, 1])
 
 
+def plain_draw(rng):
+    """The steps' ``draw`` on a plain generator, independent of ``BufferedDraws``."""
+    return lambda n: int(rng.integers(n))
+
+
 class TestStepUniform:
     def test_fix_probability_one_half(self):
-        rng = make_rng(42, 0)
+        draw = plain_draw(make_rng(42, 0))
         trials = 100_000
         fixed = 0
         for _ in range(trials):
             s = conflicted_pair()
-            step_uniform(s, rng)
+            step_uniform(s, draw)
             fixed += s.is_proper()
         assert fixed / trials == pytest.approx(0.5, rel=0.01)
 
@@ -48,11 +53,11 @@ class TestStepUniform:
     def test_rejects_proper_coloring(self):
         s = init_fixed(complete(2), 2, [1, 2])
         with pytest.raises(ProperColoringError):
-            step_uniform(s, make_rng(0, 0))
+            step_uniform(s, plain_draw(make_rng(0, 0)))
 
     def test_two_draws_vertex_then_color(self):
         s = init_fixed(complete(3), 3, [1, 1, 1])
-        out = step_uniform(s, make_rng(5, 0))
+        out = step_uniform(s, plain_draw(make_rng(5, 0)))
         # replaying the same stream manually must reproduce the outcome
         rng = make_rng(5, 0)
         v = int(rng.integers(3))  # the dense conflicted array holds (0, 1, 2)
@@ -92,18 +97,18 @@ class TestStepComponentView:
 
     def test_step_applies_a_recolor(self):
         s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
-        (v,), (c,), draws = step_component_view(s, make_rng(1, 0))
+        (v,), (c,), draws = step_component_view(s, plain_draw(make_rng(1, 0)))
         assert s.color_of(v) == c and draws == 1
 
 
 class TestStepPersistent:
     def test_expected_draws_geometric(self):
-        rng = make_rng(77, 0)
+        draw = plain_draw(make_rng(77, 0))
         trials = 100_000
         draws = 0
         for _ in range(trials):
             s = conflicted_pair()
-            draws += step_persistent(s, rng)[2]
+            draws += step_persistent(s, draw)[2]
             assert s.is_proper()
         assert draws / trials == pytest.approx(2.0, rel=0.02)
 
@@ -114,20 +119,20 @@ class TestStepPersistent:
         for _ in range(50):
             s = init_random(g, k, rng)
             while not s.is_proper():
-                _, colors, _ = step_persistent(s, rng)
+                _, colors, _ = step_persistent(s, plain_draw(rng))
                 assert colors
 
     def test_stall_when_neighborhood_covers_palette(self):
         # triangle with colors (1, 2, 1) at k=2: either conflicted vertex sees
         # both colors, so no draw can ever be accepted
         s = init_fixed(complete(3), 2, [1, 2, 1])
-        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_limit=100)
+        _, colors, draws = step_persistent(s, plain_draw(make_rng(0, 0)), draw_limit=100)
         assert colors == () and draws == 100
         assert s.colors == (1, 2, 1)
 
     def test_draw_budget_bounds_the_draws(self):
         s = init_fixed(complete(3), 2, [1, 2, 1])
-        _, colors, draws = step_persistent(s, make_rng(0, 0), draw_limit=10)
+        _, colors, draws = step_persistent(s, plain_draw(make_rng(0, 0)), draw_limit=10)
         assert colors == () and draws == 10
 
 
@@ -144,7 +149,7 @@ class TestStepParallel:
 
     def test_whole_component_recolored(self):
         s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 3, 2])
-        vertices, colors, draws = step_parallel(s, make_rng(2, 0))
+        vertices, colors, draws = step_parallel(s, plain_draw(make_rng(2, 0)))
         assert vertices == (0, 1, 2, 3, 5) and len(colors) == 5 and draws == 1
 
     def test_frozen_membership(self):
@@ -158,7 +163,7 @@ class TestStepParallel:
                 continue
             before = s.colors
             frozen = s.conflicted_vertices()
-            step_parallel(s, rng)
+            step_parallel(s, plain_draw(rng))
             for v in range(g.n):
                 if v not in frozen:
                     assert s.color_of(v) == before[v]
@@ -169,7 +174,7 @@ class TestStepParallel:
         for _ in range(50):
             if s.is_proper():
                 break
-            step_parallel(s, rng)
+            step_parallel(s, plain_draw(rng))
             assert s.snapshot() == s.recompute_all()
 
 

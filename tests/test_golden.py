@@ -64,7 +64,8 @@ CASES = {
     # trace metadata records it
     "run_file": (("run", "--family", "file", "--graph", "graph.txt", "--n", "8",
                   "--seed", "2", "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
-    # k = 1: every draw has bound 1 and reads nothing; the cap ends the run
+    # k = 1: every color draw has bound 1 and reads nothing; no coloring is
+    # proper, so the cap ends the run
     "run_k1": (("run", "--family", "complete", "--n", "3", "--k", "1", "--cap", "20",
                 "--seed", "1", "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
     # color bounds above 2**31, where the bounded-integer method often redraws

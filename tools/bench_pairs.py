@@ -14,11 +14,12 @@ machine has CPUs) from the result file it saves under
 ``perfbench/.out/results``. A run that is not comparable is kept, flagged in
 the output and reported on stderr.
 
-The output JSON holds, per workload, the seeds and run order, every run's
-metrics and failure counts, and per metric and side the median with its
-quartiles (``statistics.quantiles``, inclusive method), plus the number of
-pairs in which the change reads better, with the direction each metric has
-in ``BENCHMARK.json``.
+The output JSON holds the commit of each checkout (null for a tree that is
+no git repository, such as a ``git archive`` copy) and, per workload, the
+seeds and run order, every run's metrics and failure counts, and per metric
+and side the median with its quartiles (``statistics.quantiles``, inclusive
+method), plus the number of pairs in which the change reads better, with the
+direction each metric has in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "comparable": record["comparable"], "machine": record["machine"]}
 
 
-def commit_of(checkout: Path) -> str:
-    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                          text=True, check=True).stdout.strip()
+def commit_of(checkout: Path) -> str | None:
+    """HEAD of the checkout, or None for a tree that is no git repository."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def summary(values: list[float]) -> dict:
