@@ -29,6 +29,14 @@ SWEEP = {
     "cells": [{"family": "cliques", "count": 4, "size": 6, "variant": v} for v in VARIANT_NAMES],
 }
 
+# three cells of growing n, so the aggregate CSV carries the fit columns
+SWEEP_FIT = {
+    "seeds": 8,
+    "master_seed": 2,
+    "fit": {"model": "n_log_n"},
+    "cells": [{"family": "cliques", "count": count, "size": 4} for count in (2, 4, 8)],
+}
+
 # name -> (argv, output files); "{tmp}" is the case's scratch directory
 CASES = {
     **{f"run_{v}": (("run", *CLIQUES, "--variant", v, "--seed", "3",
@@ -42,6 +50,8 @@ CASES = {
     "sweep": (("sweep", "--config", "{tmp}/sweep.json", "--workers", "1",
                "--per-run", "{tmp}/runs.csv", "--aggregate", "{tmp}/aggregate.csv"),
               ("runs.csv", "aggregate.csv")),
+    "sweep_fit": (("sweep", "--config", "{tmp}/sweep_fit.json", "--aggregate",
+                   "{tmp}/aggregate.csv"), ("aggregate.csv",)),
     "compare": (("compare", *CLIQUES, "--variants", ",".join(VARIANT_NAMES),
                  "--seeds", "12", "--seed", "4"), ()),
     # an edgeless graph: every mean is 0, so the ratio column prints nan
@@ -95,6 +105,8 @@ GOLDEN = {
     "sweep": (0, "47efd8fdcb373f5a0dec367ce115a4ddb55c48759f9489e0c5984b4fe42634a1",
         ("807d613b1dd9aace600507b550b2e89ef66a80b3fa7798c8e8f92e0b3c6eb476",
          "f3fe6c68f7dac9ff1d9fa06e6ee5fc90bace631b961939b492e10001db0a19dd")),
+    "sweep_fit": (0, "2d885813680b67379dc6bec18ccc02c854dffd9dcdec61288c069203bb5ea7ce",
+        ("3c76543758df74d4eaa3ae6c332c683bbc6187ade6aecbdbce8b9c7ecb96f9d5",)),
     "compare": (0, "2fcbe2fc4862f4c7ee3a49c53bac6bd8335bef25386ceb876e9e29a2d197c57a",
         ()),
     "compare_nan": (0, "22c1da39f9febe6212e7f10077954039a186d404dab5059886142143d3dd956b",
@@ -125,6 +137,7 @@ def sha(data: bytes) -> str:
 def outputs(name: str, tmp: Path) -> tuple:
     (tmp / "colors.txt").write_text("1\n2\n1\n")
     (tmp / "sweep.json").write_text(json.dumps(SWEEP))
+    (tmp / "sweep_fit.json").write_text(json.dumps(SWEEP_FIT))
     (tmp / "graph.txt").write_text(EDGE_LIST)
     argv, files = CASES[name]
     stdout = io.StringIO()

@@ -314,6 +314,15 @@ class TestWriters:
         assert body[0].split(",")[0] == "config_id"
         assert len(body) == 2
 
+    def test_row_keys_are_the_columns(self):
+        # the writers print only the named columns, so a key outside them would vanish
+        cfg, graph, stats, records = self._ensemble()
+        fit = scaling_fit([(4, 3, 5.0), (8, 3, 11.0), (16, 3, 20.0)], "n_log_n")
+        for row in (aggregate_row(cfg, graph, stats), aggregate_row(cfg, graph, stats, fit)):
+            assert set(row) == set(harness.AGGREGATE_CSV_FIELDS)
+        for row in run_rows(cfg, graph, records):
+            assert set(row) == set(harness.RUN_CSV_FIELDS)
+
     def test_jsonl_meta_first(self):
         cfg = ExperimentConfig(family="complete", n=5, k=5, seeds=1, master_seed=1)
         rng = make_rng(cfg.master_seed, 0)
