@@ -55,7 +55,6 @@ from .harness import (
     EnsembleStats,
     ExperimentConfig,
     FitResult,
-    compare_variants,
     drift_audit_sweep,
     run_ensemble,
     scaling_fit,

@@ -30,7 +30,6 @@ from .harness import (
     ExperimentConfig,
     aggregate_row,
     build_graph,
-    compare_variants,
     drift_audit_sweep,
     initial_state,
     public_config,
@@ -289,7 +288,8 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     try:
         configs = [_config_from_args(args, v, seeds=args.seeds) for v in args.variants.split(",")]
-        pairs = compare_variants(configs)
+        graph = build_graph(configs[0])  # one set of flags: every variant has this graph
+        pairs = [(config, run_ensemble(graph, config)[0]) for config in configs]
     except (ValueError, OSError, MemoryError) as exc:
         print(f"compare: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ number of spans. ``usable_cpus`` is also the bound on ensemble pool width.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,6 +58,8 @@ class Graph:
 _BLOCK = 1 << 16
 # entries per tolist() call in _shared_ints: bounds the int objects it makes at once
 _CHUNK = 1 << 12
+# the first line to_edge_list writes; its N is a lower bound on the vertex count
+_HEADER = re.compile(r"# vertices ([0-9]+)\b")
 
 
 def usable_cpus() -> int:
@@ -208,12 +211,18 @@ def from_edge_list(text: str, n: int | None = None) -> Graph:
 
     Blank lines and lines starting with '#' are ignored; duplicate edges are
     deduplicated. The vertex count is the maximum index seen plus one, unless
-    a larger ``n`` is supplied (the text itself cannot express trailing
-    isolated vertices).
+    ``n`` or the header ``# vertices N`` that :func:`to_edge_list` writes on
+    the first line is larger (the edges alone cannot express trailing
+    isolated vertices). An index at or above the largest of twice the number
+    of edge lines, ``n`` and N is refused before anything is allocated, so a
+    stray index cannot size the graph.
     """
+    lines = text.splitlines()
+    header = _HEADER.match(lines[0].strip()) if lines else None
+    floor = max(n or 0, int(header[1]) if header else 0)
     edges: list[tuple[int, int]] = []
-    top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    top = top_line = -1
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -229,13 +238,18 @@ def from_edge_list(text: str, n: int | None = None) -> Graph:
         if u == v:
             raise ValueError(f"line {lineno}: self-loop {u} {v}")
         edges.append((u, v))
-        top = max(top, u, v)
-    count = max(top + 1, n or 0)
+        if max(u, v) > top:
+            top, top_line = max(u, v), lineno
+    bound = max(2 * len(edges), floor)
+    if top >= bound:
+        raise ValueError(f"line {top_line}: vertex index {top} too large: the limit is {bound}, "
+                         f"the largest of twice the edge lines, --n and the '# vertices' header")
+    count = max(top + 1, floor)
     try:
         pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        return _build(count, pairs[:, 0], pairs[:, 1])
     except OverflowError:
-        raise ValueError(f"vertex index {top} too large") from None
-    return _build(count, pairs[:, 0], pairs[:, 1])
+        raise ValueError(f"vertex count {count} too large") from None
 
 
 def to_edge_list(g: Graph) -> str:

@@ -8,11 +8,14 @@ construction, raising a one-line ``ValueError``.
 Every run inside an ensemble draws from its own PCG64 stream derived from
 (master_seed, run_index), so aggregates do not depend on worker count or
 completion order; an ensemble returns its ``RunResult``s in run-index
-order. An ensemble runs on a graph its caller built once; pool workers share
-it. Results flow out as CSV (one row per run, one row per config) and JSON
-lines (audit reports, traces); every output starts with a metadata header
-sufficient to reproduce it. The audit sweep here picks the states to audit;
-``audit.report_lines`` owns the format of its lines.
+order. An ensemble runs on a graph its caller built once with
+``build_graph``: the CLI's ``compare`` builds one graph for all its
+variants, ``sweep`` one per cell. Pool workers share it. Results flow out
+as CSV (one row per run, one row per config, both opening with the
+``CELL_FIELDS`` columns) and JSON lines (audit reports, traces); every
+output starts with a metadata header sufficient to reproduce it. The audit
+sweep here picks the states to audit; ``audit.report_lines`` owns the
+format of its lines.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run
 from .graph import Graph, usable_cpus
 from .state import ColoringState, init_fixed, init_random
 
-RUN_CSV_FIELDS = (
+# the cell columns that open both CSVs
+CELL_FIELDS = (
     "config_id",
     "family",
     "n",
@@ -43,6 +47,10 @@ RUN_CSV_FIELDS = (
     "k",
     "variant",
     "init",
+)
+
+RUN_CSV_FIELDS = (
+    *CELL_FIELDS,
     "seed",
     "steps",
     "terminated",
@@ -52,14 +60,7 @@ RUN_CSV_FIELDS = (
 )
 
 AGGREGATE_CSV_FIELDS = (
-    "config_id",
-    "family",
-    "n",
-    "m",
-    "delta",
-    "k",
-    "variant",
-    "init",
+    *CELL_FIELDS,
     "seeds",
     "cap",
     "master_seed",
@@ -374,29 +375,6 @@ def scaling_fit(points: Iterable[tuple[int, int, float]], model: str) -> FitResu
     )
 
 
-# -- variant comparison --------------------------------------------------------
-
-
-def compare_variants(
-    configs: list[ExperimentConfig],
-) -> list[tuple[ExperimentConfig, EnsembleStats]]:
-    """Ensemble stats of configs that share one graph, each beside its config.
-
-    The graph is built once, from the first config.
-    """
-    if not configs:
-        return []
-
-    def graph_key(c: ExperimentConfig) -> tuple:  # n also sizes a file graph
-        fields = FAMILIES[c.family].fields
-        return (c.family, c.n, c.graph_seed, c.path, *(getattr(c, f) for f in fields))
-
-    if any(graph_key(cfg) != graph_key(configs[0]) for cfg in configs[1:]):
-        raise ValueError("compare_variants configs must share the graph")
-    graph = build_graph(configs[0])
-    return [(cfg, run_ensemble(graph, cfg)[0]) for cfg in configs]
-
-
 # -- randomized audit sweep ----------------------------------------------------
 
 
@@ -491,7 +469,7 @@ def metadata_lines(configs: list[ExperimentConfig]) -> list[str]:
 
 
 def _cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
-    """The leading columns both CSVs share."""
+    """The ``CELL_FIELDS`` columns of a cell, which open both CSVs."""
     return {
         "config_id": config.resolved_id(),
         "family": config.family,
@@ -537,20 +515,12 @@ def aggregate_row(
 ) -> dict:
     return {
         **_cell_columns(config, graph),
-        "seeds": stats.seeds,
+        **asdict(stats),
         "cap": config.cap,
         "master_seed": config.master_seed,
-        "mean_steps": repr(stats.mean_steps),
-        "median_steps": repr(stats.median_steps),
-        "std_steps": repr(stats.std_steps),
-        "ci95_low": repr(stats.ci95_low),
-        "ci95_high": repr(stats.ci95_high),
-        "termination_fraction": repr(stats.termination_fraction),
-        "min_steps": stats.min_steps,
-        "max_steps": stats.max_steps,
         "fit_model": fit.model if fit else "",
-        "fit_coefficient": repr(fit.coefficient) if fit else "",
-        "fit_r2": repr(fit.r_squared) if fit else "",
+        "fit_coefficient": fit.coefficient if fit else "",
+        "fit_r2": fit.r_squared if fit else "",
     }
 
 

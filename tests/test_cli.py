@@ -49,6 +49,16 @@ class TestGen:
                 "--graph-seed", "9", "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    def test_file_reads_back_the_written_vertex_count(self, tmp_path, capsys):
+        # vertices 38 and 39 of this graph have no edge; the header keeps them
+        g, h = tmp_path / "g.txt", tmp_path / "h.txt"
+        run_cli(capsys, "gen", "--family", "er", "--n", "40", "--p", "0.01",
+                "--graph-seed", "1", "--out", str(g))
+        code, stdout, _ = run_cli(capsys, "gen", "--family", "file", "--graph", str(g),
+                                  "--out", str(h))
+        assert code == 0 and stdout.startswith("n=40 ")
+        assert h.read_text() == g.read_text()
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen", "--family", "complete", "--n", "3",
                                "--out", str(tmp_path / "no" / "dir" / "x.txt"))
@@ -293,9 +303,17 @@ BAD_INPUT = [
     ("run", "--family", "er", "--n", "10"),
     # a color is 1 + draw(k), and draw takes bounds below 2**32
     ("run", "--family", "complete", "--n", "4", "--k", "4294967296"),
+    # an edge-list index at or above twice the edge lines, --n and the
+    # '# vertices' header; it would size the graph
+    ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--out", "{tmp}/g.txt"),
+    ("gen", "--family", "file", "--graph", "{tmp}/far.txt", "--out", "{tmp}/g.txt"),
+    # a vertex count beyond int64
+    ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--n", "100000000000000000000",
+     "--out", "{tmp}/g.txt"),
     # graphs too large to allocate: each request exceeds the 128 TiB user
     # address space, so it fails at once and allocates nothing
-    ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--out", "{tmp}/g.txt"),
+    ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--n", "1000000000000001",
+     "--out", "{tmp}/g.txt"),
     ("gen", "--family", "complete", "--n", "100000000", "--out", "{tmp}/g.txt"),
     ("run", "--family", "cycle", "--n", "1000000000000000"),
     ("compare", "--family", "cycle", "--n", "1000000000000000", "--seeds", "2"),
@@ -320,6 +338,7 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "cell_config_id.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4, "config_id": "a,b"}], "seeds": 2}))
     (tmp_path / "huge.txt").write_text("0 1000000000000000\n")
+    (tmp_path / "far.txt").write_text("0 20000000\n")
     (tmp_path / "huge.json").write_text(json.dumps(
         {"cells": [{"family": "cycle", "n": 10**15}], "seeds": 1}))
     (tmp_path / "bool_n.json").write_text(json.dumps(

@@ -236,6 +236,39 @@ class TestEdgeList:
         g = from_edge_list("0 1", n=5)
         assert g.n == 5 and len(g.adjacency[4]) == 0
 
+    def test_index_far_beyond_the_edges_is_refused(self):
+        # one edge line allows indices below 2; this one would size 20,000,001 vertices
+        with pytest.raises(ValueError, match=r"^line 1: vertex index 20000000 .*--n") as exc:
+            from_edge_list("0 20000000")
+        assert "\n" not in str(exc.value)
+
+    def test_limit_is_twice_the_edge_lines(self):
+        assert from_edge_list("0 3\n1 2").n == 4
+        assert from_edge_list("0 3\n0 3").n == 4  # a duplicate line still counts
+        with pytest.raises(ValueError, match="^line 2: vertex index 4 "):
+            from_edge_list("0 1\n0 4")
+
+    def test_n_lifts_the_limit(self):
+        assert from_edge_list("0 9", n=10).n == 10
+        with pytest.raises(ValueError, match="line 1"):
+            from_edge_list("0 10", n=10)
+
+    def test_header_is_a_lower_bound_on_the_vertex_count(self):
+        g = from_edge_list("# vertices 12 edges 1 max_degree 1\n0 9")
+        assert g.n == 12 and g.m == 1
+        assert from_edge_list("# vertices 3 edges 0 max_degree 0\n").n == 3
+        assert from_edge_list("# vertices 2\n0 1", n=5).n == 5
+
+    def test_header_counts_only_on_the_first_line(self):
+        with pytest.raises(ValueError, match="line 3"):
+            from_edge_list("# a comment\n# vertices 10\n0 9")
+
+    def test_vertex_count_beyond_int64_is_a_value_error(self):
+        with pytest.raises(ValueError, match="too large"):
+            from_edge_list("# vertices 99999999999999999999\n0 1")
+        with pytest.raises(ValueError, match="too large"):
+            from_edge_list("0 1", n=10**20)
+
     def test_round_trip(self):
         for g in (complete(6), cycle(9), complete_bipartite(2, 5), disjoint_cliques(3, 4)):
             assert from_edge_list(to_edge_list(g)) == g
@@ -259,5 +292,4 @@ def test_generator_invariants_and_round_trip(family, x, y, seed):
     else:
         g = erdos_renyi(x + y, 0.4, seed)
     check_invariants(g)
-    if g.m > 0 and any(u == g.n - 1 or v == g.n - 1 for u, v in g.edges):
-        assert from_edge_list(to_edge_list(g)) == g
+    assert from_edge_list(to_edge_list(g)) == g

@@ -9,7 +9,6 @@ import pytest
 from colorsim import (
     AuditSweepSpec,
     ExperimentConfig,
-    compare_variants,
     drift_audit_sweep,
     run_ensemble,
     scaling_fit,
@@ -205,16 +204,13 @@ class TestParallelSurvival:
 
 
 class TestCompareVariants:
+    """Variants compared the way ``colorsim compare`` does: one graph, one ensemble each."""
+
     def test_self_comparison_ratio_one(self):
         cfg = ExperimentConfig(family="complete", n=8, k=8, seeds=40, master_seed=9)
-        (_, first), (_, second) = compare_variants([cfg, cfg])
+        graph = build_graph(cfg)
+        (first, _), (second, _) = (run_ensemble(graph, c) for c in (cfg, cfg))
         assert first == second and first.mean_steps > 0
-
-    def test_rejects_mixed_families(self):
-        a = ExperimentConfig(family="complete", n=8, seeds=2)
-        b = ExperimentConfig(family="cycle", n=8, seeds=2)
-        with pytest.raises(ValueError):
-            compare_variants([a, b])
 
     def test_adversarial_contrast_rows(self):
         configs = [
@@ -222,7 +218,8 @@ class TestCompareVariants:
                              init="all_ones", seeds=30, master_seed=10)
             for v in ("uniform", "persistent")
         ]
-        pairs = compare_variants(configs)
+        graph = build_graph(configs[0])
+        pairs = [(cfg, run_ensemble(graph, cfg)[0]) for cfg in configs]
         assert [cfg for cfg, _ in pairs] == configs
         assert all(stats.termination_fraction == 1.0 for _, stats in pairs)
 

@@ -14,8 +14,10 @@ machine has CPUs) from the result file it saves under
 ``perfbench/.out/results``. A run that is not comparable is kept, flagged in
 the output and reported on stderr.
 
-The output JSON holds the commit of each checkout (null for a tree that is
-no git repository, such as a ``git archive`` copy) and, per workload, the
+The output JSON holds the commit of each checkout (``<sha>-dirty`` when a
+tracked file differs from that commit, so the tree measured is not the
+commit's; null for a tree that is no git repository, such as a ``git
+archive`` copy) and, per workload, the
 seeds and run order, every run's metrics and failure counts, and per metric
 and side the median with its quartiles (``statistics.quantiles``, inclusive
 method), plus the number of pairs in which the change reads better, with the
@@ -46,10 +48,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def commit_of(checkout: Path) -> str | None:
-    """HEAD of the checkout, or None for a tree that is no git repository."""
+    """HEAD of the checkout, with "-dirty" when a tracked file differs from it.
+
+    None for a tree that is no git repository.
+    """
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
                           text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode != 0:
+        return None
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                            cwd=checkout, capture_output=True, text=True, check=True)
+    return proc.stdout.strip() + ("-dirty" if status.stdout else "")
 
 
 def summary(values: list[float]) -> dict:
