@@ -1,12 +1,15 @@
 """Exact verification of the one-step drift inequalities.
 
-The oracle averages the tracked quantities over every (vertex, color)
-outcome of a single recoloring step with exact rational weights. It recounts
-each vertex's outcome classes locally, once per class: every color that no
-neighbor carries gives the same change, so those colors share one recount.
-Claim checks compare that oracle against the proven bounds in big-integer
-rational arithmetic; the bounds are theorems for k = max_degree + 1, so a
-negative margin always means an implementation bug.
+The oracle sums the tracked quantities as integers over every (vertex,
+color) outcome of a single recoloring step inside one monochromatic
+component. It recounts each vertex's outcome classes locally, once per
+class: every color that no neighbor carries gives the same change, so those
+colors share one recount. Components are disjoint, so the whole-state sums
+of the decay check are the components' sums added field by field. Each
+claim check divides only the sum it reports by the outcome count and
+compares that exact rational against the proven bound; the bounds are
+theorems for k = max_degree + 1, so a negative margin always means an
+implementation bug.
 
 This module owns the audit report's JSONL line format: ``report_lines``
 renders the entries of one state, every rational as "num/den", plus the
@@ -19,6 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +40,17 @@ CLAIM_BIPARTITE_PAIR = "bipartite_pair_drift"
 OUTCOME_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class ExactExpectation:
-    """Conditional expectations of the tracked quantities after one step."""
+class ExactExpectation(NamedTuple):
+    """Integer sums of the tracked quantities after one step, over ``outcomes``.
 
-    mono_edges: Fraction
-    iso_edges: Fraction
-    e_ip: Fraction
-    phi: Fraction
+    Each expectation is its sum divided by ``outcomes``. Sums over disjoint
+    vertex sets add field by field.
+    """
+
+    outcomes: int
+    mono: int
+    iso: int
+    e_ip: int
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class AuditEntry:
 
     @property
     def satisfied(self) -> bool:
-        return self.margin >= 0
+        return self.lhs <= self.rhs
 
 
 def _frac(x: Fraction) -> str:
@@ -75,64 +82,29 @@ def _component_is_current(state: ColoringState, component: Component) -> bool:
             and set(reach) == set(component.vertices))
 
 
-def exact_step_expectations(
-    state: ColoringState, component: Component | None = None
-) -> ExactExpectation:
-    """Average the tracked quantities over every (vertex, color) outcome.
+def exact_step_expectations(state: ColoringState, component: Component) -> ExactExpectation:
+    """Sum the tracked quantities over every (vertex, color) outcome in ``component``.
 
-    Vertex weights are uniform over the component's vertices when one is
-    given, otherwise uniform over all conflicted vertices (the two-stage
-    component pick composes to exactly that law). Colors are uniform over
-    1..k. The k colors of a vertex fall into its ``outcome_classes``: the
-    colors no neighbor carries give one change between them, so each class
-    is recounted once, locally, and counted with its weight. The no-op color
-    adds nothing; the state itself is never modified.
+    Colors range over 1..k, so there are |component|·k outcomes, and each
+    integer sum divided by that count is an expectation. The k colors of a
+    vertex fall into its ``outcome_classes``: the colors no neighbor carries
+    give one change between them, so each class is recounted once, locally,
+    and counted with its weight. The no-op color adds nothing; the state
+    itself is never modified. The whole-state sums, over every conflicted
+    vertex, are the components' sums added field by field.
     """
-    if component is not None:
-        if not _component_is_current(state, component):
-            raise ValueError("component is stale for this state")
-        vertices = component.vertices
-    else:
-        if state.conflicted_count == 0:
-            raise ValueError("whole-state expectation needs at least one conflicted vertex")
-        vertices = state.conflicted_vertices()
-    k = state.k
-    outcomes = len(vertices) * k
-    mono_sum = outcomes * state.mono_edge_count
-    iso_sum = outcomes * state.iso_edge_count
-    eip_sum = outcomes * state.e_ip
-    for v in vertices:
+    if not _component_is_current(state, component):
+        raise ValueError("component is stale for this state")
+    outcomes = component.size * state.k
+    mono = outcomes * state.mono_edge_count
+    iso = outcomes * state.iso_edge_count
+    e_ip = outcomes * state.e_ip
+    for v in component.vertices:
         for weight, (d_mono, d_iso, d_eip) in state.outcome_classes(v):
-            mono_sum += weight * d_mono
-            iso_sum += weight * d_iso
-            eip_sum += weight * d_eip
-    d = state.graph.max_degree
-    phi_sum = phi_numerator(d, mono_sum, iso_sum, eip_sum)
-    return ExactExpectation(
-        mono_edges=Fraction(mono_sum, outcomes),
-        iso_edges=Fraction(iso_sum, outcomes),
-        e_ip=Fraction(eip_sum, outcomes),
-        phi=Fraction(phi_sum, outcomes * 100 * d),
-    )
-
-
-def combine_component_expectations(
-    components: tuple[Component, ...], expectations: list[ExactExpectation]
-) -> ExactExpectation:
-    """Mix component-scoped expectations by vertex-count weights.
-
-    By the law of total expectation this equals the whole-state oracle
-    exactly; the equality is asserted in tests.
-    """
-    total = sum(c.size for c in components)
-    mono = iso = eip = phi = Fraction(0)
-    for comp, e in zip(components, expectations):
-        w = Fraction(comp.size, total)
-        mono += w * e.mono_edges
-        iso += w * e.iso_edges
-        eip += w * e.e_ip
-        phi += w * e.phi
-    return ExactExpectation(mono, iso, eip, phi)
+            mono += weight * d_mono
+            iso += weight * d_iso
+            e_ip += weight * d_eip
+    return ExactExpectation(outcomes, mono, iso, e_ip)
 
 
 def check_claim_edges(
@@ -146,7 +118,7 @@ def check_claim_edges(
     """
     d = state.graph.max_degree
     rhs = state.mono_edge_count - component.average_degree + 1 - Fraction(1, d + 1)
-    return AuditEntry(CLAIM_COMPONENT_EDGES, expectation.mono_edges, rhs,
+    return AuditEntry(CLAIM_COMPONENT_EDGES, Fraction(expectation.mono, expectation.outcomes), rhs,
                       detail={"component": list(component.vertices)})
 
 
@@ -162,15 +134,16 @@ def check_claim_isolated(
     """
     d = state.graph.max_degree
     iso_now = Fraction(state.iso_edge_count)
+    e_iso = Fraction(expectation.iso, expectation.outcomes)
     detail = {"component": list(component.vertices)}
-    entries = [AuditEntry(CLAIM_ISOLATED_GENERAL, expectation.iso_edges,
+    entries = [AuditEntry(CLAIM_ISOLATED_GENERAL, e_iso,
                           iso_now + component.average_degree + 1, detail=detail)]
     if component.is_isolated_edge:
         u, w = component.vertices
         pu = state.properly_colored_neighbor_count(u)
         pw = state.properly_colored_neighbor_count(w)
         rhs = iso_now - Fraction(d, d + 1) + Fraction(pu + pw, 2 * (d + 1))
-        entries.append(AuditEntry(CLAIM_ISOLATED_PAIR, expectation.iso_edges, rhs, detail=detail))
+        entries.append(AuditEntry(CLAIM_ISOLATED_PAIR, e_iso, rhs, detail=detail))
     return entries
 
 
@@ -185,14 +158,17 @@ def check_claim_mono_phi(state: ColoringState) -> list[AuditEntry]:
 def check_claim_mult(state: ColoringState, expectation: ExactExpectation) -> AuditEntry:
     """Whole-state expected potential decays by a factor 1 - 1/(1000 n).
 
-    ``expectation`` is the whole-state one, ``exact_step_expectations(state)``.
+    ``expectation`` holds the whole-state sums, over every conflicted vertex:
+    the sums of ``exact_step_expectations`` over all components.
     """
     phi = state.potential()
     if phi <= 0:
         raise ValueError("multiplicative decay check needs a positive potential")
+    d = state.graph.max_degree
+    outcomes, mono, iso, e_ip = expectation
+    e_phi = Fraction(phi_numerator(d, mono, iso, e_ip), outcomes * 100 * d)
     rhs = phi * (1 - Fraction(1, 1000 * state.graph.n))
-    return AuditEntry(CLAIM_MULTIPLICATIVE, expectation.phi, rhs,
-                      detail={"decay_ratio": _frac(expectation.phi / phi)})
+    return AuditEntry(CLAIM_MULTIPLICATIVE, e_phi, rhs, detail={"decay_ratio": _frac(e_phi / phi)})
 
 
 def check_claim_bipartite_isolated(
@@ -208,7 +184,7 @@ def check_claim_bipartite_isolated(
         raise ValueError("bipartite refinement applies to isolated pairs only")
     d = state.graph.max_degree
     rhs = state.iso_edge_count - Fraction(d, 2 * (d + 1))
-    return AuditEntry(CLAIM_BIPARTITE_PAIR, expectation.iso_edges, rhs,
+    return AuditEntry(CLAIM_BIPARTITE_PAIR, Fraction(expectation.iso, expectation.outcomes), rhs,
                       detail={"component": list(component.vertices)})
 
 
@@ -217,17 +193,15 @@ def audit_state(state: ColoringState, bipartite: bool = False) -> list[AuditEntr
     entries = check_claim_mono_phi(state)
     if state.conflicted_count == 0:
         return entries
-    components = state.monochromatic_components()
-    expectations = []
-    for comp in components:
+    parts = []
+    for comp in state.monochromatic_components():
         e = exact_step_expectations(state, comp)
-        expectations.append(e)
+        parts.append(e)
         entries.append(check_claim_edges(state, comp, e))
         entries.extend(check_claim_isolated(state, comp, e))
         if bipartite and comp.is_isolated_edge:
             entries.append(check_claim_bipartite_isolated(state, comp, e))
-    whole = combine_component_expectations(components, expectations)
-    entries.append(check_claim_mult(state, whole))
+    entries.append(check_claim_mult(state, ExactExpectation(*map(sum, zip(*parts)))))
     return entries
 
 

@@ -25,6 +25,7 @@ from .dynamics import STEPS, VARIANT_ALIASES, make_rng, run
 from .harness import (
     FAMILIES,
     FAMILY_ALIASES,
+    FIT_MODELS,
     INIT_ALIASES,
     AuditSweepSpec,
     ExperimentConfig,
@@ -175,6 +176,12 @@ def _cmd_sweep(args) -> int:
     if not isinstance(spec, dict) or not isinstance(spec.get("cells", []), list):
         print("sweep: config must be a JSON object with a list of cells", file=sys.stderr)
         return EXIT_USAGE
+    fit_spec = spec.get("fit")
+    model = fit_spec.get("model") if isinstance(fit_spec, dict) else None
+    if "fit" in spec and not (isinstance(model, str) and model in FIT_MODELS):
+        print(f"sweep: fit must be an object whose model is one of {sorted(FIT_MODELS)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     # the config file's value, else the flag's; ExperimentConfig supplies the rest
     defaults = {}
     for key, dest in (("seeds", "seeds"), ("master_seed", "seed"), ("cap", "cap")):
@@ -213,11 +220,10 @@ def _cmd_sweep(args) -> int:
         agg_rows.append((config, graph, stats))
         fit_points.append((graph.n, graph.max_degree, stats.mean_steps))
     fit = None
-    fit_spec = spec.get("fit")
-    if fit_spec and len(fit_points) >= 3:
+    if model and len(fit_points) >= 3:
         try:
-            fit = scaling_fit(fit_points, fit_spec["model"])
-        except (KeyError, TypeError, ValueError) as exc:
+            fit = scaling_fit(fit_points, model)
+        except ValueError as exc:
             print(f"sweep: fit failed: {exc}", file=sys.stderr)
     try:
         if args.per_run:

@@ -237,7 +237,6 @@ class FitResult:
     model: str
     coefficient: float
     r_squared: float
-    residuals: tuple[float, ...]
 
 
 FIT_MODELS = {
@@ -360,19 +359,13 @@ def scaling_fit(points: Iterable[tuple[int, int, float]], model: str) -> FitResu
     x = np.array(xs)
     y = np.array(ys)
     a = float((x * y).sum() / (x * x).sum())
-    residuals = y - a * x
-    ss_res = float((residuals**2).sum())
+    ss_res = float(((y - a * x) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-12 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return FitResult(
-        model=model,
-        coefficient=a,
-        r_squared=r2,
-        residuals=tuple(float(r) for r in residuals),
-    )
+    return FitResult(model=model, coefficient=a, r_squared=r2)
 
 
 # -- randomized audit sweep ----------------------------------------------------

@@ -78,13 +78,14 @@ def test_criterion_02_hand_enumeration_fixture():
     comp = state.monochromatic_components()[0]
     e = exact_step_expectations(state, comp)
     _, pair_entry = check_claim_isolated(state, comp, expectation=e)
+    e_m, e_i = Fraction(e.mono, e.outcomes), Fraction(e.iso, e.outcomes)
     ok = (
-        e.mono_edges == Fraction(1, 2)
-        and e.iso_edges == Fraction(1, 2)
+        e_m == Fraction(1, 2)
+        and e_i == Fraction(1, 2)
         and pair_entry.margin == 0
         and pair_entry.satisfied
     )
-    report(2, ok, f"e_m={e.mono_edges} e_i={e.iso_edges} pair-bound margin={pair_entry.margin}")
+    report(2, ok, f"e_m={e_m} e_i={e_i} pair-bound margin={pair_entry.margin}")
 
 
 def _equivalence_fixtures():

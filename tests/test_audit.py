@@ -23,7 +23,6 @@ from colorsim import (
     state_digest,
 )
 from colorsim import audit, harness
-from colorsim.audit import combine_component_expectations
 from colorsim.harness import AuditSweepSpec, audit_instance
 from exact_laws import additive_drift_bound, multiplicative_drift_bound, psi_value
 
@@ -42,8 +41,14 @@ def check_single_component(check, state):
     return check(state, comp, exact_step_expectations(state, comp))
 
 
+def whole_state_sums(state):
+    """The components' sums added field by field, as ``audit_state`` adds them."""
+    parts = [exact_step_expectations(state, c) for c in state.monochromatic_components()]
+    return ExactExpectation(*map(sum, zip(*parts)))
+
+
 def recolored_copy_expectation(state, vertices):
-    """Mean of (mono, iso, e_ip, phi) over every (v, c) outcome, by full recomputation.
+    """Sums of (mono, iso, e_ip) over every (v, c) outcome, by full recomputation.
 
     Each outcome is applied to a copy of the state with ``recolor`` and read
     back through ``recompute_all``, sharing no code with the local recount.
@@ -58,17 +63,13 @@ def recolored_copy_expectation(state, vertices):
             sums[0] += after.mono_edge_count
             sums[1] += after.iso_edge_count
             sums[2] += after.e_ip
-    outcomes = len(vertices) * k
-    d = state.graph.max_degree
-    phi_num = 100 * d * sums[0] + 10 * d * sums[1] + sums[2]
-    return ExactExpectation(Fraction(sums[0], outcomes), Fraction(sums[1], outcomes),
-                            Fraction(sums[2], outcomes), Fraction(phi_num, outcomes * 100 * d))
+    return ExactExpectation(len(vertices) * k, *sums)
 
 
 class TestExactExpectations:
     def test_matches_copy_recolor_oracle(self):
         # 60 audit instances over the four audit families, each at k = D+1,
-        # k = D and k = 1; the whole state and every component
+        # k = D and k = 1; every component and the summed whole state
         spec = AuditSweepSpec(instances=60, master_seed=23, max_n=12)
         checked = 0
         for index in range(spec.instances):
@@ -78,7 +79,7 @@ class TestExactExpectations:
                 s = init_fixed(g, k, [min(c, k) for c in base.colors])
                 if s.is_proper():
                     continue
-                assert exact_step_expectations(s) == recolored_copy_expectation(
+                assert whole_state_sums(s) == recolored_copy_expectation(
                     s, s.conflicted_vertices()), (index, k)
                 for comp in s.monochromatic_components():
                     assert exact_step_expectations(s, comp) == recolored_copy_expectation(
@@ -89,34 +90,33 @@ class TestExactExpectations:
     def test_path_six_outcome_enumeration(self):
         s = path_state()
         e = exact_step_expectations(s, single_component(s))
-        assert e.mono_edges == Fraction(1, 2)
-        assert e.iso_edges == Fraction(1, 2)
-        assert e.e_ip == Fraction(1, 2)
-        assert e.phi == e.mono_edges + e.iso_edges / 10 + e.e_ip / 200
+        assert e == (6, 3, 3, 3)
+        e_mono, e_iso, e_eip = (Fraction(x, e.outcomes) for x in e[1:])
+        assert (e_mono, e_iso, e_eip) == (Fraction(1, 2),) * 3
+        assert check_claim_mult(s, e).lhs == e_mono + e_iso / 10 + e_eip / 200
 
     def test_triangle_nine_outcome_enumeration(self):
         s = init_fixed(complete(3), 3, [1, 1, 1])
         e = exact_step_expectations(s, single_component(s))
         # 3 no-op outcomes keep 3 edges, 6 recolorings leave a single edge
-        assert e.mono_edges == Fraction(15, 9)
-        assert e.iso_edges == Fraction(6, 9)
+        assert Fraction(e.mono, e.outcomes) == Fraction(15, 9)
+        assert Fraction(e.iso, e.outcomes) == Fraction(6, 9)
 
     def test_constant_outcome(self):
         # one conflicted pair in K_2 at k=1: every recolor is a no-op
         s = init_fixed(complete(2), 1, [1, 1])
-        e = exact_step_expectations(s)
-        assert e.mono_edges == 1
+        e = exact_step_expectations(s, single_component(s))
+        assert Fraction(e.mono, e.outcomes) == 1
 
     def test_whole_state_equals_component_mixture(self):
+        # the added component sums equal the whole-state enumeration
         g = erdos_renyi(20, 0.25, 13)
         rng = make_rng(13, 0)
         for _ in range(10):
             s = init_random(g, g.max_degree + 1, rng)
             if s.is_proper():
                 continue
-            components = s.monochromatic_components()
-            parts = [exact_step_expectations(s, c) for c in components]
-            assert combine_component_expectations(components, parts) == exact_step_expectations(s)
+            assert whole_state_sums(s) == recolored_copy_expectation(s, s.conflicted_vertices())
 
     def test_relabeling_invariance(self):
         g = erdos_renyi(12, 0.3, 21)
@@ -135,7 +135,7 @@ class TestExactExpectations:
         for v in range(g.n):
             colors2[perm[v]] = s.color_of(v)
         s2 = init_fixed(g2, s.k, colors2)
-        assert exact_step_expectations(s) == exact_step_expectations(s2)
+        assert whole_state_sums(s) == whole_state_sums(s2)
 
     def test_stale_component_rejected(self):
         s = path_state()
@@ -143,11 +143,6 @@ class TestExactExpectations:
         s.recolor(1, 3)
         with pytest.raises(ValueError, match="stale"):
             exact_step_expectations(s, comp)
-
-    def test_whole_state_needs_conflict(self):
-        s = init_fixed(complete(2), 2, [1, 2])
-        with pytest.raises(ValueError):
-            exact_step_expectations(s)
 
 
 class TestClaimChecks:
@@ -185,7 +180,7 @@ class TestClaimChecks:
 
     def test_mult_on_path(self):
         s = path_state()
-        entry = check_claim_mult(s, exact_step_expectations(s))
+        entry = check_claim_mult(s, whole_state_sums(s))
         assert entry.lhs == Fraction(221, 400)
         assert entry.rhs == Fraction(221, 200) * (1 - Fraction(1, 3000))
         assert entry.satisfied
@@ -193,7 +188,7 @@ class TestClaimChecks:
     def test_mult_rejects_proper(self):
         s = init_fixed(complete(2), 2, [1, 2])
         with pytest.raises(ValueError):
-            check_claim_mult(s, ExactExpectation(*[Fraction(0)] * 4))
+            check_claim_mult(s, ExactExpectation(0, 0, 0, 0))
 
     def test_small_random_sweep_no_violations(self):
         rng = make_rng(99, 0)
@@ -272,12 +267,16 @@ class TestReportLines:
         ]
 
     def test_budget_skip_line(self, monkeypatch):
+        claim_lines = self.sweep_lines(monkeypatch, path_state())
         # 2 conflicted vertices times k = 3 colors is 6 outcomes
         monkeypatch.setattr(audit, "OUTCOME_BUDGET", 5)
         assert self.sweep_lines(monkeypatch, path_state()) == [
             '{"claim": "all", "reason": "enumeration budget exceeded (6 outcomes)", '
             '"skipped": true, "state_digest": "1b47fcd583e365ea"}',
         ]
+        # a budget equal to the outcome count is not exceeded
+        monkeypatch.setattr(audit, "OUTCOME_BUDGET", 6)
+        assert self.sweep_lines(monkeypatch, path_state()) == claim_lines
 
 
 class TestDriftCalculators:

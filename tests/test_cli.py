@@ -322,6 +322,9 @@ BAD_INPUT = [
     ("sweep", "--config", "{tmp}/bool_n.json"),
     ("sweep", "--config", "{tmp}/bool_p.json"),
     ("sweep", "--config", "{tmp}/bool_k.json"),
+    # a fit that is not an object naming a fit model, refused before any cell runs
+    ("sweep", "--config", "{tmp}/fit_string.json"),
+    ("sweep", "--config", "{tmp}/fit_unknown.json"),
     # every write to a full device fails
     pytest.param(("audit", "--instances", "50", "--out", "/dev/full"), marks=needs_dev_full),
 ]
@@ -347,6 +350,10 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
         {"cells": [{"family": "er", "n": 5, "p": True}], "seeds": 2}))
     (tmp_path / "bool_k.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4, "k": True}], "seeds": 2}))
+    (tmp_path / "fit_string.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4}], "seeds": 2, "fit": "x"}))
+    (tmp_path / "fit_unknown.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4}], "seeds": 2, "fit": {"model": "cubic"}}))
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err
