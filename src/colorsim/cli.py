@@ -182,6 +182,10 @@ def _cmd_sweep(args) -> int:
         print(f"sweep: fit must be an object whose model is one of {sorted(FIT_MODELS)}",
               file=sys.stderr)
         return EXIT_USAGE
+    if model and len(spec.get("cells", [])) < 3:
+        print(f"sweep: fit needs at least 3 cells, the config has {len(spec.get('cells', []))}",
+              file=sys.stderr)
+        return EXIT_USAGE
     # the config file's value, else the flag's; ExperimentConfig supplies the rest
     defaults = {}
     for key, dest in (("seeds", "seeds"), ("master_seed", "seed"), ("cap", "cap")):
@@ -220,7 +224,10 @@ def _cmd_sweep(args) -> int:
         agg_rows.append((config, graph, stats))
         fit_points.append((graph.n, graph.max_degree, stats.mean_steps))
     fit = None
-    if model and len(fit_points) >= 3:
+    if model and len(fit_points) < 3:
+        print(f"sweep: fit skipped: {len(fit_points)} cells succeeded and the fit needs 3",
+              file=sys.stderr)
+    elif model:
         try:
             fit = scaling_fit(fit_points, model)
         except ValueError as exc:

@@ -20,18 +20,24 @@ colors when first read after a change and cached until the next recolor:
 One numpy pass over the graph's edge arrays builds the conflict data (at
 construction and after ``apply_batch``) and the pair data (on read).
 ``recount_change`` gives the change of (mono, iso, e_ip) that recoloring one
-vertex would cause without applying it, looking only at that vertex, its old-
-and new-colored neighbors and their pair partners; traced runs use it to
-follow the potential step by step. ``outcome_classes`` gives the same changes
-for all k colors of a vertex at once, one recount per neighbor color plus one
-for the colors no neighbor carries, each with the number of colors it stands
-for; the exact audit sums them. Both share one private recount.
+vertex would cause without applying it, looking only near that vertex: its
+old- and new-colored neighbors, their pair partners and the neighbors of
+every vertex whose status changes; traced runs use it to follow the potential
+step by step. ``outcome_classes`` gives the same changes for all k colors of
+a vertex at once, one class per neighbor color plus one for the colors no
+neighbor carries, each with the number of colors it stands for; the exact
+audit sums them. Both share one private recount, which takes the statuses of
+the vertices it does not change from a lookup: ``recount_change`` finds them
+locally, ``outcome_classes`` reads a pair table derived once per coloring in
+the same numpy pass as the pair data. The side the vertex leaves is tallied
+once per vertex, and each class adds only the side it enters.
 ``recompute_all`` rebuilds every quantity in plain Python and serves as the
 independent oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,19 +136,72 @@ class ColoringState:
         self._conf_pos = pos
         self._pairs = None
 
-    def _pair_counts(self) -> tuple[int, int]:
-        """(iso, e_ip) of the current coloring, derived once per coloring."""
-        if self._pairs is None:
+    def _pair_counts(self, table: bool = False) -> tuple:
+        """(iso, e_ip, pair table) of the current coloring, derived once per coloring.
+
+        The pair table is None unless asked for; see ``_pair_table``.
+        """
+        pairs = self._pairs
+        if pairs is None or table and pairs[2] is None:
+            n = self.graph.n
             eu, ev = self.graph.edge_arrays
             mono, cd = self._scan_edges()
             iso = mono & (cd[eu] == 1) & (cd[ev] == 1)
-            in_pair = np.zeros(self.graph.n, dtype=bool)
+            in_pair = np.zeros(n, dtype=bool)
             in_pair[eu[iso]] = True
             in_pair[ev[iso]] = True
             proper = cd == 0
             e_ip = int(((in_pair[eu] & proper[ev]) | (proper[eu] & in_pair[ev])).sum())
-            self._pairs = (int(iso.sum()), e_ip)
-        return self._pairs
+            pair_table = None
+            if table:
+                status = np.where(proper, 1, 2 * in_pair).tolist()
+                around = [np.bincount(eu[mask[ev]], minlength=n)
+                          + np.bincount(ev[mask[eu]], minlength=n) for mask in (proper, in_pair)]
+                pair_table = (status, list(zip(around[0].tolist(), around[1].tolist())))
+            self._pairs = pairs = (int(iso.sum()), e_ip, pair_table)
+        return pairs
+
+    def _pair_table(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Every vertex's status now, and its (properly colored, paired) neighbor counts.
+
+        A status is 1 if the vertex is properly colored, 2 if it is in an
+        isolated pair and 0 otherwise. Only ``outcome_classes`` reads the
+        table, so the exact audit alone derives it, at most once per coloring
+        and in the same numpy pass as the pair counts. Runs and
+        ``recount_change`` never do: their cost stays local.
+        """
+        return self._pair_counts(table=True)[2]
+
+    def _local_status(self, x: int) -> int:
+        """The status of ``x`` now, as in ``_pair_table``, found from x's neighbors."""
+        cd = self._conflict_deg
+        dx = cd[x]
+        if dx != 1:
+            return 1 if dx == 0 else 0
+        color = self._color
+        cx = color[x]
+        for y in self.graph.adjacency[x]:
+            if color[y] == cx:
+                return 2 if cd[y] == 1 else 0
+        raise AssertionError(f"vertex {x} has no monochromatic neighbor")
+
+    def _local_around(self, u: int) -> tuple[int, int]:
+        """The (properly colored, paired) neighbor counts of ``u`` now, found locally."""
+        color = self._color
+        cd = self._conflict_deg
+        adjacency = self.graph.adjacency
+        proper = paired = 0
+        for x in adjacency[u]:
+            dx = cd[x]
+            if dx == 0:
+                proper += 1
+            elif dx == 1:  # paired iff its one same-colored neighbor has no other
+                cx = color[x]
+                for y in adjacency[x]:
+                    if color[y] == cx:
+                        paired += cd[y] == 1
+                        break
+        return proper, paired
 
     def copy(self) -> "ColoringState":
         new = ColoringState.__new__(ColoringState)
@@ -175,7 +234,7 @@ class ColoringState:
 
     @property
     def phi_num(self) -> int:
-        iso, e_ip = self._pair_counts()
+        iso, e_ip, _ = self._pair_counts()
         return phi_numerator(self.graph.max_degree, self.mono_edge_count, iso, e_ip)
 
     @property
@@ -282,9 +341,9 @@ class ColoringState:
         """Change of (mono, iso, e_ip) that ``recolor(v, c)`` would cause.
 
         The state is not modified. Only v, its neighbors of the old and the
-        new color, and the pair partners of those are inspected, plus a
-        partner lookup for neighbors of a vertex that becomes or stops being
-        properly colored; no full recount is made.
+        new color and the pair partners of those are inspected, plus, for
+        each of them whose status changes, its neighbors and their partners;
+        no full recount is made and no pair table is derived.
         """
         color = self._color
         old = color[v]
@@ -293,7 +352,7 @@ class ColoringState:
         adjacency = self.graph.adjacency
         dec = [w for w in adjacency[v] if color[w] == old]
         inc = [w for w in adjacency[v] if color[w] == c]
-        return self._recount(v, dec, inc)
+        return self._recount(v, dec, [inc], self._local_status, self._local_around)[0]
 
     def outcome_classes(self, v: int) -> list[tuple[int, tuple[int, int, int]]]:
         """The distinct outcomes of recoloring ``v``, as (weight, change) pairs.
@@ -305,7 +364,10 @@ class ColoringState:
         form one class, present when there is at least one such color. The
         no-op outcome (v's own color) changes nothing and has no class, so
         the weights sum to k - 1. One pass over v's neighbors groups them by
-        color; the state is not modified.
+        color, and one recount serves every class: the side v leaves and v
+        itself are tallied once, then each class adds only the side it
+        enters. Statuses and neighbor counts come from ``_pair_table``,
+        derived once per coloring. The state is not modified.
         """
         color = self._color
         old = color[v]
@@ -313,22 +375,38 @@ class ColoringState:
         for w in self.graph.adjacency[v]:
             groups.setdefault(color[w], []).append(w)
         dec = groups.pop(old, [])
-        classes = [(1, self._recount(v, dec, inc)) for inc in groups.values()]
-        free = self.k - 1 - len(groups)
+        incs = list(groups.values())
+        free = self.k - 1 - len(incs)
         if free > 0:
-            classes.append((free, self._recount(v, dec, [])))
-        return classes
+            incs.append([])
+        status, around = self._pair_table()
+        changes = self._recount(v, dec, incs, status.__getitem__, around.__getitem__)
+        return [(free if not inc else 1, change) for inc, change in zip(incs, changes)]
 
-    def _recount(self, v: int, dec: list[int], inc: list[int]) -> tuple[int, int, int]:
-        """Change of (mono, iso, e_ip) when ``v`` leaves its color for another.
+    def _recount(self, v: int, dec: list[int], incs: list[list[int]],
+                 status: Callable[[int], int],
+                 around: Callable[[int], tuple[int, int]]) -> list[tuple[int, int, int]]:
+        """Changes of (mono, iso, e_ip) when ``v`` leaves its color, one per new color.
 
-        ``dec`` holds v's neighbors of its current color and ``inc`` its
-        neighbors of the new color, which differs from the current one.
+        ``dec`` holds v's neighbors of its current color. Each list in
+        ``incs`` holds v's neighbors of one new color, which differs from the
+        current one, and is empty for a color no neighbor carries.
+        ``status(u)`` is the status of ``u`` now: 1 if properly colored, 2 if
+        in an isolated pair, 0 otherwise, so an edge counts toward e_ip iff its
+        endpoint statuses multiply to 2. ``around(u)`` counts u's neighbors
+        of status 1 and of status 2 now.
+
+        The vertices whose status changes are v, the leaving side (``dec``
+        and the pair partners whose status changes with them) and the
+        entering side (v's neighbors of the new color and their partners).
+        The leaving side does not depend on the new color and is tallied
+        once, and so is v, once for each status it takes after; each new
+        color then tallies only its entering side.
         """
         color = self._color
         cd = self._conflict_deg
         adjacency = self.graph.adjacency
-        n_dec, n_inc = len(dec), len(inc)
+        n_dec = len(dec)
 
         def partner(u: int) -> int:
             """The neighbor sharing the current color of ``u``, other than v."""
@@ -338,11 +416,27 @@ class ColoringState:
                     return x
             raise AssertionError(f"vertex {u} has no monochromatic neighbor")
 
-        # (status before, status after) of every vertex whose status may
-        # change: 1 if properly colored, 2 if in an isolated pair, 0 otherwise,
-        # so an edge counts toward e_ip iff its endpoint statuses multiply to 2
-        status = {v: (1 if n_dec == 0 else 2 if n_dec == 1 and cd[dec[0]] == 1 else 0,
-                      1 if n_inc == 0 else 2 if n_inc == 1 and cd[inc[0]] == 0 else 0)}
+        def tally(moves, fixed) -> tuple[int, int]:
+            """The changes of (2·iso, e_ip) that the (vertex, before, after)
+            statuses in ``moves`` add to those in ``fixed``.
+
+            Each vertex adds the change on its edges as if no neighbor
+            changed, from its two ``around`` counts; each edge to an earlier
+            move or to ``fixed`` is then corrected, so it counts once.
+            """
+            d_pair = d_eip = 0
+            done = list(fixed)
+            for u, b, a in moves:
+                proper, paired = around(u)
+                d_pair += (a == 2) - (b == 2)
+                d_eip += proper * ((a == 2) - (b == 2)) + paired * ((a == 1) - (b == 1))
+                for x, xb, xa in done:
+                    if x in adjacency[u]:
+                        d_eip += (a * xa == 2) - (a * xb == 2) - (b * xa == 2) + (b * xb == 2)
+                done.append((u, b, a))
+            return d_pair, d_eip
+
+        leaving = []
         for w in dec:
             dw = cd[w]
             before = 2 if dw == 1 and n_dec == 1 else 0
@@ -354,44 +448,35 @@ class ColoringState:
                         after = 2
                 elif cd[x] == 1:
                     after = 2
-                    status[x] = (0, 2)
-            status[w] = (before, after)
-        for w in inc:
-            dw = cd[w]
-            before = 1 if dw == 0 else 0
-            after = 2 if dw == 0 and n_inc == 1 else 0
-            if dw == 1:  # w leaves its pair partner x
-                x = partner(w)
-                if cd[x] == 1:
-                    before = 2
-                    if x not in inc:
-                        status[x] = (2, 0)
-            status[w] = (before, after)
+                    leaving.append((x, 0, 2))
+            if before != after:
+                leaving.append((w, before, after))
+        base_pair, base_eip = tally(leaving, ())
+        v_before = 1 if n_dec == 0 else 2 if n_dec == 1 and cd[dec[0]] == 1 else 0
+        by_v_after: dict[int, tuple[int, int]] = {}
 
-        d_pair = 0
-        d_eip = 0
-        for u, (before, after) in status.items():
-            if before == after:
-                continue
-            d_pair += (after == 2) - (before == 2)
-            proper_turns = before == 1 or after == 1
-            for x in adjacency[u]:
-                t = status.get(x)
-                if t is None:
-                    dx = cd[x]
-                    if dx == 0:
-                        xs = 1
-                    elif dx == 1 and proper_turns and cd[partner(x)] == 1:
-                        xs = 2
-                    else:
-                        continue
-                    d_eip += (after * xs == 2) - (before * xs == 2)
-                else:
-                    xb, xa = t
-                    if xb != xa and x < u:
-                        continue  # each edge between two changed vertices once
-                    d_eip += (after * xa == 2) - (before * xb == 2)
-        return n_inc - n_dec, d_pair // 2, d_eip
+        changes = []
+        for inc in incs:
+            n_inc = len(inc)
+            # v turns properly colored, joins an isolated pair, or neither
+            v_after = 1 if n_inc == 0 else 2 if n_inc == 1 and cd[inc[0]] == 0 else 0
+            if v_after not in by_v_after:
+                by_v_after[v_after] = tally([(v, v_before, v_after)], leaving)
+            entering = []
+            for w in inc:
+                before = status(w)
+                after = 2 if before == 1 and n_inc == 1 else 0
+                if before == 2:  # w leaves its pair partner x
+                    x = partner(w)
+                    if x not in inc:
+                        entering.append((x, 2, 0))
+                if before != after:
+                    entering.append((w, before, after))
+            v_pair, v_eip = by_v_after[v_after]
+            d_pair, d_eip = tally(entering, [(v, v_before, v_after), *leaving])
+            changes.append((n_inc - n_dec, (base_pair + v_pair + d_pair) // 2,
+                            base_eip + v_eip + d_eip))
+        return changes
 
     # -- batch recoloring (simultaneous updates) ----------------------------
 

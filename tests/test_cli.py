@@ -177,6 +177,20 @@ class TestSweep:
         rows = [l for l in runs.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 1 + 2 * 3
 
+    def test_fit_skipped_when_fewer_than_3_cells_succeed(self, tmp_path, capsys):
+        cells = [{"family": "complete", "n": 4}, {"family": "cycle"}, {"family": "cycle", "n": 5}]
+        outs = []
+        for name, extra in (("plain", {}), ("fit", {"fit": {"model": "n_log_n"}})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"seeds": 3, "cells": cells, **extra}))
+            agg = tmp_path / f"{name}.csv"
+            outs.append((*run_cli(capsys, "sweep", "--config", str(path), "--aggregate", str(agg)),
+                         agg.read_bytes()))
+        (code, stdout, err, agg_bytes), (fit_code, fit_stdout, fit_err, fit_agg_bytes) = outs
+        assert code == fit_code == 1
+        assert fit_stdout == stdout and fit_agg_bytes == agg_bytes  # no fit line, empty fit columns
+        assert fit_err == err + "sweep: fit skipped: 2 cells succeeded and the fit needs 3\n"
+
     def test_missing_config_exit_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.json"))
         assert code == 1
@@ -325,6 +339,8 @@ BAD_INPUT = [
     # a fit that is not an object naming a fit model, refused before any cell runs
     ("sweep", "--config", "{tmp}/fit_string.json"),
     ("sweep", "--config", "{tmp}/fit_unknown.json"),
+    # a fit needs 3 cells, also refused before any cell runs
+    ("sweep", "--config", "{tmp}/fit_two_cells.json"),
     # every write to a full device fails
     pytest.param(("audit", "--instances", "50", "--out", "/dev/full"), marks=needs_dev_full),
 ]
@@ -354,6 +370,9 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
         {"cells": [{"family": "complete", "n": 4}], "seeds": 2, "fit": "x"}))
     (tmp_path / "fit_unknown.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4}], "seeds": 2, "fit": {"model": "cubic"}}))
+    (tmp_path / "fit_two_cells.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4}, {"family": "complete", "n": 6}], "seeds": 2,
+         "fit": {"model": "n_log_n"}}))
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err

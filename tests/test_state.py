@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorsim import (
+    ColoringState,
     complete,
     cycle,
     disjoint_cliques,
@@ -12,6 +14,7 @@ from colorsim import (
     init_fixed,
     init_random,
     make_rng,
+    run,
 )
 from colorsim.harness import AuditSweepSpec, audit_instance
 
@@ -191,6 +194,71 @@ class TestRecount:
                 vertices += 1
             assert s.recompute_all() == now  # the classes left the state alone
         assert vertices > 1_000 and without_free_class > 0
+
+    def test_every_state_on_four_vertices(self):
+        # all 64 labeled graphs on 4 vertices, every coloring at k = D+1 and,
+        # for D >= 1, at k = D: classes against recount_change against the
+        # copy-plus-recolor oracle, for every (vertex, color) pair
+        pairs = list(itertools.combinations(range(4), 2))
+        states = {"D+1": 0, "D": 0}
+        outcomes = {"D+1": 0, "D": 0}
+        for mask in range(1 << len(pairs)):
+            text = "\n".join(f"{a} {b}" for i, (a, b) in enumerate(pairs) if mask >> i & 1)
+            g = from_edge_list(text, n=4)
+            d = g.max_degree
+            for label, k in (("D+1", d + 1), ("D", d)):
+                if k == 0:
+                    continue
+                for colors in itertools.product(range(1, k + 1), repeat=4):
+                    s = init_fixed(g, k, colors)
+                    now = s.recompute_all()
+                    states[label] += 1
+                    for v in range(4):
+                        changes = {}
+                        for c in range(1, k + 1):
+                            change = s.recount_change(v, c)
+                            t = s.copy()
+                            t.recolor(v, c)
+                            want = t.recompute_all()
+                            assert (now.mono_edge_count + change[0], now.iso_edge_count + change[1],
+                                    now.e_ip + change[2]) == (
+                                want.mono_edge_count, want.iso_edge_count, want.e_ip
+                            ), (mask, k, colors, v, c)
+                            changes[c] = change
+                            outcomes[label] += 1
+                        old = s.color_of(v)
+                        taken = s.neighbor_colors(v) - {old}
+                        free = [c for c in changes if c != old and c not in taken]
+                        want_classes = [(1, changes[c]) for c in taken]
+                        if free:
+                            assert len({changes[c] for c in free}) == 1, (mask, k, colors, v)
+                            want_classes.append((len(free), changes[free[0]]))
+                        assert sorted(s.outcome_classes(v)) == sorted(want_classes), (
+                            mask, k, colors, v)
+                    assert s.recompute_all() == now
+        assert states == {"D+1": 8_544, "D": 2_368}
+        assert outcomes == {"D+1": 125_496, "D": 26_360}
+
+    def test_runs_and_recount_change_never_derive_the_pair_table(self, monkeypatch):
+        # the table costs an O(n + m) pass, which a traced step must not pay
+        def refuse(self):
+            raise AssertionError("pair table derived outside the audit")
+
+        monkeypatch.setattr(ColoringState, "_pair_table", refuse)
+        g = erdos_renyi(30, 0.2, 4)
+        k = g.max_degree + 1
+        for variant in ("uniform", "persistent"):
+            rng = make_rng(9, 0)
+            s = init_random(g, k, rng)
+            before = s.phi_num
+            result, records = run(s, variant, 10_000, rng, trace=True)
+            assert result.terminated and records[0].phi_num == before
+            assert records[-1].phi_num == s.phi_num == 0
+        # path 1-1-1 to 3-1-1: one monochromatic edge fewer, which is now an
+        # isolated pair with a properly colored neighbor
+        s = init_fixed(path3(), 3, [1, 1, 2])
+        s.recolor(2, 1)
+        assert s.recount_change(0, 3) == (-1, 1, 1)
 
 
 class TestDerivedDefinitions:
