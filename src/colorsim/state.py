@@ -26,11 +26,12 @@ every vertex whose status changes; traced runs use it to follow the potential
 step by step. ``outcome_classes`` gives the same changes for all k colors of
 a vertex at once, one class per neighbor color plus one for the colors no
 neighbor carries, each with the number of colors it stands for; the exact
-audit sums them. Both share one private recount, which takes the statuses of
-the vertices it does not change from a lookup: ``recount_change`` finds them
-locally, ``outcome_classes`` reads a pair table derived once per coloring in
-the same numpy pass as the pair data. The side the vertex leaves is tallied
-once per vertex, and each class adds only the side it enters.
+audit sums them. Both share one private recount, which takes the counts of
+properly colored and isolated-pair neighbors of the vertices it changes from
+a lookup: ``recount_change`` finds them locally, ``outcome_classes`` reads a
+pair table derived once per coloring from the masks of the pair data. The
+side the vertex leaves is tallied once per vertex, and each class adds only
+the side it enters.
 ``recompute_all`` rebuilds every quantity in plain Python and serves as the
 independent oracle.
 """
@@ -136,57 +137,44 @@ class ColoringState:
         self._conf_pos = pos
         self._pairs = None
 
-    def _pair_counts(self, table: bool = False) -> tuple:
-        """(iso, e_ip, pair table) of the current coloring, derived once per coloring.
+    def _pair_counts(self) -> tuple:
+        """(iso, e_ip, proper, in_pair, table) of the current coloring, derived once per coloring.
 
-        The pair table is None unless asked for; see ``_pair_table``.
+        ``proper`` and ``in_pair`` are the numpy vertex masks behind the two
+        counts; ``table`` is None until ``_pair_table`` builds it from them.
         """
-        pairs = self._pairs
-        if pairs is None or table and pairs[2] is None:
-            n = self.graph.n
+        if self._pairs is None:
             eu, ev = self.graph.edge_arrays
             mono, cd = self._scan_edges()
             iso = mono & (cd[eu] == 1) & (cd[ev] == 1)
-            in_pair = np.zeros(n, dtype=bool)
+            in_pair = np.zeros(self.graph.n, dtype=bool)
             in_pair[eu[iso]] = True
             in_pair[ev[iso]] = True
             proper = cd == 0
             e_ip = int(((in_pair[eu] & proper[ev]) | (proper[eu] & in_pair[ev])).sum())
-            pair_table = None
-            if table:
-                status = np.where(proper, 1, 2 * in_pair).tolist()
-                around = [np.bincount(eu[mask[ev]], minlength=n)
-                          + np.bincount(ev[mask[eu]], minlength=n) for mask in (proper, in_pair)]
-                pair_table = (status, list(zip(around[0].tolist(), around[1].tolist())))
-            self._pairs = pairs = (int(iso.sum()), e_ip, pair_table)
-        return pairs
+            self._pairs = (int(iso.sum()), e_ip, proper, in_pair, None)
+        return self._pairs
 
-    def _pair_table(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """Every vertex's status now, and its (properly colored, paired) neighbor counts.
+    def _pair_table(self) -> list[tuple[int, int]]:
+        """Every vertex's (properly colored, isolated-pair) neighbor counts now.
 
-        A status is 1 if the vertex is properly colored, 2 if it is in an
-        isolated pair and 0 otherwise. Only ``outcome_classes`` reads the
-        table, so the exact audit alone derives it, at most once per coloring
-        and in the same numpy pass as the pair counts. Runs and
-        ``recount_change`` never do: their cost stays local.
+        Only ``outcome_classes`` reads the table, so the exact audit alone
+        derives it, at most once per coloring and from the masks of the pair
+        counts. Runs and ``recount_change`` never do: their cost stays local.
         """
-        return self._pair_counts(table=True)[2]
-
-    def _local_status(self, x: int) -> int:
-        """The status of ``x`` now, as in ``_pair_table``, found from x's neighbors."""
-        cd = self._conflict_deg
-        dx = cd[x]
-        if dx != 1:
-            return 1 if dx == 0 else 0
-        color = self._color
-        cx = color[x]
-        for y in self.graph.adjacency[x]:
-            if color[y] == cx:
-                return 2 if cd[y] == 1 else 0
-        raise AssertionError(f"vertex {x} has no monochromatic neighbor")
+        iso, e_ip, proper, in_pair, table = self._pair_counts()
+        if table is None:
+            n = self.graph.n
+            eu, ev = self.graph.edge_arrays
+            proper_near, paired_near = (
+                np.bincount(eu[mask[ev]], minlength=n) + np.bincount(ev[mask[eu]], minlength=n)
+                for mask in (proper, in_pair))
+            table = list(zip(proper_near.tolist(), paired_near.tolist()))
+            self._pairs = (iso, e_ip, proper, in_pair, table)
+        return table
 
     def _local_around(self, u: int) -> tuple[int, int]:
-        """The (properly colored, paired) neighbor counts of ``u`` now, found locally."""
+        """The (properly colored, isolated-pair) neighbor counts of ``u`` now, found locally."""
         color = self._color
         cd = self._conflict_deg
         adjacency = self.graph.adjacency
@@ -234,7 +222,7 @@ class ColoringState:
 
     @property
     def phi_num(self) -> int:
-        iso, e_ip, _ = self._pair_counts()
+        iso, e_ip = self._pair_counts()[:2]
         return phi_numerator(self.graph.max_degree, self.mono_edge_count, iso, e_ip)
 
     @property
@@ -352,7 +340,7 @@ class ColoringState:
         adjacency = self.graph.adjacency
         dec = [w for w in adjacency[v] if color[w] == old]
         inc = [w for w in adjacency[v] if color[w] == c]
-        return self._recount(v, dec, [inc], self._local_status, self._local_around)[0]
+        return self._recount(v, dec, [inc], self._local_around)[0]
 
     def outcome_classes(self, v: int) -> list[tuple[int, tuple[int, int, int]]]:
         """The distinct outcomes of recoloring ``v``, as (weight, change) pairs.
@@ -366,8 +354,8 @@ class ColoringState:
         the weights sum to k - 1. One pass over v's neighbors groups them by
         color, and one recount serves every class: the side v leaves and v
         itself are tallied once, then each class adds only the side it
-        enters. Statuses and neighbor counts come from ``_pair_table``,
-        derived once per coloring. The state is not modified.
+        enters. Neighbor counts come from ``_pair_table``, derived once per
+        coloring. The state is not modified.
         """
         color = self._color
         old = color[v]
@@ -379,20 +367,18 @@ class ColoringState:
         free = self.k - 1 - len(incs)
         if free > 0:
             incs.append([])
-        status, around = self._pair_table()
-        changes = self._recount(v, dec, incs, status.__getitem__, around.__getitem__)
+        changes = self._recount(v, dec, incs, self._pair_table().__getitem__)
         return [(free if not inc else 1, change) for inc, change in zip(incs, changes)]
 
     def _recount(self, v: int, dec: list[int], incs: list[list[int]],
-                 status: Callable[[int], int],
                  around: Callable[[int], tuple[int, int]]) -> list[tuple[int, int, int]]:
         """Changes of (mono, iso, e_ip) when ``v`` leaves its color, one per new color.
 
         ``dec`` holds v's neighbors of its current color. Each list in
         ``incs`` holds v's neighbors of one new color, which differs from the
         current one, and is empty for a color no neighbor carries.
-        ``status(u)`` is the status of ``u`` now: 1 if properly colored, 2 if
-        in an isolated pair, 0 otherwise, so an edge counts toward e_ip iff its
+        A vertex's status is 1 if it is properly colored, 2 if it is in an
+        isolated pair and 0 otherwise, so an edge counts toward e_ip iff its
         endpoint statuses multiply to 2. ``around(u)`` counts u's neighbors
         of status 1 and of status 2 now.
 
@@ -464,12 +450,15 @@ class ColoringState:
                 by_v_after[v_after] = tally([(v, v_before, v_after)], leaving)
             entering = []
             for w in inc:
-                before = status(w)
-                after = 2 if before == 1 and n_inc == 1 else 0
-                if before == 2:  # w leaves its pair partner x
+                dw = cd[w]
+                before = 1 if dw == 0 else 0
+                if dw == 1:  # w leaves its one same-colored neighbor x
                     x = partner(w)
-                    if x not in inc:
-                        entering.append((x, 2, 0))
+                    if cd[x] == 1:  # and their isolated pair
+                        before = 2
+                        if x not in inc:
+                            entering.append((x, 2, 0))
+                after = 2 if dw == 0 and n_inc == 1 else 0
                 if before != after:
                     entering.append((w, before, after))
             v_pair, v_eip = by_v_after[v_after]
