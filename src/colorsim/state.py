@@ -402,7 +402,8 @@ class ColoringState:
                     return x
             raise AssertionError(f"vertex {u} has no monochromatic neighbor")
 
-        def tally(moves, fixed) -> tuple[int, int]:
+        def tally(moves: list[tuple[int, int, int]],
+                  fixed: list[tuple[int, int, int]]) -> tuple[int, int]:
             """The changes of (2·iso, e_ip) that the (vertex, before, after)
             statuses in ``moves`` add to those in ``fixed``.
 
@@ -422,6 +423,7 @@ class ColoringState:
                 done.append((u, b, a))
             return d_pair, d_eip
 
+        # (vertex, status before, status after) of every changed vertex v leaves
         leaving = []
         for w in dec:
             dw = cd[w]
@@ -437,7 +439,7 @@ class ColoringState:
                     leaving.append((x, 0, 2))
             if before != after:
                 leaving.append((w, before, after))
-        base_pair, base_eip = tally(leaving, ())
+        base_pair, base_eip = tally(leaving, [])
         v_before = 1 if n_dec == 0 else 2 if n_dec == 1 and cd[dec[0]] == 1 else 0
         by_v_after: dict[int, tuple[int, int]] = {}
 
@@ -448,7 +450,7 @@ class ColoringState:
             v_after = 1 if n_inc == 0 else 2 if n_inc == 1 and cd[inc[0]] == 0 else 0
             if v_after not in by_v_after:
                 by_v_after[v_after] = tally([(v, v_before, v_after)], leaving)
-            entering = []
+            entering = []  # and of every changed vertex on the side v enters
             for w in inc:
                 dw = cd[w]
                 before = 1 if dw == 0 else 0
