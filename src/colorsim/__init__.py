@@ -24,13 +24,11 @@ from .state import (
     ColoringState,
     Component,
     DerivedSnapshot,
-    init_fixed,
     init_random,
 )
 from .dynamics import (
     ProperColoringError,
     RunResult,
-    TraceRecord,
     make_rng,
     run,
     step_component_view,

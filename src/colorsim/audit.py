@@ -2,10 +2,10 @@
 
 The oracle sums the tracked quantities as integers over every (vertex,
 color) outcome of a single recoloring step inside one monochromatic
-component. It recounts each vertex's outcome classes locally, once per
-class: every color that no neighbor carries gives the same change, so those
-colors share one recount. Components are disjoint, so the whole-state sums
-of the decay check are the components' sums added field by field. Each
+component. It sums each vertex's outcome classes with their weights: every
+color that no neighbor carries gives the same change, so those colors form
+one class. Components are disjoint, so the whole-state sums of the decay
+check are the components' sums added field by field. Each
 claim check divides only the sum it reports by the outcome count and
 compares that exact rational against the proven bound; the bounds are
 theorems for k = max_degree + 1, so a negative margin always means an
@@ -88,10 +88,10 @@ def exact_step_expectations(state: ColoringState, component: Component) -> Exact
     Colors range over 1..k, so there are |component|·k outcomes, and each
     integer sum divided by that count is an expectation. The k colors of a
     vertex fall into its ``outcome_classes``: the colors no neighbor carries
-    give one change between them, so each class is recounted once, locally,
-    and counted with its weight. The no-op color adds nothing; the state
-    itself is never modified. The whole-state sums, over every conflicted
-    vertex, are the components' sums added field by field.
+    give one change between them, so each class is counted once, with its
+    weight. The no-op color adds nothing; the state itself is never
+    modified. The whole-state sums, over every conflicted vertex, are the
+    components' sums added field by field.
     """
     if not _component_is_current(state, component):
         raise ValueError("component is stale for this state")
@@ -140,8 +140,8 @@ def check_claim_isolated(
                           iso_now + component.average_degree + 1, detail=detail)]
     if component.is_isolated_edge:
         u, w = component.vertices
-        pu = state.properly_colored_neighbor_count(u)
-        pw = state.properly_colored_neighbor_count(w)
+        pu = state.neighbor_counts(u)[0]
+        pw = state.neighbor_counts(w)[0]
         rhs = iso_now - Fraction(d, d + 1) + Fraction(pu + pw, 2 * (d + 1))
         entries.append(AuditEntry(CLAIM_ISOLATED_PAIR, e_iso, rhs, detail=detail))
     return entries

@@ -37,7 +37,6 @@ from .harness import (
     run_ensemble,
     run_rows,
     scaling_fit,
-    trace_lines,
     write_aggregate_csv,
     write_jsonl,
     write_runs_csv,
@@ -151,7 +150,7 @@ def _cmd_run(args) -> int:
         meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}
         try:
             with open(args.trace_out, "w", encoding="utf-8") as f:
-                write_jsonl(f, meta, trace_lines(trace))
+                write_jsonl(f, meta, trace)
         except OSError as exc:
             print(f"run: cannot write {args.trace_out}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -257,7 +256,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    names = args.families.split(",") if args.families else AuditSweepSpec.families
+    names = args.families.split(",") if args.families is not None else AuditSweepSpec.families
     families = tuple(FAMILY_ALIASES.get(name, name) for name in names)
     try:
         spec = AuditSweepSpec(

@@ -17,7 +17,9 @@ Every step function takes the state and ``draw`` and returns a plain
 and the color draws it consumed (only the persistent variant uses more than
 one). A persistent step that accepts no color returns ``colors == ()`` and
 leaves the state unchanged; ``run`` tells a tripped draw guard (a stall) from
-a spent cap by whether steps remain.
+a spent cap by whether steps remain. ``run`` returns a ``RunResult`` and, when
+asked for a trace, the JSON lines ``colorsim run --trace-out`` writes, built
+here and nowhere else.
 
 RNG contract: a named, versioned, splittable generator (numpy PCG64 seeded
 through SeedSequence). Per-run streams come from
@@ -144,17 +146,6 @@ class BufferedDraws:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    t: int
-    vertices: tuple[int, ...]
-    colors: tuple[int, ...]
-    mono_edge_count: int
-    iso_edge_count: int
-    e_ip: int
-    phi_num: int
-
-
-@dataclass(frozen=True)
 class RunResult:
     """One seeded run: what ``run`` returns and a row of the per-run CSV.
 
@@ -271,37 +262,39 @@ def run(
     cap: int,
     rng: np.random.Generator,
     trace: bool = False,
-) -> tuple[RunResult, list[TraceRecord]]:
+) -> tuple[RunResult, list[dict]]:
     """Apply the variant's step until the coloring is proper or ``cap`` is spent.
 
     Cap exhaustion is a result, not an error; so is a stall, a persistent step
     whose ``DEFAULT_PERSISTENT_DRAW_CAP`` draws were all blocked while steps
-    remained. The trace (when requested) starts with a t=0 record of the
-    initial state and then one record per applied step. ``rng`` is a PCG64
-    generator; the steps draw from it through ``BufferedDraws.draw``, and on
-    return it stands where the same ``Generator.integers(n)`` calls would
-    have left it.
+    remained. The trace (when requested) is the JSON lines of
+    ``colorsim run --trace-out``: a t=0 line of the initial state, then one
+    line per applied step, each with ``t``, the recolored ``vertices``, their
+    new ``colors``, ``mono_edges``, ``iso_edges``, ``iso_proper_edges`` (e_ip)
+    and ``phi_num`` after it. ``rng`` is a PCG64 generator; the steps draw
+    from it through ``BufferedDraws.draw``, and on return it stands where the
+    same ``Generator.integers(n)`` calls would have left it.
     """
     if variant not in STEPS:
         raise ValueError(f"unknown variant {variant!r}")
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    records: list[TraceRecord] = []
+    lines: list[dict] = []
     d = state.graph.max_degree
 
     def record(t: int, vertices: tuple[int, ...], colors: tuple[int, ...],
                counts: tuple[int, int, int]) -> None:
         mono, iso, e_ip = counts
-        records.append(
-            TraceRecord(t, vertices, colors, mono, iso, e_ip, phi_numerator(d, mono, iso, e_ip))
-        )
+        lines.append({"t": t, "vertices": list(vertices), "colors": list(colors),
+                      "mono_edges": mono, "iso_edges": iso, "iso_proper_edges": e_ip,
+                      "phi_num": phi_numerator(d, mono, iso, e_ip)})
 
     initial_num = state.phi_num
     conflicted = initial_conflicted = state.conflicted_count
     least = state.graph.n  # no count after a step exceeds n
     if trace:
         counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
-        shadow = list(state.colors)  # the colors at the latest record
+        shadow = list(state.colors)  # the colors at the latest line
         record(0, (), (), counts)
     step = globals()[STEPS[variant]]
     budgeted = variant == "persistent"
@@ -343,4 +336,4 @@ def run(
         min_conflicted=least if steps else initial_conflicted,
         stalled=stalled,
     )
-    return result, records
+    return result, lines

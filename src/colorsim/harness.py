@@ -15,7 +15,7 @@ as CSV (one row per run, one row per config, both opening with the
 ``CELL_FIELDS`` columns) and JSON lines (audit reports, traces); every
 output starts with a metadata header sufficient to reproduce it. The audit
 sweep here picks the states to audit; ``audit.report_lines`` owns the
-format of its lines.
+format of its lines, and ``dynamics.run`` builds the trace lines.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 from ._version import __version__
 from . import graph as graphs
 from .audit import report_lines, state_digest
-from .dynamics import STEPS, RunResult, TraceRecord, make_rng, run
+from .dynamics import STEPS, RunResult, make_rng, run
 from .graph import Graph, usable_cpus
-from .state import ColoringState, init_fixed, init_random
+from .state import ColoringState, init_random
 
 # the cell columns that open both CSVs
 CELL_FIELDS = (
@@ -192,6 +192,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "explicit" and self.explicit_colors is None:
             raise ValueError("explicit init needs explicit_colors")
+        if self.init != "explicit" and self.explicit_colors is not None:
+            raise ValueError(f"explicit_colors needs init explicit, not {self.init!r}")
         if self.explicit_colors is not None and not all(
                 isinstance(c, int) and not isinstance(c, bool) for c in self.explicit_colors):
             raise ValueError("explicit_colors must be integers")
@@ -255,7 +257,7 @@ def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
     if config.init == "random":
         return init_random(graph, k, rng)
     colors = [1] * graph.n if config.init == "all_ones" else config.explicit_colors
-    return init_fixed(graph, k, colors)
+    return ColoringState(graph, k, colors)
 
 
 def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = False) -> RunResult:
@@ -529,16 +531,3 @@ def write_jsonl(out: TextIO, meta: dict, lines: Iterable[dict]) -> int:
         out.write(json.dumps(line, sort_keys=True) + "\n")
         count += 1
     return count
-
-
-def trace_lines(records: list[TraceRecord]) -> Iterator[dict]:
-    for r in records:
-        yield {
-            "t": r.t,
-            "vertices": list(r.vertices),
-            "colors": list(r.colors),
-            "mono_edges": r.mono_edge_count,
-            "iso_edges": r.iso_edge_count,
-            "iso_proper_edges": r.e_ip,
-            "phi_num": r.phi_num,
-        }

@@ -28,10 +28,11 @@ a vertex at once, one class per neighbor color plus one for the colors no
 neighbor carries, each with the number of colors it stands for; the exact
 audit sums them. Both share one private recount, which takes the counts of
 properly colored and isolated-pair neighbors of the vertices it changes from
-a lookup: ``recount_change`` finds them locally, ``outcome_classes`` reads a
-pair table derived once per coloring from the masks of the pair data. The
-side the vertex leaves is tallied once per vertex, and each class adds only
-the side it enters.
+a lookup. ``neighbor_counts`` is the one local count: ``recount_change`` and
+the audit's isolated-pair bound read it, while ``outcome_classes`` reads the
+same counts from a pair table derived once per coloring from the masks of
+the pair data. The side the vertex leaves is tallied once per vertex, and
+each class adds only the side it enters.
 ``recompute_all`` rebuilds every quantity in plain Python and serves as the
 independent oracle.
 """
@@ -156,7 +157,7 @@ class ColoringState:
         return self._pairs
 
     def _pair_table(self) -> list[tuple[int, int]]:
-        """Every vertex's (properly colored, isolated-pair) neighbor counts now.
+        """Every vertex's ``neighbor_counts`` now, as one list.
 
         Only ``outcome_classes`` reads the table, so the exact audit alone
         derives it, at most once per coloring and from the masks of the pair
@@ -172,24 +173,6 @@ class ColoringState:
             table = list(zip(proper_near.tolist(), paired_near.tolist()))
             self._pairs = (iso, e_ip, proper, in_pair, table)
         return table
-
-    def _local_around(self, u: int) -> tuple[int, int]:
-        """The (properly colored, isolated-pair) neighbor counts of ``u`` now, found locally."""
-        color = self._color
-        cd = self._conflict_deg
-        adjacency = self.graph.adjacency
-        proper = paired = 0
-        for x in adjacency[u]:
-            dx = cd[x]
-            if dx == 0:
-                proper += 1
-            elif dx == 1:  # paired iff its one same-colored neighbor has no other
-                cx = color[x]
-                for y in adjacency[x]:
-                    if color[y] == cx:
-                        paired += cd[y] == 1
-                        break
-        return proper, paired
 
     def copy(self) -> "ColoringState":
         new = ColoringState.__new__(ColoringState)
@@ -239,9 +222,23 @@ class ColoringState:
     def is_proper(self) -> bool:
         return not self._conf_dense
 
-    def properly_colored_neighbor_count(self, v: int) -> int:
+    def neighbor_counts(self, u: int) -> tuple[int, int]:
+        """The (properly colored, isolated-pair) neighbor counts of ``u`` now, found locally."""
+        color = self._color
         cd = self._conflict_deg
-        return sum(1 for w in self.graph.adjacency[v] if cd[w] == 0)
+        adjacency = self.graph.adjacency
+        proper = paired = 0
+        for x in adjacency[u]:
+            dx = cd[x]
+            if dx == 0:
+                proper += 1
+            elif dx == 1:  # paired iff its one same-colored neighbor has no other
+                cx = color[x]
+                for y in adjacency[x]:
+                    if color[y] == cx:
+                        paired += cd[y] == 1
+                        break
+        return proper, paired
 
     def neighbor_colors(self, v: int) -> set[int]:
         color = self._color
@@ -340,7 +337,7 @@ class ColoringState:
         adjacency = self.graph.adjacency
         dec = [w for w in adjacency[v] if color[w] == old]
         inc = [w for w in adjacency[v] if color[w] == c]
-        return self._recount(v, dec, [inc], self._local_around)[0]
+        return self._recount(v, dec, [inc], self.neighbor_counts)[0]
 
     def outcome_classes(self, v: int) -> list[tuple[int, tuple[int, int, int]]]:
         """The distinct outcomes of recoloring ``v``, as (weight, change) pairs.
@@ -571,8 +568,3 @@ def init_random(g: Graph, k: int, rng) -> ColoringState:
         raise ValueError(f"palette size k must be in 1..2**32 - 1, got {k}")
     colors = rng.integers(1, k + 1, size=g.n)
     return ColoringState(g, k, [int(c) for c in colors])
-
-
-def init_fixed(g: Graph, k: int, assignment) -> ColoringState:
-    """Build a state with exactly the given per-vertex colors."""
-    return ColoringState(g, k, list(assignment))

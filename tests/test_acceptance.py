@@ -17,6 +17,7 @@ import pytest
 
 from colorsim import (
     AuditSweepSpec,
+    ColoringState,
     ExperimentConfig,
     check_claim_isolated,
     complete,
@@ -25,7 +26,6 @@ from colorsim import (
     erdos_renyi,
     exact_step_expectations,
     from_edge_list,
-    init_fixed,
     init_random,
     make_rng,
     run,
@@ -74,7 +74,7 @@ def test_criterion_01_exact_audit_sweep():
 
 def test_criterion_02_hand_enumeration_fixture():
     """Path (1,1,2) at k=3: e_m = e_i = 1/2 and a tight pair bound."""
-    state = init_fixed(from_edge_list("0 1\n1 2"), 3, [1, 1, 2])
+    state = ColoringState(from_edge_list("0 1\n1 2"), 3, [1, 1, 2])
     comp = state.monochromatic_components()[0]
     e = exact_step_expectations(state, comp)
     _, pair_entry = check_claim_isolated(state, comp, expectation=e)
@@ -90,9 +90,9 @@ def test_criterion_02_hand_enumeration_fixture():
 
 def _equivalence_fixtures():
     fixtures = [
-        init_fixed(from_edge_list("0 1\n1 2"), 3, [1, 1, 2]),
-        init_fixed(complete(4), 4, [1, 1, 1, 1]),
-        init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2]),
+        ColoringState(from_edge_list("0 1\n1 2"), 3, [1, 1, 2]),
+        ColoringState(complete(4), 4, [1, 1, 1, 1]),
+        ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2]),
     ]
     rng = make_rng(3, 0)
     gseed = 0
@@ -325,9 +325,9 @@ def test_criterion_11_psi_step_size():
         result, trace = run(initial_state(graph, cfg, rng), cfg.variant, cfg.cap, rng, trace=True)
         assert result.terminated
         runs += 1
-        prev = psi_value(Fraction(trace[0].phi_num, 100 * d), n, d)
+        prev = psi_value(Fraction(trace[0]["phi_num"], 100 * d), n, d)
         for rec in trace[1:]:
-            cur = psi_value(Fraction(rec.phi_num, 100 * d), n, d)
+            cur = psi_value(Fraction(rec["phi_num"], 100 * d), n, d)
             worst = max(worst, abs(cur - prev))
             prev = cur
     ok = runs == 100 and worst <= bound

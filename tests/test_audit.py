@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from colorsim import (
+    ColoringState,
     ExactExpectation,
     audit_state,
     check_claim_bipartite_isolated,
@@ -17,7 +18,6 @@ from colorsim import (
     erdos_renyi,
     exact_step_expectations,
     from_edge_list,
-    init_fixed,
     init_random,
     make_rng,
     state_digest,
@@ -28,7 +28,7 @@ from exact_laws import additive_drift_bound, multiplicative_drift_bound, psi_val
 
 
 def path_state():
-    return init_fixed(from_edge_list("0 1\n1 2"), 3, [1, 1, 2])
+    return ColoringState(from_edge_list("0 1\n1 2"), 3, [1, 1, 2])
 
 
 def single_component(state):
@@ -76,7 +76,7 @@ class TestExactExpectations:
             base, _ = audit_instance(spec, index)
             g = base.graph
             for k in sorted({g.max_degree + 1, max(1, g.max_degree), 1}):
-                s = init_fixed(g, k, [min(c, k) for c in base.colors])
+                s = ColoringState(g, k, [min(c, k) for c in base.colors])
                 if s.is_proper():
                     continue
                 assert whole_state_sums(s) == recolored_copy_expectation(
@@ -96,7 +96,7 @@ class TestExactExpectations:
         assert check_claim_mult(s, e).lhs == e_mono + e_iso / 10 + e_eip / 200
 
     def test_triangle_nine_outcome_enumeration(self):
-        s = init_fixed(complete(3), 3, [1, 1, 1])
+        s = ColoringState(complete(3), 3, [1, 1, 1])
         e = exact_step_expectations(s, single_component(s))
         # 3 no-op outcomes keep 3 edges, 6 recolorings leave a single edge
         assert Fraction(e.mono, e.outcomes) == Fraction(15, 9)
@@ -104,7 +104,7 @@ class TestExactExpectations:
 
     def test_constant_outcome(self):
         # one conflicted pair in K_2 at k=1: every recolor is a no-op
-        s = init_fixed(complete(2), 1, [1, 1])
+        s = ColoringState(complete(2), 1, [1, 1])
         e = exact_step_expectations(s, single_component(s))
         assert Fraction(e.mono, e.outcomes) == 1
 
@@ -134,7 +134,7 @@ class TestExactExpectations:
         colors2 = [0] * g.n
         for v in range(g.n):
             colors2[perm[v]] = s.color_of(v)
-        s2 = init_fixed(g2, s.k, colors2)
+        s2 = ColoringState(g2, s.k, colors2)
         assert whole_state_sums(s) == whole_state_sums(s2)
 
     def test_stale_component_rejected(self):
@@ -154,7 +154,7 @@ class TestClaimChecks:
         assert entry.margin == Fraction(1, 6) and entry.satisfied
 
     def test_triangle_edge_claim_is_tight(self):
-        s = init_fixed(complete(3), 3, [1, 1, 1])
+        s = ColoringState(complete(3), 3, [1, 1, 1])
         entry = check_single_component(check_claim_edges, s)
         assert entry.rhs == Fraction(5, 3)
         assert entry.margin == 0 and entry.satisfied
@@ -167,7 +167,7 @@ class TestClaimChecks:
         assert pair.margin == 0 and pair.satisfied
 
     def test_size_three_component_has_single_isolated_entry(self):
-        s = init_fixed(complete(3), 3, [1, 1, 1])
+        s = ColoringState(complete(3), 3, [1, 1, 1])
         entries = check_single_component(check_claim_isolated, s)
         assert len(entries) == 1
 
@@ -186,7 +186,7 @@ class TestClaimChecks:
         assert entry.satisfied
 
     def test_mult_rejects_proper(self):
-        s = init_fixed(complete(2), 2, [1, 2])
+        s = ColoringState(complete(2), 2, [1, 2])
         with pytest.raises(ValueError):
             check_claim_mult(s, ExactExpectation(0, 0, 0, 0))
 
@@ -213,7 +213,7 @@ class TestClaimChecks:
         assert pair_margins  # the sweep must actually exercise the bound
 
     def test_bipartite_refinement_needs_pair(self):
-        s = init_fixed(complete(3), 3, [1, 1, 1])
+        s = ColoringState(complete(3), 3, [1, 1, 1])
         with pytest.raises(ValueError):
             check_single_component(check_claim_bipartite_isolated, s)
 
@@ -255,7 +255,7 @@ class TestReportLines:
         ]
 
     def test_proper_coloring_skips_the_decay_line(self, monkeypatch):
-        proper = init_fixed(from_edge_list("0 1\n1 2"), 3, [1, 2, 1])
+        proper = ColoringState(from_edge_list("0 1\n1 2"), 3, [1, 2, 1])
         digest = '"state_digest": "50b53c438c7e3267"'
         assert self.sweep_lines(monkeypatch, proper) == [
             '{"claim": "potential_sandwich_lower", "lhs": "0/1", "margin": "0/1", '
@@ -317,5 +317,5 @@ class TestPsi:
 
     def test_edgeless(self):
         g = erdos_renyi(4, 0.0, 0)
-        s = init_fixed(g, 2, [1, 1, 1, 1])
+        s = ColoringState(g, 2, [1, 1, 1, 1])
         assert psi_value(s.potential(), g.n, g.max_degree) == 0.0

@@ -313,6 +313,8 @@ BAD_INPUT = [
     ("audit", "--instances", "3", "--max-n", "2", "--families", "cycle"),
     ("audit", "--instances", "-1"),
     ("audit", "--instances", "2", "--max-n", "-5", "--families", "complete"),
+    # an empty list names the family '', as ',' names two
+    ("audit", "--families", "", "--instances", "3"),
     ("run", "--family", "complete", "--n", "5", "--init", "file"),
     ("run", "--family", "er", "--n", "10"),
     # a color is 1 + draw(k), and draw takes bounds below 2**32
@@ -341,6 +343,8 @@ BAD_INPUT = [
     ("sweep", "--config", "{tmp}/fit_unknown.json"),
     # a fit needs 3 cells, also refused before any cell runs
     ("sweep", "--config", "{tmp}/fit_two_cells.json"),
+    # colors for a random init would go unused
+    ("sweep", "--config", "{tmp}/explicit_random.json"),
     # every write to a full device fails
     pytest.param(("audit", "--instances", "50", "--out", "/dev/full"), marks=needs_dev_full),
 ]
@@ -373,6 +377,8 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "fit_two_cells.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4}, {"family": "complete", "n": 6}], "seeds": 2,
          "fit": {"model": "n_log_n"}}))
+    (tmp_path / "explicit_random.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4, "explicit_colors": [1, 2, 3, 4]}], "seeds": 2}))
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from colorsim import (
+    ColoringState,
     complete,
     disjoint_cliques,
     dynamics,
     erdos_renyi,
-    init_fixed,
     init_random,
     make_rng,
     run,
@@ -28,7 +28,6 @@ from colorsim.dynamics import (
     STEPS,
     BufferedDraws,
     RunResult,
-    TraceRecord,
 )
 
 HALF = 2**32
@@ -199,8 +198,9 @@ def reference_run(state, variant, cap, rng, trace):
 
     def record(t, vertices, colors):
         snap = state.recompute_all()
-        return TraceRecord(t, vertices, colors, snap.mono_edge_count, snap.iso_edge_count,
-                           snap.e_ip, snap.phi_num)
+        return {"t": t, "vertices": list(vertices), "colors": list(colors),
+                "mono_edges": snap.mono_edge_count, "iso_edges": snap.iso_edge_count,
+                "iso_proper_edges": snap.e_ip, "phi_num": snap.phi_num}
 
     records = [record(0, (), ())] if trace else []
     steps, stalled = 0, False
@@ -249,8 +249,8 @@ def test_run_equals_reference_loop(variant, trace):
 def test_run_from_a_fixed_coloring_without_pending_half():
     g = complete(8)
     buffered, plain = make_rng(9, 0), make_rng(9, 0)
-    got = run(init_fixed(g, 8, [1] * 8), "uniform", 10**5, buffered)
-    want = reference_run(init_fixed(g, 8, [1] * 8), "uniform", 10**5, plain, False)
+    got = run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, buffered)
+    want = reference_run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, plain, False)
     assert got == want
     assert stream_state(buffered) == stream_state(plain)
 
@@ -261,8 +261,8 @@ def test_persistent_stall_equals_reference_loop():
     g = complete(3)
     cap = DEFAULT_PERSISTENT_DRAW_CAP + 1
     buffered, plain = make_rng(3, 0), make_rng(3, 0)
-    got = run(init_fixed(g, 2, [1, 2, 1]), "persistent", cap, buffered)
-    want = reference_run(init_fixed(g, 2, [1, 2, 1]), "persistent", cap, plain, False)
+    got = run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, buffered)
+    want = reference_run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, plain, False)
     assert got[0].stalled and got[0].steps == DEFAULT_PERSISTENT_DRAW_CAP
     assert got == want
     assert stream_state(buffered) == stream_state(plain)

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from colorsim import (
+    ColoringState,
     ProperColoringError,
     complete,
     cycle,
     disjoint_cliques,
     erdos_renyi,
     from_edge_list,
-    init_fixed,
     init_random,
     make_rng,
     run,
@@ -26,7 +26,7 @@ K2 = complete(2)  # built once: the 10^5-trial tests below start from it every t
 
 
 def conflicted_pair():
-    return init_fixed(K2, 2, [1, 1])
+    return ColoringState(K2, 2, [1, 1])
 
 
 def plain_draw(rng):
@@ -46,17 +46,17 @@ class TestStepUniform:
         assert fixed / trials == pytest.approx(0.5, rel=0.01)
 
     def test_selection_uniform_over_pair(self):
-        s = init_fixed(from_edge_list("0 1\n1 2"), 3, [2, 1, 1])
+        s = ColoringState(from_edge_list("0 1\n1 2"), 3, [2, 1, 1])
         dist = selection_distribution(s, "uniform")
         assert dist == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_rejects_proper_coloring(self):
-        s = init_fixed(complete(2), 2, [1, 2])
+        s = ColoringState(complete(2), 2, [1, 2])
         with pytest.raises(ProperColoringError):
             step_uniform(s, plain_draw(make_rng(0, 0)))
 
     def test_two_draws_vertex_then_color(self):
-        s = init_fixed(complete(3), 3, [1, 1, 1])
+        s = ColoringState(complete(3), 3, [1, 1, 1])
         out = step_uniform(s, plain_draw(make_rng(5, 0)))
         # replaying the same stream manually must reproduce the outcome
         rng = make_rng(5, 0)
@@ -69,9 +69,9 @@ class TestStepComponentView:
     def test_selection_matches_uniform_exactly(self):
         # equal laws on every state: (|V(C)|/total) * (1/|V(C)|) = 1/total
         fixtures = [
-            init_fixed(from_edge_list("0 1\n1 2"), 3, [1, 1, 2]),
-            init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2]),
-            init_fixed(cycle(5), 3, [1, 1, 2, 2, 3]),
+            ColoringState(from_edge_list("0 1\n1 2"), 3, [1, 1, 2]),
+            ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2]),
+            ColoringState(cycle(5), 3, [1, 1, 2, 2, 3]),
         ]
         g = erdos_renyi(18, 0.25, 3)
         rng = make_rng(3, 0)
@@ -83,20 +83,20 @@ class TestStepComponentView:
             assert selection_distribution(s, "component_view") == selection_distribution(s, "uniform")
 
     def test_single_component_reduces_to_uniform(self):
-        s = init_fixed(complete(4), 4, [1, 1, 1, 1])
+        s = ColoringState(complete(4), 4, [1, 1, 1, 1])
         dist = selection_distribution(s, "component_view")
         assert set(dist.values()) == {Fraction(1, 4)}
 
     def test_component_sizes_two_and_three(self):
         # (3/5)*(1/3) = (2/5)*(1/2) = 1/5 for every conflicted vertex
         g = from_edge_list("0 1\n0 2\n1 2\n3 4")
-        s = init_fixed(g, 3, [1, 1, 1, 2, 2])
+        s = ColoringState(g, 3, [1, 1, 1, 2, 2])
         assert sorted(c.size for c in s.monochromatic_components()) == [2, 3]
         dist = selection_distribution(s, "component_view")
         assert dist == {v: Fraction(1, 5) for v in range(5)}
 
     def test_step_applies_a_recolor(self):
-        s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
+        s = ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
         (v,), (c,), draws = step_component_view(s, plain_draw(make_rng(1, 0)))
         assert s.color_of(v) == c and draws == 1
 
@@ -125,13 +125,13 @@ class TestStepPersistent:
     def test_stall_when_neighborhood_covers_palette(self):
         # triangle with colors (1, 2, 1) at k=2: either conflicted vertex sees
         # both colors, so no draw can ever be accepted
-        s = init_fixed(complete(3), 2, [1, 2, 1])
+        s = ColoringState(complete(3), 2, [1, 2, 1])
         _, colors, draws = step_persistent(s, plain_draw(make_rng(0, 0)), draw_limit=100)
         assert colors == () and draws == 100
         assert s.colors == (1, 2, 1)
 
     def test_draw_budget_bounds_the_draws(self):
-        s = init_fixed(complete(3), 2, [1, 2, 1])
+        s = ColoringState(complete(3), 2, [1, 2, 1])
         _, colors, draws = step_persistent(s, plain_draw(make_rng(0, 0)), draw_limit=10)
         assert colors == () and draws == 10
 
@@ -148,7 +148,7 @@ class TestStepParallel:
         assert proper == 2
 
     def test_whole_component_recolored(self):
-        s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 3, 2])
+        s = ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 3, 2])
         vertices, colors, draws = step_parallel(s, plain_draw(make_rng(2, 0)))
         assert vertices == (0, 1, 2, 3, 5) and len(colors) == 5 and draws == 1
 
@@ -169,7 +169,7 @@ class TestStepParallel:
                     assert s.color_of(v) == before[v]
 
     def test_matches_oracle_after_rounds(self):
-        s = init_fixed(complete(20), 20, [1] * 20)
+        s = ColoringState(complete(20), 20, [1] * 20)
         rng = make_rng(4, 0)
         for _ in range(50):
             if s.is_proper():
@@ -186,7 +186,7 @@ class TestRun:
         assert result.steps == 0 and result.terminated
 
     def test_proper_initial_coloring(self):
-        s = init_fixed(cycle(4), 3, [1, 2, 1, 2])
+        s = ColoringState(cycle(4), 3, [1, 2, 1, 2])
         result, _ = run(s, "uniform", 1000, make_rng(0, 0))
         assert result.steps == 0 and result.terminated and result.final_phi_num == 0
         assert result.min_conflicted == 0
@@ -195,11 +195,11 @@ class TestRun:
         # star: the center and one leaf share color 1, three leaves hold 2;
         # recoloring the center to 2 raises the conflicted count from 2 to 4
         g = from_edge_list("0 1\n0 2\n0 3\n0 4")
-        result, _ = run(init_fixed(g, 2, [1, 1, 2, 2, 2]), "uniform", 0, make_rng(0, 0))
+        result, _ = run(ColoringState(g, 2, [1, 1, 2, 2, 2]), "uniform", 0, make_rng(0, 0))
         assert result.steps == 0 and result.min_conflicted == 2
         rises = 0
         for seed in range(20):
-            s = init_fixed(g, 2, [1, 1, 2, 2, 2])
+            s = ColoringState(g, 2, [1, 1, 2, 2, 2])
             result, _ = run(s, "uniform", 1, make_rng(0, seed))
             assert result.min_conflicted == s.conflicted_count
             rises += s.conflicted_count > 2
@@ -240,22 +240,22 @@ class TestRun:
         rng = make_rng(7, 0)
         s = init_random(g, k, rng)
         result, trace = run(s, "uniform", 10**5, rng, trace=True)
-        assert trace[0].t == 0
-        replay = init_fixed(g, k, list(init_random(g, k, make_rng(7, 0)).colors))
+        assert trace[0]["t"] == 0
+        replay = ColoringState(g, k, list(init_random(g, k, make_rng(7, 0)).colors))
         for rec in trace[1:]:
-            for v, c in zip(rec.vertices, rec.colors):
+            for v, c in zip(rec["vertices"], rec["colors"]):
                 replay.recolor(v, c)
             snap = replay.snapshot()
             assert (snap.mono_edge_count, snap.iso_edge_count, snap.e_ip, snap.phi_num) == (
-                rec.mono_edge_count,
-                rec.iso_edge_count,
-                rec.e_ip,
-                rec.phi_num,
+                rec["mono_edges"],
+                rec["iso_edges"],
+                rec["iso_proper_edges"],
+                rec["phi_num"],
             )
 
     @pytest.mark.parametrize("variant", tuple(STEPS))
     def test_trace_counts_match_oracle(self, variant):
-        # every record's counts equal a from-scratch recount of the replayed colors
+        # every line's counts equal a from-scratch recount of the replayed colors
         g = erdos_renyi(14, 0.35, 3)
         k = g.max_degree + 1
         rng = make_rng(3, 1)
@@ -264,23 +264,24 @@ class TestRun:
         _, trace = run(s, variant, 400, rng, trace=True)
         assert len(trace) > 2
         for rec in trace:
-            for v, c in zip(rec.vertices, rec.colors):
+            for v, c in zip(rec["vertices"], rec["colors"]):
                 colors[v] = c
-            want = init_fixed(g, k, colors).recompute_all()
-            assert (rec.mono_edge_count, rec.iso_edge_count, rec.e_ip, rec.phi_num) == (
+            want = ColoringState(g, k, colors).recompute_all()
+            assert (rec["mono_edges"], rec["iso_edges"], rec["iso_proper_edges"],
+                    rec["phi_num"]) == (
                 want.mono_edge_count, want.iso_edge_count, want.e_ip, want.phi_num
             )
         assert colors == list(s.colors)
 
     def test_cap_exhaustion(self):
-        s = init_fixed(complete(30), 30, [1] * 30)
+        s = ColoringState(complete(30), 30, [1] * 30)
         result, _ = run(s, "parallel", 50, make_rng(0, 0))
         assert not result.terminated and result.steps == 50 and not result.stalled
 
     def test_persistent_counts_all_draws_and_respects_cap(self):
         g = disjoint_cliques(4, 6)
         rng = make_rng(8, 0)
-        s = init_fixed(g, 6, [1] * g.n)
+        s = ColoringState(g, 6, [1] * g.n)
         result, _ = run(s, "persistent", 40, rng)
         if not result.terminated:
             assert result.steps == 40
@@ -288,13 +289,13 @@ class TestRun:
     def test_persistent_stall_reported(self):
         # triangle (1, 2, 1) at k=2: every draw is blocked, so the draw guard
         # trips with one step of the cap to spare
-        s = init_fixed(complete(3), 2, [1, 2, 1])
+        s = ColoringState(complete(3), 2, [1, 2, 1])
         result, _ = run(s, "persistent", DEFAULT_PERSISTENT_DRAW_CAP + 1, make_rng(0, 0))
         assert result.stalled and not result.terminated
         assert result.steps == DEFAULT_PERSISTENT_DRAW_CAP and result.min_conflicted == 2
 
     def test_budget_exhaustion_is_not_a_stall(self):
-        s = init_fixed(complete(3), 2, [1, 2, 1])
+        s = ColoringState(complete(3), 2, [1, 2, 1])
         result, _ = run(s, "persistent", 10, make_rng(0, 0))
         assert not result.stalled and not result.terminated and result.steps == 10
 

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from colorsim import complete, init_fixed
+from colorsim import ColoringState, complete
 from exact_laws import (
     binomial_two_sided_p,
     cdf_median,
@@ -50,7 +50,7 @@ def test_row_n_is_the_law_of_the_initial_conflicted_count(n):
     graph = complete(n)
     counts = [0] * (n + 1)
     for colors in product(range(1, n + 1), repeat=n):
-        counts[init_fixed(graph, n, colors).conflicted_count] += 1
+        counts[ColoringState(graph, n, colors).conflicted_count] += 1
     assert transition_row(n, n) == tuple(Fraction(c, n**n) for c in counts)
 
 

@@ -20,7 +20,6 @@ from colorsim.harness import (
     initial_state,
     replay_audit,
     run_rows,
-    trace_lines,
     write_aggregate_csv,
     write_jsonl,
     write_runs_csv,
@@ -165,6 +164,11 @@ class TestRunEnsemble:
     def test_rejects_bool_explicit_colors(self):
         with pytest.raises(ValueError, match="explicit_colors"):
             ExperimentConfig(family="complete", n=2, init="explicit", explicit_colors=(True, 2))
+
+    def test_rejects_explicit_colors_without_explicit_init(self):
+        # the colors would go unused, yet appear in every output's config header
+        with pytest.raises(ValueError, match="^explicit_colors needs init explicit, not 'random'$"):
+            ExperimentConfig(family="complete", n=4, explicit_colors=(1, 2, 3, 4))
 
     def test_mean_below_theorem_budget(self):
         cfg = ExperimentConfig(family="disjoint_cliques", count=8, size=8, seeds=50, master_seed=4)
@@ -325,7 +329,7 @@ class TestWriters:
         state = initial_state(build_graph(cfg), cfg, rng)
         result, trace = run(state, cfg.variant, cfg.cap, rng, trace=True)
         buf = io.StringIO()
-        count = write_jsonl(buf, {"kind": "trace"}, trace_lines(trace))
+        count = write_jsonl(buf, {"kind": "trace"}, trace)
         lines = buf.getvalue().splitlines()
         assert json.loads(lines[0])["meta"] == {"kind": "trace"}
         assert count == len(trace)

@@ -11,7 +11,6 @@ from colorsim import (
     disjoint_cliques,
     erdos_renyi,
     from_edge_list,
-    init_fixed,
     init_random,
     make_rng,
     run,
@@ -25,7 +24,7 @@ def path3():
 
 class TestInitFixed:
     def test_monochromatic_k4(self):
-        s = init_fixed(complete(4), 4, [1, 1, 1, 1])
+        s = ColoringState(complete(4), 4, [1, 1, 1, 1])
         assert s.mono_edge_count == 6
         assert s.iso_edge_count == 0
         assert s.e_ip == 0
@@ -33,7 +32,7 @@ class TestInitFixed:
         assert s.snapshot() == s.recompute_all()
 
     def test_path_fixture(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         assert s.mono_edge_count == 1
         assert s.iso_edge_count == 1
         assert s.conflicted_vertices() == (0, 1)
@@ -42,16 +41,16 @@ class TestInitFixed:
         assert s.potential() == Fraction(221, 200)
 
     def test_proper_coloring(self):
-        s = init_fixed(path3(), 3, [1, 2, 1])
+        s = ColoringState(path3(), 3, [1, 2, 1])
         assert s.potential() == 0 and s.is_proper()
 
     def test_out_of_range_color_cites_vertex(self):
         with pytest.raises(ValueError, match="vertex 2"):
-            init_fixed(path3(), 2, [1, 2, 3])
+            ColoringState(path3(), 2, [1, 2, 3])
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            init_fixed(path3(), 2, [1, 2])
+            ColoringState(path3(), 2, [1, 2])
 
 
 class TestInitRandom:
@@ -82,19 +81,19 @@ class TestInitRandom:
 
 class TestRecolor:
     def test_same_color_is_noop(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         before = s.snapshot()
         assert s.recount_change(1, 1) == (0, 0, 0)
         assert s.recolor(1, 1) is None
         assert s.snapshot() == before and s.colors == (1, 1, 2)
 
     def test_path_to_proper(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         s.recolor(1, 3)
         assert s.potential() == 0 and s.is_proper()
 
     def test_path_to_symmetric_state(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         assert s.recount_change(1, 2) == (0, 0, 0)
         s.recolor(1, 2)
         assert s.potential() == Fraction(221, 200)
@@ -102,7 +101,7 @@ class TestRecolor:
         assert s.conflicted_vertices() == (1, 2)
 
     def test_rejects_bad_vertex_and_color(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         with pytest.raises(ValueError):
             s.recolor(9, 1)
         with pytest.raises(ValueError):
@@ -145,7 +144,15 @@ def recount_states():
         base, _ = audit_instance(spec, index)
         g = base.graph
         for k in (g.max_degree + 1, max(1, g.max_degree)):
-            yield index, init_fixed(g, k, [min(c, k) for c in base.colors])
+            yield index, ColoringState(g, k, [min(c, k) for c in base.colors])
+
+
+def four_vertex_graphs():
+    """All 64 labeled graphs on 4 vertices, each with its edge mask."""
+    pairs = list(itertools.combinations(range(4), 2))
+    for mask in range(1 << len(pairs)):
+        text = "\n".join(f"{a} {b}" for i, (a, b) in enumerate(pairs) if mask >> i & 1)
+        yield mask, from_edge_list(text, n=4)
 
 
 class TestRecount:
@@ -199,18 +206,15 @@ class TestRecount:
         # all 64 labeled graphs on 4 vertices, every coloring at k = D+1 and,
         # for D >= 1, at k = D: classes against recount_change against the
         # copy-plus-recolor oracle, for every (vertex, color) pair
-        pairs = list(itertools.combinations(range(4), 2))
         states = {"D+1": 0, "D": 0}
         outcomes = {"D+1": 0, "D": 0}
-        for mask in range(1 << len(pairs)):
-            text = "\n".join(f"{a} {b}" for i, (a, b) in enumerate(pairs) if mask >> i & 1)
-            g = from_edge_list(text, n=4)
+        for mask, g in four_vertex_graphs():
             d = g.max_degree
             for label, k in (("D+1", d + 1), ("D", d)):
                 if k == 0:
                     continue
                 for colors in itertools.product(range(1, k + 1), repeat=4):
-                    s = init_fixed(g, k, colors)
+                    s = ColoringState(g, k, colors)
                     now = s.recompute_all()
                     states[label] += 1
                     for v in range(4):
@@ -239,6 +243,23 @@ class TestRecount:
         assert states == {"D+1": 8_544, "D": 2_368}
         assert outcomes == {"D+1": 125_496, "D": 26_360}
 
+    def test_pair_table_equals_neighbor_counts(self):
+        # the audit reads the table, recount_change the local count: every
+        # vertex of the 220 recount states and of every 4-vertex state at k = D+1
+        def states():
+            for _, s in recount_states():
+                yield s
+            for _, g in four_vertex_graphs():
+                k = g.max_degree + 1
+                for colors in itertools.product(range(1, k + 1), repeat=4):
+                    yield ColoringState(g, k, colors)
+
+        count = 0
+        for s in states():
+            assert s._pair_table() == [s.neighbor_counts(u) for u in range(s.graph.n)], s.colors
+            count += 1
+        assert count == 220 + 8_544
+
     def test_runs_and_recount_change_never_derive_the_pair_table(self, monkeypatch):
         # the table costs an O(n + m) pass, which a traced step must not pay
         def refuse(self):
@@ -252,11 +273,11 @@ class TestRecount:
             s = init_random(g, k, rng)
             before = s.phi_num
             result, records = run(s, variant, 10_000, rng, trace=True)
-            assert result.terminated and records[0].phi_num == before
-            assert records[-1].phi_num == s.phi_num == 0
+            assert result.terminated and records[0]["phi_num"] == before
+            assert records[-1]["phi_num"] == s.phi_num == 0
         # path 1-1-1 to 3-1-1: one monochromatic edge fewer, which is now an
         # isolated pair with a properly colored neighbor
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         s.recolor(2, 1)
         assert s.recount_change(0, 3) == (-1, 1, 1)
 
@@ -291,21 +312,21 @@ class TestDerivedDefinitions:
 
 class TestComponents:
     def test_monochromatic_k4(self):
-        s = init_fixed(complete(4), 4, [1, 1, 1, 1])
+        s = ColoringState(complete(4), 4, [1, 1, 1, 1])
         components = s.monochromatic_components()
         assert len(components) == 1
         comp = components[0]
         assert comp.size == 4 and comp.average_degree == 3
 
     def test_path_isolated_pair(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         comp = s.monochromatic_components()[0]
         assert comp.vertices == (0, 1)
         assert comp.average_degree == 1
         assert comp.is_isolated_edge
 
     def test_two_monochromatic_triangles(self):
-        s = init_fixed(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
+        s = ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
         components = s.monochromatic_components()
         assert [c.size for c in components] == [3, 3]
         assert {c.color for c in components} == {1, 2}
@@ -332,18 +353,18 @@ class TestBatch:
             vs = sorted(set(int(x) for x in rng.integers(0, g.n, size=5)))
             colors = [int(x) for x in rng.integers(1, k + 1, size=len(vs))]
             s.apply_batch(vs, colors)
-            fresh = init_fixed(g, k, list(s.colors))
+            fresh = ColoringState(g, k, list(s.colors))
             assert s.snapshot() == fresh.snapshot() == s.recompute_all()
 
 
 class TestPotential:
     def test_edgeless_graph_zero(self):
         g = erdos_renyi(6, 0.0, 0)
-        s = init_fixed(g, 3, [1, 1, 1, 1, 1, 1])
+        s = ColoringState(g, 3, [1, 1, 1, 1, 1, 1])
         assert s.potential() == 0 and s.phi_num == 0
 
     def test_exact_rational(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         phi = s.potential()
         assert isinstance(phi, Fraction) and phi == Fraction(221, 200)
 
@@ -357,7 +378,7 @@ class TestPotential:
 
 class TestCopy:
     def test_copy_is_independent(self):
-        s = init_fixed(path3(), 3, [1, 1, 2])
+        s = ColoringState(path3(), 3, [1, 1, 2])
         t = s.copy()
         t.recolor(1, 3)
         assert s.potential() == Fraction(221, 200)

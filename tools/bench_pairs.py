@@ -14,10 +14,11 @@ machine has CPUs) from the result file it saves under
 ``perfbench/.out/results``. A run that is not comparable is kept, flagged in
 the output and reported on stderr.
 
-The output JSON holds the commit of each checkout (``<sha>-dirty`` when a
-tracked file differs from that commit, so the tree measured is not the
-commit's; null for a tree that is no git repository, such as a ``git
-archive`` copy) and, per workload, the
+The output JSON holds the commit of each checkout, read before the first run
+and again after every run (``<sha>-dirty`` when any reading found a tracked
+file differing from that commit or named another commit, so the tree
+measured is not the commit's; null for a tree that is no git repository,
+such as a ``git archive`` copy) and, per workload, the
 seeds and run order, every run's metrics and failure counts, and per metric
 and side the median with its quartiles (``statistics.quantiles``, inclusive
 method), plus the number of pairs in which the change reads better, with the
@@ -61,13 +62,29 @@ def commit_of(checkout: Path) -> str | None:
     return proc.stdout.strip() + ("-dirty" if status.stdout else "")
 
 
+def fold(recorded: str | None, reading: str | None) -> str | None:
+    """The commit recorded for a checkout after one more ``commit_of`` reading.
+
+    ``<sha>-dirty`` of the first reading once a later one differs from it; a
+    tree first read as no git repository stays None.
+    """
+    if recorded is None or reading == recorded:
+        return recorded
+    return recorded.removesuffix("-dirty") + "-dirty"
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
 def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seconds: float,
-                   better: dict[str, str]) -> dict:
+                   better: dict[str, str], commits: dict) -> dict:
+    """Run the pairs of one workload.
+
+    ``commits["parent"]`` and ``commits["change"]`` (the report's own entries)
+    are folded with a ``commit_of`` reading of their checkout after each run.
+    """
     runs = {"parent": [], "change": []}
     order = []
     for i in range(pairs):
@@ -75,7 +92,9 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, second
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(list(sides))
         for side in sides:
-            result = run_once(parent if side == "parent" else change, workload, seed, seconds)
+            checkout = parent if side == "parent" else change
+            result = run_once(checkout, workload, seed, seconds)
+            commits[side] = fold(commits[side], commit_of(checkout))
             machine = result.pop("machine")
             runs[side].append({"seed": seed, **result})
             print(f"{workload} seed {seed} {side}: "
@@ -118,7 +137,7 @@ def main(argv=None) -> int:
               "workloads": {}}
     for name, pairs in plan:
         report["workloads"][name] = bench_workload(
-            args.parent, args.change, name, pairs, args.seconds, better)
+            args.parent, args.change, name, pairs, args.seconds, better, report)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
