@@ -5,9 +5,10 @@ exhaustion, 3 audit violation. Bad input, whether flags, a sweep cell, an
 unreadable or unwritable file or a graph too large to allocate, exits 1 with
 a one-line reason on stderr, never a traceback; so does a failed write to
 stdout, which is silent when the reader closed it early. The family, variant
-and init names come from the tables in ``harness`` and ``dynamics``. All
-run-affecting options have deterministic defaults and end up in the output
-metadata; no environment variable is read.
+and init names come from the tables in ``harness`` and ``dynamics``, the
+family flags from ``harness.FAMILY_FIELDS``; a flag its family does not take
+is refused. All run-affecting options have deterministic defaults and end up
+in the output metadata; no environment variable is read.
 ``sweep --workers`` sets the worker-pool width only, which changes no output.
 """
 
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 
 from ._version import __version__
 from . import graph as graphs
@@ -25,6 +27,7 @@ from .dynamics import STEPS, VARIANT_ALIASES, make_rng, run
 from .harness import (
     FAMILIES,
     FAMILY_ALIASES,
+    FAMILY_FIELDS,
     FIT_MODELS,
     INIT_ALIASES,
     AuditSweepSpec,
@@ -68,22 +71,17 @@ def _reason(exc: Exception) -> str:
     return str(exc) or "out of memory"
 
 
-_SIZE_FIELDS = ("n", "count", "size", "a", "b")
-
-
 def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=list(FAMILY_ALIASES))
-    for name in _SIZE_FIELDS:
-        p.add_argument(f"--{name}", type=int)
-    p.add_argument("--p", type=float)
+    for name in FAMILY_FIELDS:
+        p.add_argument(f"--{name}", type=float if name == "p" else int)
     p.add_argument("--graph-seed", type=int, default=0)
-    p.add_argument("--graph", help="edge-list path for --family file")
+    p.add_argument("--graph", dest="path", metavar="GRAPH", help="edge-list path for --family file")
 
 
 def _family_fields(args) -> dict:
-    sizes = {name: getattr(args, name) for name in _SIZE_FIELDS}
-    return dict(family=FAMILY_ALIASES[args.family], **sizes, p=args.p,
-                graph_seed=args.graph_seed, path=args.graph)
+    return dict(family=FAMILY_ALIASES[args.family], **{f: getattr(args, f) for f in FAMILY_FIELDS},
+                graph_seed=args.graph_seed, path=args.path)
 
 
 def _config_from_args(args, variant: str, seeds: int = 1) -> ExperimentConfig:
@@ -269,8 +267,7 @@ def _cmd_audit(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"audit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    keys = ("instances", "master_seed", "families", "max_n")
-    meta = {"tool": f"colorsim {__version__}", "spec": {k: getattr(spec, k) for k in keys}}
+    meta = {"tool": f"colorsim {__version__}", "spec": asdict(spec)}
     violations = []
 
     def lines():

@@ -1,16 +1,19 @@
 """Seeded ensembles, scaling experiments, and the randomized audit sweep.
 
 ``FAMILIES`` is the one table of graph families (CLI alias, required
-config fields, graph constructor, audit sampler). ``ExperimentConfig`` and
-``AuditSweepSpec`` validate against it and the step and init tables on
-construction, raising a one-line ``ValueError``.
+config fields, graph constructor, audit sampler), and ``FAMILY_FIELDS`` names
+the fields that size a graph. ``ExperimentConfig`` and ``AuditSweepSpec``
+validate against them and the step and init tables on construction, raising
+a one-line ``ValueError``: each config field is checked against its own
+annotation, and a family field the family does not take is refused.
 
 Every run inside an ensemble draws from its own PCG64 stream derived from
 (master_seed, run_index), so aggregates do not depend on worker count or
 completion order; an ensemble returns its ``RunResult``s in run-index
 order. An ensemble runs on a graph its caller built once with
 ``build_graph``: the CLI's ``compare`` builds one graph for all its
-variants, ``sweep`` one per cell. Pool workers share it. Results flow out
+variants, ``sweep`` one per cell. Pool workers share it and take the run
+indices in chunks through ``Executor.map``. Results flow out
 as CSV (one row per run, one row per config, both opening with the
 ``CELL_FIELDS`` columns) and JSON lines (audit reports, traces); every
 output starts with a metadata header sufficient to reproduce it. The audit
@@ -25,8 +28,9 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, get_type_hints
 
 import numpy as np
 
@@ -89,7 +93,7 @@ class Family:
     Both callables look the generators up in ``graphs`` when called, so a wrapper
     installed there sees every build. ``min_max_n`` is the least ``max_n`` the
     sampler accepts, the fewest vertices of its instances, or 0 where the
-    sampler ignores ``max_n``.
+    sampler ignores ``max_n``. ``optional`` names the other fields it reads when set.
     """
 
     alias: str
@@ -98,6 +102,7 @@ class Family:
     sample: Callable[[AuditSweepSpec, np.random.Generator], Graph] | None = None
     min_max_n: int = 0
     bipartite: bool = False
+    optional: tuple[str, ...] = ()
 
 
 # vertex range (capped above by max_n) and edge probabilities of the er audit instances
@@ -132,22 +137,14 @@ FAMILIES = {
     "erdos_renyi": Family("er", ("n", "p"), lambda c: graphs.erdos_renyi(c.n, c.p, c.graph_seed),
                           _sample_erdos_renyi, min_max_n=ER_N_RANGE[0]),
     "file": Family("file", ("path",), lambda c: graphs.from_edge_list(
-        Path(c.path).read_text(encoding="utf-8"), n=c.n)),
+        Path(c.path).read_text(encoding="utf-8"), n=c.n), optional=("n",)),
 }
 FAMILY_ALIASES = {family.alias: name for name, family in FAMILIES.items()}
 
 # CLI name -> init
 INIT_ALIASES = {"random": "random", "ones": "all_ones", "file": "explicit"}
 
-# config fields can come from JSON, so their types are checked before any use; a
-# JSON true or false is a bool, which Python also counts as an int, so bools are refused
-_INT_OR_NONE = (int, type(None))
-_FIELD_TYPES = {
-    "family": str, "variant": str, "init": str, "path": (str, type(None)),
-    "n": _INT_OR_NONE, "count": _INT_OR_NONE, "size": _INT_OR_NONE, "a": _INT_OR_NONE,
-    "b": _INT_OR_NONE, "k": _INT_OR_NONE, "p": (int, float, type(None)),
-    "graph_seed": int, "seeds": int, "master_seed": int, "cap": int,
-}
+FAMILY_FIELDS = ("n", "count", "size", "a", "b", "p")  # graph size fields, in config_id order
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ class ExperimentConfig:
     size: int | None = None
     a: int | None = None
     b: int | None = None
-    p: float | None = None
+    p: float | int | None = None
     graph_seed: int = 0
     path: str | None = None
     variant: str = "uniform"
@@ -176,16 +173,19 @@ class ExperimentConfig:
     cap: int = 1_000_000
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
+        for name, kind in _FIELD_HINTS.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"bad {name}: {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
-        for name in FAMILIES[self.family].fields:
-            if getattr(self, name) is None:
+        family = FAMILIES[self.family]
+        for name in (*FAMILY_FIELDS, "path"):
+            if getattr(self, name) is None and name in family.fields:
                 raise ValueError(f"{self.family} needs {name}")
+            if getattr(self, name) is not None and name not in family.fields + family.optional:
+                raise ValueError(f"{self.family} does not take {name}")
         if self.variant not in STEPS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {', '.join(STEPS)}")
         if self.init not in INIT_ALIASES.values():
@@ -208,7 +208,7 @@ class ExperimentConfig:
 
     def resolved_id(self) -> str:
         parts = [self.family]
-        for name in ("n", "count", "size", "a", "b", "p"):
+        for name in FAMILY_FIELDS:
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}{value}")
@@ -217,6 +217,12 @@ class ExperimentConfig:
         if self.k is not None:
             parts.append(f"k{self.k}")
         return "-".join(parts)
+
+
+# fields can come from JSON, so each is checked against its annotation. A JSON bool,
+# which Python counts as an int, is refused; explicit_colors checks its elements itself
+_FIELD_HINTS = {name: hint for name, hint in get_type_hints(ExperimentConfig).items()
+                if name != "explicit_colors"}
 
 
 @dataclass(frozen=True)
@@ -280,8 +286,8 @@ def _init_pool_worker(graph: Graph) -> None:
     _pool_graph = graph
 
 
-def _run_chunk(config: ExperimentConfig, start: int, stop: int, timing: bool) -> list[RunResult]:
-    return [run_one(_pool_graph, config, i, timing) for i in range(start, stop)]
+def _run_pooled(config: ExperimentConfig, timing: bool, index: int) -> RunResult:
+    return run_one(_pool_graph, config, index, timing)
 
 
 def run_ensemble(
@@ -307,14 +313,10 @@ def run_ensemble(
         results = [run_one(graph, config, i, timing) for i in range(seeds)]
     else:
         chunk = max(1, math.ceil(seeds / (workers * 4)))
-        spans = [(s, min(s + chunk, seeds)) for s in range(0, seeds, chunk)]
-        starts, stops = zip(*spans)
-        with ProcessPoolExecutor(max_workers=min(workers, len(spans)),
+        with ProcessPoolExecutor(max_workers=min(workers, math.ceil(seeds / chunk)),
                                  initializer=_init_pool_worker, initargs=(graph,)) as pool:
-            parts = pool.map(
-                _run_chunk, [config] * len(spans), starts, stops, [timing] * len(spans)
-            )
-            results = [r for part in parts for r in part]
+            results = list(pool.map(partial(_run_pooled, config, timing), range(seeds),
+                                    chunksize=chunk))
     return summarize(results), results
 
 
@@ -342,7 +344,8 @@ def scaling_fit(points: Iterable[tuple[int, int, float]], model: str) -> FitResu
 
     ``points`` are (n, max_degree, mean_steps) triples; the regressor is one
     of the registered growth models. R squared is computed against the fitted
-    single-coefficient model.
+    single-coefficient model. A regressor that is 0 or undefined (the log of
+    0) raises ``ValueError`` naming the point.
     """
     if model not in FIT_MODELS:
         raise ValueError(f"unknown fit model {model!r}; choose from {sorted(FIT_MODELS)}")
@@ -353,7 +356,10 @@ def scaling_fit(points: Iterable[tuple[int, int, float]], model: str) -> FitResu
     xs = []
     ys = []
     for n, delta, mean_steps in pts:
-        x = reg(n, delta)
+        try:
+            x = reg(n, delta)
+        except ValueError:  # the log of 0, as at max degree 0
+            x = 0
         if x == 0:
             raise ValueError(f"degenerate regressor at point (n={n}, delta={delta})")
         xs.append(x)

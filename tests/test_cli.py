@@ -191,6 +191,16 @@ class TestSweep:
         assert fit_stdout == stdout and fit_agg_bytes == agg_bytes  # no fit line, empty fit columns
         assert fit_err == err + "sweep: fit skipped: 2 cells succeeded and the fit needs 3\n"
 
+    def test_fit_failure_is_one_stderr_line(self, tmp_path, capsys):
+        # K1 has max degree 0, and log 0 is undefined: the fit fails, the cells stand
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({"seeds": 2, "fit": {"model": "n_log_delta"}, "cells": [
+            {"family": "complete", "n": 1}, {"family": "complete", "n": 3},
+            {"family": "complete", "n": 4}]}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 0 and len(stdout.splitlines()) == 3 and "fit[" not in stdout
+        assert err == "sweep: fit failed: degenerate regressor at point (n=1, delta=0)\n"
+
     def test_missing_config_exit_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.json"))
         assert code == 1
@@ -317,6 +327,20 @@ BAD_INPUT = [
     ("audit", "--families", "", "--instances", "3"),
     ("run", "--family", "complete", "--n", "5", "--init", "file"),
     ("run", "--family", "er", "--n", "10"),
+    # a family field the family does not read would only change config_id
+    ("run", "--family", "complete", "--n", "4", "--p", "0.5"),
+    ("sweep", "--config", "{tmp}/cycle_count.json"),
+    # a negative seed
+    ("run", "--family", "complete", "--n", "3", "--seed", "-1"),
+    ("audit", "--seed", "-1", "--instances", "2"),
+    # cells naming no family, init or colors the tables know
+    ("sweep", "--config", "{tmp}/bogus_family.json"),
+    ("sweep", "--config", "{tmp}/bogus_init.json"),
+    ("sweep", "--config", "{tmp}/explicit_no_colors.json"),
+    # edge-list lines that are not two vertex indices
+    ("gen", "--family", "file", "--graph", "{tmp}/three.txt", "--out", "{tmp}/g.txt"),
+    ("gen", "--family", "file", "--graph", "{tmp}/negative.txt", "--out", "{tmp}/g.txt"),
+    ("sweep", "--config", "{tmp}/small.json", "--per-run", "{tmp}/missing/runs.csv"),
     # a color is 1 + draw(k), and draw takes bounds below 2**32
     ("run", "--family", "complete", "--n", "4", "--k", "4294967296"),
     # an edge-list index at or above twice the edge lines, --n and the
@@ -379,9 +403,24 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
          "fit": {"model": "n_log_n"}}))
     (tmp_path / "explicit_random.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4, "explicit_colors": [1, 2, 3, 4]}], "seeds": 2}))
+    for name, cell in (("cycle_count", {"family": "cycle", "n": 5, "count": 2}),
+                       ("bogus_family", {"family": "bogus", "n": 4}),
+                       ("bogus_init", {"family": "complete", "n": 4, "init": "bogus"}),
+                       ("explicit_no_colors", {"family": "complete", "n": 4, "init": "explicit"})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"cells": [cell], "seeds": 2}))
+    (tmp_path / "three.txt").write_text("0 1 2\n")
+    (tmp_path / "negative.txt").write_text("0 -1\n")
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
+    # the result line is printed before the trace is written
+    code, stdout, err = run_cli(capsys, "run", "--family", "complete", "--n", "3",
+                                "--trace-out", str(tmp_path / "missing" / "t.jsonl"))
+    assert code == 1 and stdout.startswith("config_id=complete-n3-") and stdout.count("\n") == 1
+    assert err.startswith("run: cannot write ") and err.count("\n") == 1
 
 
 def test_bare_memory_error_has_a_reason(tmp_path, capsys, monkeypatch):

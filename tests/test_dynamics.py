@@ -185,6 +185,10 @@ class TestRun:
         result, _ = run(s, "uniform", 1000, make_rng(0, 1))
         assert result.steps == 0 and result.terminated
 
+    def test_rejects_a_negative_cap(self):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            run(ColoringState(cycle(4), 3, [1, 1, 1, 1]), "uniform", -1, make_rng(0, 0))
+
     def test_proper_initial_coloring(self):
         s = ColoringState(cycle(4), 3, [1, 2, 1, 2])
         result, _ = run(s, "uniform", 1000, make_rng(0, 0))

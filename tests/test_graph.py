@@ -140,6 +140,10 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5, 0)
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            erdos_renyi(0, 0.5, 0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 800])
     @pytest.mark.parametrize("p", [0.0, 5e-4, 0.1, 0.3, 0.7, 1.0, 1 / 3])
     def test_matches_row_by_row_reference(self, n, p):

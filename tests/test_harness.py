@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import typing
 
 import pytest
 
@@ -45,6 +46,11 @@ class TestScalingFit:
     def test_degenerate_regressor_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             scaling_fit([(10, 1, 5.0), (20, 1, 9.0), (30, 1, 14.0)], "n_log_delta")
+
+    def test_max_degree_zero_is_a_degenerate_regressor(self):
+        # log 0 is undefined, not 0; the point is named as for delta 1
+        with pytest.raises(ValueError, match=r"^degenerate regressor at point \(n=1, delta=0\)$"):
+            scaling_fit([(1, 0, 0.0), (3, 2, 3.5), (4, 3, 2.0)], "n_log_delta")
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
@@ -105,8 +111,8 @@ class TestRunEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                pools.append((self.width, len(iterables[0])))
+            def map(self, fn, *iterables, chunksize=1):
+                pools.append((self.width, math.ceil(len(iterables[0]) / chunksize)))
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
@@ -155,7 +161,8 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="workers"):
             run_ensemble(build_graph(cfg), cfg, workers=0)
 
-    @pytest.mark.parametrize("name", sorted(harness._FIELD_TYPES))
+    @pytest.mark.parametrize("name", sorted(
+        set(typing.get_type_hints(ExperimentConfig)) - {"explicit_colors"}))
     def test_rejects_a_bool_in_every_typed_field(self, name):
         # a JSON true is a bool, which Python also counts as an int
         with pytest.raises(ValueError, match=f"^bad {name}: True$"):
@@ -164,6 +171,24 @@ class TestRunEnsemble:
     def test_rejects_bool_explicit_colors(self):
         with pytest.raises(ValueError, match="explicit_colors"):
             ExperimentConfig(family="complete", n=2, init="explicit", explicit_colors=(True, 2))
+
+    @pytest.mark.parametrize("family, fields, extra", [
+        ("complete", {"n": 4}, {"p": 0.5}),
+        ("cycle", {"n": 5}, {"count": 2}),
+        ("disjoint_cliques", {"count": 2, "size": 3}, {"n": 6}),
+        ("erdos_renyi", {"n": 5, "p": 0.5}, {"path": "g.txt"}),
+    ])
+    def test_rejects_a_field_its_family_does_not_take(self, family, fields, extra):
+        # the value would reach config_id while the graph ignores it
+        (name,) = extra
+        with pytest.raises(ValueError, match=f"^{family} does not take {name}$"):
+            ExperimentConfig(family=family, **fields, **extra)
+
+    def test_file_with_n_still_builds(self, tmp_path):
+        # n pads the edge list's vertices
+        (tmp_path / "g.txt").write_text("0 1\n1 2\n")
+        cfg = ExperimentConfig(family="file", path=str(tmp_path / "g.txt"), n=5)
+        assert build_graph(cfg).n == 5 and cfg.resolved_id() == "file-n5-uniform-random"
 
     def test_rejects_explicit_colors_without_explicit_init(self):
         # the colors would go unused, yet appear in every output's config header
@@ -257,6 +282,9 @@ class TestAuditSweep:
         digest = target["state_digest"]
         replayed = replay_audit(spec, digest)
         assert [l for l in lines if l["state_digest"] == digest] == replayed
+
+    def test_replay_of_an_unknown_digest_is_empty(self):
+        assert replay_audit(AuditSweepSpec(instances=5, master_seed=3), "0" * 64) == []
 
     def test_instances_deterministic(self):
         spec = AuditSweepSpec(instances=6, master_seed=5)

@@ -52,6 +52,10 @@ class TestInitFixed:
         with pytest.raises(ValueError):
             ColoringState(path3(), 2, [1, 2])
 
+    def test_rejects_zero_palette(self):
+        with pytest.raises(ValueError, match="palette size k"):
+            ColoringState(path3(), 0, [1, 1, 1])
+
 
 class TestInitRandom:
     def test_edgeless_always_proper(self):
@@ -355,6 +359,12 @@ class TestBatch:
             s.apply_batch(vs, colors)
             fresh = ColoringState(g, k, list(s.colors))
             assert s.snapshot() == fresh.snapshot() == s.recompute_all()
+
+    @pytest.mark.parametrize("color", [0, 4])
+    def test_rejects_a_color_outside_the_palette(self, color):
+        s = ColoringState(path3(), 3, [1, 1, 2])
+        with pytest.raises(ValueError, match=f"color {color} outside 1..3"):
+            s.apply_batch([0], [color])
 
 
 class TestPotential:
