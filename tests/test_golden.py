@@ -63,6 +63,10 @@ CASES = {
     # the bipartite refinement: 27 bipartite_pair_drift lines
     "audit_bipartite": (("audit", "--instances", "20", "--families", "bipartite", "--seed", "1",
                          "--out", "{tmp}/bipartite.jsonl"), ("bipartite.jsonl",)),
+    # enough instances to take the audit's process pool on 2 or more CPUs;
+    # recorded from the serial audit
+    "audit_pool": (("audit", "--instances", "300", "--max-n", "50", "--seed", "2",
+                    "--out", "{tmp}/pool.jsonl"), ("pool.jsonl",)),
     "gen_er": (("gen", "--family", "er", "--n", "40", "--p", "0.2", "--graph-seed", "3",
                 "--out", "{tmp}/g.txt"), ("g.txt",)),
     # 1999000 pairs: 31 draw blocks, drawn in spans on several threads where
@@ -115,6 +119,8 @@ GOLDEN = {
         ("ce54e2e8e2b8ffc4a925f645ffa9d09b5660716a91b678af3283211935810c89",)),
     "audit_bipartite": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ("563f5336dd6274fb736898845d747e035271194ce85902595c59e11fd86950c3",)),
+    "audit_pool": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("bb8c20ad2ddd81618d2594cf366798d38c634ff98f5be9182dcf662eaca43ee3",)),
     "gen_er": (0, "94dadc038de79323383e3ebc5c57886d9f87c005fc7f9c956f2136e101eeb3f0",
         ("8e8420deae3b218603a6c3c3e618618f89f016747858e10b5709ab69928a8168",)),
     "gen_er_blocks": (0, "74f2fd5f1ff20f1719920533cb6f4f3e669234556cb217f4acee388072b7664b",
