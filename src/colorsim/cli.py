@@ -9,7 +9,9 @@ and init names come from the tables in ``harness`` and ``dynamics``, the
 family flags from ``harness.FAMILY_FIELDS``; a flag its family does not take
 is refused. All run-affecting options have deterministic defaults and end up
 in the output metadata; no environment variable is read.
-``sweep --workers`` sets the worker-pool width only, which changes no output.
+``sweep --workers`` sets the worker-pool width only, which changes no output;
+``audit`` runs on every usable CPU with no flag for it, and writes and scans
+the lines here in instance order, so its output does not depend on the count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import asdict
 
 from ._version import __version__
@@ -269,15 +271,17 @@ def _cmd_audit(args) -> int:
         return EXIT_USAGE
     meta = {"tool": f"colorsim {__version__}", "spec": asdict(spec)}
     violations = []
+    sweep = drift_audit_sweep(spec)
 
     def lines():
-        for line in drift_audit_sweep(spec):
+        for line in sweep:
             if not line.get("skipped") and not line["satisfied"]:
                 violations.append(line)
             yield line
 
     try:
-        with sink as out:
+        # a failed write closes the sweep at once, which stops its pool
+        with closing(sweep), sink as out:
             write_jsonl(out, meta, lines())
     except OSError as exc:
         if not args.out:

@@ -12,8 +12,10 @@ Every run inside an ensemble draws from its own PCG64 stream derived from
 completion order; an ensemble returns its ``RunResult``s in run-index
 order. An ensemble runs on a graph its caller built once with
 ``build_graph``: the CLI's ``compare`` builds one graph for all its
-variants, ``sweep`` one per cell. Pool workers share it and take the run
-indices in chunks through ``Executor.map``. Results flow out
+variants, ``sweep`` one per cell. ``ordered_map`` is the one process pool:
+ensembles map their run indices over it, and the audit sweep its instance
+indices on every usable CPU; either way the results come back in index
+order. Results flow out
 as CSV (one row per run, one row per config, both opening with the
 ``CELL_FIELDS`` columns) and JSON lines (audit reports, traces); every
 output starts with a metadata header sufficient to reproduce it. The audit
@@ -27,6 +29,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -135,7 +138,7 @@ FAMILIES = {
                     lambda spec, rng: graphs.cycle(3 + int(rng.integers(min(48, spec.max_n - 2)))),
                     min_max_n=3),
     "erdos_renyi": Family("er", ("n", "p"), lambda c: graphs.erdos_renyi(c.n, c.p, c.graph_seed),
-                          _sample_erdos_renyi, min_max_n=ER_N_RANGE[0]),
+                          _sample_erdos_renyi, min_max_n=ER_N_RANGE[0], optional=("graph_seed",)),
     "file": Family("file", ("path",), lambda c: graphs.from_edge_list(
         Path(c.path).read_text(encoding="utf-8"), n=c.n), optional=("n",)),
 }
@@ -186,6 +189,8 @@ class ExperimentConfig:
                 raise ValueError(f"{self.family} needs {name}")
             if getattr(self, name) is not None and name not in family.fields + family.optional:
                 raise ValueError(f"{self.family} does not take {name}")
+        if self.graph_seed and "graph_seed" not in family.optional:  # 0 is the default
+            raise ValueError(f"{self.family} does not take graph_seed")
         if self.variant not in STEPS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {', '.join(STEPS)}")
         if self.init not in INIT_ALIASES.values():
@@ -277,17 +282,52 @@ def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = F
     return result
 
 
-# the ensemble's graph in a pool worker, set once per worker by the pool initializer
-_pool_graph: Graph | None = None
+# what every task of a pool shares (an ensemble's graph, an audit's spec), set
+# once per worker by the pool initializer
+_pool_context = None
 
 
-def _init_pool_worker(graph: Graph) -> None:
-    global _pool_graph
-    _pool_graph = graph
+def _init_pool_worker(context) -> None:
+    global _pool_context
+    _pool_context = context
 
 
-def _run_pooled(config: ExperimentConfig, timing: bool, index: int) -> RunResult:
-    return run_one(_pool_graph, config, index, timing)
+def _call_in_worker(fn: Callable, item):
+    return fn(_pool_context, item)
+
+
+def ordered_map(fn: Callable, context, items: range, workers: int,
+                chunk: int | None = None) -> Iterator:
+    """Yield ``fn(context, item)`` for each item, in item order, on up to ``workers`` processes.
+
+    The one process pool of the package. ``workers`` is bounded by the CPUs
+    this process may use, and the pool is no wider than its number of chunks
+    of ``chunk`` items (by default a quarter of each worker's share); one
+    worker maps in this process. ``context`` reaches each worker once,
+    through the pool initializer (under fork it is inherited, nothing is
+    pickled), and the results come back in item order whatever the
+    completion order. Closing the iterator early, or an error in the
+    consumer, cancels the chunks not yet started, and the pool's processes
+    have ended when the close returns.
+    """
+    workers = min(workers, usable_cpus())
+    if workers > 1:
+        chunk = chunk or max(1, math.ceil(len(items) / (workers * 4)))
+        workers = min(workers, math.ceil(len(items) / chunk))
+    if workers <= 1:
+        for item in items:
+            yield fn(context, item)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
+                               initargs=(context,))
+    try:
+        yield from pool.map(partial(_call_in_worker, fn), items, chunksize=chunk)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_at(config: ExperimentConfig, timing: bool, graph: Graph, index: int) -> RunResult:
+    return run_one(graph, config, index, timing)
 
 
 def run_ensemble(
@@ -297,26 +337,18 @@ def run_ensemble(
 
     ``graph`` is ``build_graph(config)``, built once by the caller. The runs
     come back in run-index order, so a run's position is its index under the
-    master seed. ``workers`` is the width of the process pool (1 runs in this
-    process); pool workers receive the graph through the pool initializer
-    (under fork they inherit it, nothing is pickled). ``workers`` is first
-    bounded by the CPUs this process may use, and the pool is no wider than
-    its number of chunks. The reduction is by run index, never completion
-    order, so the outcome is identical for any worker count.
+    master seed. ``workers`` is the width of the process pool that
+    ``ordered_map`` runs them on, bounded there by the usable CPUs (1, or
+    fewer than 4 runs, runs in this process); the workers share the graph
+    through the pool initializer. The reduction is by run index, never
+    completion order, so the outcome is identical for any worker count.
     ``timing`` fills in each run's ``wall_ns``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, usable_cpus())
     seeds = config.seeds
-    if workers == 1 or seeds < 4:
-        results = [run_one(graph, config, i, timing) for i in range(seeds)]
-    else:
-        chunk = max(1, math.ceil(seeds / (workers * 4)))
-        with ProcessPoolExecutor(max_workers=min(workers, math.ceil(seeds / chunk)),
-                                 initializer=_init_pool_worker, initargs=(graph,)) as pool:
-            results = list(pool.map(partial(_run_pooled, config, timing), range(seeds),
-                                    chunksize=chunk))
+    results = list(ordered_map(partial(_run_at, config, timing), graph, range(seeds),
+                               workers if seeds >= 4 else 1))
     return summarize(results), results
 
 
@@ -431,17 +463,39 @@ def audit_instance(spec: AuditSweepSpec, index: int) -> tuple[ColoringState, boo
     return init_random(g, g.max_degree + 1, rng), family.bipartite
 
 
+# The audit's pool has one worker per AUDIT_MIN_PER_WORKER instances, up to the
+# usable CPUs, so that forking pays for itself. `audit --max-n 50` on a 2-vCPU
+# Xeon VM, best of 11 in-process runs, serial against a 2-worker pool: 32
+# instances 0.030 s against 0.043 s, 48 0.041-0.055 s against 0.045-0.047 s,
+# 64 0.057-0.074 s against 0.051-0.053 s, 128 0.162 s against 0.093 s, 500
+# 0.51 s against 0.29 s. A chunk is a fixed AUDIT_CHUNK instances, not a share
+# of them, so each chunk's lines (built in a worker, pickled, held in the
+# parent until written) stay as large at 20,000 instances as at 500; chunks of
+# 4 to 64 instances timed alike within the VM's noise.
+AUDIT_MIN_PER_WORKER = 32
+AUDIT_CHUNK = 16
+
+
+def _instance_lines(spec: AuditSweepSpec, index: int) -> list[dict]:
+    state, bipartite = audit_instance(spec, index)
+    return report_lines(state, bipartite, state_digest(state))
+
+
 def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
     """Audit ``spec.instances`` random states, yielding one JSON-able line per check.
 
     The lines are ``audit.report_lines``: proper colorings skip the decay
     check with an explicit marker, and instances whose enumeration would
     exceed the outcome budget are skipped whole. Every line carries the state
-    digest needed to replay it.
+    digest needed to replay it. The instances run on every usable CPU
+    through ``ordered_map`` and their lines come in instance order, so the
+    lines are the same for any CPU count.
     """
-    for index in range(spec.instances):
-        state, bipartite = audit_instance(spec, index)
-        yield from report_lines(state, bipartite, state_digest(state))
+    workers = max(1, spec.instances // AUDIT_MIN_PER_WORKER)
+    with closing(ordered_map(_instance_lines, spec, range(spec.instances), workers,
+                             AUDIT_CHUNK)) as per_instance:
+        for lines in per_instance:
+            yield from lines
 
 
 def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:

@@ -1,13 +1,16 @@
 import dataclasses
+import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from colorsim import audit, from_edge_list
+from colorsim import audit, from_edge_list, harness
 from colorsim import graph as graphs
 from colorsim.cli import main
 
@@ -370,7 +373,11 @@ BAD_INPUT = [
     # colors for a random init would go unused
     ("sweep", "--config", "{tmp}/explicit_random.json"),
     # every write to a full device fails
-    pytest.param(("audit", "--instances", "50", "--out", "/dev/full"), marks=needs_dev_full),
+    # at a count that takes the audit's process pool on 2 or more CPUs
+    pytest.param(("audit", "--instances", "300", "--out", "/dev/full"), marks=needs_dev_full),
+    # only er reads graph_seed; elsewhere it would only change the output headers
+    ("run", "--family", "complete", "--n", "4", "--graph-seed", "7"),
+    ("sweep", "--config", "{tmp}/cycle_graph_seed.json"),
 ]
 
 
@@ -404,6 +411,7 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "explicit_random.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4, "explicit_colors": [1, 2, 3, 4]}], "seeds": 2}))
     for name, cell in (("cycle_count", {"family": "cycle", "n": 5, "count": 2}),
+                       ("cycle_graph_seed", {"family": "cycle", "n": 5, "graph_seed": 3}),
                        ("bogus_family", {"family": "bogus", "n": 4}),
                        ("bogus_init", {"family": "complete", "n": 4, "init": "bogus"}),
                        ("explicit_no_colors", {"family": "complete", "n": 4, "init": "explicit"})):
@@ -413,6 +421,7 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
@@ -468,6 +477,84 @@ def test_full_stdout_exits_1_with_one_line(argv):
     err = proc.stderr.decode()
     assert proc.returncode == 1
     assert err.startswith("colorsim: cannot write output: ") and err.count("\n") == 1
+
+
+class TestAuditPool:
+    """The audit's bytes, exit code and stderr do not depend on the usable CPUs."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The width of each process pool started; the pools are real (fork) pools."""
+        widths = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        return widths
+
+    @staticmethod
+    def audit(capsys, monkeypatch, tmp_path, cpus, *argv):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}.jsonl"
+        code, stdout, err = run_cli(capsys, "audit", *argv, "--out", str(out))
+        assert multiprocessing.active_children() == []
+        return code, stdout, err, out.read_bytes()
+
+    # a pool worker takes at least 32 instances (AUDIT_MIN_PER_WORKER), 16 at a
+    # time (AUDIT_CHUNK): 63 runs serially, 64 takes two workers, and 97 (no
+    # multiple of 16) takes three where there are three CPUs
+    @pytest.mark.parametrize("instances, expected_widths", [
+        (0, []), (63, []), (64, [2, 2]), (97, [2, 3])])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, instances, expected_widths, capsys,
+                                                   monkeypatch, tmp_path, widths):
+        argv = ("--instances", str(instances), "--seed", "3")
+        serial = self.audit(capsys, monkeypatch, tmp_path, 1, *argv)
+        assert serial[0] == 0 and serial[3].count(b"\n") >= 1 + instances
+        for cpus in (2, 3):
+            assert self.audit(capsys, monkeypatch, tmp_path, cpus, *argv) == serial
+        assert widths == expected_widths
+
+    def test_violations_do_not_depend_on_the_cpu_count(self, capsys, monkeypatch, tmp_path,
+                                                       widths):
+        # the fault hook of TestAudit, inherited by the forked workers
+        checks = audit.audit_state
+        monkeypatch.setattr(audit, "audit_state", lambda state, bipartite=False: [
+            dataclasses.replace(e, lhs=e.rhs, rhs=e.lhs) for e in checks(state, bipartite)])
+        argv = ("--instances", "100", "--seed", "1")
+        serial = self.audit(capsys, monkeypatch, tmp_path, 1, *argv)
+        assert serial[0] == 3 and serial[2].count("audit: VIOLATION ") == 10
+        for cpus in (2, 3):
+            assert self.audit(capsys, monkeypatch, tmp_path, cpus, *argv) == serial
+        assert widths == [2, 3]
+
+    @needs_dev_full
+    def test_full_device_stops_the_pool(self, capsys, monkeypatch, widths):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        code, stdout, err = run_cli(capsys, "audit", "--instances", "2000", "--out", "/dev/full")
+        assert (code, stdout) == (1, "") and err.startswith("audit: cannot write output: ")
+        assert widths == [2] and multiprocessing.active_children() == []
+
+    def test_closed_stdout_stops_the_pool(self, monkeypatch, tmp_path, widths):
+        # as in `colorsim audit --instances 2000 | head -1`: the reader leaves
+        # after the metadata line, and every later write fails
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        with open(tmp_path / "stdout", "w") as stdout:
+            writes = []
+
+            def write(text):
+                if writes:
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+                writes.append(text)
+                return len(text)
+
+            monkeypatch.setattr(stdout, "write", write)
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["audit", "--instances", "2000"])
+        assert code == 1 and json.loads(writes[0])["meta"]
+        assert widths == [2] and multiprocessing.active_children() == []
 
 
 class TestTopLevel:

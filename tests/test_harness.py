@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
 import typing
 
@@ -105,18 +106,15 @@ class TestRunEnsemble:
                 if initializer is not None:
                     initializer(*initargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, *iterables, chunksize=1):
                 pools.append((self.width, math.ceil(len(iterables[0]) / chunksize)))
                 return map(fn, *iterables)
 
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness, "_pool_graph", None)
+        monkeypatch.setattr(harness, "_pool_context", None)
         return pools
 
     @staticmethod
@@ -300,6 +298,27 @@ class TestAuditSweep:
         spec = AuditSweepSpec(instances=20, master_seed=6)
         lines = [l for l in drift_audit_sweep(spec) if not l.get("skipped")]
         assert any(not l["satisfied"] for l in lines)
+
+
+def _touch(directory, index):
+    (directory / str(index)).touch()
+    return index
+
+
+class TestOrderedMap:
+    def test_items_in_order_on_a_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+        assert list(harness.ordered_map(_touch, tmp_path, range(50), 3, chunk=4)) == list(range(50))
+        assert len(list(tmp_path.iterdir())) == 50
+
+    def test_closing_early_cancels_the_pending_chunks(self, tmp_path, monkeypatch):
+        # the chunks already handed to a worker finish; none of the rest starts
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        results = harness.ordered_map(_touch, tmp_path, range(2000), 2, chunk=1)
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert len(list(tmp_path.iterdir())) < 2000
 
 
 class TestWriters:
