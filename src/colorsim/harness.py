@@ -306,9 +306,9 @@ def ordered_map(fn: Callable, context, items: range, workers: int,
     worker maps in this process. ``context`` reaches each worker once,
     through the pool initializer (under fork it is inherited, nothing is
     pickled), and the results come back in item order whatever the
-    completion order. Closing the iterator early, or an error in the
-    consumer, cancels the chunks not yet started, and the pool's processes
-    have ended when the close returns.
+    completion order. Closing the iterator before its end cancels the chunks
+    not yet started, and the pool's processes have ended when the close
+    returns; an error raised in a worker ends the pool the same way.
     """
     workers = min(workers, usable_cpus())
     if workers > 1:

@@ -372,8 +372,8 @@ BAD_INPUT = [
     ("sweep", "--config", "{tmp}/fit_two_cells.json"),
     # colors for a random init would go unused
     ("sweep", "--config", "{tmp}/explicit_random.json"),
-    # every write to a full device fails
-    # at a count that takes the audit's process pool on 2 or more CPUs
+    # every write to a full device fails; 300 instances take the audit's
+    # process pool on 2 or more CPUs
     pytest.param(("audit", "--instances", "300", "--out", "/dev/full"), marks=needs_dev_full),
     # only er reads graph_seed; elsewhere it would only change the output headers
     ("run", "--family", "complete", "--n", "4", "--graph-seed", "7"),
