@@ -23,7 +23,6 @@ from .graph import (
 from .state import (
     ColoringState,
     Component,
-    DerivedSnapshot,
     init_random,
 )
 from .dynamics import (

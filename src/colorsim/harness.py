@@ -208,6 +208,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be >= 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
+        if self.graph_seed < 0:
+            raise ValueError("graph_seed must be >= 0")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 

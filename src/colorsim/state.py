@@ -33,8 +33,8 @@ the audit's isolated-pair bound read it, while ``outcome_classes`` reads the
 same counts from a pair table derived once per coloring from the masks of
 the pair data. The side the vertex leaves is tallied once per vertex, and
 each class adds only the side it enters.
-``recompute_all`` rebuilds every quantity in plain Python and serves as the
-independent oracle.
+The independent from-scratch oracle that tests hold all of this against
+lives in ``tests/oracle.py``, outside the package.
 """
 
 from __future__ import annotations
@@ -51,17 +51,6 @@ from .graph import Graph
 def phi_numerator(max_degree: int, mono: int, iso: int, e_ip: int) -> int:
     """The integer numerator 100*D*mono + 10*D*iso + e_ip of the potential."""
     return 100 * max_degree * mono + 10 * max_degree * iso + e_ip
-
-
-@dataclass(frozen=True)
-class DerivedSnapshot:
-    """All derived quantities of a coloring, as recomputed from scratch."""
-
-    conflicted: tuple[int, ...]
-    mono_edge_count: int
-    iso_edge_count: int
-    e_ip: int
-    phi_num: int
 
 
 @dataclass(frozen=True)
@@ -219,9 +208,6 @@ class ColoringState:
     def conflicted_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self._conf_dense))
 
-    def is_proper(self) -> bool:
-        return not self._conf_dense
-
     def neighbor_counts(self, u: int) -> tuple[int, int]:
         """The (properly colored, isolated-pair) neighbor counts of ``u`` now, found locally."""
         color = self._color
@@ -250,15 +236,6 @@ class ColoringState:
         if d == 0:
             return Fraction(0)
         return Fraction(self.phi_num, 100 * d)
-
-    def snapshot(self) -> DerivedSnapshot:
-        return DerivedSnapshot(
-            conflicted=self.conflicted_vertices(),
-            mono_edge_count=self.mono_edge_count,
-            iso_edge_count=self.iso_edge_count,
-            e_ip=self.e_ip,
-            phi_num=self.phi_num,
-        )
 
     # -- conflicted set maintenance ----------------------------------------
 
@@ -481,44 +458,6 @@ class ColoringState:
                 raise ValueError(f"color {c} outside 1..{self.k}")
             color[v] = c
         self._refresh_conflicts()
-
-    # -- oracles -------------------------------------------------------------
-
-    def recompute_all(self) -> DerivedSnapshot:
-        """Recompute every derived quantity from scratch in O(n + m).
-
-        Deliberately written as plain edge scans (including the direct
-        edge-by-edge count behind ``e_ip``) so it stays independent of the
-        incremental update path it is used to check.
-        """
-        g = self.graph
-        color = self._color
-        cd = [0] * g.n
-        mono = 0
-        for u, w in g.edges:
-            if color[u] == color[w]:
-                cd[u] += 1
-                cd[w] += 1
-                mono += 1
-        in_pair = [False] * g.n
-        iso = 0
-        for u, w in g.edges:
-            if color[u] == color[w] and cd[u] == 1 and cd[w] == 1:
-                in_pair[u] = True
-                in_pair[w] = True
-                iso += 1
-        e_ip = 0
-        for u, w in g.edges:
-            if (in_pair[u] and cd[w] == 0) or (cd[u] == 0 and in_pair[w]):
-                e_ip += 1
-        d = g.max_degree
-        return DerivedSnapshot(
-            conflicted=tuple(v for v in range(g.n) if cd[v] > 0),
-            mono_edge_count=mono,
-            iso_edge_count=iso,
-            e_ip=e_ip,
-            phi_num=100 * d * mono + 10 * d * iso + e_ip,
-        )
 
     def monochromatic_components(self) -> tuple[Component, ...]:
         """Connected components of the monochromatic-edge subgraph, by least vertex.

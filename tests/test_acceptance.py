@@ -43,6 +43,7 @@ from exact_laws import (
     selection_distribution,
     termination_cdf,
 )
+import oracle
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -131,17 +132,17 @@ def test_criterion_04_incremental_vs_oracle():
         g = erdos_renyi(10 + gi * 4, (0.1, 0.25, 0.5)[gi % 3], gi)
         k = max(1, g.max_degree + 1)
         s = init_random(g, k, rng)
-        prev = s.recompute_all()
+        prev = oracle.recompute(s)
         for _ in range(500):
             v = int(rng.integers(g.n))
             c = int(rng.integers(1, k + 1))
             d_mono, d_iso, d_eip = s.recount_change(v, c)
             s.recolor(v, c)
             steps_total += 1
-            now = s.recompute_all()
+            now = oracle.recompute(s)
             recounted = (prev.mono_edge_count + d_mono, prev.iso_edge_count + d_iso,
                          prev.e_ip + d_eip)
-            if s.snapshot() != now or recounted != (now.mono_edge_count, now.iso_edge_count,
+            if oracle.snapshot(s) != now or recounted != (now.mono_edge_count, now.iso_edge_count,
                                                     now.e_ip):
                 mismatches += 1
                 break

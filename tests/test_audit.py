@@ -25,6 +25,7 @@ from colorsim import (
 from colorsim import audit, harness
 from colorsim.harness import AuditSweepSpec, audit_instance
 from exact_laws import additive_drift_bound, multiplicative_drift_bound, psi_value
+import oracle
 
 
 def path_state():
@@ -51,7 +52,7 @@ def recolored_copy_expectation(state, vertices):
     """Sums of (mono, iso, e_ip) over every (v, c) outcome, by full recomputation.
 
     Each outcome is applied to a copy of the state with ``recolor`` and read
-    back through ``recompute_all``, sharing no code with the local recount.
+    back through ``oracle.recompute``, sharing no code with the local recount.
     """
     k = state.k
     sums = [0, 0, 0]
@@ -59,7 +60,7 @@ def recolored_copy_expectation(state, vertices):
         for c in range(1, k + 1):
             t = state.copy()
             t.recolor(v, c)
-            after = t.recompute_all()
+            after = oracle.recompute(t)
             sums[0] += after.mono_edge_count
             sums[1] += after.iso_edge_count
             sums[2] += after.e_ip
@@ -77,7 +78,7 @@ class TestExactExpectations:
             g = base.graph
             for k in sorted({g.max_degree + 1, max(1, g.max_degree), 1}):
                 s = ColoringState(g, k, [min(c, k) for c in base.colors])
-                if s.is_proper():
+                if s.conflicted_count == 0:
                     continue
                 assert whole_state_sums(s) == recolored_copy_expectation(
                     s, s.conflicted_vertices()), (index, k)
@@ -114,7 +115,7 @@ class TestExactExpectations:
         rng = make_rng(13, 0)
         for _ in range(10):
             s = init_random(g, g.max_degree + 1, rng)
-            if s.is_proper():
+            if s.conflicted_count == 0:
                 continue
             assert whole_state_sums(s) == recolored_copy_expectation(s, s.conflicted_vertices())
 
@@ -122,7 +123,7 @@ class TestExactExpectations:
         g = erdos_renyi(12, 0.3, 21)
         rng = make_rng(21, 0)
         s = init_random(g, g.max_degree + 1, rng)
-        if s.is_proper():
+        if s.conflicted_count == 0:
             s.recolor(g.edges[0][0], s.color_of(g.edges[0][1]))
         # relabel vertices by reversal and rebuild the same state
         perm = {v: g.n - 1 - v for v in range(g.n)}

@@ -378,6 +378,9 @@ BAD_INPUT = [
     # only er reads graph_seed; elsewhere it would only change the output headers
     ("run", "--family", "complete", "--n", "4", "--graph-seed", "7"),
     ("sweep", "--config", "{tmp}/cycle_graph_seed.json"),
+    # a negative graph seed, refused by the config rather than by numpy
+    ("run", "--family", "er", "--n", "10", "--p", "0.5", "--graph-seed", "-1"),
+    ("gen", "--family", "er", "--n", "10", "--p", "0.5", "--seed", "-5", "--out", "{tmp}/g.txt"),
 ]
 
 

@@ -29,6 +29,7 @@ from colorsim.dynamics import (
     BufferedDraws,
     RunResult,
 )
+import oracle
 
 HALF = 2**32
 
@@ -197,14 +198,14 @@ def reference_run(state, variant, cap, rng, trace):
     initial_num = state.phi_num
 
     def record(t, vertices, colors):
-        snap = state.recompute_all()
+        snap = oracle.recompute(state)
         return {"t": t, "vertices": list(vertices), "colors": list(colors),
                 "mono_edges": snap.mono_edge_count, "iso_edges": snap.iso_edge_count,
                 "iso_proper_edges": snap.e_ip, "phi_num": snap.phi_num}
 
     records = [record(0, (), ())] if trace else []
     steps, stalled = 0, False
-    counts = [len(state.recompute_all().conflicted)]  # the initial count, then one per step
+    counts = [len(oracle.recompute(state).conflicted)]  # the initial count, then one per step
     while counts[-1] > 0 and steps < cap:
         before = steps
         if variant == "persistent":
@@ -213,7 +214,7 @@ def reference_run(state, variant, cap, rng, trace):
         else:
             vertices, colors, draws = step(state, draw)
         steps += draws
-        counts.append(len(state.recompute_all().conflicted))
+        counts.append(len(oracle.recompute(state).conflicted))
         if not colors and draws == DEFAULT_PERSISTENT_DRAW_CAP < cap - before:
             stalled = True
             break

@@ -20,6 +20,7 @@ from colorsim import (
 )
 from colorsim.dynamics import DEFAULT_PERSISTENT_DRAW_CAP, STEPS
 from exact_laws import selection_distribution
+import oracle
 
 
 K2 = complete(2)  # built once: the 10^5-trial tests below start from it every trial
@@ -42,7 +43,7 @@ class TestStepUniform:
         for _ in range(trials):
             s = conflicted_pair()
             step_uniform(s, draw)
-            fixed += s.is_proper()
+            fixed += s.conflicted_count == 0
         assert fixed / trials == pytest.approx(0.5, rel=0.01)
 
     def test_selection_uniform_over_pair(self):
@@ -77,7 +78,7 @@ class TestStepComponentView:
         rng = make_rng(3, 0)
         for _ in range(20):
             s = init_random(g, g.max_degree + 1, rng)
-            if not s.is_proper():
+            if s.conflicted_count > 0:
                 fixtures.append(s)
         for s in fixtures:
             assert selection_distribution(s, "component_view") == selection_distribution(s, "uniform")
@@ -109,7 +110,7 @@ class TestStepPersistent:
         for _ in range(trials):
             s = conflicted_pair()
             draws += step_persistent(s, draw)[2]
-            assert s.is_proper()
+            assert s.conflicted_count == 0
         assert draws / trials == pytest.approx(2.0, rel=0.02)
 
     def test_full_palette_always_terminates(self):
@@ -118,7 +119,7 @@ class TestStepPersistent:
         rng = make_rng(6, 0)
         for _ in range(50):
             s = init_random(g, k, rng)
-            while not s.is_proper():
+            while s.conflicted_count > 0:
                 _, colors, _ = step_persistent(s, plain_draw(rng))
                 assert colors
 
@@ -144,7 +145,7 @@ class TestStepParallel:
             for b in (1, 2):
                 s = conflicted_pair()
                 s.apply_batch((0, 1), (a, b))
-                proper += s.is_proper()
+                proper += s.conflicted_count == 0
         assert proper == 2
 
     def test_whole_component_recolored(self):
@@ -159,7 +160,7 @@ class TestStepParallel:
         rng = make_rng(9, 0)
         for _ in range(30):
             s = init_random(g, 3, rng)
-            if s.is_proper():
+            if s.conflicted_count == 0:
                 continue
             before = s.colors
             frozen = s.conflicted_vertices()
@@ -172,10 +173,10 @@ class TestStepParallel:
         s = ColoringState(complete(20), 20, [1] * 20)
         rng = make_rng(4, 0)
         for _ in range(50):
-            if s.is_proper():
+            if s.conflicted_count == 0:
                 break
             step_parallel(s, plain_draw(rng))
-            assert s.snapshot() == s.recompute_all()
+            assert oracle.snapshot(s) == oracle.recompute(s)
 
 
 class TestRun:
@@ -249,7 +250,7 @@ class TestRun:
         for rec in trace[1:]:
             for v, c in zip(rec["vertices"], rec["colors"]):
                 replay.recolor(v, c)
-            snap = replay.snapshot()
+            snap = oracle.snapshot(replay)
             assert (snap.mono_edge_count, snap.iso_edge_count, snap.e_ip, snap.phi_num) == (
                 rec["mono_edges"],
                 rec["iso_edges"],
@@ -270,7 +271,7 @@ class TestRun:
         for rec in trace:
             for v, c in zip(rec["vertices"], rec["colors"]):
                 colors[v] = c
-            want = ColoringState(g, k, colors).recompute_all()
+            want = oracle.recompute(ColoringState(g, k, colors))
             assert (rec["mono_edges"], rec["iso_edges"], rec["iso_proper_edges"],
                     rec["phi_num"]) == (
                 want.mono_edge_count, want.iso_edge_count, want.e_ip, want.phi_num

@@ -182,6 +182,11 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=f"^{family} does not take {name}$"):
             ExperimentConfig(family=family, **fields, **extra)
 
+    def test_rejects_a_negative_graph_seed(self):
+        # numpy's own refusal would name no field
+        with pytest.raises(ValueError, match="^graph_seed must be >= 0$"):
+            ExperimentConfig(family="erdos_renyi", n=10, p=0.5, graph_seed=-1)
+
     def test_file_with_n_still_builds(self, tmp_path):
         # n pads the edge list's vertices
         (tmp_path / "g.txt").write_text("0 1\n1 2\n")

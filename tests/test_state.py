@@ -16,6 +16,7 @@ from colorsim import (
     run,
 )
 from colorsim.harness import AuditSweepSpec, audit_instance
+import oracle
 
 
 def path3():
@@ -29,7 +30,7 @@ class TestInitFixed:
         assert s.iso_edge_count == 0
         assert s.e_ip == 0
         assert s.potential() == 6
-        assert s.snapshot() == s.recompute_all()
+        assert oracle.snapshot(s) == oracle.recompute(s)
 
     def test_path_fixture(self):
         s = ColoringState(path3(), 3, [1, 1, 2])
@@ -40,9 +41,18 @@ class TestInitFixed:
         assert s.phi_num == 221
         assert s.potential() == Fraction(221, 200)
 
+    @pytest.mark.parametrize("graph, colors, want", [
+        (path3(), [1, 1, 2], oracle.DerivedSnapshot((0, 1), 1, 1, 1, 221)),
+        (complete(4), [1, 1, 1, 1], oracle.DerivedSnapshot((0, 1, 2, 3), 6, 0, 0, 1800)),
+        (from_edge_list("", n=4), [1, 1, 1, 1], oracle.DerivedSnapshot((), 0, 0, 0, 0)),
+    ], ids=["path", "k4", "edgeless"])
+    def test_oracle_by_hand(self, graph, colors, want):
+        # numbers counted by hand, so a slip in the oracle cannot hide behind the fast path
+        assert oracle.recompute(ColoringState(graph, max(colors) + 1, colors)) == want
+
     def test_proper_coloring(self):
         s = ColoringState(path3(), 3, [1, 2, 1])
-        assert s.potential() == 0 and s.is_proper()
+        assert s.potential() == 0 and s.conflicted_count == 0
 
     def test_out_of_range_color_cites_vertex(self):
         with pytest.raises(ValueError, match="vertex 2"):
@@ -86,15 +96,15 @@ class TestInitRandom:
 class TestRecolor:
     def test_same_color_is_noop(self):
         s = ColoringState(path3(), 3, [1, 1, 2])
-        before = s.snapshot()
+        before = oracle.snapshot(s)
         assert s.recount_change(1, 1) == (0, 0, 0)
         assert s.recolor(1, 1) is None
-        assert s.snapshot() == before and s.colors == (1, 1, 2)
+        assert oracle.snapshot(s) == before and s.colors == (1, 1, 2)
 
     def test_path_to_proper(self):
         s = ColoringState(path3(), 3, [1, 1, 2])
         s.recolor(1, 3)
-        assert s.potential() == 0 and s.is_proper()
+        assert s.potential() == 0 and s.conflicted_count == 0
 
     def test_path_to_symmetric_state(self):
         s = ColoringState(path3(), 3, [1, 1, 2])
@@ -121,7 +131,7 @@ class TestRecolor:
             v = int(rng.integers(g.n))
             c = int(rng.integers(1, k + 1))
             s.recolor(v, c)
-        assert s.snapshot() == s.recompute_all()
+        assert oracle.snapshot(s) == oracle.recompute(s)
 
     def test_deltas_are_consistent(self):
         # the recount taken before each recolor equals the change of the snapshot
@@ -129,12 +139,12 @@ class TestRecolor:
         k = g.max_degree + 1
         rng = make_rng(2, 0)
         s = init_random(g, k, rng)
-        prev = s.snapshot()
+        prev = oracle.snapshot(s)
         for _ in range(300):
             v, c = int(rng.integers(g.n)), int(rng.integers(1, k + 1))
             d_mono, d_iso, d_eip = s.recount_change(v, c)
             s.recolor(v, c)
-            cur = s.snapshot()
+            cur = oracle.snapshot(s)
             assert cur.mono_edge_count - prev.mono_edge_count == d_mono
             assert cur.iso_edge_count - prev.iso_edge_count == d_iso
             assert cur.e_ip - prev.e_ip == d_eip
@@ -166,20 +176,20 @@ class TestRecount:
         outcomes = 0
         for index, s in recount_states():
             g, k = s.graph, s.k
-            now = s.recompute_all()
+            now = oracle.recompute(s)
             states += 1
             for v in range(g.n):
                 for c in range(1, k + 1):
                     d_mono, d_iso, d_eip = s.recount_change(v, c)
                     t = s.copy()
                     t.recolor(v, c)
-                    want = t.recompute_all()
+                    want = oracle.recompute(t)
                     assert (now.mono_edge_count + d_mono, now.iso_edge_count + d_iso,
                             now.e_ip + d_eip) == (
                         want.mono_edge_count, want.iso_edge_count, want.e_ip
                     ), (index, k, v, c)
                     outcomes += 1
-            assert s.recompute_all() == now  # the recount left the state alone
+            assert oracle.recompute(s) == now  # the recount left the state alone
         assert states == 220 and outcomes > 10_000
 
     def test_outcome_classes_match_recount_change(self):
@@ -187,7 +197,7 @@ class TestRecount:
         # neighbor color, one class for the free colors if any, weights k - 1
         vertices = without_free_class = 0
         for index, s in recount_states():
-            now = s.recompute_all()
+            now = oracle.recompute(s)
             for v in range(s.graph.n):
                 old = s.color_of(v)
                 classes = s.outcome_classes(v)
@@ -203,7 +213,7 @@ class TestRecount:
                     without_free_class += 1
                 assert sorted(classes) == sorted(want), (index, s.k, v)
                 vertices += 1
-            assert s.recompute_all() == now  # the classes left the state alone
+            assert oracle.recompute(s) == now  # the classes left the state alone
         assert vertices > 1_000 and without_free_class > 0
 
     def test_every_state_on_four_vertices(self):
@@ -219,7 +229,7 @@ class TestRecount:
                     continue
                 for colors in itertools.product(range(1, k + 1), repeat=4):
                     s = ColoringState(g, k, colors)
-                    now = s.recompute_all()
+                    now = oracle.recompute(s)
                     states[label] += 1
                     for v in range(4):
                         changes = {}
@@ -227,7 +237,7 @@ class TestRecount:
                             change = s.recount_change(v, c)
                             t = s.copy()
                             t.recolor(v, c)
-                            want = t.recompute_all()
+                            want = oracle.recompute(t)
                             assert (now.mono_edge_count + change[0], now.iso_edge_count + change[1],
                                     now.e_ip + change[2]) == (
                                 want.mono_edge_count, want.iso_edge_count, want.e_ip
@@ -243,7 +253,7 @@ class TestRecount:
                             want_classes.append((len(free), changes[free[0]]))
                         assert sorted(s.outcome_classes(v)) == sorted(want_classes), (
                             mask, k, colors, v)
-                    assert s.recompute_all() == now
+                    assert oracle.recompute(s) == now
         assert states == {"D+1": 8_544, "D": 2_368}
         assert outcomes == {"D+1": 125_496, "D": 26_360}
 
@@ -358,7 +368,7 @@ class TestBatch:
             colors = [int(x) for x in rng.integers(1, k + 1, size=len(vs))]
             s.apply_batch(vs, colors)
             fresh = ColoringState(g, k, list(s.colors))
-            assert s.snapshot() == fresh.snapshot() == s.recompute_all()
+            assert oracle.snapshot(s) == oracle.snapshot(fresh) == oracle.recompute(s)
 
     @pytest.mark.parametrize("color", [0, 4])
     def test_rejects_a_color_outside_the_palette(self, color):
@@ -383,7 +393,7 @@ class TestPotential:
         rng = make_rng(1, 0)
         for _ in range(50):
             s = init_random(g, 3, rng)
-            assert (s.potential() == 0) == s.is_proper()
+            assert (s.potential() == 0) == (s.conflicted_count == 0)
 
 
 class TestCopy:
@@ -412,4 +422,4 @@ def test_incremental_matches_oracle_and_sandwich(gseed, p, n, sseed):
         s.recolor(int(rng.integers(n)), int(rng.integers(1, k + 1)))
         # sandwich in exact integers: 100*d*mono <= phi_num <= 200*d*mono
         assert 100 * d * s.mono_edge_count <= s.phi_num <= 200 * d * s.mono_edge_count
-    assert s.snapshot() == s.recompute_all()
+    assert oracle.snapshot(s) == oracle.recompute(s)

@@ -1,12 +1,18 @@
-"""Every name ``colorsim`` exports has a reader outside ``tests/``.
+"""Every name ``colorsim`` exports has a reader outside ``tests/``, and so
+does every public method and property of an exported class.
 
 A name counts as read when the package's own modules (``__init__`` aside),
 ``perfbench/`` or ``tools/`` load it, take it as an attribute, import it, or
 spell it as an exact string constant (the step table names its functions
 that way). A name only tests reach belongs in ``tests/``, not in the package.
+Dataclass fields and slots are out of scope: they are data, not code.
+
+The test oracles share no code with the fast path they check, so they import
+nothing from ``colorsim``.
 """
 
 import ast
+import functools
 import types
 from pathlib import Path
 
@@ -45,3 +51,28 @@ EXPORTS = [name for name in colorsim.__all__
 @pytest.mark.parametrize("name", EXPORTS)
 def test_export_has_a_reader_outside_tests(name):
     assert name in REFERENCED, f"only tests reach colorsim.{name}"
+
+
+MEMBER_TYPES = (types.FunctionType, staticmethod, classmethod, property,
+                functools.cached_property)
+MEMBERS = [f"{name}.{member}" for name in EXPORTS
+           if isinstance(cls := getattr(colorsim, name), type)
+           for member, value in vars(cls).items()
+           if not member.startswith("_") and isinstance(value, MEMBER_TYPES)]
+
+
+@pytest.mark.parametrize("qualname", MEMBERS)
+def test_class_member_has_a_reader_outside_tests(qualname):
+    assert qualname.split(".")[1] in REFERENCED, f"only tests reach colorsim.{qualname}"
+
+
+@pytest.mark.parametrize("oracle", ["oracle.py", "exact_laws.py"])
+def test_oracle_imports_nothing_from_colorsim(oracle):
+    tree = ast.parse((ROOT / "tests" / oracle).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert "colorsim" not in {m.split(".")[0] for m in imported}, imported
