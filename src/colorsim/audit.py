@@ -6,13 +6,16 @@ component. It sums each vertex's outcome classes with their weights: every
 color that no neighbor carries gives the same change, so those colors form
 one class. Components are disjoint, so the whole-state sums of the decay
 check are the components' sums added field by field. Each
-claim check divides only the sum it reports by the outcome count and
-compares that exact rational against the proven bound; the bounds are
+claim check reports its sum over the outcome count and its bound as integer
+pairs (num, den) with den > 0, each bound written over one denominator, and
+compares them by cross-multiplication, lhs_num·rhs_den <= rhs_num·lhs_den,
+so no rational is built or reduced to decide a claim. The bounds are
 theorems for k = max_degree + 1, so a negative margin always means an
 implementation bug.
 
 This module owns the audit report's JSONL line format: ``report_lines``
-renders the entries of one state, every rational as "num/den", plus the
+renders the entries of one state, every rational reduced with one gcd to
+"num/den" (the sign on the numerator, zero as "0/1"), plus the
 lines of a skipped check. ``harness`` only chooses the states to audit.
 """
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -55,24 +58,32 @@ class ExactExpectation(NamedTuple):
 
 @dataclass(frozen=True)
 class AuditEntry:
-    """One checked inequality lhs <= rhs; satisfied means margin = rhs - lhs >= 0."""
+    """One checked inequality lhs <= rhs; satisfied means margin = rhs - lhs >= 0.
+
+    ``lhs`` and ``rhs`` are rationals as integer pairs ``(num, den)`` with
+    ``den > 0``, not necessarily reduced; ``margin`` is one too.
+    """
 
     claim: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs: tuple[int, int]
+    rhs: tuple[int, int]
     detail: dict = field(default_factory=dict)
 
     @property
-    def margin(self) -> Fraction:
-        return self.rhs - self.lhs
+    def margin(self) -> tuple[int, int]:
+        (ln, ld), (rn, rd) = self.lhs, self.rhs
+        return rn * ld - ln * rd, ld * rd
 
     @property
     def satisfied(self) -> bool:
-        return self.lhs <= self.rhs
+        (ln, ld), (rn, rd) = self.lhs, self.rhs
+        return ln * rd <= rn * ld
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _frac(num: int, den: int) -> str:
+    """``num/den`` in lowest terms with the sign on the numerator, 0 as ``0/1`` (``den > 0``)."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def _component_is_current(state: ColoringState, component: Component) -> bool:
@@ -114,11 +125,14 @@ def check_claim_edges(
 
     ``expectation`` is ``exact_step_expectations(state, component)``, as for
     every component-scoped check. Bound: current count minus the component's
-    average degree, plus 1 - 1/(max_degree + 1).
+    average degree, plus 1 - 1/(max_degree + 1), that is
+    mono - 2E/s + 1 - 1/(D+1) = ((mono·s - 2E + s)(D+1) - s) / (s(D+1)) for a
+    component of s vertices and E edges, D being the max degree.
     """
-    d = state.graph.max_degree
-    rhs = state.mono_edge_count - component.average_degree + 1 - Fraction(1, d + 1)
-    return AuditEntry(CLAIM_COMPONENT_EDGES, Fraction(expectation.mono, expectation.outcomes), rhs,
+    d1 = state.graph.max_degree + 1
+    s = component.size
+    rhs = ((state.mono_edge_count * s - 2 * component.edge_count + s) * d1 - s, s * d1)
+    return AuditEntry(CLAIM_COMPONENT_EDGES, (expectation.mono, expectation.outcomes), rhs,
                       detail={"component": list(component.vertices)})
 
 
@@ -127,48 +141,63 @@ def check_claim_isolated(
 ) -> list[AuditEntry]:
     """Expected isolated-pair count after recoloring inside the component.
 
-    Always: at most the current count plus average degree plus one. For a
-    component that is itself an isolated pair uw, additionally: at most the
-    current count minus D/(D+1) plus the properly colored neighborhoods of u
-    and w averaged over the two picks, D being the max degree.
+    Always: at most the current count plus average degree plus one,
+    iso + 2E/s + 1 = (iso·s + 2E + s) / s. For a component that is itself an
+    isolated pair uw, additionally: at most the current count minus D/(D+1)
+    plus the properly colored neighborhoods pu and pw of u and w averaged over
+    the two picks, iso - D/(D+1) + (pu + pw)/(2(D+1)) =
+    (2·iso·(D+1) - 2D + pu + pw) / (2(D+1)), D being the max degree.
     """
     d = state.graph.max_degree
-    iso_now = Fraction(state.iso_edge_count)
-    e_iso = Fraction(expectation.iso, expectation.outcomes)
+    iso = state.iso_edge_count
+    s = component.size
+    e_iso = (expectation.iso, expectation.outcomes)
     detail = {"component": list(component.vertices)}
     entries = [AuditEntry(CLAIM_ISOLATED_GENERAL, e_iso,
-                          iso_now + component.average_degree + 1, detail=detail)]
+                          (iso * s + 2 * component.edge_count + s, s), detail=detail)]
     if component.is_isolated_edge:
         u, w = component.vertices
         pu = state.neighbor_counts(u)[0]
         pw = state.neighbor_counts(w)[0]
-        rhs = iso_now - Fraction(d, d + 1) + Fraction(pu + pw, 2 * (d + 1))
+        rhs = (2 * iso * (d + 1) - 2 * d + pu + pw, 2 * (d + 1))
         entries.append(AuditEntry(CLAIM_ISOLATED_PAIR, e_iso, rhs, detail=detail))
     return entries
 
 
+def _potential(state: ColoringState) -> tuple[int, int]:
+    """The potential phi_num/(100D) as a pair; (0, 1) on an edgeless graph."""
+    d = state.graph.max_degree
+    return (state.phi_num, 100 * d) if d else (0, 1)
+
+
 def check_claim_mono_phi(state: ColoringState) -> list[AuditEntry]:
     """Sandwich: mono count <= potential <= twice the mono count, exactly."""
-    phi = state.potential()
-    mono = Fraction(state.mono_edge_count)
-    return [AuditEntry(CLAIM_SANDWICH_LOWER, mono, phi),
-            AuditEntry(CLAIM_SANDWICH_UPPER, phi, 2 * mono)]
+    phi = _potential(state)
+    mono = state.mono_edge_count
+    return [AuditEntry(CLAIM_SANDWICH_LOWER, (mono, 1), phi),
+            AuditEntry(CLAIM_SANDWICH_UPPER, phi, (2 * mono, 1))]
 
 
 def check_claim_mult(state: ColoringState, expectation: ExactExpectation) -> AuditEntry:
     """Whole-state expected potential decays by a factor 1 - 1/(1000 n).
 
     ``expectation`` holds the whole-state sums, over every conflicted vertex:
-    the sums of ``exact_step_expectations`` over all components.
+    the sums of ``exact_step_expectations`` over all components. With the
+    potential phi = phi_num/(100D), the expected potential is
+    e_num/(outcomes·100D), e_num being the potential's numerator of the sums,
+    and the bound phi·(1 - 1/(1000n)) is phi_num·(1000n - 1) / (100D·1000n).
+    The reported ``decay_ratio`` is E[phi']/phi = e_num / (outcomes·phi_num).
     """
-    phi = state.potential()
-    if phi <= 0:
+    phi_num, phi_den = _potential(state)
+    if phi_num <= 0:
         raise ValueError("multiplicative decay check needs a positive potential")
     d = state.graph.max_degree
     outcomes, mono, iso, e_ip = expectation
-    e_phi = Fraction(phi_numerator(d, mono, iso, e_ip), outcomes * 100 * d)
-    rhs = phi * (1 - Fraction(1, 1000 * state.graph.n))
-    return AuditEntry(CLAIM_MULTIPLICATIVE, e_phi, rhs, detail={"decay_ratio": _frac(e_phi / phi)})
+    e_num = phi_numerator(d, mono, iso, e_ip)
+    n1000 = 1000 * state.graph.n
+    rhs = (phi_num * (n1000 - 1), phi_den * n1000)
+    return AuditEntry(CLAIM_MULTIPLICATIVE, (e_num, outcomes * phi_den), rhs,
+                      detail={"decay_ratio": _frac(e_num, outcomes * phi_num)})
 
 
 def check_claim_bipartite_isolated(
@@ -178,13 +207,14 @@ def check_claim_bipartite_isolated(
 
     Properly colored vertices on opposite sides must use different colors
     there, which caps the pair-creating neighborhoods and yields a drift of
-    at least D/(2(D+1)) on every isolated pair.
+    at least D/(2(D+1)) on every isolated pair: the bound is
+    iso - D/(2(D+1)) = (2·iso·(D+1) - D) / (2(D+1)).
     """
     if not component.is_isolated_edge:
         raise ValueError("bipartite refinement applies to isolated pairs only")
     d = state.graph.max_degree
-    rhs = state.iso_edge_count - Fraction(d, 2 * (d + 1))
-    return AuditEntry(CLAIM_BIPARTITE_PAIR, Fraction(expectation.iso, expectation.outcomes), rhs,
+    rhs = (2 * state.iso_edge_count * (d + 1) - d, 2 * (d + 1))
+    return AuditEntry(CLAIM_BIPARTITE_PAIR, (expectation.iso, expectation.outcomes), rhs,
                       detail={"component": list(component.vertices)})
 
 
@@ -230,8 +260,8 @@ def report_lines(state: ColoringState, bipartite: bool, digest: str) -> list[dic
         return [{"claim": "all", "skipped": True, "reason": reason, "state_digest": digest}]
     lines = []
     for entry in audit_state(state, bipartite=bipartite):
-        lines.append({"claim": entry.claim, "lhs": _frac(entry.lhs), "rhs": _frac(entry.rhs),
-                      "margin": _frac(entry.margin), "satisfied": entry.satisfied,
+        lines.append({"claim": entry.claim, "lhs": _frac(*entry.lhs), "rhs": _frac(*entry.rhs),
+                      "margin": _frac(*entry.margin), "satisfied": entry.satisfied,
                       "state_digest": digest, **entry.detail})
     if state.conflicted_count == 0:
         lines.append({"claim": CLAIM_MULTIPLICATIVE, "skipped": True,

@@ -66,10 +66,6 @@ class Component:
         return len(self.vertices)
 
     @property
-    def average_degree(self) -> Fraction:
-        return Fraction(2 * self.edge_count, len(self.vertices))
-
-    @property
     def is_isolated_edge(self) -> bool:
         return len(self.vertices) == 2
 

@@ -83,10 +83,10 @@ def test_criterion_02_hand_enumeration_fixture():
     ok = (
         e_m == Fraction(1, 2)
         and e_i == Fraction(1, 2)
-        and pair_entry.margin == 0
+        and Fraction(*pair_entry.margin) == 0
         and pair_entry.satisfied
     )
-    report(2, ok, f"e_m={e_m} e_i={e_i} pair-bound margin={pair_entry.margin}")
+    report(2, ok, f"e_m={e_m} e_i={e_i} pair-bound margin={Fraction(*pair_entry.margin)}")
 
 
 def _equivalence_fixtures():

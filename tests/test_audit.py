@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -94,7 +95,7 @@ class TestExactExpectations:
         assert e == (6, 3, 3, 3)
         e_mono, e_iso, e_eip = (Fraction(x, e.outcomes) for x in e[1:])
         assert (e_mono, e_iso, e_eip) == (Fraction(1, 2),) * 3
-        assert check_claim_mult(s, e).lhs == e_mono + e_iso / 10 + e_eip / 200
+        assert Fraction(*check_claim_mult(s, e).lhs) == e_mono + e_iso / 10 + e_eip / 200
 
     def test_triangle_nine_outcome_enumeration(self):
         s = ColoringState(complete(3), 3, [1, 1, 1])
@@ -150,22 +151,22 @@ class TestClaimChecks:
     def test_path_edge_claim_margin(self):
         s = path_state()
         entry = check_single_component(check_claim_edges, s)
-        assert entry.lhs == Fraction(1, 2)
-        assert entry.rhs == Fraction(2, 3)
-        assert entry.margin == Fraction(1, 6) and entry.satisfied
+        assert Fraction(*entry.lhs) == Fraction(1, 2)
+        assert Fraction(*entry.rhs) == Fraction(2, 3)
+        assert Fraction(*entry.margin) == Fraction(1, 6) and entry.satisfied
 
     def test_triangle_edge_claim_is_tight(self):
         s = ColoringState(complete(3), 3, [1, 1, 1])
         entry = check_single_component(check_claim_edges, s)
-        assert entry.rhs == Fraction(5, 3)
-        assert entry.margin == 0 and entry.satisfied
+        assert Fraction(*entry.rhs) == Fraction(5, 3)
+        assert Fraction(*entry.margin) == 0 and entry.satisfied
 
     def test_path_isolated_claims(self):
         s = path_state()
         general, pair = check_single_component(check_claim_isolated, s)
-        assert general.rhs == 3 and general.satisfied
-        assert pair.rhs == Fraction(1, 2)
-        assert pair.margin == 0 and pair.satisfied
+        assert Fraction(*general.rhs) == 3 and general.satisfied
+        assert Fraction(*pair.rhs) == Fraction(1, 2)
+        assert Fraction(*pair.margin) == 0 and pair.satisfied
 
     def test_size_three_component_has_single_isolated_entry(self):
         s = ColoringState(complete(3), 3, [1, 1, 1])
@@ -176,14 +177,14 @@ class TestClaimChecks:
         s = path_state()
         lower, upper = check_claim_mono_phi(s)
         assert lower.satisfied and upper.satisfied
-        assert lower.margin == Fraction(21, 200)
-        assert upper.margin == Fraction(179, 200)
+        assert Fraction(*lower.margin) == Fraction(21, 200)
+        assert Fraction(*upper.margin) == Fraction(179, 200)
 
     def test_mult_on_path(self):
         s = path_state()
         entry = check_claim_mult(s, whole_state_sums(s))
-        assert entry.lhs == Fraction(221, 400)
-        assert entry.rhs == Fraction(221, 200) * (1 - Fraction(1, 3000))
+        assert Fraction(*entry.lhs) == Fraction(221, 400)
+        assert Fraction(*entry.rhs) == Fraction(221, 200) * (1 - Fraction(1, 3000))
         assert entry.satisfied
 
     def test_mult_rejects_proper(self):
@@ -278,6 +279,108 @@ class TestReportLines:
         # a budget equal to the outcome count is not exceeded
         monkeypatch.setattr(audit, "OUTCOME_BUDGET", 6)
         assert self.sweep_lines(monkeypatch, path_state()) == claim_lines
+
+
+def fraction_of(text):
+    """A report's "num/den" as a Fraction, asserting lowest terms and a positive denominator."""
+    num, den = (int(part) for part in text.split("/"))
+    assert den > 0 and math.gcd(num, den) == 1, text
+    return Fraction(num, den)
+
+
+def paper_claims(state, bipartite):
+    """The paper's claims on ``state``, restated with Fraction independently of ``audit``.
+
+    Keyed by (claim, component vertices, or () for whole-state claims), each
+    value is (lhs, rhs, decay ratio or None). The counts come from
+    ``oracle.recompute`` and plain edge scans, the expectations from the
+    ``ExactExpectation`` sums; only the integer sums are shared with the
+    audit's fast path.
+    """
+    g = state.graph
+    d = g.max_degree
+    now = oracle.recompute(state)
+    mono, iso = now.mono_edge_count, now.iso_edge_count
+    phi = Fraction(now.phi_num, 100 * d) if d else Fraction(0)
+    claims = {(audit.CLAIM_SANDWICH_LOWER, ()): (Fraction(mono), phi, None),
+              (audit.CLAIM_SANDWICH_UPPER, ()): (phi, Fraction(2 * mono), None)}
+    if not now.conflicted:
+        return claims
+    proper = set(range(g.n)) - set(now.conflicted)
+    color = state.colors
+    parts = []
+    for comp in state.monochromatic_components():
+        e = exact_step_expectations(state, comp)
+        parts.append(e)
+        members = set(comp.vertices)
+        edges = sum(u in members and w in members and color[u] == color[w] for u, w in g.edges)
+        average_degree = Fraction(2 * edges, len(members))
+        e_mono, e_iso = Fraction(e.mono, e.outcomes), Fraction(e.iso, e.outcomes)
+        key = comp.vertices
+        claims[(audit.CLAIM_COMPONENT_EDGES, key)] = (
+            e_mono, mono - average_degree + 1 - Fraction(1, d + 1), None)
+        claims[(audit.CLAIM_ISOLATED_GENERAL, key)] = (e_iso, iso + average_degree + 1, None)
+        if len(members) == 2:
+            u, w = comp.vertices
+            pu = sum(x in proper for x in g.adjacency[u])
+            pw = sum(x in proper for x in g.adjacency[w])
+            claims[(audit.CLAIM_ISOLATED_PAIR, key)] = (
+                e_iso, iso - Fraction(d, d + 1) + Fraction(pu + pw, 2 * (d + 1)), None)
+            if bipartite:
+                claims[(audit.CLAIM_BIPARTITE_PAIR, key)] = (
+                    e_iso, iso - Fraction(d, 2 * (d + 1)), None)
+    outcomes, e_mono, e_iso, e_eip = map(sum, zip(*parts))
+    e_phi = (Fraction(e_mono, outcomes) + Fraction(e_iso, 10 * outcomes)
+             + Fraction(e_eip, 100 * d * outcomes))
+    claims[(audit.CLAIM_MULTIPLICATIVE, ())] = (
+        e_phi, phi * (1 - Fraction(1, 1000 * g.n)), e_phi / phi)
+    return claims
+
+
+def recheck_lines(state, bipartite, lines):
+    """Hold one state's report lines to ``paper_claims``; return the claim lines checked."""
+    claims = paper_claims(state, bipartite)
+    seen = {}
+    for line in lines:
+        if line.get("skipped"):
+            assert line["claim"] == audit.CLAIM_MULTIPLICATIVE and not state.conflicted_count
+            continue
+        key = (line["claim"], tuple(line.get("component", ())))
+        lhs, rhs = fraction_of(line["lhs"]), fraction_of(line["rhs"])
+        assert fraction_of(line["margin"]) == rhs - lhs, line
+        assert line["satisfied"] is (lhs <= rhs), line
+        want_lhs, want_rhs, want_ratio = claims[key]
+        assert (lhs, rhs) == (want_lhs, want_rhs), line
+        if want_ratio is not None:
+            assert fraction_of(line["decay_ratio"]) == want_ratio, line
+        seen[key] = line
+    assert seen.keys() == claims.keys()
+    return len(seen)
+
+
+class TestFractionRecheck:
+    """Every audit line, rechecked against the paper's bounds written with Fraction."""
+
+    def test_pooled_sweep(self):
+        # 300 instances take the process pool wherever more than one CPU is usable
+        spec = AuditSweepSpec(instances=300, master_seed=22, max_n=50)
+        lines = list(harness.drift_audit_sweep(spec))
+        pos = checked = 0
+        for index in range(spec.instances):
+            state, bipartite = audit_instance(spec, index)
+            claims = len(paper_claims(state, bipartite)) + (state.conflicted_count == 0)
+            own, pos = lines[pos:pos + claims], pos + claims
+            assert {line["state_digest"] for line in own} == {state_digest(state)}, index
+            checked += recheck_lines(state, bipartite, own)
+        assert pos == len(lines) and checked > 3000, checked
+
+    @pytest.mark.parametrize("graph", [from_edge_list("0 1\n1 2\n2 3"), complete(4)],
+                             ids=["P4", "K4"])
+    def test_every_coloring(self, graph):
+        k = graph.max_degree + 1
+        for colors in itertools.product(range(1, k + 1), repeat=graph.n):
+            state = ColoringState(graph, k, list(colors))
+            recheck_lines(state, False, audit.report_lines(state, False, state_digest(state)))
 
 
 class TestDriftCalculators:

@@ -1,9 +1,13 @@
-"""``tools/bench_pairs.py``: which commit a checkout's tree is, before and during the runs."""
+"""``tools/bench_pairs.py``: which commit a checkout's tree is, before and during the runs,
+and the CPUs its runs are pinned to."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -50,7 +54,7 @@ def test_a_file_edited_between_runs_marks_the_report_dirty(tmp_path, monkeypatch
     sha = commit_tree(change, {"BENCHMARK.json": json.dumps(declared), "a.txt": "one\n"})
     change_runs = []
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, cpus=None):
         if checkout == change:
             change_runs.append(seed)
             (change / "a.txt").write_text("two\n" if len(change_runs) == 1 else "one\n")
@@ -64,3 +68,64 @@ def test_a_file_edited_between_runs_marks_the_report_dirty(tmp_path, monkeypatch
     assert change_runs == [1, 2] and commit_of(change) == sha
     report = json.loads(out.read_text())
     assert (report["parent"], report["change"]) == (None, f"{sha}-dirty")
+
+
+# reports the CPUs it may run on as the bit mask m, as perfbench/run.py reports its metrics
+FAKE_RUN = """
+import argparse, json, os
+from pathlib import Path
+parser = argparse.ArgumentParser()
+for name in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(name)
+args = parser.parse_args()
+mask = sum(1 << cpu for cpu in os.sched_getaffinity(0))
+results = Path("perfbench/.out/results")
+results.mkdir(parents=True, exist_ok=True)
+(results / f"{args.workload}-seed{args.seed}-trace0.json").write_text(
+    json.dumps({"comparable": True, "machine": {}}))
+print(json.dumps({"metrics": {"m": {"value": mask}}, "attempted": 1, "failed": 0}))
+"""
+
+
+def fake_checkouts(tmp_path):
+    declared = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "m", "better": "higher"}]}
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(declared))
+        sides += [f"--{side}", str(tmp_path / side)]
+    return sides
+
+
+def test_cpus_pin_every_run_of_both_sides(tmp_path):
+    cpu = min(os.sched_getaffinity(0))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([*fake_checkouts(tmp_path), "--workloads", "w:2", "--seconds", "0",
+                             "--out", str(out), "--cpus", str(cpu)]) == 0
+    report = json.loads(out.read_text())
+    assert report["cpus"] == [cpu]
+    runs = report["workloads"]["w"]["runs"]
+    assert [r["metrics"]["m"] for side in ("parent", "change") for r in runs[side]] == [1 << cpu] * 4
+
+
+def test_without_cpus_the_runs_keep_this_process_cpus(tmp_path):
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([*fake_checkouts(tmp_path), "--workloads", "w:2", "--seconds", "0",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    mask = sum(1 << cpu for cpu in os.sched_getaffinity(0))
+    assert report["cpus"] is None
+    assert {r["metrics"]["m"] for rs in report["workloads"]["w"]["runs"].values() for r in rs} == {mask}
+
+
+@pytest.mark.parametrize("cpus", ["", "x", "0,", "0,x", "-1", "1.5", "\u00b2",
+                                  str(max(os.sched_getaffinity(0)) + 1)])
+def test_bad_cpus_is_a_usage_error(tmp_path, capsys, cpus):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([*fake_checkouts(tmp_path), "--workloads", "w:2",
+                          "--out", str(tmp_path / "bench.json"), "--cpus", cpus])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cpus" in err and "Traceback" not in err
+    assert not (tmp_path / "bench.json").exists()

@@ -330,13 +330,13 @@ class TestComponents:
         components = s.monochromatic_components()
         assert len(components) == 1
         comp = components[0]
-        assert comp.size == 4 and comp.average_degree == 3
+        assert comp.size == 4 and Fraction(2 * comp.edge_count, comp.size) == 3
 
     def test_path_isolated_pair(self):
         s = ColoringState(path3(), 3, [1, 1, 2])
         comp = s.monochromatic_components()[0]
         assert comp.vertices == (0, 1)
-        assert comp.average_degree == 1
+        assert Fraction(2 * comp.edge_count, comp.size) == 1
         assert comp.is_isolated_edge
 
     def test_two_monochromatic_triangles(self):
@@ -351,7 +351,7 @@ class TestComponents:
         seen = []
         for comp in s.monochromatic_components():
             assert comp.size >= 2 and comp.edge_count >= 1
-            assert comp.average_degree >= 1
+            assert Fraction(2 * comp.edge_count, comp.size) >= 1
             assert len({s.color_of(v) for v in comp.vertices}) == 1
             seen.extend(comp.vertices)
         assert sorted(seen) == list(s.conflicted_vertices())

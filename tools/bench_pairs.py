@@ -1,13 +1,17 @@
 """Run the benchmark on two checkouts in alternating pairs and summarize them.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seconds 20 \
-        --workloads audit_mixed:10 cliques_uniform:3 --out BENCH.json
+        --workloads audit_mixed:10 cliques_uniform:3 --out BENCH.json [--cpus 0]
 
 Each checkout is a directory holding a full tree (``perfbench/`` and
 ``src/``). A workload runs in at least 2 pairs. Pair ``i`` (from 0) runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in both
 directories with ``S = i + 1``; the parent runs first in even pairs and the
-change first in odd ones. Nothing here measures anything itself: every number
+change first in odd ones. With ``--cpus LIST`` (comma-separated CPU numbers,
+each in this process's affinity mask) every ``run.py`` child of both sides is
+pinned to those CPUs with ``os.sched_setaffinity`` before it starts, so its
+pool workers inherit them; the list is recorded as ``cpus`` (null without the
+option). Nothing here measures anything itself: every number
 is read from the last line ``run.py`` prints, and the machine record and the
 ``comparable`` flag (false when the workload uses more workers than the
 machine has CPUs) from the result file it saves under
@@ -29,17 +33,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             cpus: list[int] | None = None) -> dict:
+    """One ``run.py`` in ``checkout``, pinned to ``cpus`` when given."""
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True, check=True, preexec_fn=pin)
     final = json.loads(proc.stdout.strip().splitlines()[-1])
     saved = checkout / "perfbench" / ".out" / "results" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(saved.read_text())
@@ -79,7 +87,7 @@ def summary(values: list[float]) -> dict:
 
 
 def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seconds: float,
-                   better: dict[str, str], commits: dict) -> dict:
+                   better: dict[str, str], commits: dict, cpus: list[int] | None) -> dict:
     """Run the pairs of one workload.
 
     ``commits["parent"]`` and ``commits["change"]`` (the report's own entries)
@@ -93,7 +101,7 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, second
         order.append(list(sides))
         for side in sides:
             checkout = parent if side == "parent" else change
-            result = run_once(checkout, workload, seed, seconds)
+            result = run_once(checkout, workload, seed, seconds, cpus)
             commits[side] = fold(commits[side], commit_of(checkout))
             machine = result.pop("machine")
             runs[side].append({"seed": seed, **result})
@@ -122,22 +130,32 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True, metavar="NAME:PAIRS")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--cpus", metavar="LIST",
+                        help="comma-separated CPUs to pin every run.py child to")
     args = parser.parse_args(argv)
+    cpus = None
+    if args.cpus is not None:
+        usable = os.sched_getaffinity(0)
+        items = args.cpus.split(",")
+        if not all(item.isdecimal() and int(item) in usable for item in items):
+            parser.error(f"--cpus: {args.cpus!r} is not a comma-separated list of CPUs from "
+                         f"{','.join(map(str, sorted(usable)))}")
+        cpus = sorted({int(item) for item in items})
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     names = {w["name"] for w in declared["workloads"]}
     plan = []
     for item in args.workloads:
         name, _, pairs = item.partition(":")
-        if name not in names or not pairs.isdigit() or int(pairs) < 2:
+        if name not in names or not pairs.isdecimal() or int(pairs) < 2:
             parser.error(f"--workloads: {item!r} is not NAME:PAIRS with NAME one of "
                          f"{', '.join(sorted(names))} and PAIRS >= 2")
         plan.append((name, int(pairs)))
     report = {"parent": commit_of(args.parent), "change": commit_of(args.change),
-              "workloads": {}}
+              "cpus": cpus, "workloads": {}}
     for name, pairs in plan:
         report["workloads"][name] = bench_workload(
-            args.parent, args.change, name, pairs, args.seconds, better, report)
+            args.parent, args.change, name, pairs, args.seconds, better, report, cpus)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
