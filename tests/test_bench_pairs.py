@@ -129,3 +129,12 @@ def test_bad_cpus_is_a_usage_error(tmp_path, capsys, cpus):
     err = capsys.readouterr().err
     assert "--cpus" in err and "Traceback" not in err
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_a_pair_count_that_is_no_decimal_integer_is_a_usage_error(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but not an int literal
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([*fake_checkouts(tmp_path), "--workloads", "w:\u00b2",
+                          "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert "--workloads" in capsys.readouterr().err
