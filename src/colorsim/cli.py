@@ -1,10 +1,13 @@
 """Command-line front end: gen, run, sweep, audit, compare.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 cap
-exhaustion, 3 audit violation. Bad input, whether flags, a sweep cell, an
-unreadable or unwritable file or a graph too large to allocate, exits 1 with
-a one-line reason on stderr, never a traceback; so does a failed write to
-stdout, which is silent when the reader closed it early. The family, variant
+exhaustion, 3 audit violation. Bad input, whether flags, a sweep config or
+cell, an unreadable or unwritable file or a graph too large to allocate,
+exits 1 with a one-line reason on stderr, never a traceback. Each command
+raises its refusal and ``main`` alone prints it, as ``<command>: <reason>``;
+a rejected or failed sweep cell is reported on its own line, the sweep runs
+the rest and exits 1 at the end. A failed write to stdout exits 1 with one
+line too, silently when the reader closed it early. The family, variant
 and init names come from the tables in ``harness`` and ``dynamics``, the
 family flags from ``harness.FAMILY_FIELDS``; a flag its family does not take
 is refused. All run-affecting options have deterministic defaults and end up
@@ -20,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import closing, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict
 
 from ._version import __version__
@@ -68,9 +71,22 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
+class _Refused(Exception):
+    """Bad input: ``main`` prints ``<command>: <reason>`` on stderr and exits 1."""
+
+
 def _reason(exc: Exception) -> str:
     # numpy's MemoryError names the failed request; one raised by Python itself is empty
     return str(exc) or "out of memory"
+
+
+@contextmanager
+def _refusing(prefix: str = ""):
+    """Refuse, with ``prefix`` before the reason, a bad-input error raised inside."""
+    try:
+        yield
+    except (ValueError, OSError, MemoryError) as exc:
+        raise _Refused(prefix + _reason(exc)) from exc
 
 
 def _add_family_args(p: argparse.ArgumentParser) -> None:
@@ -79,6 +95,16 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", type=float if name == "p" else int)
     p.add_argument("--graph-seed", type=int, default=0)
     p.add_argument("--graph", dest="path", metavar="GRAPH", help="edge-list path for --family file")
+
+
+def _add_config_args(p: argparse.ArgumentParser, seeds: bool = False) -> None:
+    p.add_argument("--k", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    if seeds:
+        p.add_argument("--seeds", type=int, default=ExperimentConfig.seeds)
+    p.add_argument("--cap", type=int, default=ExperimentConfig.cap)
+    p.add_argument("--init", default="random", choices=list(INIT_ALIASES))
+    p.add_argument("--init-file")
 
 
 def _family_fields(args) -> dict:
@@ -110,17 +136,10 @@ def _config_from_args(args, variant: str, seeds: int = 1) -> ExperimentConfig:
 
 
 def _cmd_gen(args) -> int:
-    try:
+    with _refusing():
         g = build_graph(ExperimentConfig(**_family_fields(args)))
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"gen: {_reason(exc)}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(graphs.to_edge_list(g))
-    except OSError as exc:
-        print(f"gen: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with _refusing(f"cannot write {args.out}: "), open(args.out, "w", encoding="utf-8") as f:
+        f.write(graphs.to_edge_list(g))
     print(f"n={g.n} m={g.m} delta={g.max_degree}")
     return EXIT_OK
 
@@ -129,14 +148,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
+    with _refusing():
         config = _config_from_args(args, args.variant)
         graph = build_graph(config)
         rng = make_rng(config.master_seed, 0)
         state = initial_state(graph, config, rng)
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"run: {_reason(exc)}", file=sys.stderr)
-        return EXIT_USAGE
     initial_phi = state.potential()
     result, trace = run(state, config.variant, config.cap, rng, trace=bool(args.trace_out))
     print(
@@ -148,12 +164,9 @@ def _cmd_run(args) -> int:
     )
     if args.trace_out:
         meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}
-        try:
-            with open(args.trace_out, "w", encoding="utf-8") as f:
-                write_jsonl(f, meta, trace)
-        except OSError as exc:
-            print(f"run: cannot write {args.trace_out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with (_refusing(f"cannot write {args.trace_out}: "),
+              open(args.trace_out, "w", encoding="utf-8") as f):
+            write_jsonl(f, meta, trace)
     if not result.terminated:
         return EXIT_CAP
     return EXIT_OK
@@ -162,32 +175,39 @@ def _cmd_run(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
+# the config keys that default every cell, each with the flag it overrides
+_SWEEP_DEFAULTS = (("seeds", "seeds"), ("master_seed", "seed"), ("cap", "cap"))
+
+
+def _refuse_unknown_keys(what: str, obj: dict, known: tuple[str, ...]) -> None:
+    for key in obj:
+        if key not in known:
+            raise _Refused(f"unknown {what} key {key!r} (known: {', '.join(known)})")
+
+
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
-        print("sweep: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with open(args.config, encoding="utf-8") as f:
+        raise _Refused("--workers must be >= 1")
+    with _refusing("cannot read config: "), open(args.config, encoding="utf-8") as f:
+        try:
             spec = json.load(f)
-    except (OSError, ValueError) as exc:
-        print(f"sweep: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not isinstance(spec, dict) or not isinstance(spec.get("cells", []), list):
-        print("sweep: config must be a JSON object with a list of cells", file=sys.stderr)
-        return EXIT_USAGE
+        except RecursionError:
+            raise ValueError("nested too deeply") from None
+    cells = spec.get("cells", []) if isinstance(spec, dict) else None
+    if not isinstance(cells, list):
+        raise _Refused("config must be a JSON object with a list of cells")
+    _refuse_unknown_keys("config", spec, ("cells", "fit", *(key for key, _ in _SWEEP_DEFAULTS)))
     fit_spec = spec.get("fit")
     model = fit_spec.get("model") if isinstance(fit_spec, dict) else None
     if "fit" in spec and not (isinstance(model, str) and model in FIT_MODELS):
-        print(f"sweep: fit must be an object whose model is one of {sorted(FIT_MODELS)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if model and len(spec.get("cells", [])) < 3:
-        print(f"sweep: fit needs at least 3 cells, the config has {len(spec.get('cells', []))}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused(f"fit must be an object whose model is one of {sorted(FIT_MODELS)}")
+    if model:
+        _refuse_unknown_keys("fit", fit_spec, ("model",))
+        if len(cells) < 3:
+            raise _Refused(f"fit needs at least 3 cells, the config has {len(cells)}")
     # the config file's value, else the flag's; ExperimentConfig supplies the rest
     defaults = {}
-    for key, dest in (("seeds", "seeds"), ("master_seed", "seed"), ("cap", "cap")):
+    for key, dest in _SWEEP_DEFAULTS:
         flag = getattr(args, dest)
         if key in spec:
             defaults[key] = spec[key]
@@ -200,7 +220,7 @@ def _cmd_sweep(args) -> int:
     agg_rows = []
     fit_points = []
     failures = 0
-    for cell in spec.get("cells", []):
+    for cell in cells:
         try:
             merged = dict(defaults)
             merged.update(cell)
@@ -231,7 +251,7 @@ def _cmd_sweep(args) -> int:
             fit = scaling_fit(fit_points, model)
         except ValueError as exc:
             print(f"sweep: fit failed: {exc}", file=sys.stderr)
-    try:
+    with _refusing("cannot write output: "):
         if args.per_run:
             with open(args.per_run, "w", encoding="utf-8", newline="") as f:
                 write_runs_csv(f, configs, all_rows)
@@ -239,9 +259,6 @@ def _cmd_sweep(args) -> int:
             rows = [aggregate_row(c, g, s, fit) for c, g, s in agg_rows]
             with open(args.aggregate, "w", encoding="utf-8", newline="") as f:
                 write_aggregate_csv(f, configs, rows)
-    except OSError as exc:
-        print(f"sweep: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     for config, graph, stats in agg_rows:
         print(
             f"{config.resolved_id()}: mean={stats.mean_steps:.2f} median={stats.median_steps:.1f} "
@@ -258,7 +275,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     names = args.families.split(",") if args.families is not None else AuditSweepSpec.families
     families = tuple(FAMILY_ALIASES.get(name, name) for name in names)
-    try:
+    with _refusing():
         spec = AuditSweepSpec(
             instances=args.instances,
             master_seed=args.seed,
@@ -266,9 +283,6 @@ def _cmd_audit(args) -> int:
             max_n=args.max_n,
         )
         sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-    except (ValueError, OSError) as exc:
-        print(f"audit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     meta = {"tool": f"colorsim {__version__}", "spec": asdict(spec)}
     violations = []
     sweep = drift_audit_sweep(spec)
@@ -279,15 +293,10 @@ def _cmd_audit(args) -> int:
                 violations.append(line)
             yield line
 
-    try:
-        # a failed write closes the sweep at once, which stops its pool
-        with closing(sweep), sink as out:
-            write_jsonl(out, meta, lines())
-    except OSError as exc:
-        if not args.out:
-            raise  # a failed stdout write is main's to report
-        print(f"audit: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # a failed write closes the sweep, and so its pool, at once; stdout is main's to report
+    refusing = _refusing("cannot write output: ") if args.out else nullcontext()
+    with refusing, closing(sweep), sink as out:
+        write_jsonl(out, meta, lines())
     if violations:
         for line in violations[:10]:
             print(f"audit: VIOLATION {line['claim']} digest={line['state_digest']}", file=sys.stderr)
@@ -299,13 +308,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
+    with _refusing():
         configs = [_config_from_args(args, v, seeds=args.seeds) for v in args.variants.split(",")]
         graph = build_graph(configs[0])  # one set of flags: every variant has this graph
         pairs = [(config, run_ensemble(graph, config)[0]) for config in configs]
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"compare: {_reason(exc)}", file=sys.stderr)
-        return EXIT_USAGE
     header = f"{'variant':<16}{'init':<10}{'mean':>12}{'median':>10}{'ci95':>22}{'term':>7}{'ratio':>8}"
     print(header)
     base = pairs[0][1].mean_steps  # the first variant is the baseline
@@ -337,11 +343,7 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="one seeded run of a variant")
     _add_family_args(p_run)
     p_run.add_argument("--variant", default="uniform", choices=sorted([*STEPS, *VARIANT_ALIASES]))
-    p_run.add_argument("--k", type=int)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--cap", type=int, default=ExperimentConfig.cap)
-    p_run.add_argument("--init", default="random", choices=list(INIT_ALIASES))
-    p_run.add_argument("--init-file")
+    _add_config_args(p_run)
     p_run.add_argument("--trace-out")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -369,12 +371,7 @@ def build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", help="side-by-side variant comparison")
     _add_family_args(p_cmp)
     p_cmp.add_argument("--variants", default="uniform,persistent")
-    p_cmp.add_argument("--k", type=int)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--seeds", type=int, default=ExperimentConfig.seeds)
-    p_cmp.add_argument("--cap", type=int, default=ExperimentConfig.cap)
-    p_cmp.add_argument("--init", default="random", choices=list(INIT_ALIASES))
-    p_cmp.add_argument("--init-file")
+    _add_config_args(p_cmp, seeds=True)
     p_cmp.set_defaults(fn=_cmd_compare)
 
     return parser
@@ -385,6 +382,9 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             return args.fn(args)
+        except _Refused as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except SystemExit as exc:
             return int(exc.code or 0)
         finally:

@@ -442,6 +442,8 @@ class AuditSweepSpec:
             raise ValueError("max_n must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        if not self.families:
+            raise ValueError("families must name at least one family")
         samplers = [name for name, family in FAMILIES.items() if family.sample]
         for name in self.families:
             if name not in samplers:

@@ -114,7 +114,7 @@ class ColoringState:
     def _refresh_conflicts(self) -> None:
         mono, cd = self._scan_edges()
         self._conflict_deg = cd.tolist()
-        self.mono_edge_count = int(mono.sum())
+        self.mono_edge_count = int(np.count_nonzero(mono))
         dense = np.flatnonzero(cd).tolist()
         self._conf_dense = dense
         pos = [-1] * self.graph.n
@@ -137,8 +137,8 @@ class ColoringState:
             in_pair[eu[iso]] = True
             in_pair[ev[iso]] = True
             proper = cd == 0
-            e_ip = int(((in_pair[eu] & proper[ev]) | (proper[eu] & in_pair[ev])).sum())
-            self._pairs = (int(iso.sum()), e_ip, proper, in_pair, None)
+            e_ip = int(np.count_nonzero((in_pair[eu] & proper[ev]) | (proper[eu] & in_pair[ev])))
+            self._pairs = (int(np.count_nonzero(iso)), e_ip, proper, in_pair, None)
         return self._pairs
 
     def _pair_table(self) -> list[tuple[int, int]]:
@@ -442,16 +442,22 @@ class ColoringState:
     # -- batch recoloring (simultaneous updates) ----------------------------
 
     def apply_batch(self, vertices, new_colors) -> None:
-        """Assign colors to many vertices at once, then rebuild the conflict data.
+        """Assign colors to a sequence of vertices at once, then rebuild the conflict data.
 
         Used by the simultaneous-recoloring dynamics, where the whole frozen
         set changes in one round and an incremental walk would touch the full
-        graph anyway.
+        graph anyway. The whole batch is checked before any vertex changes.
         """
+        if vertices:
+            low, high = min(vertices), max(vertices)
+            if low < 0 or high >= self.graph.n:
+                raise ValueError(f"vertex {low if low < 0 else high} out of range")
+        if new_colors:
+            low, high = min(new_colors), max(new_colors)
+            if low < 1 or high > self.k:
+                raise ValueError(f"color {low if low < 1 else high} outside 1..{self.k}")
         color = self._color
         for v, c in zip(vertices, new_colors):
-            if not 1 <= c <= self.k:
-                raise ValueError(f"color {c} outside 1..{self.k}")
             color[v] = c
         self._refresh_conflicts()
 

@@ -381,6 +381,11 @@ BAD_INPUT = [
     # a negative graph seed, refused by the config rather than by numpy
     ("run", "--family", "er", "--n", "10", "--p", "0.5", "--graph-seed", "-1"),
     ("gen", "--family", "er", "--n", "10", "--p", "0.5", "--seed", "-5", "--out", "{tmp}/g.txt"),
+    # nested deeper than json can parse
+    ("sweep", "--config", "{tmp}/deep.json"),
+    # keys the sweep does not read, at the top level and in the fit
+    ("sweep", "--config", "{tmp}/dashed_key.json"),
+    ("sweep", "--config", "{tmp}/fit_extra_key.json"),
 ]
 
 
@@ -413,6 +418,12 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
          "fit": {"model": "n_log_n"}}))
     (tmp_path / "explicit_random.json").write_text(json.dumps(
         {"cells": [{"family": "complete", "n": 4, "explicit_colors": [1, 2, 3, 4]}], "seeds": 2}))
+    (tmp_path / "deep.json").write_text("[" * 2000 + "]" * 2000)
+    (tmp_path / "dashed_key.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": 4}], "seeds": 2, "master-seed": 7}))
+    (tmp_path / "fit_extra_key.json").write_text(json.dumps(
+        {"cells": [{"family": "complete", "n": n} for n in (4, 5, 6)], "seeds": 2,
+         "fit": {"model": "n_log_n", "points": 3}}))
     for name, cell in (("cycle_count", {"family": "cycle", "n": 5, "count": 2}),
                        ("cycle_graph_seed", {"family": "cycle", "n": 5, "graph_seed": 3}),
                        ("bogus_family", {"family": "bogus", "n": 4}),
@@ -425,6 +436,18 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 2000 + "]" * 2000, "cannot read config: nested too deeply"),
+    ('{"cells": [], "master-seed": 7}',
+     "unknown config key 'master-seed' (known: cells, fit, seeds, master_seed, cap)"),
+    ('{"cells": [], "fit": {"model": "n_log_n", "x": 1}}', "unknown fit key 'x' (known: model)"),
+], ids=["deep", "dashed_key", "fit_extra_key"])
+def test_sweep_config_refusal_names_the_problem(text, reason, tmp_path, capsys):
+    (tmp_path / "c.json").write_text(text)
+    code, stdout, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "c.json"))
+    assert (code, stdout, err) == (1, "", f"sweep: {reason}\n")
 
 
 def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):

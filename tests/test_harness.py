@@ -256,6 +256,10 @@ class TestCompareVariants:
 
 
 class TestAuditSweep:
+    def test_empty_families_refused(self):
+        with pytest.raises(ValueError, match="families must name at least one family"):
+            AuditSweepSpec(instances=3, families=())
+
     def test_small_sweep_no_violations(self):
         spec = AuditSweepSpec(instances=40, master_seed=17, max_n=30)
         lines = list(drift_audit_sweep(spec))

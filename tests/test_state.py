@@ -376,6 +376,21 @@ class TestBatch:
         with pytest.raises(ValueError, match=f"color {color} outside 1..3"):
             s.apply_batch([0], [color])
 
+    @pytest.mark.parametrize("vertices, colors, reason", [
+        ([0, 1], [2, 9], "color 9 outside 1..4"),
+        ([3, 0], [2, 0], "color 0 outside 1..4"),
+        ([-1], [1], "vertex -1 out of range"),
+        ([0, 4], [2, 2], "vertex 4 out of range"),
+    ])
+    def test_a_refused_batch_changes_nothing(self, vertices, colors, reason):
+        s = ColoringState(complete(4), 4, [1, 2, 3, 4])
+        s.apply_batch([1], [1])  # one conflicted edge, so the derived data is not all zero
+        before = s.colors, oracle.snapshot(s)
+        with pytest.raises(ValueError, match=reason):
+            s.apply_batch(vertices, colors)
+        assert (s.colors, oracle.snapshot(s)) == before
+        assert oracle.snapshot(s) == oracle.recompute(s)
+
 
 class TestPotential:
     def test_edgeless_graph_zero(self):
