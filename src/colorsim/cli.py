@@ -60,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
     """argparse with the documented usage exit code (1, not argparse's 2)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # the one line main prints for a refusal: a subparser's prog is "colorsim <command>"
+        print(f"{self.prog.split()[-1]}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
     def _print_message(self, message, file=None):

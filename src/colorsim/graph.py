@@ -10,6 +10,14 @@ hands them to one assembly, ``_build``, the only code that constructs a
 the sorted endpoint arrays as ``Graph.edge_arrays``, and fills the adjacency
 tuples with one int object per vertex. The edge tuples are derived from
 ``edge_arrays`` on first read.
+``_build`` reads the caller's endpoint arrays u and v and never writes them.
+Beside them it holds at most three edge-long int64 arrays at once, each made
+and reworked in place: the sorted pair keys, which become the lower
+endpoints eu (a copy only when a duplicate is dropped) once the upper
+endpoints ev are read off; then eu and ev, which the graph keeps, and the
+sorted reversed keys, which become each row's lower neighbors. The adjacency
+is filled a chunk of rows at a time, so its Python lists of bounds and
+neighbors stay chunk-sized; only numpy arrays are graph-sized.
 ``erdos_renyi`` draws its pairs in blocks, so each seeded graph is the one
 the row-by-row sampler draws (``tests/test_graph.py`` keeps that sampler as
 the reference). The blocks are split into one contiguous span per usable CPU
@@ -26,6 +34,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -56,7 +65,7 @@ class Graph:
 
 # draws per erdos_renyi block; larger blocks were no faster and raised the peak memory
 _BLOCK = 1 << 16
-# entries per tolist() call in _shared_ints: bounds the int objects it makes at once
+# rows, and beyond one row neighbors, per chunk of _rows: bounds the Python lists it holds
 _CHUNK = 1 << 12
 # the first line to_edge_list writes; its N is a lower bound on the vertex count
 _HEADER = re.compile(r"# vertices ([0-9]+)\b")
@@ -69,25 +78,43 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shared_ints(vertex: list[int], a: np.ndarray) -> list[int]:
-    """``a`` as a list of the int objects in ``vertex``.
+def _row_bounds(rows: np.ndarray, n: int) -> np.ndarray:
+    """n + 1 offsets: where each row's block starts in an array ordered by row, then its end."""
+    counts = np.bincount(rows, minlength=n)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    counts.cumsum(out=bounds[1:])
+    return bounds
 
-    ``a.tolist()`` alone makes a new int object for every entry; mapping
-    through ``vertex`` keeps one object per vertex.
+
+def _rows(n: int, lower: np.ndarray, lo: np.ndarray, upper: np.ndarray, up: np.ndarray):
+    """Yield row w of the adjacency, lower[lo[w]:lo[w + 1]] then upper[up[w]:up[w + 1]], for each w.
+
+    A row is a tuple of the int objects in one list ``range(n)``:
+    ``tolist()`` alone would make a new int object for every entry. The rows
+    are made a chunk at a time, each chunk at most ``_CHUNK`` rows and, when
+    it has more than one row, at most ``_CHUNK`` neighbors, so the Python
+    lists of bounds and neighbors stay chunk-sized on any graph.
     """
-    out: list[int] = []
-    for s in range(0, a.size, _CHUNK):
-        out.extend(map(vertex.__getitem__, a[s:s + _CHUNK].tolist()))
-    return out
-
-
-def _row_bounds(rows: np.ndarray, n: int) -> list[int]:
-    """n + 1 offsets: where each row's block starts in a list ordered by row, then its end."""
-    return [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
+    vertex = list(range(n))
+    ends = lo + up  # where each row starts among all rows' neighbors, then their end
+    s = 0
+    while s < n:
+        e = int(ends.searchsorted(ends[s] + _CHUNK, side="right")) - 1
+        e = min(max(e, s + 1), s + _CHUNK)
+        lb = (lo[s:e + 1] - lo[s]).tolist()
+        ub = (up[s:e + 1] - up[s]).tolist()
+        lw = list(map(vertex.__getitem__, lower[lo[s]:lo[e]].tolist()))
+        uw = list(map(vertex.__getitem__, upper[up[s]:up[e]].tolist()))
+        yield [tuple(lw[a:b] + uw[c:d]) for a, b, c, d in zip(lb, lb[1:], ub, ub[1:])]
+        s = e
 
 
 def _build(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """Assemble a Graph from candidate edges (u[i], v[i]), deduplicating as required."""
+    """Assemble a Graph from candidate edges (u[i], v[i]), deduplicating as required.
+
+    ``u`` and ``v`` are read, never written: ``np.asarray`` returns the
+    caller's own array when it is already int64.
+    """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     bad = np.flatnonzero((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))
@@ -96,20 +123,31 @@ def _build(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
         if a == b:
             raise ValueError(f"self-loop at vertex {a}")
         raise ValueError(f"edge ({a}, {b}) outside vertex range 0..{n - 1}")
-    # one key per unordered pair: sorted keys are the edges in (min, max) order
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    # one key per unordered pair, min * n + max, made in place as
+    # min * (n - 1) + u + v; the sorted keys are the edges in (min, max) order
+    keys = np.minimum(u, v)
+    keys *= n - 1
+    keys += u
+    keys += v
+    keys.sort()
     keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    eu, ev = np.divmod(keys[keep], n)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    # the kept keys (copied only when a duplicate is dropped) become eu in place
+    eu = keys if keep.all() else keys[keep]
+    del keys, keep
+    ev = eu % n
+    eu //= n
     # the numpy row bounds come first: a vertex count too large to allocate
     # then fails there, with numpy's one-line MemoryError reason
     lo, up = _row_bounds(ev, n), _row_bounds(eu, n)
-    vertex = list(range(n))
-    # row w of the adjacency: its lower neighbors (x of the edges (x, w), in
-    # ascending order), then its upper ones (y of the edges (w, y))
-    lower = _shared_ints(vertex, np.sort(ev * n + eu) % n)
-    upper = _shared_ints(vertex, ev)
-    adjacency = tuple(tuple(lower[lo[w]:lo[w + 1]] + upper[up[w]:up[w + 1]]) for w in range(n))
+    # row w of the adjacency: its lower neighbors, x of the edges (x, w) in
+    # ascending order (the reversed keys w * n + x, sorted), then its upper
+    # ones, y of the edges (w, y), which ev already holds in row order
+    back = ev * n
+    back += eu
+    back.sort()
+    back %= n
+    adjacency = tuple(chain.from_iterable(_rows(n, back, lo, ev, up)))
     return Graph(n=n, adjacency=adjacency, m=int(eu.size),
                  max_degree=max(map(len, adjacency), default=0), edge_arrays=(eu, ev))
 
@@ -202,8 +240,14 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
             spans = pool.map(_draw_hits, gens, [p] * threads, bounds[:-1], bounds[1:])
             hits = [h for span in spans for h in span]
     flat = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
-    u = np.searchsorted(starts, flat, side="right") - 1
-    return _build(n, u, u + 1 + flat - starts[u])
+    del hits
+    # pair j of row u is the edge (u, u + 1 + j - starts[u]); flat becomes v in place
+    u = np.searchsorted(starts, flat, side="right")
+    u -= 1
+    flat -= starts[u]
+    flat += u
+    flat += 1
+    return _build(n, u, flat)
 
 
 def from_edge_list(text: str, n: int | None = None) -> Graph:

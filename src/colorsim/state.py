@@ -448,6 +448,8 @@ class ColoringState:
         set changes in one round and an incremental walk would touch the full
         graph anyway. The whole batch is checked before any vertex changes.
         """
+        if len(vertices) != len(new_colors):
+            raise ValueError(f"batch of {len(vertices)} vertices and {len(new_colors)} colors")
         if vertices:
             low, high = min(vertices), max(vertices)
             if low < 0 or high >= self.graph.n:

@@ -386,6 +386,9 @@ BAD_INPUT = [
     # keys the sweep does not read, at the top level and in the fit
     ("sweep", "--config", "{tmp}/dashed_key.json"),
     ("sweep", "--config", "{tmp}/fit_extra_key.json"),
+    # argparse's own refusals: a required flag left out, a value of the wrong type
+    ("compare", "--n", "4"),
+    ("run", "--family", "complete", "--n", "x"),
 ]
 
 
@@ -448,6 +451,17 @@ def test_sweep_config_refusal_names_the_problem(text, reason, tmp_path, capsys):
     (tmp_path / "c.json").write_text(text)
     code, stdout, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "c.json"))
     assert (code, stdout, err) == (1, "", f"sweep: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, command, named", [
+    (("compare", "--n", "4"), "compare", "--family"),
+    (("run", "--family", "complete", "--n", "x"), "run", "'x'"),
+    ((), "colorsim", "command"),
+], ids=["missing_flag", "bad_int", "no_command"])
+def test_argparse_refusal_names_the_problem(argv, command, named, capsys):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == "" and err.count("\n") == 1
+    assert err.startswith(f"{command}: ") and named in err
 
 
 def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):

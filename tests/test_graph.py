@@ -1,6 +1,7 @@
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,7 +183,41 @@ class TestErdosRenyi:
         assert made == widths
 
 
+@st.composite
+def candidate_edges(draw):
+    """(n, pairs, chunk): pairs of distinct vertices below n, some repeated in either orientation."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                          max_size=120)) if n > 1 else []
+    again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=30)) if pairs else []
+    pairs += [(b, a) if flip else (a, b) for (a, b), flip in again]
+    return n, draw(st.permutations(pairs)), draw(st.integers(min_value=1, max_value=8))
+
+
 class TestBuild:
+    @given(candidate_edges())
+    def test_matches_a_plain_python_reference(self, case):
+        n, pairs, chunk = case
+        u = np.array([a for a, _ in pairs], dtype=np.int64)
+        v = np.array([b for _, b in pairs], dtype=np.int64)
+        given_u, given_v = u.copy(), v.copy()
+        # a small chunk makes _rows cut the rows into many chunks
+        with mock.patch.object(graph, "_CHUNK", chunk):
+            g = _build(n, u, v)
+        neighbors = [set() for _ in range(n)]
+        for a, b in pairs:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+        assert g.adjacency == tuple(tuple(sorted(row)) for row in neighbors)
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+        eu, ev = g.edge_arrays
+        assert eu.dtype == ev.dtype == np.int64
+        assert list(zip(eu.tolist(), ev.tolist())) == edges and g.m == len(edges)
+        # the caller's int64 arrays reach _build as they are, and are not written
+        assert np.array_equal(u, given_u) and np.array_equal(v, given_v)
+        check_invariants(g)
+
     def test_deduplicates_both_orientations(self):
         g = _build(3, np.array([0, 1, 2, 0]), np.array([1, 0, 1, 1]))
         assert g.edges == ((0, 1), (1, 2)) and g.adjacency == ((1,), (0, 2), (1,))

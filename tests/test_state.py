@@ -381,6 +381,9 @@ class TestBatch:
         ([3, 0], [2, 0], "color 0 outside 1..4"),
         ([-1], [1], "vertex -1 out of range"),
         ([0, 4], [2, 2], "vertex 4 out of range"),
+        # a batch whose sequences differ in length is refused, not cut to the shorter
+        ([0, 1], [2], "batch of 2 vertices and 1 colors"),
+        ([2], [], "batch of 1 vertices and 0 colors"),
     ])
     def test_a_refused_batch_changes_nothing(self, vertices, colors, reason):
         s = ColoringState(complete(4), 4, [1, 2, 3, 4])
