@@ -87,13 +87,13 @@ def _row_bounds(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rows(n: int, lower: np.ndarray, lo: np.ndarray, upper: np.ndarray, up: np.ndarray):
-    """Yield row w of the adjacency, lower[lo[w]:lo[w + 1]] then upper[up[w]:up[w + 1]], for each w.
+    """Yield the adjacency rows in order, one list per chunk of rows.
 
-    A row is a tuple of the int objects in one list ``range(n)``:
-    ``tolist()`` alone would make a new int object for every entry. The rows
-    are made a chunk at a time, each chunk at most ``_CHUNK`` rows and, when
-    it has more than one row, at most ``_CHUNK`` neighbors, so the Python
-    lists of bounds and neighbors stay chunk-sized on any graph.
+    Row w is lower[lo[w]:lo[w + 1]] then upper[up[w]:up[w + 1]], as a tuple
+    of the int objects in one list ``range(n)``: ``tolist()`` alone would
+    make a new int object for every entry. A chunk is at most ``_CHUNK``
+    rows and, when it has more than one row, at most ``_CHUNK`` neighbors,
+    so the Python lists of bounds and neighbors stay chunk-sized on any graph.
     """
     vertex = list(range(n))
     ends = lo + up  # where each row starts among all rows' neighbors, then their end
