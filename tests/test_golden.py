@@ -89,6 +89,9 @@ CASES = {
     "run_wide_k_parallel": (("run", "--family", "complete", "--n", "5", "--k", "4000000000",
                              "--init", "ones", "--variant", "parallel", "--seed", "1",
                              "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
+    # an edgeless graph: D = 0 and k = 1, so the potential is 0 with no 100*D denominator
+    "run_edgeless": (("run", "--family", "er", "--n", "6", "--p", "0", "--seed", "1",
+                      "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",)),
 }
 
 # K3,3 as a hexagon and its three long diagonals, with a comment and a duplicate edge
@@ -133,6 +136,8 @@ GOLDEN = {
         ("372470f29b3e464e14fba4dc4dad61231c3039908054f44ee43e0d07f6ea9f58",)),
     "run_wide_k_parallel": (0, "6c1373332eb6d814a5ca3caccaafd801b6e1dbfb901d8cd41e4e503d35fe28f3",
         ("b43292a2052afa158f8691ec388487abce70c21dae46b6ccb8e1829a1ebfee3e",)),
+    "run_edgeless": (0, "fd9348278e9f88a0b4c8ea5fe3841a2e8e0668f0db11265d1e2faf515a42826a",
+        ("e003843734c79dfe87d60e54687cf33f3e56f061fcd3e322dc695f5a1fb48544",)),
 }
 
 
