@@ -113,8 +113,12 @@ def _build(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """Assemble a Graph from candidate edges (u[i], v[i]), deduplicating as required.
 
     ``u`` and ``v`` are read, never written: ``np.asarray`` returns the
-    caller's own array when it is already int64.
+    caller's own array when it is already int64. The int64 pair keys below
+    stay under n*n, so a larger vertex count is refused before anything is
+    allocated.
     """
+    if n * n >= 1 << 63:
+        raise ValueError(f"vertex count {n} too large: pair keys need n*n < 2**63")
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     bad = np.flatnonzero((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))

@@ -353,10 +353,14 @@ BAD_INPUT = [
     # a vertex count beyond int64
     ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--n", "100000000000000000000",
      "--out", "{tmp}/g.txt"),
-    # graphs too large to allocate: each request exceeds the 128 TiB user
-    # address space, so it fails at once and allocates nothing
+    # vertex counts whose int64 pair keys would wrap (n*n >= 2**63), refused
+    # before anything is allocated
     ("gen", "--family", "file", "--graph", "{tmp}/huge.txt", "--n", "1000000000000001",
      "--out", "{tmp}/g.txt"),
+    ("gen", "--family", "file", "--graph", "{tmp}/far_pair.txt", "--n", "4000000000",
+     "--out", "{tmp}/g.txt"),
+    # graphs too large to allocate: each request exceeds the 128 TiB user
+    # address space, so it fails at once and allocates nothing
     ("gen", "--family", "complete", "--n", "100000000", "--out", "{tmp}/g.txt"),
     ("run", "--family", "cycle", "--n", "1000000000000000"),
     ("compare", "--family", "cycle", "--n", "1000000000000000", "--seeds", "2"),
@@ -404,6 +408,7 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
         {"cells": [{"family": "complete", "n": 4, "config_id": "a,b"}], "seeds": 2}))
     (tmp_path / "huge.txt").write_text("0 1000000000000000\n")
     (tmp_path / "far.txt").write_text("0 20000000\n")
+    (tmp_path / "far_pair.txt").write_text("3999999998 3999999999\n")
     (tmp_path / "huge.json").write_text(json.dumps(
         {"cells": [{"family": "cycle", "n": 10**15}], "seeds": 1}))
     (tmp_path / "bool_n.json").write_text(json.dumps(

@@ -241,6 +241,14 @@ class TestBuild:
         assert "edges" not in vars(g)
         assert g.edges == tuple((u, v) for u in range(5) for v in range(u + 1, 5))
 
+    # 3037000499**2 < 2**63 <= 3037000500**2
+    @pytest.mark.parametrize("n,u,v", [(3_037_000_500, 0, 1),
+                                       (4_000_000_000, 3_999_999_998, 3_999_999_999)])
+    def test_refuses_a_vertex_count_whose_pair_keys_wrap(self, n, u, v):
+        with pytest.raises(ValueError, match=rf"^vertex count {n} too large: pair keys need "
+                                             rf"n\*n < 2\*\*63$"):
+            _build(n, [u], [v])
+
     def test_no_vertices(self):
         g = from_edge_list("")
         assert (g.n, g.m, g.max_degree, g.adjacency) == (0, 0, 0, ())
