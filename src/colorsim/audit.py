@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state import ColoringState, Component, phi_numerator
+from .state import ColoringState, Component, phi_numerator, potential
 
 CLAIM_COMPONENT_EDGES = "component_edge_drift"
 CLAIM_ISOLATED_GENERAL = "isolated_edge_growth"
@@ -164,15 +164,9 @@ def check_claim_isolated(
     return entries
 
 
-def _potential(state: ColoringState) -> tuple[int, int]:
-    """The potential phi_num/(100D) as a pair; (0, 1) on an edgeless graph."""
-    d = state.graph.max_degree
-    return (state.phi_num, 100 * d) if d else (0, 1)
-
-
 def check_claim_mono_phi(state: ColoringState) -> list[AuditEntry]:
     """Sandwich: mono count <= potential <= twice the mono count, exactly."""
-    phi = _potential(state)
+    phi = potential(state.graph.max_degree, state.phi_num)
     mono = state.mono_edge_count
     return [AuditEntry(CLAIM_SANDWICH_LOWER, (mono, 1), phi),
             AuditEntry(CLAIM_SANDWICH_UPPER, phi, (2 * mono, 1))]
@@ -188,10 +182,10 @@ def check_claim_mult(state: ColoringState, expectation: ExactExpectation) -> Aud
     and the bound phi·(1 - 1/(1000n)) is phi_num·(1000n - 1) / (100D·1000n).
     The reported ``decay_ratio`` is E[phi']/phi = e_num / (outcomes·phi_num).
     """
-    phi_num, phi_den = _potential(state)
+    d = state.graph.max_degree
+    phi_num, phi_den = potential(d, state.phi_num)
     if phi_num <= 0:
         raise ValueError("multiplicative decay check needs a positive potential")
-    d = state.graph.max_degree
     outcomes, mono, iso, e_ip = expectation
     e_num = phi_numerator(d, mono, iso, e_ip)
     n1000 = 1000 * state.graph.n

@@ -25,10 +25,12 @@ import os
 import sys
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict
+from fractions import Fraction
 
 from ._version import __version__
 from . import graph as graphs
 from .dynamics import STEPS, VARIANT_ALIASES, make_rng, run
+from .state import potential
 from .harness import (
     FAMILIES,
     FAMILY_ALIASES,
@@ -154,14 +156,15 @@ def _cmd_run(args) -> int:
         graph = build_graph(config)
         rng = make_rng(config.master_seed, 0)
         state = initial_state(graph, config, rng)
-    initial_phi = state.potential()
     result, trace = run(state, config.variant, config.cap, rng, trace=bool(args.trace_out))
+    initial_phi, final_phi = (Fraction(*potential(graph.max_degree, num))
+                              for num in (result.initial_phi_num, result.final_phi_num))
     print(
         f"config_id={config.resolved_id()} n={graph.n} m={graph.m} delta={graph.max_degree} "
         f"k={state.k} variant={config.variant} init={config.init} master_seed={config.master_seed} "
         f"steps={result.steps} terminated={str(result.terminated).lower()} "
         f"stalled={str(result.stalled).lower()} "
-        f"initial_phi={initial_phi} final_phi={state.potential()}"
+        f"initial_phi={initial_phi} final_phi={final_phi}"
     )
     if args.trace_out:
         meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}

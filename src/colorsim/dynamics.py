@@ -154,7 +154,7 @@ class RunResult:
     variant it counts rounds. ``terminated`` implies the final coloring is
     proper; a non-terminated, non-stalled run used exactly ``cap`` steps.
     The potentials are the integer numerators over 100 * max_degree
-    (``ColoringState.potential`` gives the Fraction). ``min_conflicted`` is the
+    (``state.potential`` gives the pair). ``min_conflicted`` is the
     least conflicted count after step 1 or later, or the initial count if the
     run took no step, so a proper start gives 0. ``wall_ns`` is the run's wall
     time where ``harness.run_one`` was asked to time it, else 0.

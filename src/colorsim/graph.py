@@ -8,8 +8,8 @@ Every generator produces its candidate edges as numpy endpoint arrays and
 hands them to one assembly, ``_build``, the only code that constructs a
 ``Graph``. It validates, deduplicates and sorts the edges with numpy, keeps
 the sorted endpoint arrays as ``Graph.edge_arrays``, and fills the adjacency
-tuples with one int object per vertex. The edge tuples are derived from
-``edge_arrays`` on first read.
+tuples with one int object per vertex; the edges are read from
+``edge_arrays`` alone, as numpy arrays.
 ``_build`` reads the caller's endpoint arrays u and v and never writes them.
 Beside them it holds at most three edge-long int64 arrays at once, each made
 and reworked in place: the sorted pair keys, which become the lower
@@ -33,7 +33,6 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -46,8 +45,9 @@ class Graph:
     Invariants: no self-loops or duplicate edges, adjacency is symmetric and
     each neighbor list is sorted, and ``max_degree`` equals the true maximum
     adjacency length (0 for an edgeless graph). ``edge_arrays`` holds the
-    endpoint arrays (u, v), u < v, of shape (m,), in ascending (u, v) order;
-    equality and hashing leave it out, as it repeats ``adjacency``.
+    endpoint arrays (u, v), u < v, of shape (m,), in ascending (u, v) order,
+    the graph's one edge list; equality and hashing leave it out, as it
+    repeats ``adjacency``.
     """
 
     n: int
@@ -55,12 +55,6 @@ class Graph:
     m: int
     max_degree: int
     edge_arrays: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as (u, v) tuples, in the order of ``edge_arrays``."""
-        eu, ev = self.edge_arrays
-        return tuple(zip(eu.tolist(), ev.tolist()))
 
 
 # draws per erdos_renyi block; larger blocks were no faster and raised the peak memory
@@ -303,5 +297,6 @@ def from_edge_list(text: str, n: int | None = None) -> Graph:
 def to_edge_list(g: Graph) -> str:
     """Render a graph in the format accepted by :func:`from_edge_list`."""
     lines = [f"# vertices {g.n} edges {g.m} max_degree {g.max_degree}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    eu, ev = g.edge_arrays
+    lines.extend(f"{u} {v}" for u, v in zip(eu.tolist(), ev.tolist()))
     return "\n".join(lines) + "\n"

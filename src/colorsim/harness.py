@@ -265,8 +265,13 @@ def build_graph(config: ExperimentConfig) -> Graph:
     return FAMILIES[config.family].build(config)
 
 
+def _palette_size(config: ExperimentConfig, graph: Graph) -> int:
+    """A cell's k: ``config.k``, else the max degree + 1."""
+    return config.k if config.k is not None else graph.max_degree + 1
+
+
 def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
-    k = config.k if config.k is not None else graph.max_degree + 1
+    k = _palette_size(config, graph)
     if config.init == "random":
         return init_random(graph, k, rng)
     colors = [1] * graph.n if config.init == "all_ones" else config.explicit_colors
@@ -535,7 +540,7 @@ def _cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
         "n": graph.n,
         "m": graph.m,
         "delta": graph.max_degree,
-        "k": config.k if config.k is not None else graph.max_degree + 1,
+        "k": _palette_size(config, graph),
         "variant": config.variant,
         "init": config.init,
     }

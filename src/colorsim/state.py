@@ -15,7 +15,8 @@ colors when first read after a change and cached until the next recolor:
   properly colored vertex;
 * ``phi_num``          100*D*mono + 10*D*iso + e_ip with D = max degree, so the
   progress potential mono + iso/10 + e_ip/(100*D) equals phi_num/(100*D)
-  exactly and all comparisons can stay in integer arithmetic.
+  exactly and all comparisons can stay in integer arithmetic. ``potential``
+  is that rational as one integer pair, the only form of it in the package.
 
 One numpy pass over the graph's edge arrays builds the conflict data (at
 construction and after ``apply_batch``) and the pair data (on read).
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +51,11 @@ from .graph import Graph
 def phi_numerator(max_degree: int, mono: int, iso: int, e_ip: int) -> int:
     """The integer numerator 100*D*mono + 10*D*iso + e_ip of the potential."""
     return 100 * max_degree * mono + 10 * max_degree * iso + e_ip
+
+
+def potential(max_degree: int, phi_num: int) -> tuple[int, int]:
+    """The potential phi_num/(100*D) as an integer pair; 0 on an edgeless graph (phi_num 0)."""
+    return phi_num, 100 * max(max_degree, 1)
 
 
 @dataclass(frozen=True)
@@ -225,13 +230,6 @@ class ColoringState:
     def neighbor_colors(self, v: int) -> set[int]:
         color = self._color
         return {color[w] for w in self.graph.adjacency[v]}
-
-    def potential(self) -> Fraction:
-        """The exact progress potential; 0 if and only if the coloring is proper."""
-        d = self.graph.max_degree
-        if d == 0:
-            return Fraction(0)
-        return Fraction(self.phi_num, 100 * d)
 
     # -- conflicted set maintenance ----------------------------------------
 

@@ -6,9 +6,10 @@ state's colors and graph alone, by three plain edge scans. It shares no code
 with ``ColoringState``'s incremental bookkeeping or its numpy derivation, so
 a test that compares the two checks one against the other. ``snapshot``
 reads the same quantities off the state's fast path into the same record.
+``edges`` lists a graph's edges as (u, v) tuples, for the scans and for tests.
 
 The module imports nothing from ``colorsim``: it reads only ``state.colors``
-and the graph's ``n``, ``edges`` and ``max_degree``.
+and the graph's ``n``, ``edge_arrays`` and ``max_degree``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ class DerivedSnapshot:
     iso_edge_count: int
     e_ip: int
     phi_num: int
+
+
+def edges(g) -> tuple[tuple[int, int], ...]:
+    """The graph's edges as (u, v) tuples, u < v, in the order of ``edge_arrays``."""
+    eu, ev = g.edge_arrays
+    return tuple(zip(eu.tolist(), ev.tolist()))
 
 
 def snapshot(state) -> DerivedSnapshot:
@@ -46,23 +53,24 @@ def recompute(state) -> DerivedSnapshot:
     incremental update path it is used to check.
     """
     g = state.graph
+    pairs = edges(g)
     color = state.colors
     cd = [0] * g.n
     mono = 0
-    for u, w in g.edges:
+    for u, w in pairs:
         if color[u] == color[w]:
             cd[u] += 1
             cd[w] += 1
             mono += 1
     in_pair = [False] * g.n
     iso = 0
-    for u, w in g.edges:
+    for u, w in pairs:
         if color[u] == color[w] and cd[u] == 1 and cd[w] == 1:
             in_pair[u] = True
             in_pair[w] = True
             iso += 1
     e_ip = 0
-    for u, w in g.edges:
+    for u, w in pairs:
         if (in_pair[u] and cd[w] == 0) or (cd[u] == 0 and in_pair[w]):
             e_ip += 1
     d = g.max_degree

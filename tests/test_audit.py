@@ -25,6 +25,7 @@ from colorsim import (
 )
 from colorsim import audit, harness
 from colorsim.harness import AuditSweepSpec, audit_instance
+from colorsim.state import potential
 from exact_laws import additive_drift_bound, multiplicative_drift_bound, psi_value
 import oracle
 
@@ -125,11 +126,12 @@ class TestExactExpectations:
         rng = make_rng(21, 0)
         s = init_random(g, g.max_degree + 1, rng)
         if s.conflicted_count == 0:
-            s.recolor(g.edges[0][0], s.color_of(g.edges[0][1]))
+            u, v = oracle.edges(g)[0]
+            s.recolor(u, s.color_of(v))
         # relabel vertices by reversal and rebuild the same state
         perm = {v: g.n - 1 - v for v in range(g.n)}
         relabeled = sorted(
-            tuple(sorted((perm[u], perm[v]))) for u, v in g.edges
+            tuple(sorted((perm[u], perm[v]))) for u, v in oracle.edges(g)
         )
         text = "\n".join(f"{u} {v}" for u, v in relabeled)
         g2 = from_edge_list(text, n=g.n)
@@ -313,7 +315,8 @@ def paper_claims(state, bipartite):
         e = exact_step_expectations(state, comp)
         parts.append(e)
         members = set(comp.vertices)
-        edges = sum(u in members and w in members and color[u] == color[w] for u, w in g.edges)
+        edges = sum(u in members and w in members and color[u] == color[w]
+                    for u, w in oracle.edges(g))
         average_degree = Fraction(2 * edges, len(members))
         e_mono, e_iso = Fraction(e.mono, e.outcomes), Fraction(e.iso, e.outcomes)
         key = comp.vertices
@@ -422,4 +425,4 @@ class TestPsi:
     def test_edgeless(self):
         g = erdos_renyi(4, 0.0, 0)
         s = ColoringState(g, 2, [1, 1, 1, 1])
-        assert psi_value(s.potential(), g.n, g.max_degree) == 0.0
+        assert psi_value(Fraction(*potential(g.max_degree, s.phi_num)), g.n, g.max_degree) == 0.0
