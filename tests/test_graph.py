@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from colorsim import graph
-from oracle import edges
 from colorsim.graph import _BLOCK, _build
 from colorsim import (
     complete,
@@ -19,6 +18,7 @@ from colorsim import (
     from_edge_list,
     to_edge_list,
 )
+from oracle import edges
 
 
 def check_invariants(g):
