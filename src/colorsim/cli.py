@@ -5,13 +5,13 @@ exhaustion, 3 audit violation. Bad input, whether flags, a sweep config or
 cell, an unreadable or unwritable file or a graph too large to allocate,
 exits 1 with a one-line reason on stderr, never a traceback. Each command
 raises its refusal and ``main`` alone prints it, as ``<command>: <reason>``;
-a rejected or failed sweep cell is reported on its own line, the sweep runs
-the rest and exits 1 at the end. A failed write to stdout exits 1 with one
-line too, silently when the reader closed it early. The family, variant
-and init names come from the tables in ``harness`` and ``dynamics``, the
-family flags from ``harness.FAMILY_FIELDS``; a flag its family does not take
-is refused. All run-affecting options have deterministic defaults and end up
-in the output metadata; no environment variable is read.
+a sweep reports each rejected cell on its own line before any cell runs, then
+each failed cell, runs the rest and exits 1 at the end. A failed write to
+stdout exits 1 with one line too, silently when the reader closed it early.
+The family, variant and init names come from the tables in ``harness`` and
+``dynamics``, the family flags from ``harness.FAMILY_FIELDS``; a flag its
+family does not take is refused. All run-affecting options have deterministic
+defaults and end up in the output metadata; no environment variable is read.
 ``sweep --workers`` sets the worker-pool width only, which changes no output;
 ``audit`` runs on every usable CPU with no flag for it, and writes and scans
 the lines here in instance order, so its output does not depend on the count.
@@ -44,9 +44,9 @@ from .harness import (
     drift_audit_sweep,
     initial_state,
     public_config,
-    run_ensemble,
     run_rows,
     scaling_fit,
+    sweep,
     write_aggregate_csv,
     write_jsonl,
     write_runs_csv,
@@ -220,57 +220,48 @@ def _cmd_sweep(args) -> int:
         elif flag is not None:
             defaults[key] = flag
     configs = []
-    all_rows = []
-    agg_rows = []
-    fit_points = []
-    failures = 0
     for cell in cells:
         try:
             merged = dict(defaults)
             merged.update(cell)
             if merged.get("family") in FAMILY_ALIASES:
                 merged["family"] = FAMILY_ALIASES[merged["family"]]
-            config = ExperimentConfig(**merged)
+            configs.append(ExperimentConfig(**merged))
         except (TypeError, ValueError) as exc:
             print(f"sweep: bad cell {cell}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        configs.append(config)
-        try:
-            graph = build_graph(config)
-            stats, results = run_ensemble(graph, config, args.workers, args.timing)
-        except (ValueError, OSError, MemoryError) as exc:
-            print(f"sweep: cell {config.resolved_id()} failed: {_reason(exc)}", file=sys.stderr)
-            failures += 1
-            continue
-        all_rows.extend(run_rows(config, graph, results))
-        agg_rows.append((config, graph, stats))
-        fit_points.append((graph.n, graph.max_degree, stats.mean_steps))
+    done = []  # (config, graph, stats, results) of each cell that ran
+    for config, outcome in zip(configs, sweep(configs, args.workers, args.timing)):
+        if isinstance(outcome, Exception):
+            print(f"sweep: cell {config.resolved_id()} failed: {_reason(outcome)}",
+                  file=sys.stderr)
+        else:
+            done.append((config, *outcome))
     fit = None
-    if model and len(fit_points) < 3:
-        print(f"sweep: fit skipped: {len(fit_points)} cells succeeded and the fit needs 3",
+    if model and len(done) < 3:
+        print(f"sweep: fit skipped: {len(done)} cells succeeded and the fit needs 3",
               file=sys.stderr)
     elif model:
         try:
-            fit = scaling_fit(fit_points, model)
+            fit = scaling_fit([(g.n, g.max_degree, s.mean_steps) for _, g, s, _ in done], model)
         except ValueError as exc:
             print(f"sweep: fit failed: {exc}", file=sys.stderr)
     with _refusing("cannot write output: "):
         if args.per_run:
+            rows = [row for c, g, _, r in done for row in run_rows(c, g, r)]
             with open(args.per_run, "w", encoding="utf-8", newline="") as f:
-                write_runs_csv(f, configs, all_rows)
+                write_runs_csv(f, configs, rows)
         if args.aggregate:
-            rows = [aggregate_row(c, g, s, fit) for c, g, s in agg_rows]
+            rows = [aggregate_row(c, g, s, fit) for c, g, s, _ in done]
             with open(args.aggregate, "w", encoding="utf-8", newline="") as f:
                 write_aggregate_csv(f, configs, rows)
-    for config, graph, stats in agg_rows:
+    for config, _, stats, _ in done:
         print(
             f"{config.resolved_id()}: mean={stats.mean_steps:.2f} median={stats.median_steps:.1f} "
             f"terminated={stats.termination_fraction:.3f}"
         )
     if fit:
         print(f"fit[{fit.model}]: coefficient={fit.coefficient:.4f} r2={fit.r_squared:.4f}")
-    return EXIT_USAGE if failures else EXIT_OK
+    return EXIT_USAGE if len(done) < len(cells) else EXIT_OK  # a cell was bad or failed
 
 
 # -- audit ------------------------------------------------------------------------
@@ -289,17 +280,17 @@ def _cmd_audit(args) -> int:
         sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     meta = {"tool": f"colorsim {__version__}", "spec": asdict(spec)}
     violations = []
-    sweep = drift_audit_sweep(spec)
+    audit_lines = drift_audit_sweep(spec)
 
     def lines():
-        for line in sweep:
+        for line in audit_lines:
             if not line.get("skipped") and not line["satisfied"]:
                 violations.append(line)
             yield line
 
     # a failed write closes the sweep, and so its pool, at once; stdout is main's to report
     refusing = _refusing("cannot write output: ") if args.out else nullcontext()
-    with refusing, closing(sweep), sink as out:
+    with refusing, closing(audit_lines), sink as out:
         write_jsonl(out, meta, lines())
     if violations:
         for line in violations[:10]:
@@ -314,8 +305,11 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     with _refusing():
         configs = [_config_from_args(args, v, seeds=args.seeds) for v in args.variants.split(",")]
-        graph = build_graph(configs[0])  # one set of flags: every variant has this graph
-        pairs = [(config, run_ensemble(graph, config)[0]) for config in configs]
+        pairs = []
+        for config, outcome in zip(configs, sweep(configs)):
+            if isinstance(outcome, Exception):
+                raise outcome  # the first failure refuses the command
+            pairs.append((config, outcome[1]))
     header = f"{'variant':<16}{'init':<10}{'mean':>12}{'median':>10}{'ci95':>22}{'term':>7}{'ratio':>8}"
     print(header)
     base = pairs[0][1].mean_steps  # the first variant is the baseline

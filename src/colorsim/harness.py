@@ -10,13 +10,13 @@ annotation, and a family field the family does not take is refused.
 Every run inside an ensemble draws from its own PCG64 stream derived from
 (master_seed, run_index), so aggregates do not depend on worker count or
 completion order; an ensemble returns its ``RunResult``s in run-index
-order. An ensemble runs on a graph its caller built once with
-``build_graph``: the CLI's ``compare`` builds one graph for all its
-variants, ``sweep`` one per cell. ``ordered_map`` is the one process pool:
-ensembles map their run indices over it, and the audit sweep its instance
-indices on every usable CPU; either way the results come back in index
-order. Results flow out
-as CSV (one row per run, one row per config, both opening with the
+order, on a graph its caller built once with ``build_graph``. ``sweep`` is
+the one loop over cells, which the CLI's ``sweep`` and ``compare`` both
+run; it builds a graph only when a cell's graph fields change.
+``ordered_map`` is the one process pool: ensembles map their run indices
+over it, and the audit sweep its instance indices on every usable CPU;
+either way the results come back in index order. Results flow out as CSV
+(one row per run, one row per config, both opening with the
 ``CELL_FIELDS`` columns) and JSON lines (audit reports, traces); every
 output starts with a metadata header sufficient to reproduce it. The audit
 sweep here picks the states to audit; ``audit.report_lines`` owns the
@@ -178,7 +178,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kind in _FIELD_HINTS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind) or (
+                    isinstance(value, float) and not math.isfinite(value)):
                 raise ValueError(f"bad {name}: {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}; "
@@ -278,7 +279,7 @@ def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
     return ColoringState(graph, k, colors)
 
 
-def run_one(graph: Graph, config: ExperimentConfig, index: int, timing: bool = False) -> RunResult:
+def run_one(graph: Graph, index: int, config: ExperimentConfig, timing: bool = False) -> RunResult:
     """Run ``index`` of the ensemble; ``timing`` fills in its ``wall_ns``."""
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
@@ -333,10 +334,6 @@ def ordered_map(fn: Callable, context, items: range, workers: int,
         pool.shutdown(cancel_futures=True)
 
 
-def _run_at(config: ExperimentConfig, timing: bool, graph: Graph, index: int) -> RunResult:
-    return run_one(graph, config, index, timing)
-
-
 def run_ensemble(
     graph: Graph, config: ExperimentConfig, workers: int = 1, timing: bool = False
 ) -> tuple[EnsembleStats, list[RunResult]]:
@@ -353,10 +350,29 @@ def run_ensemble(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    seeds = config.seeds
-    results = list(ordered_map(partial(_run_at, config, timing), graph, range(seeds),
-                               workers if seeds >= 4 else 1))
+    results = list(ordered_map(partial(run_one, config=config, timing=timing), graph,
+                               range(config.seeds), workers if config.seeds >= 4 else 1))
     return summarize(results), results
+
+
+def sweep(configs: Iterable[ExperimentConfig], workers: int = 1, timing: bool = False) -> Iterator:
+    """Yield ``(graph, *run_ensemble(graph, config, workers, timing))`` for each config.
+
+    A graph is built only when the config's graph fields (its family and that
+    family's ``fields + optional``) differ from those of the last graph built.
+    A config that raises ``ValueError``, ``OSError`` or ``MemoryError`` yields
+    the exception instead, and the sweep goes on to the next config.
+    """
+    built = graph = None
+    for config in configs:
+        family = FAMILIES[config.family]
+        key = (config.family, *(getattr(config, f) for f in family.fields + family.optional))
+        try:
+            if key != built:
+                graph, built = build_graph(config), key
+            yield (graph, *run_ensemble(graph, config, workers, timing))
+        except (ValueError, OSError, MemoryError) as exc:
+            yield exc
 
 
 def summarize(results: list[RunResult]) -> EnsembleStats:

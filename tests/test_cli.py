@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -208,6 +209,44 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.json"))
         assert code == 1
 
+    def test_config_headers_are_strict_json(self, tmp_path, capsys):
+        # json.load takes NaN; the cell is refused, so no bare NaN reaches a header
+        path = tmp_path / "nan.json"
+        path.write_text('{"cells": [{"family": "er", "n": 6, "p": NaN}, '
+                        '{"family": "complete", "n": 4}], "seeds": 3}')
+        runs, agg = tmp_path / "runs.csv", tmp_path / "agg.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path),
+                                    "--per-run", str(runs), "--aggregate", str(agg))
+        assert code == 1 and stdout.startswith("complete-n4-uniform-random: ")
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        for csv in (runs, agg):
+            headers = [line.removeprefix("# config: ") for line in csv.read_text().splitlines()
+                       if line.startswith("# config: ")]
+            assert len(headers) == 1
+            assert [c["config_id"] for c in json.loads(headers[0], parse_constant=refuse)] == [
+                "complete-n4-uniform-random"]
+        assert err == "sweep: bad cell {'family': 'er', 'n': 6, 'p': nan}: bad p: nan\n"
+
+    def test_bad_cells_reported_before_any_cell_runs(self, tmp_path, capsys):
+        good = {"family": "complete", "n": 4}
+        failing = {"family": "file", "path": str(tmp_path / "missing.txt")}
+        outputs = []
+        for name, cells in (("bad", [good, failing, {"family": "cycle"}]),
+                            ("plain", [good, failing])):
+            path, runs = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            path.write_text(json.dumps({"seeds": 3, "cells": cells}))
+            outputs.append((*run_cli(capsys, "sweep", "--config", str(path),
+                                     "--per-run", str(runs)), runs.read_bytes()))
+        (code, stdout, err, csv), (plain_code, plain_stdout, plain_err, plain_csv) = outputs
+        assert code == plain_code == 1 and stdout == plain_stdout
+        assert err.splitlines() == [
+            "sweep: bad cell {'family': 'cycle'}: cycle needs n", *plain_err.splitlines()]
+        assert plain_err.startswith("sweep: cell file-uniform-random failed: ")
+        assert csv == plain_csv  # a bad cell stays out of the header and the rows
+
 
 class TestAudit:
     def test_small_sweep_exit_0(self, tmp_path, capsys):
@@ -301,6 +340,15 @@ class TestBuildOnce:
             outputs[workers] = runs.read_bytes(), agg.read_bytes()
         assert outputs["1"] == outputs["2"]
 
+    def test_sweep_of_four_variants_on_one_graph(self, tmp_path, capsys, builds):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"seeds": 3, "cells": [
+            {"family": "complete", "n": 6, "variant": v}
+            for v in ("uniform", "component_view", "persistent", "parallel")]}))
+        code, stdout, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0 and builds == [6]
+        assert len(stdout.splitlines()) == 4
+
     def test_compare_over_three_variants(self, capsys, builds):
         code, stdout, _ = run_cli(capsys, "compare", "--family", "complete", "--n", "7",
                                   "--variants", "uniform,persistent,component", "--seeds", "4")
@@ -393,6 +441,8 @@ BAD_INPUT = [
     # argparse's own refusals: a required flag left out, a value of the wrong type
     ("compare", "--n", "4"),
     ("run", "--family", "complete", "--n", "x"),
+    # json.load takes NaN, which would reach the CSV headers as invalid JSON
+    ("sweep", "--config", "{tmp}/nan_p.json"),
 ]
 
 
@@ -438,6 +488,8 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
                        ("bogus_init", {"family": "complete", "n": 4, "init": "bogus"}),
                        ("explicit_no_colors", {"family": "complete", "n": 4, "init": "explicit"})):
         (tmp_path / f"{name}.json").write_text(json.dumps({"cells": [cell], "seeds": 2}))
+    (tmp_path / "nan_p.json").write_text(json.dumps(
+        {"cells": [{"family": "er", "n": 6, "p": math.nan}], "seeds": 2}))
     (tmp_path / "three.txt").write_text("0 1 2\n")
     (tmp_path / "negative.txt").write_text("0 -1\n")
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))

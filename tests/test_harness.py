@@ -182,6 +182,12 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=f"^{family} does not take {name}$"):
             ExperimentConfig(family=family, **fields, **extra)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_p(self, p):
+        # json.load takes NaN and Infinity; json.dumps would write them back as bare tokens
+        with pytest.raises(ValueError, match=f"^bad p: {p!r}$"):
+            ExperimentConfig(family="erdos_renyi", n=5, p=p)
+
     def test_rejects_a_negative_graph_seed(self):
         # numpy's own refusal would name no field
         with pytest.raises(ValueError, match="^graph_seed must be >= 0$"):
@@ -234,13 +240,60 @@ class TestParallelSurvival:
             assert r.terminated == (r.min_conflicted == 0)
 
 
+class TestSweep:
+    """``harness.sweep``: one ensemble per config, one build per run of equal graph fields."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        for name in ("complete", "erdos_renyi"):
+            original = getattr(harness.graphs, name)
+
+            def counted(*args, original=original, name=name):
+                calls.append((name, *args))
+                return original(*args)
+
+            monkeypatch.setattr(harness.graphs, name, counted)
+        return calls
+
+    def test_yields_what_run_ensemble_returns(self):
+        configs = [ExperimentConfig(family="complete", n=6, seeds=5, master_seed=1),
+                   ExperimentConfig(family="cycle", n=7, variant="persistent", seeds=4),
+                   ExperimentConfig(family="erdos_renyi", n=12, p=0.3, graph_seed=2, k=9,
+                                    variant="parallel", seeds=6, cap=10**4)]
+        outcomes = list(harness.sweep(configs, workers=2, timing=False))
+        assert len(outcomes) == len(configs)
+        for cfg, (graph, stats, results) in zip(configs, outcomes):
+            assert graph == build_graph(cfg)
+            assert (stats, results) == run_ensemble(build_graph(cfg), cfg)
+
+    def test_consecutive_equal_graph_fields_share_one_build(self, builds):
+        first = ExperimentConfig(family="complete", n=5, seeds=3)
+        same_graph = [dataclasses.replace(first, **change) for change in (
+            {"variant": "persistent"}, {"k": 9}, {"init": "all_ones"}, {"seeds": 4})]
+        er = ExperimentConfig(family="erdos_renyi", n=8, p=0.5, seeds=2)
+        configs = [first, *same_graph, dataclasses.replace(first, n=6), first,
+                   er, dataclasses.replace(er, variant="persistent"),
+                   dataclasses.replace(er, graph_seed=1)]  # an optional field counts too
+        outcomes = list(harness.sweep(configs))
+        assert builds == [("complete", 5), ("complete", 6), ("complete", 5),
+                          ("erdos_renyi", 8, 0.5, 0), ("erdos_renyi", 8, 0.5, 1)]
+        assert len({id(graph) for graph, _, _ in outcomes[:5]}) == 1
+
+    def test_a_failed_config_yields_its_error_and_the_next_runs(self):
+        bad = ExperimentConfig(family="complete", n=0, seeds=2)
+        good = ExperimentConfig(family="complete", n=4, seeds=2)
+        error, (graph, stats, results) = harness.sweep([bad, good])
+        assert isinstance(error, ValueError) and str(error) == "complete graph needs n >= 1"
+        assert graph.n == 4 and (stats, results) == run_ensemble(graph, good)
+
+
 class TestCompareVariants:
-    """Variants compared the way ``colorsim compare`` does: one graph, one ensemble each."""
+    """Variants compared the way ``colorsim compare`` does: one ``harness.sweep`` of them."""
 
     def test_self_comparison_ratio_one(self):
         cfg = ExperimentConfig(family="complete", n=8, k=8, seeds=40, master_seed=9)
-        graph = build_graph(cfg)
-        (first, _), (second, _) = (run_ensemble(graph, c) for c in (cfg, cfg))
+        (_, first, _), (_, second, _) = harness.sweep([cfg, cfg])
         assert first == second and first.mean_steps > 0
 
     def test_adversarial_contrast_rows(self):
@@ -249,8 +302,7 @@ class TestCompareVariants:
                              init="all_ones", seeds=30, master_seed=10)
             for v in ("uniform", "persistent")
         ]
-        graph = build_graph(configs[0])
-        pairs = [(cfg, run_ensemble(graph, cfg)[0]) for cfg in configs]
+        pairs = [(cfg, stats) for cfg, (_, stats, _) in zip(configs, harness.sweep(configs))]
         assert [cfg for cfg, _ in pairs] == configs
         assert all(stats.termination_fraction == 1.0 for _, stats in pairs)
 
