@@ -41,6 +41,7 @@ from .harness import (
     ExperimentConfig,
     aggregate_row,
     build_graph,
+    cell_columns,
     drift_audit_sweep,
     initial_state,
     public_config,
@@ -229,29 +230,35 @@ def _cmd_sweep(args) -> int:
             configs.append(ExperimentConfig(**merged))
         except (TypeError, ValueError) as exc:
             print(f"sweep: bad cell {cell}: {exc}", file=sys.stderr)
-    done = []  # (config, graph, stats, results) of each cell that ran
-    for config, outcome in zip(configs, sweep(configs, args.workers, args.timing)):
+    done = []  # (config, cell columns, stats, results) of each cell that ran; no graph
+    outcomes = sweep(configs, args.workers, args.timing)  # one outcome per config
+    for config in configs:
+        outcome = next(outcomes)
         if isinstance(outcome, Exception):
             print(f"sweep: cell {config.resolved_id()} failed: {_reason(outcome)}",
                   file=sys.stderr)
         else:
-            done.append((config, *outcome))
+            graph, stats, results = outcome
+            done.append((config, cell_columns(config, graph), stats, results))
+        # free the graph before the next cell builds its own; zip's reused
+        # result tuple would hold it, so the loop steps the sweep itself
+        graph = outcome = None
     fit = None
     if model and len(done) < 3:
         print(f"sweep: fit skipped: {len(done)} cells succeeded and the fit needs 3",
               file=sys.stderr)
     elif model:
         try:
-            fit = scaling_fit([(g.n, g.max_degree, s.mean_steps) for _, g, s, _ in done], model)
+            fit = scaling_fit([(c["n"], c["delta"], s.mean_steps) for _, c, s, _ in done], model)
         except ValueError as exc:
             print(f"sweep: fit failed: {exc}", file=sys.stderr)
     with _refusing("cannot write output: "):
         if args.per_run:
-            rows = [row for c, g, _, r in done for row in run_rows(c, g, r)]
+            rows = [row for _, c, _, r in done for row in run_rows(c, r)]
             with open(args.per_run, "w", encoding="utf-8", newline="") as f:
                 write_runs_csv(f, configs, rows)
         if args.aggregate:
-            rows = [aggregate_row(c, g, s, fit) for c, g, s, _ in done]
+            rows = [aggregate_row(config, c, s, fit) for config, c, s, _ in done]
             with open(args.aggregate, "w", encoding="utf-8", newline="") as f:
                 write_aggregate_csv(f, configs, rows)
     for config, _, stats, _ in done:

@@ -59,6 +59,9 @@ class ProperColoringError(ValueError):
     """A step was requested on a coloring that is already proper."""
 
 
+_NO_STEP = "coloring is already proper; no step to take"
+
+
 def make_rng(master_seed: int, stream: int = 0) -> np.random.Generator:
     """Derive an independent, reproducible PCG64 stream from a master seed."""
     return np.random.Generator(
@@ -169,11 +172,6 @@ class RunResult:
     wall_ns: int = 0
 
 
-def _require_conflict(state: ColoringState) -> None:
-    if state.conflicted_count == 0:
-        raise ProperColoringError("coloring is already proper; no step to take")
-
-
 Step = tuple[tuple[int, ...], tuple[int, ...], int]  # (vertices, colors, draws)
 
 
@@ -183,8 +181,10 @@ def step_uniform(state: ColoringState, draw: Draw) -> Step:
     Consumes exactly two draws, vertex first, color second. The new color may
     equal the old one.
     """
-    _require_conflict(state)
-    v = state.conflicted_at(draw(state.conflicted_count))
+    dense = state.conflicted
+    if not dense:
+        raise ProperColoringError(_NO_STEP)
+    v = dense[draw(len(dense))]
     c = 1 + draw(state.k)
     state.recolor(v, c)
     return (v,), (c,), 1
@@ -196,9 +196,10 @@ def step_component_view(state: ColoringState, draw: Draw) -> Step:
     Three draws in order: component (weighted by vertex count), vertex inside
     the component, color.
     """
-    _require_conflict(state)
+    if not state.conflicted:
+        raise ProperColoringError(_NO_STEP)
     components = state.monochromatic_components()
-    r = draw(state.conflicted_count)  # the components' total size
+    r = draw(len(state.conflicted))  # the components' total size
     acc = 0
     chosen = components[-1]
     for comp in components:
@@ -228,8 +229,10 @@ def step_persistent(
     whichever is smaller. A step that runs out of draws returns no color and
     changes nothing.
     """
-    _require_conflict(state)
-    v = state.conflicted_at(draw(state.conflicted_count))
+    dense = state.conflicted
+    if not dense:
+        raise ProperColoringError(_NO_STEP)
+    v = dense[draw(len(dense))]
     blocked = state.neighbor_colors(v)
     k = state.k
     draws = 0
@@ -248,7 +251,8 @@ def step_parallel(state: ColoringState, draw: Draw) -> Step:
     Membership in the recoloring set is frozen before any draw; draws happen
     in ascending vertex order, then all updates are applied at once.
     """
-    _require_conflict(state)
+    if not state.conflicted:
+        raise ProperColoringError(_NO_STEP)
     frozen = state.conflicted_vertices()
     k = state.k
     colors = tuple([1 + draw(k) for _ in frozen])
@@ -290,7 +294,7 @@ def run(
                       "phi_num": phi_numerator(d, mono, iso, e_ip)})
 
     initial_num = state.phi_num
-    conflicted = initial_conflicted = state.conflicted_count
+    conflicted = initial_conflicted = len(state.conflicted)
     least = state.graph.n  # no count after a step exceeds n
     if trace:
         counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
@@ -308,7 +312,7 @@ def run(
                 step(state, draw, min(DEFAULT_PERSISTENT_DRAW_CAP, cap - steps)) if budgeted
                 else step(state, draw))
             steps += used
-            conflicted = state.conflicted_count
+            conflicted = len(state.conflicted)  # apply_batch replaces the list
             if conflicted < least:
                 least = conflicted
             if not colors:  # the draw guard tripped, or the cap ran out
@@ -330,9 +334,9 @@ def run(
         draws.close()
     result = RunResult(
         steps=steps,
-        terminated=state.conflicted_count == 0,
+        terminated=not conflicted,
         initial_phi_num=initial_num,
-        final_phi_num=state.phi_num,
+        final_phi_num=state.phi_num if conflicted else 0,  # no monochromatic edge: phi is 0
         min_conflicted=least if steps else initial_conflicted,
         stalled=stalled,
     )

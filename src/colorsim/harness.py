@@ -359,9 +359,10 @@ def sweep(configs: Iterable[ExperimentConfig], workers: int = 1, timing: bool = 
     """Yield ``(graph, *run_ensemble(graph, config, workers, timing))`` for each config.
 
     A graph is built only when the config's graph fields (its family and that
-    family's ``fields + optional``) differ from those of the last graph built.
-    A config that raises ``ValueError``, ``OSError`` or ``MemoryError`` yields
-    the exception instead, and the sweep goes on to the next config.
+    family's ``fields + optional``) differ from those of the last graph built,
+    and the last graph is dropped first. A config that raises ``ValueError``,
+    ``OSError`` or ``MemoryError`` yields the exception instead, and the sweep
+    goes on to the next config.
     """
     built = graph = None
     for config in configs:
@@ -369,6 +370,7 @@ def sweep(configs: Iterable[ExperimentConfig], workers: int = 1, timing: bool = 
         key = (config.family, *(getattr(config, f) for f in family.fields + family.optional))
         try:
             if key != built:
+                graph = built = None  # free the last graph before building the next
                 graph, built = build_graph(config), key
             yield (graph, *run_ensemble(graph, config, workers, timing))
         except (ValueError, OSError, MemoryError) as exc:
@@ -548,8 +550,12 @@ def metadata_lines(configs: list[ExperimentConfig]) -> list[str]:
     ]
 
 
-def _cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
-    """The ``CELL_FIELDS`` columns of a cell, which open both CSVs."""
+def cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
+    """The ``CELL_FIELDS`` columns of a cell, which open both CSVs.
+
+    All that the CSV rows read of the graph, so a sweep keeps these and lets
+    the graph go.
+    """
     return {
         "config_id": config.resolved_id(),
         "family": config.family,
@@ -562,11 +568,10 @@ def _cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
     }
 
 
-def run_rows(config: ExperimentConfig, graph: Graph, results: list[RunResult]) -> list[dict]:
+def run_rows(columns: dict, results: list[RunResult]) -> list[dict]:
     """Per-run CSV rows of an ensemble's results, in run-index order."""
-    base = _cell_columns(config, graph)
     return [
-        {**base, "seed": seed, "steps": r.steps,
+        {**columns, "seed": seed, "steps": r.steps,
          "terminated": "true" if r.terminated else "false",
          "initial_phi_num": r.initial_phi_num, "final_phi_num": r.final_phi_num,
          "wall_ns": r.wall_ns}
@@ -589,12 +594,13 @@ def write_runs_csv(out: TextIO, configs: list[ExperimentConfig], rows: list[dict
 
 def aggregate_row(
     config: ExperimentConfig,
-    graph: Graph,
+    columns: dict,
     stats: EnsembleStats,
     fit: FitResult | None = None,
 ) -> dict:
+    """The aggregate CSV row of a cell, from its ``cell_columns``."""
     return {
-        **_cell_columns(config, graph),
+        **columns,
         **asdict(stats),
         "cap": config.cap,
         "master_seed": config.master_seed,

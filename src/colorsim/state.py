@@ -79,6 +79,10 @@ class ColoringState:
     """Mutable coloring of an immutable graph plus derived conflict data.
 
     Owned by exactly one run at a time; distinct states may share the graph.
+    ``conflicted`` is the dense list of conflicted vertices, read-only outside
+    this class. Its order fixes which vertex a uniform pick draws (see
+    ``recolor``), and ``apply_batch`` replaces the list, so read the attribute
+    again after any change.
     """
 
     __slots__ = (
@@ -86,7 +90,7 @@ class ColoringState:
         "k",
         "_color",
         "_conflict_deg",
-        "_conf_dense",
+        "conflicted",
         "_conf_pos",
         "mono_edge_count",
         "_pairs",
@@ -97,9 +101,9 @@ class ColoringState:
             raise ValueError(f"palette size k must be in 1..2**32 - 1, got {k}")
         if len(colors) != graph.n:
             raise ValueError(f"expected {graph.n} colors, got {len(colors)}")
-        for v, c in enumerate(colors):
-            if not 1 <= c <= k:
-                raise ValueError(f"vertex {v}: color {c} outside 1..{k}")
+        if colors and not 1 <= min(colors) <= max(colors) <= k:
+            v = next(v for v, c in enumerate(colors) if not 1 <= c <= k)
+            raise ValueError(f"vertex {v}: color {colors[v]} outside 1..{k}")
         self.graph = graph
         self.k = k
         self._color = list(colors)
@@ -120,8 +124,8 @@ class ColoringState:
         mono, cd = self._scan_edges()
         self._conflict_deg = cd.tolist()
         self.mono_edge_count = int(np.count_nonzero(mono))
-        dense = np.flatnonzero(cd).tolist()
-        self._conf_dense = dense
+        dense = cd.nonzero()[0].tolist()
+        self.conflicted = dense
         pos = [-1] * self.graph.n
         for i, u in enumerate(dense):
             pos[u] = i
@@ -170,7 +174,7 @@ class ColoringState:
         new.k = self.k
         new._color = self._color.copy()
         new._conflict_deg = self._conflict_deg.copy()
-        new._conf_dense = self._conf_dense.copy()
+        new.conflicted = self.conflicted.copy()
         new._conf_pos = self._conf_pos.copy()
         new.mono_edge_count = self.mono_edge_count
         new._pairs = self._pairs
@@ -200,14 +204,10 @@ class ColoringState:
 
     @property
     def conflicted_count(self) -> int:
-        return len(self._conf_dense)
-
-    def conflicted_at(self, i: int) -> int:
-        """Entry ``i`` of the dense conflicted array (for O(1) uniform picks)."""
-        return self._conf_dense[i]
+        return len(self.conflicted)
 
     def conflicted_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._conf_dense))
+        return tuple(sorted(self.conflicted))
 
     def neighbor_counts(self, u: int) -> tuple[int, int]:
         """The (properly colored, isolated-pair) neighbor counts of ``u`` now, found locally."""
@@ -234,11 +234,11 @@ class ColoringState:
     # -- conflicted set maintenance ----------------------------------------
 
     def _conf_add(self, v: int) -> None:
-        self._conf_pos[v] = len(self._conf_dense)
-        self._conf_dense.append(v)
+        self._conf_pos[v] = len(self.conflicted)
+        self.conflicted.append(v)
 
     def _conf_remove(self, v: int) -> None:
-        dense, pos = self._conf_dense, self._conf_pos
+        dense, pos = self.conflicted, self._conf_pos
         i = pos[v]
         last = dense[-1]
         dense[i] = last
@@ -472,7 +472,7 @@ class ColoringState:
         cd = self._conflict_deg
         seen: set[int] = set()
         comps: list[Component] = []
-        for root in sorted(self._conf_dense):
+        for root in sorted(self.conflicted):
             if root in seen:
                 continue
             members = self.same_color_reach(root, seen)
@@ -508,4 +508,4 @@ def init_random(g: Graph, k: int, rng) -> ColoringState:
     if not 1 <= k < 2**32:
         raise ValueError(f"palette size k must be in 1..2**32 - 1, got {k}")
     colors = rng.integers(1, k + 1, size=g.n)
-    return ColoringState(g, k, [int(c) for c in colors])
+    return ColoringState(g, k, colors.tolist())

@@ -32,7 +32,7 @@ from colorsim import (
     run_ensemble,
     scaling_fit,
 )
-from colorsim.harness import build_graph, initial_state, run_rows, write_runs_csv
+from colorsim.harness import build_graph, cell_columns, initial_state, run_rows, write_runs_csv
 from exact_laws import (
     binomial_two_sided_p,
     cdf_median,
@@ -342,14 +342,14 @@ def test_criterion_12_worker_determinism(coupon_sweep):
     configs = [cfg for cfg, _, _, _ in ensembles]
     rows = []
     for cfg, graph, _, records in ensembles:
-        rows.extend(run_rows(cfg, graph, records))
+        rows.extend(run_rows(cell_columns(cfg, graph), records))
     write_runs_csv(baseline, configs, rows)
 
     wide_rows = []
     for cfg, _, _, _ in ensembles:
         graph = build_graph(cfg)
         _, records = run_ensemble(graph, cfg, workers=3)
-        wide_rows.extend(run_rows(cfg, graph, records))
+        wide_rows.extend(run_rows(cell_columns(cfg, graph), records))
     rerun = io.StringIO()
     write_runs_csv(rerun, configs, wide_rows)
     ok = baseline.getvalue() == rerun.getvalue()

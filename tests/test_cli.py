@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -356,6 +357,31 @@ class TestBuildOnce:
         assert len(stdout.splitlines()) == 4
 
 
+def test_sweep_lets_each_graph_go(tmp_path, capsys, monkeypatch):
+    """A sweep keeps each cell's columns, not its graph: every earlier graph
+    is gone by the time the next cell's graph is built."""
+    graphs_built = []
+    alive_at_build = []
+    original = graphs.cycle
+
+    def tracked(n):
+        alive_at_build.append([ref() is not None for ref in graphs_built])
+        g = original(n)
+        graphs_built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(graphs, "cycle", tracked)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"seeds": 2, "cap": 10, "fit": {"model": "n_log_n"},
+                               "cells": [{"family": "cycle", "n": n} for n in (6, 7, 8)]}))
+    runs, agg = tmp_path / "runs.csv", tmp_path / "agg.csv"
+    code, stdout, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                              "--per-run", str(runs), "--aggregate", str(agg))
+    assert code == 0 and len(stdout.splitlines()) == 4
+    assert alive_at_build == [[], [False], [False, False]]
+    assert [line.split(",")[2] for line in agg.read_text().splitlines()[5:]] == ["6", "7", "8"]
+
+
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                     reason="no /dev/full on this system")
 
@@ -443,6 +469,9 @@ BAD_INPUT = [
     ("run", "--family", "complete", "--n", "x"),
     # json.load takes NaN, which would reach the CSV headers as invalid JSON
     ("sweep", "--config", "{tmp}/nan_p.json"),
+    # an initial color outside the palette
+    ("run", "--family", "complete", "--n", "3", "--k", "4", "--init", "file",
+     "--init-file", "{tmp}/colors_150.txt"),
 ]
 
 
@@ -490,6 +519,7 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps({"cells": [cell], "seeds": 2}))
     (tmp_path / "nan_p.json").write_text(json.dumps(
         {"cells": [{"family": "er", "n": 6, "p": math.nan}], "seeds": 2}))
+    (tmp_path / "colors_150.txt").write_text("1\n5\n0\n")
     (tmp_path / "three.txt").write_text("0 1 2\n")
     (tmp_path / "negative.txt").write_text("0 -1\n")
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))

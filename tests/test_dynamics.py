@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from colorsim import dynamics
 from colorsim import (
     ColoringState,
     ProperColoringError,
@@ -51,11 +53,6 @@ class TestStepUniform:
         dist = selection_distribution(s, "uniform")
         assert dist == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
-    def test_rejects_proper_coloring(self):
-        s = ColoringState(complete(2), 2, [1, 2])
-        with pytest.raises(ProperColoringError):
-            step_uniform(s, plain_draw(make_rng(0, 0)))
-
     def test_two_draws_vertex_then_color(self):
         s = ColoringState(complete(3), 3, [1, 1, 1])
         out = step_uniform(s, plain_draw(make_rng(5, 0)))
@@ -64,6 +61,19 @@ class TestStepUniform:
         v = int(rng.integers(3))  # the dense conflicted array holds (0, 1, 2)
         c = int(rng.integers(1, 4))
         assert out == ((v,), (c,), 1)
+
+
+def no_draw(n):
+    raise AssertionError(f"drew with bound {n}")
+
+
+@pytest.mark.parametrize("step", [step_uniform, step_component_view, step_persistent,
+                                  step_parallel], ids=lambda step: step.__name__)
+def test_rejects_proper_coloring(step):
+    s = ColoringState(complete(2), 2, [1, 2])
+    with pytest.raises(ProperColoringError, match="already proper"):
+        step(s, no_draw)
+    assert s.colors == (1, 2)
 
 
 class TestStepComponentView:
@@ -308,3 +318,30 @@ class TestRun:
         s = conflicted_pair()
         with pytest.raises(ValueError):
             run(s, "other", 10, make_rng(0, 0))
+
+
+@pytest.mark.parametrize("variant, update, unused", [
+    ("uniform", "recolor", "apply_batch"),
+    ("component_view", "recolor", "apply_batch"),
+    ("parallel", "apply_batch", "recolor"),
+])
+def test_run_calls_its_step_and_one_update_per_step(variant, update, unused, monkeypatch):
+    """Each step is one call of the variant's step function through ``STEPS``
+    and one state update: a wrapper on any of them sees every step."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, STEPS[variant], counted("step", getattr(dynamics, STEPS[variant])))
+    for name in ("recolor", "apply_batch"):
+        monkeypatch.setattr(ColoringState, name, counted(name, getattr(ColoringState, name)))
+    rng = make_rng(3, 0)
+    state = init_random(disjoint_cliques(4, 6), 6, rng)
+    result, _ = run(state, variant, 10_000, rng)
+    assert result.terminated and result.steps > 1
+    assert calls["step"] == calls[update] == result.steps
+    assert calls[unused] == 0

@@ -19,6 +19,7 @@ from colorsim import audit, harness
 from colorsim.harness import (
     audit_instance,
     build_graph,
+    cell_columns,
     initial_state,
     replay_audit,
     run_rows,
@@ -387,12 +388,12 @@ class TestWriters:
         cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=8, master_seed=12)
         graph = build_graph(cfg)
         stats, records = run_ensemble(graph, cfg)
-        return cfg, graph, stats, records
+        return cfg, cell_columns(cfg, graph), stats, records
 
     def test_runs_csv_layout(self):
-        cfg, graph, stats, records = self._ensemble()
+        cfg, columns, stats, records = self._ensemble()
         buf = io.StringIO()
-        write_runs_csv(buf, [cfg], run_rows(cfg, graph, records))
+        write_runs_csv(buf, [cfg], run_rows(columns, records))
         text = buf.getvalue()
         lines = text.splitlines()
         assert lines[0].startswith("# colorsim ")
@@ -406,29 +407,29 @@ class TestWriters:
         assert "workers" not in payload[0]
 
     def test_runs_csv_deterministic_bytes(self):
-        cfg, graph, stats, records = self._ensemble()
+        cfg, columns, stats, records = self._ensemble()
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_runs_csv(buf, [cfg], run_rows(cfg, graph, records))
+            write_runs_csv(buf, [cfg], run_rows(columns, records))
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
     def test_aggregate_csv(self):
-        cfg, graph, stats, records = self._ensemble()
+        cfg, columns, stats, records = self._ensemble()
         buf = io.StringIO()
-        write_aggregate_csv(buf, [cfg], [aggregate_row(cfg, graph, stats)])
+        write_aggregate_csv(buf, [cfg], [aggregate_row(cfg, columns, stats)])
         body = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
         assert body[0].split(",")[0] == "config_id"
         assert len(body) == 2
 
     def test_row_keys_are_the_columns(self):
         # the writers print only the named columns, so a key outside them would vanish
-        cfg, graph, stats, records = self._ensemble()
+        cfg, columns, stats, records = self._ensemble()
         fit = scaling_fit([(4, 3, 5.0), (8, 3, 11.0), (16, 3, 20.0)], "n_log_n")
-        for row in (aggregate_row(cfg, graph, stats), aggregate_row(cfg, graph, stats, fit)):
+        for row in (aggregate_row(cfg, columns, stats), aggregate_row(cfg, columns, stats, fit)):
             assert set(row) == set(harness.AGGREGATE_CSV_FIELDS)
-        for row in run_rows(cfg, graph, records):
+        for row in run_rows(columns, records):
             assert set(row) == set(harness.RUN_CSV_FIELDS)
 
     def test_jsonl_meta_first(self):

@@ -64,6 +64,11 @@ class TestInitFixed:
         with pytest.raises(ValueError, match="vertex 2"):
             ColoringState(path3(), 2, [1, 2, 3])
 
+    def test_out_of_range_color_names_the_first_bad_vertex(self):
+        with pytest.raises(ValueError) as err:
+            ColoringState(complete(3), 4, [1, 5, 0])
+        assert str(err.value) == "vertex 1: color 5 outside 1..4"
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             ColoringState(path3(), 2, [1, 2])
