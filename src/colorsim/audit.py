@@ -215,7 +215,7 @@ def check_claim_bipartite_isolated(
 def audit_state(state: ColoringState, bipartite: bool = False) -> list[AuditEntry]:
     """Run every applicable claim check, sharing one enumeration per component."""
     entries = check_claim_mono_phi(state)
-    if state.conflicted_count == 0:
+    if not state.conflicted:
         return entries
     parts = []
     for comp in state.monochromatic_components():
@@ -248,7 +248,7 @@ def report_lines(state: ColoringState, bipartite: bool, digest: str) -> list[dic
     exceed ``OUTCOME_BUDGET`` (vertex, color) outcomes gets a single skip
     line instead; a proper coloring adds a skip line for the decay check.
     """
-    outcomes = state.k * state.conflicted_count
+    outcomes = state.k * len(state.conflicted)
     if outcomes > OUTCOME_BUDGET:
         reason = f"enumeration budget exceeded ({outcomes} outcomes)"
         return [{"claim": "all", "skipped": True, "reason": reason, "state_digest": digest}]
@@ -257,7 +257,7 @@ def report_lines(state: ColoringState, bipartite: bool, digest: str) -> list[dic
         lines.append({"claim": entry.claim, "lhs": _frac(*entry.lhs), "rhs": _frac(*entry.rhs),
                       "margin": _frac(*entry.margin), "satisfied": entry.satisfied,
                       "state_digest": digest, **entry.detail})
-    if state.conflicted_count == 0:
+    if not state.conflicted:
         lines.append({"claim": CLAIM_MULTIPLICATIVE, "skipped": True,
                       "reason": "proper coloring", "state_digest": digest})
     return lines

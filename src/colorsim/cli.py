@@ -24,12 +24,12 @@ import json
 import os
 import sys
 from contextlib import closing, contextmanager, nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from ._version import __version__
 from . import graph as graphs
-from .dynamics import STEPS, VARIANT_ALIASES, make_rng, run
+from .dynamics import STEPS, make_rng, run
 from .state import potential
 from .harness import (
     FAMILIES,
@@ -41,7 +41,6 @@ from .harness import (
     ExperimentConfig,
     aggregate_row,
     build_graph,
-    cell_columns,
     drift_audit_sweep,
     initial_state,
     public_config,
@@ -126,7 +125,7 @@ def _config_from_args(args, variant: str, seeds: int = 1) -> ExperimentConfig:
             explicit = tuple(int(line) for line in f.read().split())
     return ExperimentConfig(
         **_family_fields(args),
-        variant=VARIANT_ALIASES.get(variant, variant),
+        variant=variant,
         k=args.k,
         init=init,
         explicit_colors=explicit,
@@ -221,28 +220,28 @@ def _cmd_sweep(args) -> int:
         elif flag is not None:
             defaults[key] = flag
     configs = []
+    known = {f.name for f in fields(ExperimentConfig)}
     for cell in cells:
         try:
-            merged = dict(defaults)
-            merged.update(cell)
-            if merged.get("family") in FAMILY_ALIASES:
-                merged["family"] = FAMILY_ALIASES[merged["family"]]
+            if not isinstance(cell, dict):
+                raise ValueError("a cell must be a JSON object")
+            for key in cell:
+                if key not in known:
+                    raise ValueError(f"unknown key {key!r}")
+            merged = {**defaults, **cell}
+            family = merged.get("family")
+            if isinstance(family, str):  # any other family is ExperimentConfig's to refuse
+                merged["family"] = FAMILY_ALIASES.get(family, family)
             configs.append(ExperimentConfig(**merged))
         except (TypeError, ValueError) as exc:
             print(f"sweep: bad cell {cell}: {exc}", file=sys.stderr)
-    done = []  # (config, cell columns, stats, results) of each cell that ran; no graph
-    outcomes = sweep(configs, args.workers, args.timing)  # one outcome per config
-    for config in configs:
-        outcome = next(outcomes)
+    done = []  # (config, cell columns, stats, results) of each cell that ran
+    for config, outcome in zip(configs, sweep(configs, args.workers, args.timing)):
         if isinstance(outcome, Exception):
             print(f"sweep: cell {config.resolved_id()} failed: {_reason(outcome)}",
                   file=sys.stderr)
         else:
-            graph, stats, results = outcome
-            done.append((config, cell_columns(config, graph), stats, results))
-        # free the graph before the next cell builds its own; zip's reused
-        # result tuple would hold it, so the loop steps the sweep itself
-        graph = outcome = None
+            done.append((config, *outcome))
     fit = None
     if model and len(done) < 3:
         print(f"sweep: fit skipped: {len(done)} cells succeeded and the fit needs 3",
@@ -340,14 +339,12 @@ def build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a graph and write its edge list")
     _add_family_args(p_gen)
-    p_gen.add_argument("--seed", type=int, dest="graph_seed", default=argparse.SUPPRESS,
-                       help="alias for --graph-seed")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_run = sub.add_parser("run", help="one seeded run of a variant")
     _add_family_args(p_run)
-    p_run.add_argument("--variant", default="uniform", choices=sorted([*STEPS, *VARIANT_ALIASES]))
+    p_run.add_argument("--variant", default="uniform", choices=sorted(STEPS))
     _add_config_args(p_run)
     p_run.add_argument("--trace-out")
     p_run.set_defaults(fn=_cmd_run)

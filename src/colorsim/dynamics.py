@@ -50,7 +50,6 @@ STEPS = {
     "persistent": "step_persistent",
     "parallel": "step_parallel",
 }
-VARIANT_ALIASES = {"component": "component_view"}
 
 DEFAULT_PERSISTENT_DRAW_CAP = 10**6
 

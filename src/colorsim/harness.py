@@ -356,13 +356,13 @@ def run_ensemble(
 
 
 def sweep(configs: Iterable[ExperimentConfig], workers: int = 1, timing: bool = False) -> Iterator:
-    """Yield ``(graph, *run_ensemble(graph, config, workers, timing))`` for each config.
+    """Yield ``(cell_columns(config, graph), *run_ensemble(...))`` for each config.
 
-    A graph is built only when the config's graph fields (its family and that
-    family's ``fields + optional``) differ from those of the last graph built,
-    and the last graph is dropped first. A config that raises ``ValueError``,
-    ``OSError`` or ``MemoryError`` yields the exception instead, and the sweep
-    goes on to the next config.
+    The graph never leaves the sweep. A graph is built only when the config's
+    graph fields (its family and that family's ``fields + optional``) differ
+    from those of the last graph built, and the last graph is dropped first.
+    A config that raises ``ValueError``, ``OSError`` or ``MemoryError`` yields
+    the exception instead, and the sweep goes on to the next config.
     """
     built = graph = None
     for config in configs:
@@ -372,7 +372,7 @@ def sweep(configs: Iterable[ExperimentConfig], workers: int = 1, timing: bool = 
             if key != built:
                 graph = built = None  # free the last graph before building the next
                 graph, built = build_graph(config), key
-            yield (graph, *run_ensemble(graph, config, workers, timing))
+            yield (cell_columns(config, graph), *run_ensemble(graph, config, workers, timing))
         except (ValueError, OSError, MemoryError) as exc:
             yield exc
 
@@ -553,8 +553,8 @@ def metadata_lines(configs: list[ExperimentConfig]) -> list[str]:
 def cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
     """The ``CELL_FIELDS`` columns of a cell, which open both CSVs.
 
-    All that the CSV rows read of the graph, so a sweep keeps these and lets
-    the graph go.
+    All that the CSV rows read of the graph, so ``sweep`` hands out these and
+    keeps the graph.
     """
     return {
         "config_id": config.resolved_id(),

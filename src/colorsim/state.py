@@ -1,14 +1,14 @@
 """Coloring state: the colors plus the conflict data the dynamics read.
 
-``recolor`` maintains, touching only the recolored vertex and its neighbors:
+``recolor`` maintains only what a step reads, touching only the recolored
+vertex and its neighbors: the conflict degree of every vertex (its number of
+same-colored neighbors) and the dense conflicted set used for O(1) uniform
+picks.
 
-* the conflict degree of every vertex (its number of same-colored neighbors)
-  and the dense conflicted set used for O(1) uniform picks;
-* ``mono_edge_count``  edges whose endpoints currently share a color.
+The potential's three terms are derived together from the colors when first
+read after a change, and cached until the next recolor:
 
-The potential's other terms are not maintained. They are derived from the
-colors when first read after a change and cached until the next recolor:
-
+* ``mono_edge_count``  edges whose endpoints currently share a color;
 * ``iso_edge_count``   monochromatic components that consist of a single edge
   (an "isolated pair": both endpoints have exactly one same-colored neighbor);
 * ``e_ip``             graph edges joining an isolated-pair endpoint to a
@@ -19,7 +19,8 @@ colors when first read after a change and cached until the next recolor:
   is that rational as one integer pair, the only form of it in the package.
 
 One numpy pass over the graph's edge arrays builds the conflict data (at
-construction and after ``apply_batch``) and the pair data (on read).
+construction and after ``apply_batch``) and the pair data (from the same
+pass at construction, else on read).
 ``recount_change`` gives the change of (mono, iso, e_ip) that recoloring one
 vertex would cause without applying it, looking only near that vertex: its
 old- and new-colored neighbors, their pair partners and the neighbors of
@@ -92,7 +93,6 @@ class ColoringState:
         "_conflict_deg",
         "conflicted",
         "_conf_pos",
-        "mono_edge_count",
         "_pairs",
     )
 
@@ -107,7 +107,8 @@ class ColoringState:
         self.graph = graph
         self.k = k
         self._color = list(colors)
-        self._refresh_conflicts()
+        # every reader of a new state reads phi first: derive its terms from this one scan
+        self._pair_counts(self._refresh_conflicts())
 
     # -- derivation from the colors ------------------------------------------
 
@@ -120,10 +121,10 @@ class ColoringState:
         cd = np.bincount(eu[mono], minlength=g.n) + np.bincount(ev[mono], minlength=g.n)
         return mono, cd
 
-    def _refresh_conflicts(self) -> None:
+    def _refresh_conflicts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rebuild the conflict data and drop the pair record; return the scan."""
         mono, cd = self._scan_edges()
         self._conflict_deg = cd.tolist()
-        self.mono_edge_count = int(np.count_nonzero(mono))
         dense = cd.nonzero()[0].tolist()
         self.conflicted = dense
         pos = [-1] * self.graph.n
@@ -131,23 +132,26 @@ class ColoringState:
             pos[u] = i
         self._conf_pos = pos
         self._pairs = None
+        return mono, cd
 
-    def _pair_counts(self) -> tuple:
-        """(iso, e_ip, proper, in_pair, table) of the current coloring, derived once per coloring.
+    def _pair_counts(self, scan: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
+        """(mono, iso, e_ip, proper, in_pair, table) of this coloring, derived once per coloring.
 
-        ``proper`` and ``in_pair`` are the numpy vertex masks behind the two
+        Derived from ``scan``, the ``_scan_edges`` of this coloring, when one is
+        given. ``proper`` and ``in_pair`` are the numpy vertex masks behind the
         counts; ``table`` is None until ``_pair_table`` builds it from them.
         """
         if self._pairs is None:
             eu, ev = self.graph.edge_arrays
-            mono, cd = self._scan_edges()
+            mono, cd = scan or self._scan_edges()
             iso = mono & (cd[eu] == 1) & (cd[ev] == 1)
             in_pair = np.zeros(self.graph.n, dtype=bool)
             in_pair[eu[iso]] = True
             in_pair[ev[iso]] = True
             proper = cd == 0
             e_ip = int(np.count_nonzero((in_pair[eu] & proper[ev]) | (proper[eu] & in_pair[ev])))
-            self._pairs = (int(np.count_nonzero(iso)), e_ip, proper, in_pair, None)
+            self._pairs = (int(np.count_nonzero(mono)), int(np.count_nonzero(iso)), e_ip,
+                           proper, in_pair, None)
         return self._pairs
 
     def _pair_table(self) -> list[tuple[int, int]]:
@@ -157,7 +161,7 @@ class ColoringState:
         derives it, at most once per coloring and from the masks of the pair
         counts. Runs and ``recount_change`` never do: their cost stays local.
         """
-        iso, e_ip, proper, in_pair, table = self._pair_counts()
+        *counts, proper, in_pair, table = self._pair_counts()
         if table is None:
             n = self.graph.n
             eu, ev = self.graph.edge_arrays
@@ -165,7 +169,7 @@ class ColoringState:
                 np.bincount(eu[mask[ev]], minlength=n) + np.bincount(ev[mask[eu]], minlength=n)
                 for mask in (proper, in_pair))
             table = list(zip(proper_near.tolist(), paired_near.tolist()))
-            self._pairs = (iso, e_ip, proper, in_pair, table)
+            self._pairs = (*counts, proper, in_pair, table)
         return table
 
     def copy(self) -> "ColoringState":
@@ -176,7 +180,6 @@ class ColoringState:
         new._conflict_deg = self._conflict_deg.copy()
         new.conflicted = self.conflicted.copy()
         new._conf_pos = self._conf_pos.copy()
-        new.mono_edge_count = self.mono_edge_count
         new._pairs = self._pairs
         return new
 
@@ -190,21 +193,20 @@ class ColoringState:
         return self._color[v]
 
     @property
-    def iso_edge_count(self) -> int:
+    def mono_edge_count(self) -> int:
         return self._pair_counts()[0]
 
     @property
-    def e_ip(self) -> int:
+    def iso_edge_count(self) -> int:
         return self._pair_counts()[1]
 
     @property
-    def phi_num(self) -> int:
-        iso, e_ip = self._pair_counts()[:2]
-        return phi_numerator(self.graph.max_degree, self.mono_edge_count, iso, e_ip)
+    def e_ip(self) -> int:
+        return self._pair_counts()[2]
 
     @property
-    def conflicted_count(self) -> int:
-        return len(self.conflicted)
+    def phi_num(self) -> int:
+        return phi_numerator(self.graph.max_degree, *self._pair_counts()[:3])
 
     def conflicted_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.conflicted))
@@ -252,7 +254,8 @@ class ColoringState:
         """Set the color of ``v`` to ``c`` and update the conflict data.
 
         Work is confined to v and its neighbors, O(degree(v)). The cached
-        pair data is dropped and derived again when next read.
+        pair record, the potential's three terms, is dropped and derived again
+        when next read.
         """
         if not 0 <= v < self.graph.n:
             raise ValueError(f"vertex {v} out of range")
@@ -290,7 +293,6 @@ class ColoringState:
             self._conf_add(v)
         elif old_cd_v > 0 and new_cd_v == 0:
             self._conf_remove(v)
-        self.mono_edge_count += new_cd_v - len(dec)
         self._pairs = None
 
     def recount_change(self, v: int, c: int) -> tuple[int, int, int]:
@@ -465,7 +467,7 @@ class ColoringState:
         """Connected components of the monochromatic-edge subgraph, by least vertex.
 
         Components partition the conflicted vertices, so their sizes sum to
-        ``conflicted_count``; each has at least two vertices, at least one
+        ``len(conflicted)``; each has at least two vertices, at least one
         edge, and a single shared color. Computed on demand by a traversal
         over same-colored neighbors; cost is linear in the conflicted region.
         """

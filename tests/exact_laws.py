@@ -173,13 +173,13 @@ def selection_distribution(state, variant: str) -> dict[int, Fraction]:
     equality of the ``uniform`` and ``component_view`` laws is a checkable
     property rather than an assumption.
     """
-    if state.conflicted_count == 0:
+    if len(state.conflicted) == 0:
         raise ValueError("coloring is already proper; no step to take")
     if variant == "uniform" or variant == "persistent":
-        w = Fraction(1, state.conflicted_count)
+        w = Fraction(1, len(state.conflicted))
         return {v: w for v in state.conflicted_vertices()}
     if variant == "component_view":
-        total = state.conflicted_count
+        total = len(state.conflicted)
         out: dict[int, Fraction] = {}
         for comp in state.monochromatic_components():
             w = Fraction(comp.size, total) * Fraction(1, comp.size)

@@ -103,7 +103,7 @@ def _equivalence_fixtures():
         if g.max_degree == 0:
             continue
         s = init_random(g, g.max_degree + 1, rng)
-        if 1 <= s.conflicted_count <= 12:
+        if 1 <= len(s.conflicted) <= 12:
             fixtures.append(s)
     return fixtures
 

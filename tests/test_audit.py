@@ -80,7 +80,7 @@ class TestExactExpectations:
             g = base.graph
             for k in sorted({g.max_degree + 1, max(1, g.max_degree), 1}):
                 s = ColoringState(g, k, [min(c, k) for c in base.colors])
-                if s.conflicted_count == 0:
+                if len(s.conflicted) == 0:
                     continue
                 assert whole_state_sums(s) == recolored_copy_expectation(
                     s, s.conflicted_vertices()), (index, k)
@@ -117,7 +117,7 @@ class TestExactExpectations:
         rng = make_rng(13, 0)
         for _ in range(10):
             s = init_random(g, g.max_degree + 1, rng)
-            if s.conflicted_count == 0:
+            if len(s.conflicted) == 0:
                 continue
             assert whole_state_sums(s) == recolored_copy_expectation(s, s.conflicted_vertices())
 
@@ -125,7 +125,7 @@ class TestExactExpectations:
         g = erdos_renyi(12, 0.3, 21)
         rng = make_rng(21, 0)
         s = init_random(g, g.max_degree + 1, rng)
-        if s.conflicted_count == 0:
+        if len(s.conflicted) == 0:
             u, v = oracle.edges(g)[0]
             s.recolor(u, s.color_of(v))
         # relabel vertices by reversal and rebuild the same state
@@ -346,7 +346,7 @@ def recheck_lines(state, bipartite, lines):
     seen = {}
     for line in lines:
         if line.get("skipped"):
-            assert line["claim"] == audit.CLAIM_MULTIPLICATIVE and not state.conflicted_count
+            assert line["claim"] == audit.CLAIM_MULTIPLICATIVE and not state.conflicted
             continue
         key = (line["claim"], tuple(line.get("component", ())))
         lhs, rhs = fraction_of(line["lhs"]), fraction_of(line["rhs"])
@@ -371,7 +371,7 @@ class TestFractionRecheck:
         pos = checked = 0
         for index in range(spec.instances):
             state, bipartite = audit_instance(spec, index)
-            claims = len(paper_claims(state, bipartite)) + (state.conflicted_count == 0)
+            claims = len(paper_claims(state, bipartite)) + (len(state.conflicted) == 0)
             own, pos = lines[pos:pos + claims], pos + claims
             assert {line["state_digest"] for line in own} == {state_digest(state)}, index
             checked += recheck_lines(state, bipartite, own)

@@ -41,18 +41,10 @@ class TestGen:
     def test_er_p_zero_comment_only(self, tmp_path, capsys):
         out = tmp_path / "empty.txt"
         code, _, _ = run_cli(capsys, "gen", "--family", "er", "--n", "10", "--p", "0",
-                             "--seed", "1", "--out", str(out))
+                             "--graph-seed", "1", "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines and all(l.startswith("#") for l in lines)
-
-    def test_er_seed_alias_matches_graph_seed(self, tmp_path, capsys):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        run_cli(capsys, "gen", "--family", "er", "--n", "12", "--p", "0.4",
-                "--seed", "9", "--out", str(a))
-        run_cli(capsys, "gen", "--family", "er", "--n", "12", "--p", "0.4",
-                "--graph-seed", "9", "--out", str(b))
-        assert a.read_text() == b.read_text()
 
     def test_file_reads_back_the_written_vertex_count(self, tmp_path, capsys):
         # vertices 38 and 39 of this graph have no edge; the header keeps them
@@ -352,7 +344,7 @@ class TestBuildOnce:
 
     def test_compare_over_three_variants(self, capsys, builds):
         code, stdout, _ = run_cli(capsys, "compare", "--family", "complete", "--n", "7",
-                                  "--variants", "uniform,persistent,component", "--seeds", "4")
+                                  "--variants", "uniform,persistent,component_view", "--seeds", "4")
         assert code == 0 and builds == [7]
         assert len(stdout.splitlines()) == 4
 
@@ -385,6 +377,9 @@ def test_sweep_lets_each_graph_go(tmp_path, capsys, monkeypatch):
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                     reason="no /dev/full on this system")
 
+# a cell written as a list of key-value pairs, which dict() would accept
+PAIRS_CELL_CONFIG = {"seeds": 2, "cells": [[["family", "complete"], ["n", 4]]]}
+
 BAD_INPUT = [
     ("compare", "--family", "complete", "--seeds", "2"),
     ("compare", "--family", "file", "--graph", "{tmp}/missing.txt", "--seeds", "2"),
@@ -414,6 +409,10 @@ BAD_INPUT = [
     ("sweep", "--config", "{tmp}/bogus_family.json"),
     ("sweep", "--config", "{tmp}/bogus_init.json"),
     ("sweep", "--config", "{tmp}/explicit_no_colors.json"),
+    # cells that are not JSON objects, and a family that is not a string
+    ("sweep", "--config", "{tmp}/pairs_cell.json"),
+    ("sweep", "--config", "{tmp}/null_cell.json"),
+    ("sweep", "--config", "{tmp}/list_family.json"),
     # edge-list lines that are not two vertex indices
     ("gen", "--family", "file", "--graph", "{tmp}/three.txt", "--out", "{tmp}/g.txt"),
     ("gen", "--family", "file", "--graph", "{tmp}/negative.txt", "--out", "{tmp}/g.txt"),
@@ -458,6 +457,9 @@ BAD_INPUT = [
     ("sweep", "--config", "{tmp}/cycle_graph_seed.json"),
     # a negative graph seed, refused by the config rather than by numpy
     ("run", "--family", "er", "--n", "10", "--p", "0.5", "--graph-seed", "-1"),
+    ("gen", "--family", "er", "--n", "10", "--p", "0.5", "--graph-seed", "-5",
+     "--out", "{tmp}/g.txt"),
+    # gen has no master seed and no --seed: its one seed is --graph-seed
     ("gen", "--family", "er", "--n", "10", "--p", "0.5", "--seed", "-5", "--out", "{tmp}/g.txt"),
     # nested deeper than json can parse
     ("sweep", "--config", "{tmp}/deep.json"),
@@ -517,6 +519,10 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
                        ("bogus_init", {"family": "complete", "n": 4, "init": "bogus"}),
                        ("explicit_no_colors", {"family": "complete", "n": 4, "init": "explicit"})):
         (tmp_path / f"{name}.json").write_text(json.dumps({"cells": [cell], "seeds": 2}))
+    (tmp_path / "pairs_cell.json").write_text(json.dumps(PAIRS_CELL_CONFIG))
+    (tmp_path / "null_cell.json").write_text(json.dumps({"cells": [None], "seeds": 2}))
+    (tmp_path / "list_family.json").write_text(json.dumps(
+        {"cells": [{"family": ["complete"], "n": 4}], "seeds": 2}))
     (tmp_path / "nan_p.json").write_text(json.dumps(
         {"cells": [{"family": "er", "n": 6, "p": math.nan}], "seeds": 2}))
     (tmp_path / "colors_150.txt").write_text("1\n5\n0\n")
@@ -538,6 +544,25 @@ def test_sweep_config_refusal_names_the_problem(text, reason, tmp_path, capsys):
     (tmp_path / "c.json").write_text(text)
     code, stdout, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "c.json"))
     assert (code, stdout, err) == (1, "", f"sweep: {reason}\n")
+
+
+@pytest.mark.parametrize("cells, reason", [
+    (PAIRS_CELL_CONFIG["cells"],
+     "bad cell [['family', 'complete'], ['n', 4]]: a cell must be a JSON object"),
+    ([None], "bad cell None: a cell must be a JSON object"),
+    (["ab"], "bad cell ab: a cell must be a JSON object"),
+    ([{"family": ["complete"], "n": 4}], "bad cell {'family': ['complete'], 'n': 4}: "
+                                         "bad family: ['complete']"),
+    ([{"family": "complete", "n": 4, "workers": 2}],
+     "bad cell {'family': 'complete', 'n': 4, 'workers': 2}: unknown key 'workers'"),
+], ids=["pairs", "null", "string", "list_family", "workers"])
+def test_bad_cell_is_one_line_and_writes_no_row(cells, reason, tmp_path, capsys):
+    (tmp_path / "c.json").write_text(json.dumps({"seeds": 2, "cells": cells}))
+    runs = tmp_path / "runs.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "c.json"),
+                                "--per-run", str(runs))
+    assert (code, stdout, err) == (1, "", f"sweep: {reason}\n")
+    assert runs.read_text().splitlines()[-1] == ",".join(harness.RUN_CSV_FIELDS)  # the header only
 
 
 @pytest.mark.parametrize("argv, command, named", [

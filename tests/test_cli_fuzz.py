@@ -22,7 +22,7 @@ NEEDS = {"complete": ("n",), "cliques": ("count", "size"), "bipartite": ("a", "b
 LONG = {"cliques": "disjoint_cliques", "bipartite": "complete_bipartite", "er": "erdos_renyi"}
 NEEDS.update({LONG[name]: NEEDS[name] for name in LONG})
 ALIASES = ["complete", "cliques", "bipartite", "cycle", "er", "file"]
-VARIANTS = ["uniform", "component_view", "persistent", "parallel", "component"]
+VARIANTS = ["uniform", "component_view", "persistent", "parallel"]
 INITS = {"random": "random", "ones": "all_ones", "file": "explicit"}
 
 

@@ -45,7 +45,7 @@ class TestStepUniform:
         for _ in range(trials):
             s = conflicted_pair()
             step_uniform(s, draw)
-            fixed += s.conflicted_count == 0
+            fixed += len(s.conflicted) == 0
         assert fixed / trials == pytest.approx(0.5, rel=0.01)
 
     def test_selection_uniform_over_pair(self):
@@ -88,7 +88,7 @@ class TestStepComponentView:
         rng = make_rng(3, 0)
         for _ in range(20):
             s = init_random(g, g.max_degree + 1, rng)
-            if s.conflicted_count > 0:
+            if len(s.conflicted) > 0:
                 fixtures.append(s)
         for s in fixtures:
             assert selection_distribution(s, "component_view") == selection_distribution(s, "uniform")
@@ -120,7 +120,7 @@ class TestStepPersistent:
         for _ in range(trials):
             s = conflicted_pair()
             draws += step_persistent(s, draw)[2]
-            assert s.conflicted_count == 0
+            assert len(s.conflicted) == 0
         assert draws / trials == pytest.approx(2.0, rel=0.02)
 
     def test_full_palette_always_terminates(self):
@@ -129,7 +129,7 @@ class TestStepPersistent:
         rng = make_rng(6, 0)
         for _ in range(50):
             s = init_random(g, k, rng)
-            while s.conflicted_count > 0:
+            while len(s.conflicted) > 0:
                 _, colors, _ = step_persistent(s, plain_draw(rng))
                 assert colors
 
@@ -155,7 +155,7 @@ class TestStepParallel:
             for b in (1, 2):
                 s = conflicted_pair()
                 s.apply_batch((0, 1), (a, b))
-                proper += s.conflicted_count == 0
+                proper += len(s.conflicted) == 0
         assert proper == 2
 
     def test_whole_component_recolored(self):
@@ -170,7 +170,7 @@ class TestStepParallel:
         rng = make_rng(9, 0)
         for _ in range(30):
             s = init_random(g, 3, rng)
-            if s.conflicted_count == 0:
+            if len(s.conflicted) == 0:
                 continue
             before = s.colors
             frozen = s.conflicted_vertices()
@@ -183,7 +183,7 @@ class TestStepParallel:
         s = ColoringState(complete(20), 20, [1] * 20)
         rng = make_rng(4, 0)
         for _ in range(50):
-            if s.conflicted_count == 0:
+            if len(s.conflicted) == 0:
                 break
             step_parallel(s, plain_draw(rng))
             assert oracle.snapshot(s) == oracle.recompute(s)
@@ -216,8 +216,8 @@ class TestRun:
         for seed in range(20):
             s = ColoringState(g, 2, [1, 1, 2, 2, 2])
             result, _ = run(s, "uniform", 1, make_rng(0, seed))
-            assert result.min_conflicted == s.conflicted_count
-            rises += s.conflicted_count > 2
+            assert result.min_conflicted == len(s.conflicted)
+            rises += len(s.conflicted) > 2
         assert rises
 
     def test_complete_8_always_terminates(self):

@@ -50,7 +50,7 @@ def test_row_n_is_the_law_of_the_initial_conflicted_count(n):
     graph = complete(n)
     counts = [0] * (n + 1)
     for colors in product(range(1, n + 1), repeat=n):
-        counts[ColoringState(graph, n, colors).conflicted_count] += 1
+        counts[len(ColoringState(graph, n, colors).conflicted)] += 1
     assert transition_row(n, n) == tuple(Fraction(c, n**n) for c in counts)
 
 

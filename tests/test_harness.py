@@ -264,9 +264,10 @@ class TestSweep:
                                     variant="parallel", seeds=6, cap=10**4)]
         outcomes = list(harness.sweep(configs, workers=2, timing=False))
         assert len(outcomes) == len(configs)
-        for cfg, (graph, stats, results) in zip(configs, outcomes):
-            assert graph == build_graph(cfg)
-            assert (stats, results) == run_ensemble(build_graph(cfg), cfg)
+        for cfg, (columns, stats, results) in zip(configs, outcomes):
+            graph = build_graph(cfg)
+            assert columns == cell_columns(cfg, graph)
+            assert (stats, results) == run_ensemble(graph, cfg)
 
     def test_consecutive_equal_graph_fields_share_one_build(self, builds):
         first = ExperimentConfig(family="complete", n=5, seeds=3)
@@ -279,14 +280,17 @@ class TestSweep:
         outcomes = list(harness.sweep(configs))
         assert builds == [("complete", 5), ("complete", 6), ("complete", 5),
                           ("erdos_renyi", 8, 0.5, 0), ("erdos_renyi", 8, 0.5, 1)]
-        assert len({id(graph) for graph, _, _ in outcomes[:5]}) == 1
+        assert [columns for columns, _, _ in outcomes] == [
+            cell_columns(cfg, build_graph(cfg)) for cfg in configs]
 
     def test_a_failed_config_yields_its_error_and_the_next_runs(self):
         bad = ExperimentConfig(family="complete", n=0, seeds=2)
         good = ExperimentConfig(family="complete", n=4, seeds=2)
-        error, (graph, stats, results) = harness.sweep([bad, good])
+        error, (columns, stats, results) = harness.sweep([bad, good])
         assert isinstance(error, ValueError) and str(error) == "complete graph needs n >= 1"
-        assert graph.n == 4 and (stats, results) == run_ensemble(graph, good)
+        graph = build_graph(good)
+        assert columns == cell_columns(good, graph)
+        assert (stats, results) == run_ensemble(graph, good)
 
 
 class TestCompareVariants:

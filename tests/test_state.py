@@ -15,6 +15,7 @@ from colorsim import (
     make_rng,
     run,
 )
+from colorsim import harness
 from colorsim.harness import AuditSweepSpec, audit_instance
 from colorsim.state import potential
 import oracle
@@ -58,7 +59,7 @@ class TestInitFixed:
 
     def test_proper_coloring(self):
         s = ColoringState(path3(), 3, [1, 2, 1])
-        assert phi(s) == 0 and s.conflicted_count == 0
+        assert phi(s) == 0 and len(s.conflicted) == 0
 
     def test_out_of_range_color_cites_vertex(self):
         with pytest.raises(ValueError, match="vertex 2"):
@@ -82,7 +83,7 @@ class TestInitRandom:
     def test_edgeless_always_proper(self):
         g = erdos_renyi(10, 0.0, 1)
         s = init_random(g, 5, make_rng(0, 0))
-        assert phi(s) == 0 and s.conflicted_count == 0
+        assert phi(s) == 0 and len(s.conflicted) == 0
 
     def test_deterministic(self):
         g = complete(12)
@@ -115,7 +116,7 @@ class TestRecolor:
     def test_path_to_proper(self):
         s = ColoringState(path3(), 3, [1, 1, 2])
         s.recolor(1, 3)
-        assert phi(s) == 0 and s.conflicted_count == 0
+        assert phi(s) == 0 and len(s.conflicted) == 0
 
     def test_path_to_symmetric_state(self):
         s = ColoringState(path3(), 3, [1, 1, 2])
@@ -307,6 +308,36 @@ class TestRecount:
         assert s.recount_change(0, 3) == (-1, 1, 1)
 
 
+class TestOneScan:
+    """A coloring's conflict data and its potential's three terms share one edge scan."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = ColoringState._scan_edges
+
+        def counted(self):
+            calls.append(self)
+            return scan(self)
+
+        monkeypatch.setattr(ColoringState, "_scan_edges", counted)
+        return calls
+
+    def test_one_scan_per_uniform_run(self, scans):
+        g = disjoint_cliques(32, 32)
+        rng = make_rng(1, 0)
+        result, _ = run(init_random(g, g.max_degree + 1, rng), "uniform", 10**6, rng)
+        assert result.terminated and result.initial_phi_num > 0
+        assert len(scans) == 1
+
+    def test_one_scan_per_audit_instance(self, scans):
+        spec = AuditSweepSpec(instances=24, master_seed=5)
+        for index in range(spec.instances):
+            scans.clear()
+            assert harness._instance_lines(spec, index)
+            assert len(scans) == 1, index
+
+
 class TestDerivedDefinitions:
     def test_e_ip_matches_direct_double_loop(self):
         g = erdos_renyi(30, 0.25, 5)
@@ -421,7 +452,7 @@ class TestPotential:
         rng = make_rng(1, 0)
         for _ in range(50):
             s = init_random(g, 3, rng)
-            assert (phi(s) == 0) == (s.conflicted_count == 0)
+            assert (phi(s) == 0) == (len(s.conflicted) == 0)
 
 
 class TestCopy:
