@@ -228,12 +228,14 @@ def _cmd_sweep(args) -> int:
             for key in cell:
                 if key not in known:
                     raise ValueError(f"unknown key {key!r}")
+            if "family" not in cell:
+                raise ValueError("a cell needs a family")
             merged = {**defaults, **cell}
-            family = merged.get("family")
+            family = merged["family"]
             if isinstance(family, str):  # any other family is ExperimentConfig's to refuse
                 merged["family"] = FAMILY_ALIASES.get(family, family)
             configs.append(ExperimentConfig(**merged))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             print(f"sweep: bad cell {cell}: {exc}", file=sys.stderr)
     done = []  # (config, cell columns, stats, results) of each cell that ran
     for config, outcome in zip(configs, sweep(configs, args.workers, args.timing)):

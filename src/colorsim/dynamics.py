@@ -8,7 +8,8 @@ Four variants share one state representation:
   color (provably the same step distribution as ``uniform``; tested, not
   assumed);
 * ``persistent``      pick a conflicted vertex uniformly, then redraw its color
-  until no neighbor shares it; every draw counts as a step;
+  until no neighbor shares it; every draw counts as a step, and a pick whose
+  neighbors carry all k colors stalls the run at once;
 * ``parallel``        freeze the conflicted set and redraw every member at once;
   one round counts as one step.
 
@@ -16,8 +17,8 @@ Every step function takes the state and ``draw`` and returns a plain
 ``(vertices, colors, draws)`` tuple: the recolored vertices, their new colors
 and the color draws it consumed (only the persistent variant uses more than
 one). A persistent step that accepts no color returns ``colors == ()`` and
-leaves the state unchanged; ``run`` tells a tripped draw guard (a stall) from
-a spent cap by whether steps remain. ``run`` returns a ``RunResult`` and, when
+leaves the state unchanged; ``run`` tells a stuck pick (a stall) from a spent
+cap by whether steps remain. ``run`` returns a ``RunResult`` and, when
 asked for a trace, the JSON lines ``colorsim run --trace-out`` writes, built
 here and nowhere else.
 
@@ -35,6 +36,7 @@ against numpy, so a numpy release that changes its method fails there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,8 +52,6 @@ STEPS = {
     "persistent": "step_persistent",
     "parallel": "step_parallel",
 }
-
-DEFAULT_PERSISTENT_DRAW_CAP = 10**6
 
 
 class ProperColoringError(ValueError):
@@ -212,21 +212,18 @@ def step_component_view(state: ColoringState, draw: Draw) -> Step:
     return (v,), (c,), 1
 
 
-def step_persistent(
-    state: ColoringState,
-    draw: Draw,
-    draw_limit: int = DEFAULT_PERSISTENT_DRAW_CAP,
-) -> Step:
+def step_persistent(state: ColoringState, draw: Draw, draw_limit: float = math.inf) -> Step:
     """One persistent step: redraw the picked vertex until it fits.
 
     Draw order: vertex first, then colors one at a time until the candidate
     color appears on no neighbor. Intermediate draws touch nothing; only the
     accepted color is applied. With k = max_degree + 1 a free color always
-    exists; with smaller palettes the neighborhood can cover every color, so
-    the loop makes at most ``draw_limit`` color draws. ``run`` passes the
-    draw guard ``DEFAULT_PERSISTENT_DRAW_CAP`` or the steps left of its cap,
-    whichever is smaller. A step that runs out of draws returns no color and
-    changes nothing.
+    exists; with smaller palettes the neighbors can carry all k colors, and
+    such a pick is stuck for good: the step returns no color after 0 color
+    draws. A pick with a free color ends with probability 1; the loop makes
+    at most ``draw_limit`` color draws (``run`` passes the steps left of its
+    cap), and a step that runs out of them returns no color. A step that
+    returns no color changes nothing.
     """
     dense = state.conflicted
     if not dense:
@@ -234,6 +231,8 @@ def step_persistent(
     v = dense[draw(len(dense))]
     blocked = state.neighbor_colors(v)
     k = state.k
+    if len(blocked) == k:
+        return (v,), (), 0
     draws = 0
     while draws < draw_limit:
         c = 1 + draw(k)
@@ -268,13 +267,12 @@ def run(
 ) -> tuple[RunResult, list[dict]]:
     """Apply the variant's step until the coloring is proper or ``cap`` is spent.
 
-    Cap exhaustion is a result, not an error; so is a stall, a persistent step
-    whose ``DEFAULT_PERSISTENT_DRAW_CAP`` draws were all blocked while steps
-    remained. The trace (when requested) is the JSON lines of
-    ``colorsim run --trace-out``: a t=0 line of the initial state, then one
-    line per applied step, each with ``t``, the recolored ``vertices``, their
-    new ``colors``, ``mono_edges``, ``iso_edges``, ``iso_proper_edges`` (e_ip)
-    and ``phi_num`` after it. ``rng`` is a PCG64 generator; the steps draw
+    Cap exhaustion is a result, not an error; so is a stall, a persistent pick
+    whose neighbors carry every color, which ends the run at once. The trace
+    (when requested) is the JSON lines of ``colorsim run --trace-out``: a t=0
+    line of the initial state, then one line per applied step, each with
+    ``t``, the recolored ``vertices``, their new ``colors``, ``mono_edges``,
+    ``iso_edges``, ``iso_proper_edges`` (e_ip) and ``phi_num`` after it. ``rng`` is a PCG64 generator; the steps draw
     from it through ``BufferedDraws.draw``, and on return it stands where the
     same ``Generator.integers(n)`` calls would have left it.
     """
@@ -308,13 +306,12 @@ def run(
     try:
         while conflicted and steps < cap:
             vertices, colors, used = (
-                step(state, draw, min(DEFAULT_PERSISTENT_DRAW_CAP, cap - steps)) if budgeted
-                else step(state, draw))
+                step(state, draw, cap - steps) if budgeted else step(state, draw))
             steps += used
             conflicted = len(state.conflicted)  # apply_batch replaces the list
             if conflicted < least:
                 least = conflicted
-            if not colors:  # the draw guard tripped, or the cap ran out
+            if not colors:  # a stuck pick, or the cap ran out
                 stalled = steps < cap
                 break
             if trace:

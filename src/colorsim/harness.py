@@ -200,9 +200,10 @@ class ExperimentConfig:
             raise ValueError("explicit init needs explicit_colors")
         if self.init != "explicit" and self.explicit_colors is not None:
             raise ValueError(f"explicit_colors needs init explicit, not {self.init!r}")
-        if self.explicit_colors is not None and not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in self.explicit_colors):
-            raise ValueError("explicit_colors must be integers")
+        colors = self.explicit_colors
+        if colors is not None and not (isinstance(colors, (list, tuple)) and all(
+                isinstance(c, int) and not isinstance(c, bool) for c in colors)):
+            raise ValueError("explicit_colors must be a list of integers")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
         if self.seeds < 1:
@@ -228,7 +229,7 @@ class ExperimentConfig:
 
 
 # fields can come from JSON, so each is checked against its annotation. A JSON bool,
-# which Python counts as an int, is refused; explicit_colors checks its elements itself
+# which Python counts as an int, is refused; explicit_colors checks itself
 _FIELD_HINTS = {name: hint for name, hint in get_type_hints(ExperimentConfig).items()
                 if name != "explicit_colors"}
 

@@ -409,6 +409,9 @@ BAD_INPUT = [
     ("sweep", "--config", "{tmp}/bogus_family.json"),
     ("sweep", "--config", "{tmp}/bogus_init.json"),
     ("sweep", "--config", "{tmp}/explicit_no_colors.json"),
+    # a cell with no family, and explicit colors that are not a list
+    ("sweep", "--config", "{tmp}/no_family.json"),
+    ("sweep", "--config", "{tmp}/int_colors.json"),
     # cells that are not JSON objects, and a family that is not a string
     ("sweep", "--config", "{tmp}/pairs_cell.json"),
     ("sweep", "--config", "{tmp}/null_cell.json"),
@@ -517,7 +520,10 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
                        ("cycle_graph_seed", {"family": "cycle", "n": 5, "graph_seed": 3}),
                        ("bogus_family", {"family": "bogus", "n": 4}),
                        ("bogus_init", {"family": "complete", "n": 4, "init": "bogus"}),
-                       ("explicit_no_colors", {"family": "complete", "n": 4, "init": "explicit"})):
+                       ("explicit_no_colors", {"family": "complete", "n": 4, "init": "explicit"}),
+                       ("no_family", {"n": 4}),
+                       ("int_colors", {"family": "complete", "n": 3, "init": "explicit",
+                                       "explicit_colors": 5})):
         (tmp_path / f"{name}.json").write_text(json.dumps({"cells": [cell], "seeds": 2}))
     (tmp_path / "pairs_cell.json").write_text(json.dumps(PAIRS_CELL_CONFIG))
     (tmp_path / "null_cell.json").write_text(json.dumps({"cells": [None], "seeds": 2}))
@@ -555,7 +561,11 @@ def test_sweep_config_refusal_names_the_problem(text, reason, tmp_path, capsys):
                                          "bad family: ['complete']"),
     ([{"family": "complete", "n": 4, "workers": 2}],
      "bad cell {'family': 'complete', 'n': 4, 'workers': 2}: unknown key 'workers'"),
-], ids=["pairs", "null", "string", "list_family", "workers"])
+    ([{"n": 4}], "bad cell {'n': 4}: a cell needs a family"),
+    ([{"family": "complete", "n": 3, "init": "explicit", "explicit_colors": True}],
+     "bad cell {'family': 'complete', 'n': 3, 'init': 'explicit', 'explicit_colors': True}: "
+     "explicit_colors must be a list of integers"),
+], ids=["pairs", "null", "string", "list_family", "workers", "no_family", "bool_colors"])
 def test_bad_cell_is_one_line_and_writes_no_row(cells, reason, tmp_path, capsys):
     (tmp_path / "c.json").write_text(json.dumps({"seeds": 2, "cells": cells}))
     runs = tmp_path / "runs.csv"

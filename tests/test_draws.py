@@ -24,7 +24,6 @@ from colorsim import (
     run,
 )
 from colorsim.dynamics import (
-    DEFAULT_PERSISTENT_DRAW_CAP,
     STEPS,
     BufferedDraws,
     RunResult,
@@ -209,13 +208,13 @@ def reference_run(state, variant, cap, rng, trace):
     while counts[-1] > 0 and steps < cap:
         before = steps
         if variant == "persistent":
-            limit = min(DEFAULT_PERSISTENT_DRAW_CAP, cap - before)
+            limit = cap - before
             vertices, colors, draws = step(state, draw, limit)
         else:
             vertices, colors, draws = step(state, draw)
         steps += draws
         counts.append(len(oracle.recompute(state).conflicted))
-        if not colors and draws == DEFAULT_PERSISTENT_DRAW_CAP < cap - before:
+        if not colors and draws < limit:
             stalled = True
             break
         if trace and colors:
@@ -258,12 +257,12 @@ def test_run_from_a_fixed_coloring_without_pending_half():
 
 def test_persistent_stall_equals_reference_loop():
     # the triangle colored (1, 2, 1) with k = 2: the picked vertex sees both
-    # colors, so the draw guard trips while one step of the cap remains
+    # colors, so the run stalls after its vertex draw, with no color draw
     g = complete(3)
-    cap = DEFAULT_PERSISTENT_DRAW_CAP + 1
+    cap = 10**6
     buffered, plain = make_rng(3, 0), make_rng(3, 0)
     got = run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, buffered)
     want = reference_run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, plain, False)
-    assert got[0].stalled and got[0].steps == DEFAULT_PERSISTENT_DRAW_CAP
+    assert got[0].stalled and got[0].steps == 0
     assert got == want
     assert stream_state(buffered) == stream_state(plain)

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from colorsim import dynamics
 from colorsim import (
     ColoringState,
+    ExperimentConfig,
     ProperColoringError,
     complete,
     cycle,
@@ -20,9 +22,10 @@ from colorsim import (
     step_persistent,
     step_uniform,
 )
-from colorsim.dynamics import DEFAULT_PERSISTENT_DRAW_CAP, STEPS
+from colorsim.dynamics import STEPS
 from exact_laws import selection_distribution
 import oracle
+from test_state import four_vertex_graphs
 
 
 K2 = complete(2)  # built once: the 10^5-trial tests below start from it every trial
@@ -30,6 +33,11 @@ K2 = complete(2)  # built once: the 10^5-trial tests below start from it every t
 
 def conflicted_pair():
     return ColoringState(K2, 2, [1, 1])
+
+
+def one_free_color():
+    """K5 colored (1, 1, 2, 3, 4) at k = 5: both conflicted vertices fit color 5 only."""
+    return ColoringState(complete(5), 5, [1, 1, 2, 3, 4])
 
 
 def plain_draw(rng):
@@ -135,16 +143,50 @@ class TestStepPersistent:
 
     def test_stall_when_neighborhood_covers_palette(self):
         # triangle with colors (1, 2, 1) at k=2: either conflicted vertex sees
-        # both colors, so no draw can ever be accepted
+        # both colors, so no draw can ever be accepted and none is made
         s = ColoringState(complete(3), 2, [1, 2, 1])
-        _, colors, draws = step_persistent(s, plain_draw(make_rng(0, 0)), draw_limit=100)
-        assert colors == () and draws == 100
+        _, colors, draws = step_persistent(s, plain_draw(make_rng(0, 0)))
+        assert colors == () and draws == 0
         assert s.colors == (1, 2, 1)
 
     def test_draw_budget_bounds_the_draws(self):
-        s = ColoringState(complete(3), 2, [1, 2, 1])
-        _, colors, draws = step_persistent(s, plain_draw(make_rng(0, 0)), draw_limit=10)
+        # draw(n) = 0 picks vertex 0 and then color 1, its neighbor's, every time
+        s = one_free_color()
+        _, colors, draws = step_persistent(s, lambda n: 0, draw_limit=10)
         assert colors == () and draws == 10
+        assert s.colors == (1, 1, 2, 3, 4)
+
+    def test_stuck_exactly_when_neighbors_carry_every_color(self):
+        # every conflicted coloring of every 4-vertex graph at k = D, each
+        # conflicted vertex picked in turn; the colors come from a generator
+        picks = stuck = 0
+        rng = make_rng(29, 0)
+        for _, g in four_vertex_graphs():
+            k = g.max_degree
+            if k < 1:
+                continue
+            for colors in itertools.product(range(1, k + 1), repeat=4):
+                conflicted = ColoringState(g, k, colors).conflicted
+                for i, v in enumerate(conflicted):
+                    s = ColoringState(g, k, colors)
+                    bounds = []
+
+                    def draw(n):
+                        bounds.append(n)
+                        return i if len(bounds) == 1 else int(rng.integers(n))
+
+                    vertices, new, draws = step_persistent(s, draw)
+                    seen = [colors[w] for w in g.adjacency[v]]
+                    assert vertices == (v,) and bounds[0] == len(conflicted)
+                    assert bounds[1:] == [k] * draws
+                    if all(c in seen for c in range(1, k + 1)):
+                        stuck += 1
+                        assert new == () and draws == 0 and s.colors == colors
+                    else:
+                        assert len(new) == 1 and new[0] not in seen and draws >= 1
+                        assert s.colors == colors[:v] + new + colors[v + 1:]
+                    picks += 1
+        assert 0 < stuck < picks
 
 
 class TestStepParallel:
@@ -302,17 +344,21 @@ class TestRun:
             assert result.steps == 40
 
     def test_persistent_stall_reported(self):
-        # triangle (1, 2, 1) at k=2: every draw is blocked, so the draw guard
-        # trips with one step of the cap to spare
+        # triangle (1, 2, 1) at k=2: the picked vertex sees both colors, so the
+        # run stalls at its first pick, having made no color draw
         s = ColoringState(complete(3), 2, [1, 2, 1])
-        result, _ = run(s, "persistent", DEFAULT_PERSISTENT_DRAW_CAP + 1, make_rng(0, 0))
+        result, _ = run(s, "persistent", ExperimentConfig(family="complete", n=3).cap,
+                        make_rng(0, 0))
         assert result.stalled and not result.terminated
-        assert result.steps == DEFAULT_PERSISTENT_DRAW_CAP and result.min_conflicted == 2
+        assert result.steps == 0 and result.min_conflicted == 2
 
     def test_budget_exhaustion_is_not_a_stall(self):
-        s = ColoringState(complete(3), 2, [1, 2, 1])
-        result, _ = run(s, "persistent", 10, make_rng(0, 0))
-        assert not result.stalled and not result.terminated and result.steps == 10
+        # color 5 fits, but seed 8 draws 5 blocked colors first: the cap runs
+        # out mid-step
+        s = one_free_color()
+        result, _ = run(s, "persistent", 5, make_rng(8, 0))
+        assert not result.stalled and not result.terminated and result.steps == 5
+        assert s.colors == (1, 1, 2, 3, 4)
 
     def test_rejects_unknown_variant(self):
         s = conflicted_pair()

@@ -171,6 +171,11 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="explicit_colors"):
             ExperimentConfig(family="complete", n=2, init="explicit", explicit_colors=(True, 2))
 
+    @pytest.mark.parametrize("colors", [5, True, "121", {1: 1}], ids=repr)
+    def test_rejects_explicit_colors_that_are_no_list(self, colors):
+        with pytest.raises(ValueError, match="^explicit_colors must be a list of integers$"):
+            ExperimentConfig(family="complete", n=3, init="explicit", explicit_colors=colors)
+
     @pytest.mark.parametrize("family, fields, extra", [
         ("complete", {"n": 4}, {"p": 0.5}),
         ("cycle", {"n": 5}, {"count": 2}),
