@@ -43,10 +43,10 @@ CASES = {
                      "--trace-out", "{tmp}/trace.jsonl"), ("trace.jsonl",))
        for v in VARIANT_NAMES},
     # triangle colored (1, 2, 1) with k = 2: the picked vertex sees both
-    # colors, so the persistent draw guard trips before the cap
+    # colors, so the persistent run stalls at its first pick, at the default cap
     "run_persistent_stall": (("run", "--family", "complete", "--n", "3", "--k", "2",
                               "--variant", "persistent", "--init", "file",
-                              "--init-file", "{tmp}/colors.txt", "--cap", "1000001"), ()),
+                              "--init-file", "{tmp}/colors.txt"), ()),
     "sweep": (("sweep", "--config", "{tmp}/sweep.json", "--workers", "1",
                "--per-run", "{tmp}/runs.csv", "--aggregate", "{tmp}/aggregate.csv"),
               ("runs.csv", "aggregate.csv")),
@@ -107,7 +107,7 @@ GOLDEN = {
         ("fb73109807d442974f28ce9daacccf4edb95858d31d2cd8752cc410eb4b1aef2",)),
     "run_parallel": (0, "a382781d6888de863c03f2d905c88bcdf55e8e2181ffbad2477b960e03dc457b",
         ("67f99fdc3e7b95477426b0d11866d40967ef176fe337869e7830d4b9654602bc",)),
-    "run_persistent_stall": (2, "da77834e7bad7bf958fa9b760ff09f74817d6b0126ff6246d0e74426ccea2c95",
+    "run_persistent_stall": (2, "05342e19179b182d55788acedc4d36170f7637757a50fde26e8d2135e49702f6",
         ()),
     "sweep": (0, "47efd8fdcb373f5a0dec367ce115a4ddb55c48759f9489e0c5984b4fe42634a1",
         ("807d613b1dd9aace600507b550b2e89ef66a80b3fa7798c8e8f92e0b3c6eb476",
