@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from contextlib import closing, contextmanager, nullcontext
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
 from ._version import __version__
@@ -179,6 +179,13 @@ def _cmd_run(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
+def _report_stalls(what: str, results) -> None:
+    """One stderr line when runs stalled; a stall is a result, so the exit code stays."""
+    stalled = sum(r.stalled for r in results)
+    if stalled:
+        print(f"{what}: {stalled} of {len(results)} runs stalled", file=sys.stderr)
+
+
 # the config keys that default every cell, each with the flag it overrides
 _SWEEP_DEFAULTS = (("seeds", "seeds"), ("master_seed", "seed"), ("cap", "cap"))
 
@@ -244,6 +251,7 @@ def _cmd_sweep(args) -> int:
                   file=sys.stderr)
         else:
             done.append((config, *outcome))
+            _report_stalls(f"sweep: cell {config.resolved_id()}", outcome[2])
     fit = None
     if model and len(done) < 3:
         print(f"sweep: fit skipped: {len(done)} cells succeeded and the fit needs 3",
@@ -312,12 +320,16 @@ def _cmd_audit(args) -> int:
 
 def _cmd_compare(args) -> int:
     with _refusing():
-        configs = [_config_from_args(args, v, seeds=args.seeds) for v in args.variants.split(",")]
+        variants = args.variants.split(",")
+        # one config from the flags, so an init file is read once; replace validates each variant
+        base = _config_from_args(args, variants[0], seeds=args.seeds)
+        configs = [replace(base, variant=v) for v in variants]
         pairs = []
         for config, outcome in zip(configs, sweep(configs)):
             if isinstance(outcome, Exception):
                 raise outcome  # the first failure refuses the command
             pairs.append((config, outcome[1]))
+            _report_stalls(f"compare: variant {config.variant}", outcome[2])
     header = f"{'variant':<16}{'init':<10}{'mean':>12}{'median':>10}{'ci95':>22}{'term':>7}{'ratio':>8}"
     print(header)
     base = pairs[0][1].mean_steps  # the first variant is the baseline

@@ -193,20 +193,17 @@ def step_component_view(state: ColoringState, draw: Draw) -> Step:
     """One step through the component decomposition.
 
     Three draws in order: component (weighted by vertex count), vertex inside
-    the component, color.
+    the component, color. The walk over ``component_members`` subtracts each
+    size from the first draw and stops at the component that holds it.
     """
     if not state.conflicted:
         raise ProperColoringError(_NO_STEP)
-    components = state.monochromatic_components()
     r = draw(len(state.conflicted))  # the components' total size
-    acc = 0
-    chosen = components[-1]
-    for comp in components:
-        acc += comp.size
-        if r < acc:
-            chosen = comp
+    for members in state.component_members():
+        if r < len(members):
             break
-    v = chosen.vertices[draw(chosen.size)]
+        r -= len(members)
+    v = members[draw(len(members))]
     c = 1 + draw(state.k)
     state.recolor(v, c)
     return (v,), (c,), 1

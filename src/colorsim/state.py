@@ -35,13 +35,16 @@ the audit's isolated-pair bound read it, while ``outcome_classes`` reads the
 same counts from a pair table derived once per coloring from the masks of
 the pair data. The side the vertex leaves is tallied once per vertex, and
 each class adds only the side it enters.
+``component_members`` is the one walk over the monochromatic components,
+lazy, so that ``component_view``'s step stops at the component it draws;
+``monochromatic_components`` wraps the whole walk for the audit.
 The independent from-scratch oracle that tests hold all of this against
 lives in ``tests/oracle.py``, outside the package.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -463,25 +466,24 @@ class ColoringState:
             color[v] = c
         self._refresh_conflicts()
 
-    def monochromatic_components(self) -> tuple[Component, ...]:
-        """Connected components of the monochromatic-edge subgraph, by least vertex.
+    def component_members(self) -> Iterator[list[int]]:
+        """Each monochromatic component's sorted members, by least vertex.
 
-        Components partition the conflicted vertices, so their sizes sum to
-        ``len(conflicted)``; each has at least two vertices, at least one
-        edge, and a single shared color. Computed on demand by a traversal
-        over same-colored neighbors; cost is linear in the conflicted region.
+        The one walk over the components, lazy: a reader that stops early
+        walks only the components before the stop. The sizes sum to
+        ``len(conflicted)``. Do not recolor while the walk is open.
         """
-        cd = self._conflict_deg
         seen: set[int] = set()
-        comps: list[Component] = []
         for root in sorted(self.conflicted):
-            if root in seen:
-                continue
-            members = self.same_color_reach(root, seen)
-            edge_count = sum(cd[u] for u in members) // 2
-            comps.append(Component(vertices=tuple(members), edge_count=edge_count,
-                                   color=self._color[root]))
-        return tuple(comps)
+            if root not in seen:
+                yield self.same_color_reach(root, seen)
+
+    def monochromatic_components(self) -> tuple[Component, ...]:
+        """``component_members`` as ``Component``s, for the audit: each has at
+        least two vertices, at least one edge, and a single shared color."""
+        cd = self._conflict_deg
+        return tuple(Component(tuple(m), sum(cd[u] for u in m) // 2, self._color[m[0]])
+                     for m in self.component_members())
 
     def same_color_reach(self, root: int, seen: set[int]) -> list[int]:
         """Sorted vertices reachable from ``root`` over same-colored edges, added to ``seen``."""

@@ -302,6 +302,56 @@ class TestCompare:
         assert code == 1 and err.count("\n") == 1 and "'bogus'" in err
 
 
+class TestStallReport:
+    """A cell or variant with stalled runs says so on stderr; bytes and exit code stay."""
+
+    TRIANGLE = {"family": "complete", "n": 3, "k": 2, "variant": "persistent",
+                "init": "explicit", "explicit_colors": [1, 2, 1]}
+
+    def test_sweep_names_the_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"seeds": 2, "cells": [self.TRIANGLE,
+                                                         {"family": "complete", "n": 4}]}))
+        runs = tmp_path / "runs.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg), "--per-run", str(runs))
+        assert code == 0
+        assert err == "sweep: cell complete-n3-persistent-explicit-k2: 2 of 2 runs stalled\n"
+        assert stdout.splitlines()[0] == (
+            "complete-n3-persistent-explicit-k2: mean=0.00 median=0.0 terminated=0.000")
+        rows = [l for l in runs.read_text().splitlines() if l.startswith("complete-n3")]
+        assert [row.split(",")[-5:] for row in rows] == [["0", "false", "222", "222", "0"]] * 2
+
+    def test_compare_names_the_variant(self, tmp_path, capsys):
+        colors = tmp_path / "tri.txt"
+        colors.write_text("1\n2\n1\n")
+        code, stdout, err = run_cli(capsys, "compare", "--family", "complete", "--n", "3",
+                                    "--k", "2", "--init", "file", "--init-file", str(colors),
+                                    "--seeds", "2", "--cap", "50",
+                                    "--variants", "persistent,uniform")
+        assert code == 0
+        assert err == "compare: variant persistent: 2 of 2 runs stalled\n"  # uniform spent its cap
+        assert [line.split()[0] for line in stdout.splitlines()[1:]] == ["persistent", "uniform"]
+
+
+def test_compare_reads_the_init_file_once(tmp_path, capsys, monkeypatch):
+    colors = tmp_path / "colors.txt"
+    colors.write_text("1\n1\n2\n3\n")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if file == str(colors):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, stdout, _ = run_cli(capsys, "compare", "--family", "complete", "--n", "4",
+                              "--init", "file", "--init-file", str(colors), "--seeds", "2",
+                              "--variants", "uniform,parallel")
+    assert code == 0 and len(stdout.splitlines()) == 3
+    assert len(opened) == 1
+
+
 class TestBuildOnce:
     """An ensemble's graph is built once, in the command's own process."""
 

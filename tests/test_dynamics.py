@@ -25,7 +25,7 @@ from colorsim import (
 from colorsim.dynamics import STEPS
 from exact_laws import selection_distribution
 import oracle
-from test_state import four_vertex_graphs
+from test_state import four_vertex_graphs, walk_states
 
 
 K2 = complete(2)  # built once: the 10^5-trial tests below start from it every trial
@@ -118,6 +118,40 @@ class TestStepComponentView:
         s = ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
         (v,), (c,), draws = step_component_view(s, plain_draw(make_rng(1, 0)))
         assert s.color_of(v) == c and draws == 1
+
+
+def scripted(*values):
+    """A ``draw`` that returns ``values`` in turn and records the bounds it was given."""
+    bounds = []
+    queue = list(values)
+
+    def draw(n):
+        bounds.append(n)
+        return queue.pop(0)
+
+    return draw, bounds
+
+
+class TestComponentViewWalk:
+    def test_every_draw_picks_the_cumulative_size_vertex(self):
+        for s in walk_states():
+            total = len(s.conflicted)
+            if not total:
+                continue
+            g, k, colors = s.graph, s.k, s.colors
+            components = s.monochromatic_components()
+            for r in range(total):
+                # the cumulative-size pick over the components, least vertex first
+                acc = 0
+                for chosen in components:
+                    acc += chosen.size
+                    if r < acc:
+                        break
+                for j in range(chosen.size):
+                    t = ColoringState(g, k, list(colors))
+                    draw, bounds = scripted(r, j, k - 1)
+                    assert step_component_view(t, draw) == ((chosen.vertices[j],), (k,), 1)
+                    assert bounds == [total, chosen.size, k]
 
 
 class TestStepPersistent:

@@ -399,6 +399,55 @@ class TestComponents:
         assert sorted(seen) == list(s.conflicted_vertices())
 
 
+def reached(g, k, colors):
+    """The state ``colors`` on ``g``, reached from all color 1 by recoloring the
+    vertices in descending order, so its dense conflicted list is rarely sorted."""
+    s = ColoringState(g, k, [1] * g.n)
+    for v in reversed(range(g.n)):
+        s.recolor(v, colors[v])
+    return s
+
+
+def walk_states():
+    """Every coloring of every four-vertex graph at k = D+1, as ``reached`` states,
+    then a few larger states with many components, each after uniform steps."""
+    for _, g in four_vertex_graphs():
+        k = g.max_degree + 1
+        for colors in itertools.product(range(1, k + 1), repeat=g.n):
+            yield reached(g, k, colors)
+    for seed, g in enumerate([disjoint_cliques(8, 4), erdos_renyi(30, 0.3, 7)]):
+        d = g.max_degree
+        for k in (d + 1, -(-d // 2)):
+            rng = make_rng(seed, k)
+            for _ in range(3):
+                s = init_random(g, k, rng)
+                run(s, "uniform", 15, rng)
+                yield s
+
+
+class TestComponentMembers:
+    def test_walk_equals_the_components_in_least_vertex_order(self):
+        unsorted = 0
+        for s in walk_states():
+            members = list(s.component_members())
+            assert members == [list(c.vertices) for c in s.monochromatic_components()]
+            assert all(m == sorted(m) for m in members)
+            assert [m[0] for m in members] == sorted({m[0] for m in members})
+            assert sorted(v for m in members for v in m) == list(s.conflicted_vertices())
+            unsorted += s.conflicted != sorted(s.conflicted)
+        assert unsorted  # the order check saw dense lists out of order
+
+    def test_a_reader_that_stops_walks_no_further(self, monkeypatch):
+        s = ColoringState(disjoint_cliques(3, 2), 2, [1, 1, 2, 2, 1, 1])
+        roots = []
+        reach = ColoringState.same_color_reach
+        monkeypatch.setattr(ColoringState, "same_color_reach",
+                            lambda self, root, seen: roots.append(root) or reach(self, root, seen))
+        walk = s.component_members()
+        assert next(walk) == [0, 1] and roots == [0]
+        assert list(walk) == [[2, 3], [4, 5]] and roots == [0, 2, 4]
+
+
 class TestBatch:
     def test_batch_matches_fresh_build(self):
         g = erdos_renyi(20, 0.3, 8)
