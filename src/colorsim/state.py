@@ -469,9 +469,9 @@ class ColoringState:
     def component_members(self) -> Iterator[list[int]]:
         """Each monochromatic component's sorted members, by least vertex.
 
-        The one walk over the components, lazy: a reader that stops early
-        walks only the components before the stop. The sizes sum to
-        ``len(conflicted)``. Do not recolor while the walk is open.
+        The one walk over the components. Each has at least two vertices of
+        one color, and the sizes sum to ``len(conflicted)``. Lazy: a reader
+        that stops early walks no further. Do not recolor while it is open.
         """
         seen: set[int] = set()
         for root in sorted(self.conflicted):
@@ -479,8 +479,8 @@ class ColoringState:
                 yield self.same_color_reach(root, seen)
 
     def monochromatic_components(self) -> tuple[Component, ...]:
-        """``component_members`` as ``Component``s, for the audit: each has at
-        least two vertices, at least one edge, and a single shared color."""
+        """Connected components of the monochromatic-edge subgraph, by least
+        vertex: ``component_members`` wrapped whole, for the audit."""
         cd = self._conflict_deg
         return tuple(Component(tuple(m), sum(cd[u] for u in m) // 2, self._color[m[0]])
                      for m in self.component_members())
