@@ -6,7 +6,10 @@ Four variants share one state representation:
 * ``component_view``  pick a monochromatic component with probability
   proportional to its vertex count, a vertex uniformly inside it, then a
   color (provably the same step distribution as ``uniform``; tested, not
-  assumed);
+  assumed). The component is that of a uniform conflicted vertex, so only
+  it is walked; earlier code took the component holding the first draw's
+  cumulative size in least-vertex order, with the same draw bounds and law
+  but other seeded trajectories;
 * ``persistent``      pick a conflicted vertex uniformly, then redraw its color
   until no neighbor shares it; every draw counts as a step, and a pick whose
   neighbors carry all k colors stalls the run at once;
@@ -192,17 +195,15 @@ def step_uniform(state: ColoringState, draw: Draw) -> Step:
 def step_component_view(state: ColoringState, draw: Draw) -> Step:
     """One step through the component decomposition.
 
-    Three draws in order: component (weighted by vertex count), vertex inside
-    the component, color. The walk over ``component_members`` subtracts each
-    size from the first draw and stops at the component that holds it.
+    Three draws in order: a conflicted vertex, as ``uniform`` picks it, which
+    lands in a component with probability proportional to its vertex count;
+    then a vertex uniform over that component's sorted members; then a color.
+    Only the drawn component is walked.
     """
-    if not state.conflicted:
+    dense = state.conflicted
+    if not dense:
         raise ProperColoringError(_NO_STEP)
-    r = draw(len(state.conflicted))  # the components' total size
-    for members in state.component_members():
-        if r < len(members):
-            break
-        r -= len(members)
+    members = state.same_color_reach(dense[draw(len(dense))], set())
     v = members[draw(len(members))]
     c = 1 + draw(state.k)
     state.recolor(v, c)

@@ -35,16 +35,16 @@ the audit's isolated-pair bound read it, while ``outcome_classes`` reads the
 same counts from a pair table derived once per coloring from the masks of
 the pair data. The side the vertex leaves is tallied once per vertex, and
 each class adds only the side it enters.
-``component_members`` is the one walk over the monochromatic components,
-lazy, so that ``component_view``'s step stops at the component it draws;
-``monochromatic_components`` wraps the whole walk for the audit.
+``monochromatic_components`` is the one walk over all the monochromatic
+components, for the audit; ``component_view``'s step walks only the component
+of the vertex it draws, with ``same_color_reach``.
 The independent from-scratch oracle that tests hold all of this against
 lives in ``tests/oracle.py``, outside the package.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -466,24 +466,19 @@ class ColoringState:
             color[v] = c
         self._refresh_conflicts()
 
-    def component_members(self) -> Iterator[list[int]]:
-        """Each monochromatic component's sorted members, by least vertex.
+    def monochromatic_components(self) -> tuple[Component, ...]:
+        """Connected components of the monochromatic-edge subgraph, by least vertex.
 
-        The one walk over the components. Each has at least two vertices of
-        one color, and the sizes sum to ``len(conflicted)``. Lazy: a reader
-        that stops early walks no further. Do not recolor while it is open.
+        The one walk over all the components, for the audit. Each has at
+        least two vertices of one color and sorted members, and the sizes
+        sum to ``len(conflicted)``.
         """
         seen: set[int] = set()
-        for root in sorted(self.conflicted):
-            if root not in seen:
-                yield self.same_color_reach(root, seen)
-
-    def monochromatic_components(self) -> tuple[Component, ...]:
-        """Connected components of the monochromatic-edge subgraph, by least
-        vertex: ``component_members`` wrapped whole, for the audit."""
+        walk = [self.same_color_reach(root, seen)
+                for root in sorted(self.conflicted) if root not in seen]
         cd = self._conflict_deg
         return tuple(Component(tuple(m), sum(cd[u] for u in m) // 2, self._color[m[0]])
-                     for m in self.component_members())
+                     for m in walk)
 
     def same_color_reach(self, root: int, seen: set[int]) -> list[int]:
         """Sorted vertices reachable from ``root`` over same-colored edges, added to ``seen``."""

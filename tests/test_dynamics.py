@@ -133,25 +133,34 @@ def scripted(*values):
 
 
 class TestComponentViewWalk:
-    def test_every_draw_picks_the_cumulative_size_vertex(self):
+    def test_every_draw_picks_member_j_of_the_drawn_vertex_component(self):
         for s in walk_states():
             total = len(s.conflicted)
             if not total:
                 continue
-            g, k, colors = s.graph, s.k, s.colors
-            components = s.monochromatic_components()
+            k = s.k
+            component_of = {u: c for c in s.monochromatic_components() for u in c.vertices}
+            law: Counter = Counter()
             for r in range(total):
-                # the cumulative-size pick over the components, least vertex first
-                acc = 0
-                for chosen in components:
-                    acc += chosen.size
-                    if r < acc:
-                        break
+                chosen = component_of[s.conflicted[r]]
                 for j in range(chosen.size):
-                    t = ColoringState(g, k, list(colors))
                     draw, bounds = scripted(r, j, k - 1)
-                    assert step_component_view(t, draw) == ((chosen.vertices[j],), (k,), 1)
+                    # a copy keeps the reached state's dense order, which the first draw indexes
+                    assert step_component_view(s.copy(), draw) == ((chosen.vertices[j],), (k,), 1)
                     assert bounds == [total, chosen.size, k]
+                    law[chosen.vertices[j]] += Fraction(1, total * chosen.size)
+            assert law == selection_distribution(s, "uniform")
+
+    def test_a_step_walks_only_its_component(self, monkeypatch):
+        s = ColoringState(disjoint_cliques(3, 2), 2, [1, 1, 2, 2, 1, 1])
+        roots = []
+        reach = ColoringState.same_color_reach
+        monkeypatch.setattr(ColoringState, "same_color_reach",
+                            lambda self, root, seen: roots.append(root) or reach(self, root, seen))
+        draw, bounds = scripted(3, 1, 0)
+        root = s.conflicted[3]
+        assert step_component_view(s, draw) == ((root | 1,), (1,), 1)
+        assert roots == [root] and bounds == [6, 2, 2]
 
 
 class TestStepPersistent:
