@@ -101,20 +101,20 @@ EDGE_LIST = "# utility graph\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n1 4\n2 5\n3 0\n
 GOLDEN = {
     "run_uniform": (0, "fbea0eba8394e10dd4c1ff79eb365982a0c632c8b741cd2b9b3f97704daa9f47",
         ("a46c026a742445f77175e8261a70c59aac5cf101b797ed1946ad911bfd611aad",)),
-    "run_component_view": (0, "0682077ca190011be80bc7e139dbaf94aaa00e885789bf5262cd120140c45014",
-        ("c7ef12f4be15dd6e7f2e8844a42e379cf467bee550acd5adc4d6dc3e1fbe0b6b",)),
+    "run_component_view": (0, "b7f4ed0dd62e1ccd55642b349b80b6a2528253e8fb769a96ec91aca108926b9b",
+        ("83287e17095f663919fdefe6d9e08e362a54e58d6370d85e564efc172d9151e5",)),
     "run_persistent": (0, "60b00097401e559f0c9506ba1f1860663e300151242caec9e2e8319886ad1269",
         ("fb73109807d442974f28ce9daacccf4edb95858d31d2cd8752cc410eb4b1aef2",)),
     "run_parallel": (0, "a382781d6888de863c03f2d905c88bcdf55e8e2181ffbad2477b960e03dc457b",
         ("67f99fdc3e7b95477426b0d11866d40967ef176fe337869e7830d4b9654602bc",)),
     "run_persistent_stall": (2, "05342e19179b182d55788acedc4d36170f7637757a50fde26e8d2135e49702f6",
         ()),
-    "sweep": (0, "47efd8fdcb373f5a0dec367ce115a4ddb55c48759f9489e0c5984b4fe42634a1",
-        ("807d613b1dd9aace600507b550b2e89ef66a80b3fa7798c8e8f92e0b3c6eb476",
-         "f3fe6c68f7dac9ff1d9fa06e6ee5fc90bace631b961939b492e10001db0a19dd")),
+    "sweep": (0, "f56cc6d08233e234bce80e517c3df8d134552413fcbf638e3f26d9105825f689",
+        ("30c9c692fc2bad2b56e32ea2c38a5ae5bc586d23b9bd32dd0c959f010217e86b",
+         "1584d34a56bcf111895499df84b7f7d7bd9e3e924f475061b135064e3d2c0f5e")),
     "sweep_fit": (0, "2d885813680b67379dc6bec18ccc02c854dffd9dcdec61288c069203bb5ea7ce",
         ("3c76543758df74d4eaa3ae6c332c683bbc6187ade6aecbdbce8b9c7ecb96f9d5",)),
-    "compare": (0, "2fcbe2fc4862f4c7ee3a49c53bac6bd8335bef25386ceb876e9e29a2d197c57a",
+    "compare": (0, "e1b8a7d7010d46e9d5128e3a77670bc6e4f2a17d66c4ae39ce339937fc515298",
         ()),
     "compare_nan": (0, "22c1da39f9febe6212e7f10077954039a186d404dab5059886142143d3dd956b",
         ()),
