@@ -118,6 +118,8 @@ def _family_fields(args) -> dict:
 def _config_from_args(args, variant: str, seeds: int = 1) -> ExperimentConfig:
     init = INIT_ALIASES[args.init]
     explicit = None
+    if args.init_file and init != "explicit":
+        raise ValueError("--init-file needs --init file")
     if init == "explicit":
         if not args.init_file:
             raise ValueError("--init file needs --init-file")

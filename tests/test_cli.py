@@ -448,6 +448,10 @@ BAD_INPUT = [
     # an empty list names the family '', as ',' names two
     ("audit", "--families", "", "--instances", "3"),
     ("run", "--family", "complete", "--n", "5", "--init", "file"),
+    # an init file the init does not read, even a missing one
+    ("run", "--family", "complete", "--n", "3", "--init-file", "nonexistent.txt"),
+    ("compare", "--family", "complete", "--n", "3", "--seeds", "2", "--init", "ones",
+     "--init-file", "{tmp}/missing.txt"),
     ("run", "--family", "er", "--n", "10"),
     # a family field the family does not read would only change config_id
     ("run", "--family", "complete", "--n", "4", "--p", "0.5"),
