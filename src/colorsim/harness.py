@@ -221,6 +221,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}{value}")
+        if self.graph_seed:  # 0, the default, keeps the ids it always had
+            parts.append(f"graph_seed{self.graph_seed}")
         parts.append(self.variant)
         parts.append(self.init)
         if self.k is not None:
@@ -514,8 +516,8 @@ def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
 
     The lines are ``audit.report_lines``: proper colorings skip the decay
     check with an explicit marker, and instances whose enumeration would
-    exceed the outcome budget are skipped whole. Every line carries the state
-    digest needed to replay it. The instances run on every usable CPU
+    exceed the outcome budget are skipped whole. Every line carries its
+    state's digest, and the same spec regenerates that instance. The instances run on every usable CPU
     through ``ordered_map`` and their lines come in instance order, so the
     lines are the same for any CPU count.
     """
@@ -524,15 +526,6 @@ def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
                              AUDIT_CHUNK)) as per_instance:
         for lines in per_instance:
             yield from lines
-
-
-def replay_audit(spec: AuditSweepSpec, digest: str) -> list[dict]:
-    """Regenerate the report lines of the instance with the given digest."""
-    for index in range(spec.instances):
-        state, bipartite = audit_instance(spec, index)
-        if state_digest(state) == digest:
-            return report_lines(state, bipartite, digest)
-    return []
 
 
 # -- output writers -------------------------------------------------------------

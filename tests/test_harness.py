@@ -21,7 +21,6 @@ from colorsim.harness import (
     build_graph,
     cell_columns,
     initial_state,
-    replay_audit,
     run_rows,
     write_aggregate_csv,
     write_jsonl,
@@ -199,6 +198,17 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="^graph_seed must be >= 0$"):
             ExperimentConfig(family="erdos_renyi", n=10, p=0.5, graph_seed=-1)
 
+    def test_a_nonzero_graph_seed_names_its_graph(self):
+        # two er cells that differ only in graph_seed draw different graphs
+        one, two = (ExperimentConfig(family="erdos_renyi", n=30, p=0.2, graph_seed=seed)
+                    for seed in (1, 2))
+        assert build_graph(one).m != build_graph(two).m
+        assert one.resolved_id() == "erdos_renyi-n30-p0.2-graph_seed1-uniform-random"
+        assert two.resolved_id() == "erdos_renyi-n30-p0.2-graph_seed2-uniform-random"
+        # seed 0, the default, keeps the id it always had
+        assert ExperimentConfig(family="erdos_renyi", n=30, p=0.2).resolved_id() == (
+            "erdos_renyi-n30-p0.2-uniform-random")
+
     def test_file_with_n_still_builds(self, tmp_path):
         # n pads the edge list's vertices
         (tmp_path / "g.txt").write_text("0 1\n1 2\n")
@@ -343,17 +353,6 @@ class TestAuditSweep:
             for key in ("lhs", "rhs", "margin"):
                 num, den = line[key].split("/")
                 int(num), int(den)
-
-    def test_replay_by_digest(self):
-        spec = AuditSweepSpec(instances=15, master_seed=4)
-        lines = list(drift_audit_sweep(spec))
-        target = next(l for l in lines if not l.get("skipped"))
-        digest = target["state_digest"]
-        replayed = replay_audit(spec, digest)
-        assert [l for l in lines if l["state_digest"] == digest] == replayed
-
-    def test_replay_of_an_unknown_digest_is_empty(self):
-        assert replay_audit(AuditSweepSpec(instances=5, master_seed=3), "0" * 64) == []
 
     def test_instances_deterministic(self):
         spec = AuditSweepSpec(instances=6, master_seed=5)
