@@ -230,7 +230,7 @@ def audit_state(state: ColoringState, bipartite: bool = False) -> list[AuditEntr
 
 
 def state_digest(state: ColoringState) -> str:
-    """Stable identifier of (graph, palette, coloring) for replayable reports."""
+    """Stable identifier of (graph, palette, coloring), carried by every audit report line."""
     payload = {
         "n": state.graph.n,
         "k": state.k,

@@ -1,5 +1,6 @@
 """Every name ``colorsim`` exports has a reader outside ``tests/``, and so
-does every public method and property of an exported class.
+do every public method and property of an exported class and every public
+function and class a ``colorsim`` module defines.
 
 A name counts as read when the package's own modules (``__init__`` aside),
 ``perfbench/`` or ``tools/`` load it, take it as an attribute, import it, or
@@ -13,6 +14,7 @@ nothing from ``colorsim``.
 
 import ast
 import functools
+import importlib
 import types
 from pathlib import Path
 
@@ -64,6 +66,19 @@ MEMBERS = [f"{name}.{member}" for name in EXPORTS
 @pytest.mark.parametrize("qualname", MEMBERS)
 def test_class_member_has_a_reader_outside_tests(qualname):
     assert qualname.split(".")[1] in REFERENCED, f"only tests reach colorsim.{qualname}"
+
+
+MODULES = [importlib.import_module(f"colorsim.{path.stem}") for path in SOURCES
+           if path.parent.name == "colorsim"]
+DEFINED = [f"{module.__name__}.{name}" for module in MODULES
+           for name, value in vars(module).items()
+           if not name.startswith("_") and isinstance(value, (types.FunctionType, type))
+           and value.__module__ == module.__name__]
+
+
+@pytest.mark.parametrize("qualname", DEFINED)
+def test_definition_has_a_reader_outside_tests(qualname):
+    assert qualname.rsplit(".", 1)[1] in REFERENCED, f"only tests reach {qualname}"
 
 
 @pytest.mark.parametrize("oracle", ["oracle.py", "exact_laws.py"])
