@@ -517,9 +517,9 @@ def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
     The lines are ``audit.report_lines``: proper colorings skip the decay
     check with an explicit marker, and instances whose enumeration would
     exceed the outcome budget are skipped whole. Every line carries its
-    state's digest, and the same spec regenerates that instance. The instances run on every usable CPU
-    through ``ordered_map`` and their lines come in instance order, so the
-    lines are the same for any CPU count.
+    state's digest, and the same spec regenerates that instance. The
+    instances run on every usable CPU through ``ordered_map`` and their lines
+    come in instance order, so the lines are the same for any CPU count.
     """
     workers = max(1, spec.instances // AUDIT_MIN_PER_WORKER)
     with closing(ordered_map(_instance_lines, spec, range(spec.instances), workers,

@@ -159,6 +159,7 @@ class TestComponentViewWalk:
                             lambda self, root, seen: roots.append(root) or reach(self, root, seen))
         draw, bounds = scripted(3, 1, 0)
         root = s.conflicted[3]
+        # the components are {0, 1}, {2, 3} and {4, 5}: member 1 is the odd vertex
         assert step_component_view(s, draw) == ((root | 1,), (1,), 1)
         assert roots == [root] and bounds == [6, 2, 2]
 
