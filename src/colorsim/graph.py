@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -234,6 +233,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
             bits = np.random.PCG64()
             bits.state = entry
             gens.append(np.random.Generator(bits.advance(first)))
+        from concurrent.futures import ThreadPoolExecutor  # loaded only when threads draw
         with ThreadPoolExecutor(max_workers=threads) as pool:
             spans = pool.map(_draw_hits, gens, [p] * threads, bounds[:-1], bounds[1:])
             hits = [h for span in spans for h in span]

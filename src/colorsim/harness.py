@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -329,6 +328,7 @@ def ordered_map(fn: Callable, context, items: range, workers: int,
         for item in items:
             yield fn(context, item)
         return
+    from concurrent.futures import ProcessPoolExecutor  # a command that opens no pool skips it
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
                                initargs=(context,))
     try:

@@ -37,3 +37,19 @@ def test_prints_each_report_and_skips_another_shape(tmp_path, capsys):
         ["BENCH_10.json", "k20_parallel", "work_per_s", "7.5", "8.25"],
     ]
     assert err == "bench_history: skipped BENCH_9_setup.json: not a paired report (no 'metrics')\n"
+
+
+def test_prints_each_verdict_and_a_blank_for_an_older_report(tmp_path, capsys):
+    (tmp_path / "BENCH_9.json").write_text(report({"k20_parallel": {"work_per_s": (7.5, 8.25)}}))
+    newer = json.loads(report({"k20_parallel": {"peak_rss_mb": (40.75, 39.25),
+                                                "work_per_s": (8.0, 8.0)}}))
+    metrics = newer["workloads"]["k20_parallel"]["metrics"]
+    metrics["peak_rss_mb"]["verdict"], metrics["work_per_s"]["verdict"] = "gain", "no worse"
+    (tmp_path / "BENCH_10.json").write_text(json.dumps(newer))
+    assert bench_history.main([str(tmp_path)]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["file", "workload", "metric", "parent", "change", "verdict"],
+        ["BENCH_9.json", "k20_parallel", "work_per_s", "7.5", "8.25"],
+        ["BENCH_10.json", "k20_parallel", "peak_rss_mb", "40.75", "39.25", "gain"],
+        ["BENCH_10.json", "k20_parallel", "work_per_s", "8", "8", "no", "worse"],
+    ]

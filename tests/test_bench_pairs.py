@@ -138,3 +138,29 @@ def test_a_pair_count_that_is_no_decimal_integer_is_a_usage_error(tmp_path, caps
                           "--out", str(tmp_path / "bench.json")])
     assert exit_info.value.code == 2
     assert "--workloads" in capsys.readouterr().err
+
+
+# one synthetic case per verdict, under a bound of 10% of the parent's median
+@pytest.mark.parametrize("better, parent, change, expected", [
+    # better in 9 of 10 pairs (the tie counts for neither side), median 1.5 below
+    # against a parent interquartile range of about 0.09
+    ("lower", [40.7, 40.75, 40.8] * 3 + [40.7], [39.2, 39.25, 39.3] * 3 + [40.7], "gain"),
+    # the median is 20% worse
+    ("higher", [100.0, 101.0, 99.0], [80.0, 81.0, 79.0], "worse"),
+    # a parent interquartile range of 30 against a margin of 12.5, the medians
+    # 1 apart, and one change run below a parent run
+    ("higher", [70.0, 125.0, 130.0], [80.0, 126.0, 131.0], "unresolved"),
+    # the same spread, but every change run above every parent run
+    ("higher", [70.0, 125.0, 130.0], [131.0, 132.0, 133.0], "no worse"),
+    # better in 2 of 3 pairs only: no gain, and within the bound
+    ("lower", [1.0, 1.01, 1.02], [0.9, 0.91, 1.03], "no worse"),
+])
+def test_verdict(better, parent, change, expected):
+    assert bench_pairs.verdict(parent, change, better, 0.1) == expected
+
+
+def test_a_metric_without_a_bound_has_no_verdict(tmp_path):
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([*fake_checkouts(tmp_path), "--workloads", "w:2", "--seconds", "0",
+                             "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["w"]["metrics"]["m"]["verdict"] is None

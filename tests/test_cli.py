@@ -695,6 +695,25 @@ def test_full_stdout_exits_1_with_one_line(argv):
     assert err.startswith("colorsim: cannot write output: ") and err.count("\n") == 1
 
 
+# the pool modules a command loads; this test session has loaded them already,
+# so the commands run in a fresh interpreter
+POOL_MODULES = """
+import sys
+from colorsim.cli import main
+assert main(["run", "--family", "complete", "--n", "6"]) == 0
+assert main(["gen", "--family", "cycle", "--n", "12", "--out", sys.argv[1]]) == 0
+print(sorted({"multiprocessing", "concurrent.futures.process", "concurrent.futures.thread",
+              "logging"} & set(sys.modules)))
+"""
+
+
+def test_commands_without_a_pool_load_no_pool_module(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", POOL_MODULES, str(tmp_path / "c12.txt")],
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestAuditPool:
     """The audit's bytes, exit code and stderr do not depend on the usable CPUs."""
 
@@ -708,7 +727,7 @@ class TestAuditPool:
                 widths.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         return widths
 
     @staticmethod

@@ -163,7 +163,7 @@ class TestErdosRenyi:
                 made.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(graph, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         want = reference_erdos_renyi(n, 0.05, 11)
         # CPU masks of 1, 2, 3 and 7, then no affinity call: os.cpu_count() decides
         for cpus in (1, 2, 3, 7, None):

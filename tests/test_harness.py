@@ -113,7 +113,7 @@ class TestRunEnsemble:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_pool_context", None)
         return pools
 

@@ -5,9 +5,10 @@
 Reads every ``BENCH_*.json`` in ``DIR`` (the repository root by default) in
 the format ``tools/bench_pairs.py`` writes, in order of the number in its
 name, and prints one row per file, workload and end-to-end metric: the
-parent's median and the change's. A file of another shape, such as a probe
-record, is named on stderr and skipped. The reports were taken hours apart,
-so compare medians only within one file.
+parent's median and the change's, and the metric's verdict when any report
+has one (blank for a report written before verdicts). A file of another
+shape, such as a probe record, is named on stderr and skipped. The reports
+were taken hours apart, so compare medians only within one file.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ def file_order(path: Path) -> tuple[int, str]:
     return (int(match.group(1)) if match else -1, path.name)
 
 
-def medians(report) -> list[tuple[str, str, float, float]]:
-    """(workload, metric, parent median, change median) rows of one report.
+def medians(report) -> list[tuple[str, str, float, float, str]]:
+    """(workload, metric, parent median, change median, verdict) rows of one report.
 
-    Raises ``ValueError`` when the report is not in ``bench_pairs.py``'s format.
+    The verdict is "" when the report has none. Raises ``ValueError`` when
+    the report is not in ``bench_pairs.py``'s format.
     """
     try:
         return [(workload, metric, float(sides["parent"]["median"]),
-                 float(sides["change"]["median"]))
+                 float(sides["change"]["median"]), sides.get("verdict") or "")
                 for workload, record in report["workloads"].items()
                 for metric, sides in record["metrics"].items()]
     except (KeyError, TypeError, AttributeError) as exc:
@@ -43,15 +45,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("dir", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
     args = parser.parse_args(argv)
-    print(f"{'file':<28}{'workload':<18}{'metric':<14}{'parent':>12}{'change':>12}")
+    rows = []
     for path in sorted(args.dir.glob("BENCH_*.json"), key=file_order):
         try:
-            rows = medians(json.loads(path.read_text(encoding="utf-8")))
+            rows += [(path.name, *row)
+                     for row in medians(json.loads(path.read_text(encoding="utf-8")))]
         except (OSError, ValueError) as exc:
             print(f"bench_history: skipped {path.name}: {exc}", file=sys.stderr)
-            continue
-        for workload, metric, parent, change in rows:
-            print(f"{path.name:<28}{workload:<18}{metric:<14}{parent:>12.6g}{change:>12.6g}")
+    verdicts = any(row[-1] for row in rows)
+    print(f"{'file':<28}{'workload':<18}{'metric':<14}{'parent':>12}{'change':>12}"
+          + ("  verdict" if verdicts else ""))
+    for name, workload, metric, parent, change, verdict in rows:
+        print(f"{name:<28}{workload:<18}{metric:<14}{parent:>12.6g}{change:>12.6g}  {verdict}"
+              .rstrip())
     return 0
 
 

@@ -26,7 +26,8 @@ such as a ``git archive`` copy) and, per workload, the
 seeds and run order, every run's metrics and failure counts, and per metric
 and side the median with its quartiles (``statistics.quantiles``, inclusive
 method), plus the number of pairs in which the change reads better, with the
-direction each metric has in ``BENCHMARK.json``.
+direction each metric has in ``BENCHMARK.json``, and the metric's ``verdict``
+(see ``verdict``) under the ``bound`` it has there.
 """
 
 from __future__ import annotations
@@ -86,10 +87,43 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def better_pairs(parent: list[float], change: list[float], sign: int) -> int:
+    """The pairs in which the change reads better; ``sign`` is 1 when higher is better."""
+    return sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float | None) -> str | None:
+    """How the change's runs of one metric read against the parent's, paired by index.
+
+    ``gain`` when the change reads better in at least 9 of every 10 pairs (a
+    tie counts for neither side) and its median is better than the parent's
+    by more than the parent's interquartile range; ``worse`` when its median
+    is worse by more than ``bound`` times the parent's median; ``unresolved``
+    when neither holds and the parent's interquartile range is wider than
+    that bound, unless every change run reads better than every parent run;
+    ``no worse`` otherwise. None when the metric declares no bound.
+    """
+    if bound is None:
+        return None
+    sign = 1 if better == "higher" else -1
+    p, c = summary(parent), summary(change)
+    spread, margin = p["q3"] - p["q1"], bound * abs(p["median"])
+    ahead = sign * (c["median"] - p["median"])
+    if 10 * better_pairs(parent, change, sign) >= 9 * len(parent) and ahead > spread:
+        return "gain"
+    if -ahead > margin:
+        return "worse"
+    if spread > margin and not min(sign * x for x in change) > max(sign * x for x in parent):
+        return "unresolved"
+    return "no worse"
+
+
 def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seconds: float,
-                   better: dict[str, str], commits: dict, cpus: list[int] | None) -> dict:
+                   declared: dict[str, dict], commits: dict, cpus: list[int] | None) -> dict:
     """Run the pairs of one workload.
 
+    ``declared`` maps each end-to-end metric to its entry in ``BENCHMARK.json``.
     ``commits["parent"]`` and ``commits["change"]`` (the report's own entries)
     are folded with a ``commit_of`` reading of their checkout after each run.
     """
@@ -110,12 +144,14 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, second
                   + f" failed={result['failed']}"
                   + ("" if result["comparable"] else " NOT COMPARABLE"), file=sys.stderr, flush=True)
     metrics = {}
-    for name, direction in better.items():
+    for name, entry in declared.items():
         p = [r["metrics"][name] for r in runs["parent"]]
         c = [r["metrics"][name] for r in runs["change"]]
+        direction = entry["better"]
         sign = 1 if direction == "higher" else -1
         metrics[name] = {"better": direction, "parent": summary(p), "change": summary(c),
-                         "change_better_pairs": sum(sign * (b - a) > 0 for a, b in zip(p, c))}
+                         "change_better_pairs": better_pairs(p, c, sign),
+                         "verdict": verdict(p, c, direction, entry.get("bound"))}
     return {"pairs": pairs, "seeds": [i + 1 for i in range(pairs)],
             "seconds": seconds, "order": order, "machine": machine,
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
@@ -142,7 +178,7 @@ def main(argv=None) -> int:
                          f"{','.join(map(str, sorted(usable)))}")
         cpus = sorted({int(item) for item in items})
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
     names = {w["name"] for w in declared["workloads"]}
     plan = []
     for item in args.workloads:
@@ -155,7 +191,7 @@ def main(argv=None) -> int:
               "cpus": cpus, "workloads": {}}
     for name, pairs in plan:
         report["workloads"][name] = bench_workload(
-            args.parent, args.change, name, pairs, args.seconds, better, report, cpus)
+            args.parent, args.change, name, pairs, args.seconds, metrics, report, cpus)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
