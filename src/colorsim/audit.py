@@ -89,8 +89,7 @@ def _frac(num: int, den: int) -> str:
 def _component_is_current(state: ColoringState, component: Component) -> bool:
     # a same-colored reach of two or more vertices is a monochromatic component
     reach = state.same_color_reach(component.vertices[0], set())
-    return (len(reach) > 1 and state.color_of(reach[0]) == component.color
-            and set(reach) == set(component.vertices))
+    return len(reach) > 1 and set(reach) == set(component.vertices)
 
 
 def exact_step_expectations(state: ColoringState, component: Component) -> ExactExpectation:
@@ -241,13 +240,14 @@ def state_digest(state: ColoringState) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def report_lines(state: ColoringState, bipartite: bool, digest: str) -> list[dict]:
-    """The JSONL report lines of one audited state, each tagged with ``digest``.
+def report_lines(state: ColoringState, bipartite: bool) -> list[dict]:
+    """The JSONL report lines of one audited state, each tagged with its ``state_digest``.
 
     One line per entry of ``audit_state``. A state whose enumeration would
     exceed ``OUTCOME_BUDGET`` (vertex, color) outcomes gets a single skip
     line instead; a proper coloring adds a skip line for the decay check.
     """
+    digest = state_digest(state)
     outcomes = state.k * len(state.conflicted)
     if outcomes > OUTCOME_BUDGET:
         reason = f"enumeration budget exceeded ({outcomes} outcomes)"

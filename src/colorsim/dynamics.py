@@ -7,9 +7,7 @@ Four variants share one state representation:
   proportional to its vertex count, a vertex uniformly inside it, then a
   color (provably the same step distribution as ``uniform``; tested, not
   assumed). The component is that of a uniform conflicted vertex, so only
-  it is walked; earlier code took the component holding the first draw's
-  cumulative size in least-vertex order, with the same draw bounds and law
-  but other seeded trajectories;
+  it is walked;
 * ``persistent``      pick a conflicted vertex uniformly, then redraw its color
   until no neighbor shares it; every draw counts as a step, and a pick whose
   neighbors carry all k colors stalls the run at once;

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._version import __version__
 from . import graph as graphs
-from .audit import report_lines, state_digest
+from .audit import report_lines
 from .dynamics import STEPS, RunResult, make_rng, run
 from .graph import Graph, usable_cpus
 from .state import ColoringState, init_random
@@ -507,8 +507,7 @@ AUDIT_CHUNK = 16
 
 
 def _instance_lines(spec: AuditSweepSpec, index: int) -> list[dict]:
-    state, bipartite = audit_instance(spec, index)
-    return report_lines(state, bipartite, state_digest(state))
+    return report_lines(*audit_instance(spec, index))
 
 
 def drift_audit_sweep(spec: AuditSweepSpec) -> Iterator[dict]:
@@ -608,11 +607,8 @@ def write_aggregate_csv(out: TextIO, configs: list[ExperimentConfig], rows: list
     _write_csv(out, configs, AGGREGATE_CSV_FIELDS, rows)
 
 
-def write_jsonl(out: TextIO, meta: dict, lines: Iterable[dict]) -> int:
-    """Write a metadata line then one JSON object per line; returns line count."""
+def write_jsonl(out: TextIO, meta: dict, lines: Iterable[dict]) -> None:
+    """Write a metadata line then one JSON object per line."""
     out.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-    count = 0
     for line in lines:
         out.write(json.dumps(line, sort_keys=True) + "\n")
-        count += 1
-    return count

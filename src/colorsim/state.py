@@ -68,7 +68,6 @@ class Component:
 
     vertices: tuple[int, ...]
     edge_count: int
-    color: int
 
     @property
     def size(self) -> int:
@@ -191,9 +190,6 @@ class ColoringState:
     @property
     def colors(self) -> tuple[int, ...]:
         return tuple(self._color)
-
-    def color_of(self, v: int) -> int:
-        return self._color[v]
 
     @property
     def mono_edge_count(self) -> int:
@@ -477,8 +473,7 @@ class ColoringState:
         walk = [self.same_color_reach(root, seen)
                 for root in sorted(self.conflicted) if root not in seen]
         cd = self._conflict_deg
-        return tuple(Component(tuple(m), sum(cd[u] for u in m) // 2, self._color[m[0]])
-                     for m in walk)
+        return tuple(Component(tuple(m), sum(cd[u] for u in m) // 2) for m in walk)
 
     def same_color_reach(self, root: int, seen: set[int]) -> list[int]:
         """Sorted vertices reachable from ``root`` over same-colored edges, added to ``seen``."""

@@ -127,7 +127,7 @@ class TestExactExpectations:
         s = init_random(g, g.max_degree + 1, rng)
         if len(s.conflicted) == 0:
             u, v = oracle.edges(g)[0]
-            s.recolor(u, s.color_of(v))
+            s.recolor(u, s.colors[v])
         # relabel vertices by reversal and rebuild the same state
         perm = {v: g.n - 1 - v for v in range(g.n)}
         relabeled = sorted(
@@ -137,7 +137,7 @@ class TestExactExpectations:
         g2 = from_edge_list(text, n=g.n)
         colors2 = [0] * g.n
         for v in range(g.n):
-            colors2[perm[v]] = s.color_of(v)
+            colors2[perm[v]] = s.colors[v]
         s2 = ColoringState(g2, s.k, colors2)
         assert whole_state_sums(s) == whole_state_sums(s2)
 
@@ -147,6 +147,14 @@ class TestExactExpectations:
         s.recolor(1, 3)
         with pytest.raises(ValueError, match="stale"):
             exact_step_expectations(s, comp)
+
+    def test_recolored_component_with_the_same_vertices_is_current(self):
+        # {0, 1} recolored from 1 to 3 is still the one monochromatic component
+        s = path_state()
+        comp = single_component(s)
+        s.recolor(0, 3)
+        s.recolor(1, 3)
+        assert exact_step_expectations(s, comp) == exact_step_expectations(s, single_component(s))
 
 
 class TestClaimChecks:
@@ -383,7 +391,7 @@ class TestFractionRecheck:
         k = graph.max_degree + 1
         for colors in itertools.product(range(1, k + 1), repeat=graph.n):
             state = ColoringState(graph, k, list(colors))
-            recheck_lines(state, False, audit.report_lines(state, False, state_digest(state)))
+            recheck_lines(state, False, audit.report_lines(state, False))
 
 
 class TestDriftCalculators:

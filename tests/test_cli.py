@@ -531,6 +531,9 @@ BAD_INPUT = [
     # an initial color outside the palette
     ("run", "--family", "complete", "--n", "3", "--k", "4", "--init", "file",
      "--init-file", "{tmp}/colors_150.txt"),
+    # a missing edge-list file, and an empty palette
+    ("gen", "--family", "file", "--graph", "{tmp}/missing.txt", "--out", "{tmp}/g.txt"),
+    ("run", "--family", "complete", "--n", "4", "--k", "0"),
 ]
 
 

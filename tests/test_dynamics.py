@@ -117,7 +117,7 @@ class TestStepComponentView:
     def test_step_applies_a_recolor(self):
         s = ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
         (v,), (c,), draws = step_component_view(s, plain_draw(make_rng(1, 0)))
-        assert s.color_of(v) == c and draws == 1
+        assert s.colors[v] == c and draws == 1
 
 
 def scripted(*values):
@@ -263,7 +263,7 @@ class TestStepParallel:
             step_parallel(s, plain_draw(rng))
             for v in range(g.n):
                 if v not in frozen:
-                    assert s.color_of(v) == before[v]
+                    assert s.colors[v] == before[v]
 
     def test_matches_oracle_after_rounds(self):
         s = ColoringState(complete(20), 20, [1] * 20)

@@ -446,9 +446,9 @@ class TestWriters:
         state = initial_state(build_graph(cfg), cfg, rng)
         result, trace = run(state, cfg.variant, cfg.cap, rng, trace=True)
         buf = io.StringIO()
-        count = write_jsonl(buf, {"kind": "trace"}, trace)
+        write_jsonl(buf, {"kind": "trace"}, trace)
         lines = buf.getvalue().splitlines()
         assert json.loads(lines[0])["meta"] == {"kind": "trace"}
-        assert count == len(trace)
+        assert len(lines) == 1 + len(trace)
         last = json.loads(lines[-1])
         assert result.terminated and last["phi_num"] == 0

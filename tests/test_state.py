@@ -211,7 +211,7 @@ class TestRecount:
         for index, s in recount_states():
             now = oracle.recompute(s)
             for v in range(s.graph.n):
-                old = s.color_of(v)
+                old = s.colors[v]
                 classes = s.outcome_classes(v)
                 assert sum(weight for weight, _ in classes) == s.k - 1, (index, s.k, v)
                 taken = s.neighbor_colors(v) - {old}
@@ -256,7 +256,7 @@ class TestRecount:
                             ), (mask, k, colors, v, c)
                             changes[c] = change
                             outcomes[label] += 1
-                        old = s.color_of(v)
+                        old = s.colors[v]
                         taken = s.neighbor_colors(v) - {old}
                         free = [c for c in changes if c != old and c not in taken]
                         want_classes = [(1, changes[c]) for c in taken]
@@ -385,7 +385,7 @@ class TestComponents:
         s = ColoringState(disjoint_cliques(2, 3), 3, [1, 1, 1, 2, 2, 2])
         components = s.monochromatic_components()
         assert [c.size for c in components] == [3, 3]
-        assert {c.color for c in components} == {1, 2}
+        assert {s.colors[c.vertices[0]] for c in components} == {1, 2}
 
     def test_partition_properties(self):
         g = erdos_renyi(35, 0.2, 4)
@@ -394,7 +394,7 @@ class TestComponents:
         for comp in s.monochromatic_components():
             assert comp.size >= 2 and comp.edge_count >= 1
             assert Fraction(2 * comp.edge_count, comp.size) >= 1
-            assert len({s.color_of(v) for v in comp.vertices}) == 1
+            assert len({s.colors[v] for v in comp.vertices}) == 1
             seen.extend(comp.vertices)
         assert sorted(seen) == list(s.conflicted_vertices())
 
