@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from ._version import __version__
 from . import graph as graphs
-from .dynamics import STEPS, make_rng, run
+from .dynamics import STEPS
 from .state import potential
 from .harness import (
     FAMILIES,
@@ -41,9 +41,10 @@ from .harness import (
     ExperimentConfig,
     aggregate_row,
     build_graph,
+    cell_columns,
     drift_audit_sweep,
-    initial_state,
     public_config,
+    run_one,
     run_rows,
     scaling_fit,
     sweep,
@@ -156,14 +157,13 @@ def _cmd_run(args) -> int:
     with _refusing():
         config = _config_from_args(args, args.variant)
         graph = build_graph(config)
-        rng = make_rng(config.master_seed, 0)
-        state = initial_state(graph, config, rng)
-    result, trace = run(state, config.variant, config.cap, rng, trace=bool(args.trace_out))
-    initial_phi, final_phi = (Fraction(*potential(graph.max_degree, num))
+        result, trace = run_one(graph, 0, config, trace=bool(args.trace_out))
+    columns = cell_columns(config, graph)
+    cell = " ".join(f"{key}={value}" for key, value in columns.items() if key != "family")
+    initial_phi, final_phi = (Fraction(*potential(columns["delta"], num))
                               for num in (result.initial_phi_num, result.final_phi_num))
     print(
-        f"config_id={config.resolved_id()} n={graph.n} m={graph.m} delta={graph.max_degree} "
-        f"k={state.k} variant={config.variant} init={config.init} master_seed={config.master_seed} "
+        f"{cell} master_seed={config.master_seed} "
         f"steps={result.steps} terminated={str(result.terminated).lower()} "
         f"stalled={str(result.stalled).lower()} "
         f"initial_phi={initial_phi} final_phi={final_phi}"
@@ -247,7 +247,7 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"sweep: bad cell {cell}: {exc}", file=sys.stderr)
     done = []  # (config, cell columns, stats, results) of each cell that ran
-    for config, outcome in zip(configs, sweep(configs, args.workers, args.timing)):
+    for config, outcome in zip(configs, sweep(configs, args.workers)):
         if isinstance(outcome, Exception):
             print(f"sweep: cell {config.resolved_id()} failed: {_reason(outcome)}",
                   file=sys.stderr)
@@ -265,7 +265,7 @@ def _cmd_sweep(args) -> int:
             print(f"sweep: fit failed: {exc}", file=sys.stderr)
     with _refusing("cannot write output: "):
         if args.per_run:
-            rows = [row for _, c, _, r in done for row in run_rows(c, r)]
+            rows = [row for _, c, _, r in done for row in run_rows(c, r, args.timing)]
             with open(args.per_run, "w", encoding="utf-8", newline="") as f:
                 write_runs_csv(f, configs, rows)
         if args.aggregate:

@@ -38,7 +38,7 @@ against numpy, so a numpy release that changes its method fails there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -160,7 +160,8 @@ class RunResult:
     (``state.potential`` gives the pair). ``min_conflicted`` is the
     least conflicted count after step 1 or later, or the initial count if the
     run took no step, so a proper start gives 0. ``wall_ns`` is the run's wall
-    time where ``harness.run_one`` was asked to time it, else 0.
+    time, which ``harness.run_one`` fills in and ``run`` leaves 0; it is a
+    measurement, not part of the result, so equality ignores it.
     """
 
     steps: int
@@ -169,7 +170,7 @@ class RunResult:
     final_phi_num: int
     min_conflicted: int
     stalled: bool = False
-    wall_ns: int = 0
+    wall_ns: int = field(default=0, compare=False)
 
 
 Step = tuple[tuple[int, ...], tuple[int, ...], int]  # (vertices, colors, draws)

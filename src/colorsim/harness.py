@@ -7,13 +7,13 @@ validate against them and the step and init tables on construction, raising
 a one-line ``ValueError``: each config field is checked against its own
 annotation, and a family field the family does not take is refused.
 
-Every run inside an ensemble draws from its own PCG64 stream derived from
-(master_seed, run_index), so aggregates do not depend on worker count or
-completion order; an ensemble returns its ``RunResult``s in run-index
-order, on a graph its caller built once with ``build_graph``. ``sweep`` is
-the one loop over cells, which the CLI's ``sweep`` and ``compare`` both
-run; it builds a graph only when a cell's graph fields change.
-``ordered_map`` is the one process pool: ensembles map their run indices
+Every seeded run, ``colorsim run``'s included, is ``run_one``: it draws from
+its own PCG64 stream derived from (master_seed, run_index), so aggregates do
+not depend on worker count or completion order; an ensemble returns its
+``RunResult``s in run-index order, on a graph its caller built once with
+``build_graph``. ``sweep`` is the one loop over cells, which the CLI's
+``sweep`` and ``compare`` both run; it builds a graph only when a cell's
+graph fields change. ``ordered_map`` is the one process pool: ensembles map their run indices
 over it, and the audit sweep its instance indices on every usable CPU;
 either way the results come back in index order. Results flow out as CSV
 (one row per run, one row per config, both opening with the
@@ -194,7 +194,8 @@ class ExperimentConfig:
         if self.variant not in STEPS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {', '.join(STEPS)}")
         if self.init not in INIT_ALIASES.values():
-            raise ValueError(f"unknown init {self.init!r}")
+            raise ValueError(f"unknown init {self.init!r}; "
+                             f"choose from {', '.join(INIT_ALIASES.values())}")
         if self.init == "explicit" and self.explicit_colors is None:
             raise ValueError("explicit init needs explicit_colors")
         if self.init != "explicit" and self.explicit_colors is not None:
@@ -281,15 +282,14 @@ def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
     return ColoringState(graph, k, colors)
 
 
-def run_one(graph: Graph, index: int, config: ExperimentConfig, timing: bool = False) -> RunResult:
-    """Run ``index`` of the ensemble; ``timing`` fills in its ``wall_ns``."""
+def run_one(graph: Graph, index: int, config: ExperimentConfig,
+            trace: bool = False) -> tuple[RunResult, list[dict]]:
+    """Run ``index`` of the ensemble: what ``run`` returns, with ``wall_ns`` filled in."""
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
     start = time.perf_counter_ns()
-    result, _ = run(state, config.variant, config.cap, rng)
-    if timing:
-        result = replace(result, wall_ns=time.perf_counter_ns() - start)
-    return result
+    result, lines = run(state, config.variant, config.cap, rng, trace)
+    return replace(result, wall_ns=time.perf_counter_ns() - start), lines
 
 
 # what every task of a pool shares (an ensemble's graph, an audit's spec), set
@@ -338,7 +338,7 @@ def ordered_map(fn: Callable, context, items: range, workers: int,
 
 
 def run_ensemble(
-    graph: Graph, config: ExperimentConfig, workers: int = 1, timing: bool = False
+    graph: Graph, config: ExperimentConfig, workers: int = 1
 ) -> tuple[EnsembleStats, list[RunResult]]:
     """Execute ``config.seeds`` independent runs on ``graph`` and aggregate them.
 
@@ -349,16 +349,16 @@ def run_ensemble(
     fewer than 4 runs, runs in this process); the workers share the graph
     through the pool initializer. The reduction is by run index, never
     completion order, so the outcome is identical for any worker count.
-    ``timing`` fills in each run's ``wall_ns``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    results = list(ordered_map(partial(run_one, config=config, timing=timing), graph,
-                               range(config.seeds), workers if config.seeds >= 4 else 1))
+    pairs = ordered_map(partial(run_one, config=config), graph, range(config.seeds),
+                        workers if config.seeds >= 4 else 1)
+    results = [result for result, _ in pairs]
     return summarize(results), results
 
 
-def sweep(configs: Iterable[ExperimentConfig], workers: int = 1, timing: bool = False) -> Iterator:
+def sweep(configs: Iterable[ExperimentConfig], workers: int = 1) -> Iterator:
     """Yield ``(cell_columns(config, graph), *run_ensemble(...))`` for each config.
 
     The graph never leaves the sweep. A graph is built only when the config's
@@ -375,7 +375,7 @@ def sweep(configs: Iterable[ExperimentConfig], workers: int = 1, timing: bool = 
             if key != built:
                 graph = built = None  # free the last graph before building the next
                 graph, built = build_graph(config), key
-            yield (cell_columns(config, graph), *run_ensemble(graph, config, workers, timing))
+            yield (cell_columns(config, graph), *run_ensemble(graph, config, workers))
         except (ValueError, OSError, MemoryError) as exc:
             yield exc
 
@@ -561,13 +561,17 @@ def cell_columns(config: ExperimentConfig, graph: Graph) -> dict:
     }
 
 
-def run_rows(columns: dict, results: list[RunResult]) -> list[dict]:
-    """Per-run CSV rows of an ensemble's results, in run-index order."""
+def run_rows(columns: dict, results: list[RunResult], timing: bool = False) -> list[dict]:
+    """Per-run CSV rows of an ensemble's results, in run-index order.
+
+    ``wall_ns`` holds each run's wall time when ``timing`` is set, else 0, so
+    the rows of an untimed sweep do not depend on the machine.
+    """
     return [
         {**columns, "seed": seed, "steps": r.steps,
          "terminated": "true" if r.terminated else "false",
          "initial_phi_num": r.initial_phi_num, "final_phi_num": r.final_phi_num,
-         "wall_ns": r.wall_ns}
+         "wall_ns": r.wall_ns if timing else 0}
         for seed, r in enumerate(results)
     ]
 

@@ -28,11 +28,10 @@ from colorsim import (
     from_edge_list,
     init_random,
     make_rng,
-    run,
     run_ensemble,
     scaling_fit,
 )
-from colorsim.harness import build_graph, cell_columns, initial_state, run_rows, write_runs_csv
+from colorsim.harness import build_graph, cell_columns, run_one, run_rows, write_runs_csv
 from exact_laws import (
     binomial_two_sided_p,
     cdf_median,
@@ -322,8 +321,7 @@ def test_criterion_11_psi_step_size():
     worst = 0.0
     runs = 0
     for index in range(100):
-        rng = make_rng(cfg.master_seed, index)
-        result, trace = run(initial_state(graph, cfg, rng), cfg.variant, cfg.cap, rng, trace=True)
+        result, trace = run_one(graph, index, cfg, trace=True)
         assert result.terminated
         runs += 1
         prev = psi_value(Fraction(trace[0]["phi_num"], 100 * d), n, d)

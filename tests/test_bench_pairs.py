@@ -70,14 +70,17 @@ def test_a_file_edited_between_runs_marks_the_report_dirty(tmp_path, monkeypatch
     assert (report["parent"], report["change"]) == (None, f"{sha}-dirty")
 
 
-# reports the CPUs it may run on as the bit mask m, as perfbench/run.py reports its metrics
+# reports the CPUs it may run on as the bit mask m, as perfbench/run.py reports its
+# metrics; workload "bad" fails as run.py does in a tree without colorsim sources
 FAKE_RUN = """
-import argparse, json, os
+import argparse, json, os, sys
 from pathlib import Path
 parser = argparse.ArgumentParser()
 for name in ("--workload", "--seed", "--seconds", "--trace"):
     parser.add_argument(name)
 args = parser.parse_args()
+if args.workload == "bad":
+    sys.exit("run.py: no colorsim sources under x")
 mask = sum(1 << cpu for cpu in os.sched_getaffinity(0))
 results = Path("perfbench/.out/results")
 results.mkdir(parents=True, exist_ok=True)
@@ -88,7 +91,8 @@ print(json.dumps({"metrics": {"m": {"value": mask}}, "attempted": 1, "failed": 0
 
 
 def fake_checkouts(tmp_path):
-    declared = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "m", "better": "higher"}]}
+    declared = {"workloads": [{"name": "w"}, {"name": "bad"}],
+                "end_to_end": [{"name": "m", "better": "higher"}]}
     sides = []
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
@@ -164,3 +168,15 @@ def test_a_metric_without_a_bound_has_no_verdict(tmp_path):
     assert bench_pairs.main([*fake_checkouts(tmp_path), "--workloads", "w:2", "--seconds", "0",
                              "--out", str(out)]) == 0
     assert json.loads(out.read_text())["workloads"]["w"]["metrics"]["m"]["verdict"] is None
+
+
+def test_a_failed_run_is_one_line_and_the_finished_workloads_stay(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(Path(bench_pairs.__file__)), *fake_checkouts(tmp_path),
+         "--workloads", "w:2", "bad:2", "--seconds", "0", "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "bench_pairs: parent run of bad seed 1 exited 1: run.py: no colorsim sources under x")
+    assert list(json.loads(out.read_text())["workloads"]) == ["w"]

@@ -15,6 +15,7 @@ import pytest
 from colorsim import audit, from_edge_list, harness
 from colorsim import graph as graphs
 from colorsim.cli import main
+from colorsim.dynamics import STEPS
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,33 @@ class TestRun:
         code, stdout, _ = run_cli(capsys, "run", "--family", "cycle", "--n", "4",
                                   "--init", "file", "--init-file", str(colors))
         assert code == 0 and "steps=0" in stdout
+
+    @pytest.mark.parametrize("variant, init", [
+        *((variant, "random") for variant in STEPS), ("uniform", "ones"), ("persistent", "file")])
+    def test_run_is_run_0_of_its_ensemble(self, variant, init, tmp_path, capsys):
+        # the run line and row 0 of a one-seed sweep of the same cell share every field
+        cell = {"family": "cliques", "count": 4, "size": 6, "variant": variant,
+                "init": harness.INIT_ALIASES[init]}
+        flags = []
+        if init == "file":
+            cell["explicit_colors"] = [1 + v % 3 for v in range(24)]
+            (tmp_path / "colors.txt").write_text("\n".join(map(str, cell["explicit_colors"])))
+            flags = ["--init-file", str(tmp_path / "colors.txt")]
+        code, stdout, _ = run_cli(capsys, "run", "--family", "cliques", "--count", "4",
+                                  "--size", "6", "--variant", variant, "--init", init, *flags,
+                                  "--seed", "7")
+        line = dict(field.split("=", 1) for field in stdout.split())
+        (tmp_path / "c.json").write_text(json.dumps({"cells": [cell], "seeds": 1,
+                                                     "master_seed": 7}))
+        runs = tmp_path / "runs.csv"
+        assert run_cli(capsys, "sweep", "--config", str(tmp_path / "c.json"),
+                       "--per-run", str(runs))[0] == 0
+        header, row = [l.split(",") for l in runs.read_text().splitlines() if l[0] != "#"]
+        row = dict(zip(header, row))
+        shared = [key for key in row if key in line]
+        assert shared == ["config_id", "n", "m", "delta", "k", "variant", "init", "steps",
+                          "terminated"]
+        assert code == 0 and [line[key] for key in shared] == [row[key] for key in shared]
 
 
 class TestSweep:
@@ -622,7 +650,11 @@ def test_sweep_config_refusal_names_the_problem(text, reason, tmp_path, capsys):
     ([{"family": "complete", "n": 3, "init": "explicit", "explicit_colors": True}],
      "bad cell {'family': 'complete', 'n': 3, 'init': 'explicit', 'explicit_colors': True}: "
      "explicit_colors must be a list of integers"),
-], ids=["pairs", "null", "string", "list_family", "workers", "no_family", "bool_colors"])
+    ([{"family": "complete", "n": 4, "init": "ones"}],
+     "bad cell {'family': 'complete', 'n': 4, 'init': 'ones'}: "
+     "unknown init 'ones'; choose from random, all_ones, explicit"),
+], ids=["pairs", "null", "string", "list_family", "workers", "no_family", "bool_colors",
+        "cli_init_name"])
 def test_bad_cell_is_one_line_and_writes_no_row(cells, reason, tmp_path, capsys):
     (tmp_path / "c.json").write_text(json.dumps({"seeds": 2, "cells": cells}))
     runs = tmp_path / "runs.csv"

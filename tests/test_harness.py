@@ -20,7 +20,7 @@ from colorsim.harness import (
     audit_instance,
     build_graph,
     cell_columns,
-    initial_state,
+    run_one,
     run_rows,
     write_aggregate_csv,
     write_jsonl,
@@ -28,7 +28,6 @@ from colorsim.harness import (
     aggregate_row,
 )
 from colorsim.audit import state_digest
-from colorsim.dynamics import make_rng, run
 from exact_laws import theorem_step_budget
 
 
@@ -84,14 +83,6 @@ class TestRunEnsemble:
         stats, _ = run_ensemble(build_graph(cfg), cfg)
         assert stats.termination_fraction == 1.0
         assert stats.ci95_low <= stats.mean_steps <= stats.ci95_high
-
-    def test_wall_ns_zero_without_timing(self):
-        cfg = ExperimentConfig(family="complete", n=6, k=6, seeds=5, master_seed=0)
-        g = build_graph(cfg)
-        _, records = run_ensemble(g, cfg)
-        assert all(r.wall_ns == 0 for r in records)
-        _, timed = run_ensemble(g, cfg, timing=True)
-        assert any(r.wall_ns > 0 for r in timed)
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -227,7 +218,7 @@ class TestRunEnsemble:
         assert stats.mean_steps <= theorem_step_budget(g.n, g.max_degree)
 
 
-class TestParallelSurvival:
+class TestParallelRunRecords:
     """Survival of the parallel variant, read from ``run_ensemble`` records."""
 
     @staticmethod
@@ -277,7 +268,7 @@ class TestSweep:
                    ExperimentConfig(family="cycle", n=7, variant="persistent", seeds=4),
                    ExperimentConfig(family="erdos_renyi", n=12, p=0.3, graph_seed=2, k=9,
                                     variant="parallel", seeds=6, cap=10**4)]
-        outcomes = list(harness.sweep(configs, workers=2, timing=False))
+        outcomes = list(harness.sweep(configs, workers=2))
         assert len(outcomes) == len(configs)
         for cfg, (columns, stats, results) in zip(configs, outcomes):
             graph = build_graph(cfg)
@@ -308,7 +299,7 @@ class TestSweep:
         assert (stats, results) == run_ensemble(graph, good)
 
 
-class TestCompareVariants:
+class TestSweepOfVariants:
     """Variants compared the way ``colorsim compare`` does: one ``harness.sweep`` of them."""
 
     def test_self_comparison_ratio_one(self):
@@ -360,7 +351,7 @@ class TestAuditSweep:
         b = [state_digest(audit_instance(spec, i)[0]) for i in range(6)]
         assert a == b
 
-    def test_fault_hook_flips_margins(self, monkeypatch):
+    def test_swapped_sides_are_reported_unsatisfied(self, monkeypatch):
         # swapping each entry's sides turns every positive margin negative
         checks = audit.audit_state
         monkeypatch.setattr(audit, "audit_state", lambda state, bipartite=False: [
@@ -423,6 +414,12 @@ class TestWriters:
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
+    def test_run_rows_hold_wall_ns_only_with_timing(self):
+        cfg, columns, stats, records = self._ensemble()
+        assert all(row["wall_ns"] == 0 for row in run_rows(columns, records))
+        timed = [row["wall_ns"] for row in run_rows(columns, records, timing=True)]
+        assert timed == [r.wall_ns for r in records] and any(ns > 0 for ns in timed)
+
     def test_aggregate_csv(self):
         cfg, columns, stats, records = self._ensemble()
         buf = io.StringIO()
@@ -442,9 +439,7 @@ class TestWriters:
 
     def test_jsonl_meta_first(self):
         cfg = ExperimentConfig(family="complete", n=5, k=5, seeds=1, master_seed=1)
-        rng = make_rng(cfg.master_seed, 0)
-        state = initial_state(build_graph(cfg), cfg, rng)
-        result, trace = run(state, cfg.variant, cfg.cap, rng, trace=True)
+        result, trace = run_one(build_graph(cfg), 0, cfg, trace=True)
         buf = io.StringIO()
         write_jsonl(buf, {"kind": "trace"}, trace)
         lines = buf.getvalue().splitlines()

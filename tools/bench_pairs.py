@@ -16,7 +16,10 @@ is read from the last line ``run.py`` prints, and the machine record and the
 ``comparable`` flag (false when the workload uses more workers than the
 machine has CPUs) from the result file it saves under
 ``perfbench/.out/results``. A run that is not comparable is kept, flagged in
-the output and reported on stderr.
+the output and reported on stderr. A ``run.py`` that exits nonzero ends the
+tool with exit code 1 and one stderr line naming the side, workload, seed,
+exit code and the last line that ``run.py`` wrote to stderr; the output keeps
+every workload finished before it.
 
 The output JSON holds the commit of each checkout, read before the first run
 and again after every run (``<sha>-dirty`` when any reading found a tracked
@@ -135,7 +138,12 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, second
         order.append(list(sides))
         for side in sides:
             checkout = parent if side == "parent" else change
-            result = run_once(checkout, workload, seed, seconds, cpus)
+            try:
+                result = run_once(checkout, workload, seed, seconds, cpus)
+            except subprocess.CalledProcessError as exc:
+                last = exc.stderr.strip().splitlines()[-1:] or ["no stderr"]
+                sys.exit(f"bench_pairs: {side} run of {workload} seed {seed} exited "
+                         f"{exc.returncode}: {last[0]}")
             commits[side] = fold(commits[side], commit_of(checkout))
             machine = result.pop("machine")
             runs[side].append({"seed": seed, **result})
