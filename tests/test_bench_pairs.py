@@ -1,5 +1,5 @@
 """``tools/bench_pairs.py``: which commit a checkout's tree is, before and during the runs,
-and the CPUs its runs are pinned to."""
+the CPUs its runs are pinned to, and how a failed run is reported."""
 
 import json
 import os
