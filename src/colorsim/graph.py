@@ -259,6 +259,8 @@ def from_edge_list(text: str, n: int | None = None) -> Graph:
     of edge lines, ``n`` and N is refused before anything is allocated, so a
     stray index cannot size the graph.
     """
+    if n is not None and n < 1:
+        raise ValueError("file graph needs n >= 1")
     lines = text.splitlines()
     header = _HEADER.match(lines[0].strip()) if lines else None
     floor = max(n or 0, int(header[1]) if header else 0)

@@ -25,6 +25,7 @@ format of its lines, and ``dynamics.run`` builds the trace lines.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -146,7 +147,7 @@ FAMILY_ALIASES = {family.alias: name for name, family in FAMILIES.items()}
 # CLI name -> init
 INIT_ALIASES = {"random": "random", "ones": "all_ones", "file": "explicit"}
 
-FAMILY_FIELDS = ("n", "count", "size", "a", "b", "p")  # graph size fields, in config_id order
+FAMILY_FIELDS = ("n", "count", "size", "a", "b", "p")  # graph size fields, one flag each
 
 
 @dataclass(frozen=True)
@@ -184,13 +185,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown graph family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
         family = FAMILIES[self.family]
-        for name in (*FAMILY_FIELDS, "path"):
-            if getattr(self, name) is None and name in family.fields:
+        for name in (*FAMILY_FIELDS, "path", "graph_seed"):
+            if self._graph_value(name) is None and name in family.fields:
                 raise ValueError(f"{self.family} needs {name}")
-            if getattr(self, name) is not None and name not in family.fields + family.optional:
+            if self._graph_value(name) is not None and name not in family.fields + family.optional:
                 raise ValueError(f"{self.family} does not take {name}")
-        if self.graph_seed and "graph_seed" not in family.optional:  # 0 is the default
-            raise ValueError(f"{self.family} does not take graph_seed")
         if self.variant not in STEPS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {', '.join(STEPS)}")
         if self.init not in INIT_ALIASES.values():
@@ -215,19 +214,21 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 
+    def _graph_value(self, name: str):
+        """A graph field's value, or None where unset; a graph_seed of 0, the default, is unset."""
+        return None if name == "graph_seed" and self.graph_seed == 0 else getattr(self, name)
+
+    def graph_fields(self) -> tuple:
+        """The family, then ``(name, value)`` for each of its ``fields + optional`` that is set."""
+        family = FAMILIES[self.family]
+        return (self.family, *((name, self._graph_value(name))
+                               for name in family.fields + family.optional
+                               if self._graph_value(name) is not None))
+
     def resolved_id(self) -> str:
-        parts = [self.family]
-        for name in FAMILY_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}{value}")
-        if self.graph_seed:  # 0, the default, keeps the ids it always had
-            parts.append(f"graph_seed{self.graph_seed}")
-        parts.append(self.variant)
-        parts.append(self.init)
-        if self.k is not None:
-            parts.append(f"k{self.k}")
-        return "-".join(parts)
+        family, *fields = self.graph_fields()
+        parts = [family, *(f"{name}{value}" for name, value in fields), self.variant, self.init]
+        return "-".join(parts if self.k is None else [*parts, f"k{self.k}"])
 
 
 # fields can come from JSON, so each is checked against its annotation. A JSON bool,
@@ -362,15 +363,14 @@ def sweep(configs: Iterable[ExperimentConfig], workers: int = 1) -> Iterator:
     """Yield ``(cell_columns(config, graph), *run_ensemble(...))`` for each config.
 
     The graph never leaves the sweep. A graph is built only when the config's
-    graph fields (its family and that family's ``fields + optional``) differ
+    ``graph_fields()``, the values that also name it in ``config_id``, differ
     from those of the last graph built, and the last graph is dropped first.
     A config that raises ``ValueError``, ``OSError`` or ``MemoryError`` yields
     the exception instead, and the sweep goes on to the next config.
     """
     built = graph = None
     for config in configs:
-        family = FAMILIES[config.family]
-        key = (config.family, *(getattr(config, f) for f in family.fields + family.optional))
+        key = config.graph_fields()
         try:
             if key != built:
                 graph = built = None  # free the last graph before building the next
@@ -580,9 +580,9 @@ def _write_csv(out: TextIO, configs: list[ExperimentConfig], fields: tuple[str, 
                rows: list[dict]) -> None:
     for line in metadata_lines(configs):
         out.write(line + "\n")
-    out.write(",".join(fields) + "\n")
-    for row in rows:
-        out.write(",".join(str(row[f]) for f in fields) + "\n")
+    writer = csv.writer(out, lineterminator="\n")  # quotes only a field with , " or a line break
+    writer.writerow(fields)
+    writer.writerows([row[f] for f in fields] for row in rows)
 
 
 def write_runs_csv(out: TextIO, configs: list[ExperimentConfig], rows: list[dict]) -> None:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import errno
 import json
@@ -105,20 +106,25 @@ class TestRun:
                                   "--init", "file", "--init-file", str(colors))
         assert code == 0 and "steps=0" in stdout
 
-    @pytest.mark.parametrize("variant, init", [
-        *((variant, "random") for variant in STEPS), ("uniform", "ones"), ("persistent", "file")])
-    def test_run_is_run_0_of_its_ensemble(self, variant, init, tmp_path, capsys):
+    @pytest.mark.parametrize("variant, init, family", [
+        *(pytest.param(variant, "random", "cliques", id=f"{variant}-random") for variant in STEPS),
+        pytest.param("uniform", "ones", "cliques", id="uniform-ones"),
+        pytest.param("persistent", "file", "cliques", id="persistent-file"),
+        pytest.param("uniform", "random", "file", id="uniform-random-file_family")])
+    def test_run_is_run_0_of_its_ensemble(self, variant, init, family, tmp_path, capsys):
         # the run line and row 0 of a one-seed sweep of the same cell share every field
-        cell = {"family": "cliques", "count": 4, "size": 6, "variant": variant,
-                "init": harness.INIT_ALIASES[init]}
-        flags = []
+        (tmp_path / "g.txt").write_text("0 1\n1 2\n2 0\n3 4\n")
+        graph = {"cliques": {"count": 4, "size": 6},
+                 "file": {"path": str(tmp_path / "g.txt"), "n": 8}}[family]
+        cell = {"family": family, **graph, "variant": variant, "init": harness.INIT_ALIASES[init]}
+        flags = [arg for key, value in graph.items()
+                 for arg in ("--graph" if key == "path" else f"--{key}", str(value))]
         if init == "file":
             cell["explicit_colors"] = [1 + v % 3 for v in range(24)]
             (tmp_path / "colors.txt").write_text("\n".join(map(str, cell["explicit_colors"])))
-            flags = ["--init-file", str(tmp_path / "colors.txt")]
-        code, stdout, _ = run_cli(capsys, "run", "--family", "cliques", "--count", "4",
-                                  "--size", "6", "--variant", variant, "--init", init, *flags,
-                                  "--seed", "7")
+            flags += ["--init-file", str(tmp_path / "colors.txt")]
+        code, stdout, _ = run_cli(capsys, "run", "--family", family, "--variant", variant,
+                                  "--init", init, *flags, "--seed", "7")
         line = dict(field.split("=", 1) for field in stdout.split())
         (tmp_path / "c.json").write_text(json.dumps({"cells": [cell], "seeds": 1,
                                                      "master_seed": 7}))
@@ -265,8 +271,86 @@ class TestSweep:
         assert code == plain_code == 1 and stdout == plain_stdout
         assert err.splitlines() == [
             "sweep: bad cell {'family': 'cycle'}: cycle needs n", *plain_err.splitlines()]
-        assert plain_err.startswith("sweep: cell file-uniform-random failed: ")
+        assert plain_err.startswith(f"sweep: cell file-path{tmp_path / 'missing.txt'}-uniform-random "
+                                    "failed: ")
         assert csv == plain_csv  # a bad cell stays out of the header and the rows
+
+
+class TestSweepFileCells:
+    """``file`` cells: the path names the graph, both in ``config_id`` and in the build check."""
+
+    @pytest.fixture
+    def reads(self, tmp_path, monkeypatch):
+        # the cells name their files relative to tmp_path
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        original = graphs.from_edge_list
+
+        def counted(text, n=None):
+            calls.append((text, n))
+            return original(text, n=n)
+
+        monkeypatch.setattr(graphs, "from_edge_list", counted)
+        return calls
+
+    @staticmethod
+    def sweep(capsys, cells):
+        """Stdout and the per-run and aggregate CSV texts of a two-seed sweep of ``cells``."""
+        Path("c.json").write_text(json.dumps({"seeds": 2, "cells": cells}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", "c.json",
+                                    "--per-run", "runs.csv", "--aggregate", "agg.csv")
+        assert (code, err) == (0, "")
+        return stdout, Path("runs.csv").read_text(), Path("agg.csv").read_text()
+
+    @staticmethod
+    def rows(text):
+        """The header's config ids and the CSV rows, each split by ``csv.reader``."""
+        lines = text.splitlines()
+        header = [line.removeprefix("# config: ") for line in lines
+                  if line.startswith("# config: ")]
+        assert len(header) == 1
+        return ([c["config_id"] for c in json.loads(header[0])],
+                list(csv.reader(line for line in lines if not line.startswith("#"))))
+
+    def test_two_files_two_ids_and_two_builds(self, reads, capsys):
+        Path("a.txt").write_text("0 1\n1 2\n")
+        Path("b.txt").write_text("0 1\n1 2\n2 0\n")
+        stdout, runs, agg = self.sweep(capsys, [{"family": "file", "path": "a.txt"},
+                                                {"family": "file", "path": "b.txt"}])
+        ids = ["file-patha.txt-uniform-random", "file-pathb.txt-uniform-random"]
+        assert [line.split(": ")[0] for line in stdout.splitlines()] == ids
+        for text, per_cell in ((runs, 2), (agg, 1)):
+            header_ids, (columns, *rows) = self.rows(text)
+            assert header_ids == ids
+            assert [row[columns.index("config_id")] for row in rows] == [
+                config_id for config_id in ids for _ in range(per_cell)]
+        assert len(reads) == 2
+
+    def test_the_same_path_twice_builds_once(self, reads, capsys):
+        Path("a.txt").write_text("0 1\n1 2\n")
+        self.sweep(capsys, [{"family": "file", "path": "a.txt"},
+                            {"family": "file", "path": "a.txt", "variant": "persistent"}])
+        assert len(reads) == 1
+
+    def test_graph_fields_are_compared_as_values(self, reads, capsys):
+        # both ids read file-pathg-n5-uniform-random, yet the graphs differ
+        Path("g-n5").write_text("0 1\n")
+        Path("g").write_text("0 1\n")
+        _, _, agg = self.sweep(capsys, [{"family": "file", "path": "g-n5"},
+                                        {"family": "file", "path": "g", "n": 5}])
+        _, (columns, *rows) = self.rows(agg)
+        assert [row[columns.index("n")] for row in rows] == ["2", "5"]
+        assert reads == [("0 1\n", None), ("0 1\n", 5)]
+
+    def test_a_path_with_a_comma_and_a_quote_keeps_every_row_whole(self, reads, capsys):
+        Path('b,"c.txt').write_text("0 1\n1 2\n")
+        stdout, runs, agg = self.sweep(capsys, [{"family": "file", "path": 'b,"c.txt'}])
+        assert stdout.startswith('file-pathb,"c.txt-uniform-random: ')
+        for text, fields in ((runs, harness.RUN_CSV_FIELDS), (agg, harness.AGGREGATE_CSV_FIELDS)):
+            _, (columns, *rows) = self.rows(text)
+            assert columns == list(fields) and rows
+            assert all(len(row) == len(columns) for row in rows)
+            assert {row[0] for row in rows} == {'file-pathb,"c.txt-uniform-random'}
 
 
 class TestAudit:
@@ -562,6 +646,9 @@ BAD_INPUT = [
     # a missing edge-list file, and an empty palette
     ("gen", "--family", "file", "--graph", "{tmp}/missing.txt", "--out", "{tmp}/g.txt"),
     ("run", "--family", "complete", "--n", "4", "--k", "0"),
+    # a file graph's vertex count below 1
+    ("run", "--family", "file", "--graph", "{tmp}/pair.txt", "--n", "-5"),
+    ("sweep", "--config", "{tmp}/file_n0.json"),
 ]
 
 
@@ -618,6 +705,9 @@ def test_bad_input_exits_1_with_one_line(argv, tmp_path, capsys):
         {"cells": [{"family": "er", "n": 6, "p": math.nan}], "seeds": 2}))
     (tmp_path / "colors_150.txt").write_text("1\n5\n0\n")
     (tmp_path / "three.txt").write_text("0 1 2\n")
+    (tmp_path / "pair.txt").write_text("0 1\n")
+    (tmp_path / "file_n0.json").write_text(json.dumps(
+        {"cells": [{"family": "file", "path": str(tmp_path / "pair.txt"), "n": 0}], "seeds": 2}))
     (tmp_path / "negative.txt").write_text("0 -1\n")
     code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and stdout == ""

@@ -291,6 +291,11 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="^line 2: vertex index 4 "):
             from_edge_list("0 1\n0 4")
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_refuses_a_vertex_count_below_1(self, n):
+        with pytest.raises(ValueError, match=r"^file graph needs n >= 1$"):
+            from_edge_list("0 1", n=n)
+
     def test_n_lifts_the_limit(self):
         assert from_edge_list("0 9", n=10).n == 10
         with pytest.raises(ValueError, match="line 1"):

@@ -204,7 +204,8 @@ class TestRunEnsemble:
         # n pads the edge list's vertices
         (tmp_path / "g.txt").write_text("0 1\n1 2\n")
         cfg = ExperimentConfig(family="file", path=str(tmp_path / "g.txt"), n=5)
-        assert build_graph(cfg).n == 5 and cfg.resolved_id() == "file-n5-uniform-random"
+        assert build_graph(cfg).n == 5
+        assert cfg.resolved_id() == f"file-path{tmp_path / 'g.txt'}-n5-uniform-random"
 
     def test_rejects_explicit_colors_without_explicit_init(self):
         # the colors would go unused, yet appear in every output's config header
@@ -216,6 +217,25 @@ class TestRunEnsemble:
         g = build_graph(cfg)
         stats, _ = run_ensemble(g, cfg)
         assert stats.mean_steps <= theorem_step_budget(g.n, g.max_degree)
+
+
+# every family's config_id: the family, then each of its set graph fields in
+# the family's own order, then variant, init and k
+@pytest.mark.parametrize("fields, config_id", [
+    (dict(family="complete", n=5), "complete-n5-uniform-random"),
+    (dict(family="disjoint_cliques", count=4, size=6, k=7),
+     "disjoint_cliques-count4-size6-uniform-random-k7"),
+    (dict(family="complete_bipartite", a=3, b=5, variant="parallel"),
+     "complete_bipartite-a3-b5-parallel-random"),
+    (dict(family="cycle", n=9, init="all_ones"), "cycle-n9-uniform-all_ones"),
+    (dict(family="erdos_renyi", n=30, p=0.2), "erdos_renyi-n30-p0.2-uniform-random"),
+    (dict(family="erdos_renyi", n=30, p=0.2, graph_seed=2),
+     "erdos_renyi-n30-p0.2-graph_seed2-uniform-random"),
+    (dict(family="file", path="a.txt"), "file-patha.txt-uniform-random"),
+    (dict(family="file", path="a.txt", n=8), "file-patha.txt-n8-uniform-random"),
+], ids=["complete", "cliques", "bipartite", "cycle", "er", "er_graph_seed", "file", "file_n"])
+def test_config_id_of_each_family(fields, config_id):
+    assert ExperimentConfig(**fields).resolved_id() == config_id
 
 
 class TestParallelRunRecords:
