@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from ._version import __version__
 from . import graph as graphs
-from .dynamics import STEPS
+from .dynamics import STEPS, Trace
 from .state import potential
 from .harness import (
     FAMILIES,
@@ -157,7 +157,13 @@ def _cmd_run(args) -> int:
     with _refusing():
         config = _config_from_args(args, args.variant)
         graph = build_graph(config)
-        result, trace = run_one(graph, 0, config, trace=bool(args.trace_out))
+        trace = Trace() if args.trace_out is not None else None
+        result = run_one(graph, 0, config, trace)
+    if trace is not None:  # written before the result line, so a refusal prints nothing
+        meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}
+        with (_refusing(f"cannot write {args.trace_out}: "),
+              open(args.trace_out, "w", encoding="utf-8") as f):
+            write_jsonl(f, meta, trace)
     columns = cell_columns(config, graph)
     cell = " ".join(f"{key}={value}" for key, value in columns.items() if key != "family")
     initial_phi, final_phi = (Fraction(*potential(columns["delta"], num))
@@ -168,14 +174,7 @@ def _cmd_run(args) -> int:
         f"stalled={str(result.stalled).lower()} "
         f"initial_phi={initial_phi} final_phi={final_phi}"
     )
-    if args.trace_out:
-        meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}
-        with (_refusing(f"cannot write {args.trace_out}: "),
-              open(args.trace_out, "w", encoding="utf-8") as f):
-            write_jsonl(f, meta, trace)
-    if not result.terminated:
-        return EXIT_CAP
-    return EXIT_OK
+    return EXIT_OK if result.terminated else EXIT_CAP
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -264,11 +263,11 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"sweep: fit failed: {exc}", file=sys.stderr)
     with _refusing("cannot write output: "):
-        if args.per_run:
+        if args.per_run is not None:
             rows = [row for _, c, _, r in done for row in run_rows(c, r, args.timing)]
             with open(args.per_run, "w", encoding="utf-8", newline="") as f:
                 write_runs_csv(f, configs, rows)
-        if args.aggregate:
+        if args.aggregate is not None:
             rows = [aggregate_row(config, c, s, fit) for config, c, s, _ in done]
             with open(args.aggregate, "w", encoding="utf-8", newline="") as f:
                 write_aggregate_csv(f, configs, rows)
@@ -295,7 +294,7 @@ def _cmd_audit(args) -> int:
             families=families,
             max_n=args.max_n,
         )
-        sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
     meta = {"tool": f"colorsim {__version__}", "spec": asdict(spec)}
     violations = []
     audit_lines = drift_audit_sweep(spec)
@@ -307,7 +306,7 @@ def _cmd_audit(args) -> int:
             yield line
 
     # a failed write closes the sweep, and so its pool, at once; stdout is main's to report
-    refusing = _refusing("cannot write output: ") if args.out else nullcontext()
+    refusing = _refusing("cannot write output: ") if args.out is not None else nullcontext()
     with refusing, closing(audit_lines), sink as out:
         write_jsonl(out, meta, lines())
     if violations:

@@ -19,9 +19,9 @@ Every step function takes the state and ``draw`` and returns a plain
 and the color draws it consumed (only the persistent variant uses more than
 one). A persistent step that accepts no color returns ``colors == ()`` and
 leaves the state unchanged; ``run`` tells a stuck pick (a stall) from a spent
-cap by whether steps remain. ``run`` returns a ``RunResult`` and, when
-asked for a trace, the JSON lines ``colorsim run --trace-out`` writes, built
-here and nowhere else.
+cap by whether steps remain. ``run`` returns a ``RunResult`` and shows each
+applied step to an optional observer; the observer ``Trace`` builds the JSON
+lines ``colorsim run --trace-out`` writes, here and nowhere else.
 
 RNG contract: a named, versioned, splittable generator (numpy PCG64 seeded
 through SeedSequence). Per-run streams come from
@@ -174,6 +174,7 @@ class RunResult:
 
 
 Step = tuple[tuple[int, ...], tuple[int, ...], int]  # (vertices, colors, draws)
+Observer = Callable[[ColoringState, int, tuple[int, ...], tuple[int, ...]], None]
 
 
 def step_uniform(state: ColoringState, draw: Draw) -> Step:
@@ -255,45 +256,56 @@ def step_parallel(state: ColoringState, draw: Draw) -> Step:
     return frozen, colors, 1
 
 
-def run(
-    state: ColoringState,
-    variant: str,
-    cap: int,
-    rng: np.random.Generator,
-    trace: bool = False,
-) -> tuple[RunResult, list[dict]]:
+class Trace(list):
+    """The JSON lines of ``colorsim run --trace-out``, as ``run``'s ``observe``.
+
+    A t=0 line of the initial state, then one per applied step, each with
+    ``t``, the recolored ``vertices``, their new ``colors``, ``mono_edges``,
+    ``iso_edges``, ``iso_proper_edges`` (e_ip) and ``phi_num`` after it. A
+    ``parallel`` round (it freezes both ends of a conflict, so two or more
+    vertices) reads the state's counts. A one-vertex step takes the latest
+    line's counts minus what recoloring v back would change
+    (``recount_change``): local, where a full recount costs O(n + m).
+    """
+
+    def __call__(self, state: ColoringState, t: int, vertices: tuple, colors: tuple) -> None:
+        if len(vertices) == 1:
+            (v,), (c,) = vertices, colors
+            d_mono, d_iso, d_eip = state.recount_change(v, self._colors[v])
+            mono, iso, e_ip = self._counts
+            self._counts = (mono - d_mono, iso - d_iso, e_ip - d_eip)
+            self._colors[v] = c
+        else:  # t=0, or a parallel round
+            self._colors = list(state.colors)  # the colors at the latest line
+            self._counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
+        mono, iso, e_ip = self._counts
+        self.append({"t": t, "vertices": list(vertices), "colors": list(colors),
+                     "mono_edges": mono, "iso_edges": iso, "iso_proper_edges": e_ip,
+                     "phi_num": phi_numerator(state.graph.max_degree, mono, iso, e_ip)})
+
+
+def run(state: ColoringState, variant: str, cap: int, rng: np.random.Generator,
+        observe: Observer | None = None) -> RunResult:
     """Apply the variant's step until the coloring is proper or ``cap`` is spent.
 
     Cap exhaustion is a result, not an error; so is a stall, a persistent pick
-    whose neighbors carry every color, which ends the run at once. The trace
-    (when requested) is the JSON lines of ``colorsim run --trace-out``: a t=0
-    line of the initial state, then one line per applied step, each with
-    ``t``, the recolored ``vertices``, their new ``colors``, ``mono_edges``,
-    ``iso_edges``, ``iso_proper_edges`` (e_ip) and ``phi_num`` after it. ``rng`` is a PCG64 generator; the steps draw
-    from it through ``BufferedDraws.draw``, and on return it stands where the
-    same ``Generator.integers(n)`` calls would have left it.
+    whose neighbors carry every color, which ends the run at once. ``observe``
+    (``Trace``, for one) is called as ``observe(state, 0, (), ())`` before the
+    first step and as ``observe(state, t, vertices, colors)`` after each
+    applied step, t being the steps so far; a stuck pick or a step the cap cut
+    off is not applied, nor observed. ``rng`` is a PCG64 generator; the steps
+    draw from it through ``BufferedDraws.draw``, and on return it stands where
+    the same ``Generator.integers(n)`` calls would have left it.
     """
     if variant not in STEPS:
         raise ValueError(f"unknown variant {variant!r}")
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    lines: list[dict] = []
-    d = state.graph.max_degree
-
-    def record(t: int, vertices: tuple[int, ...], colors: tuple[int, ...],
-               counts: tuple[int, int, int]) -> None:
-        mono, iso, e_ip = counts
-        lines.append({"t": t, "vertices": list(vertices), "colors": list(colors),
-                      "mono_edges": mono, "iso_edges": iso, "iso_proper_edges": e_ip,
-                      "phi_num": phi_numerator(d, mono, iso, e_ip)})
-
     initial_num = state.phi_num
     conflicted = initial_conflicted = len(state.conflicted)
     least = state.graph.n  # no count after a step exceeds n
-    if trace:
-        counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
-        shadow = list(state.colors)  # the colors at the latest line
-        record(0, (), (), counts)
+    if observe is not None:
+        observe(state, 0, (), ())
     step = globals()[STEPS[variant]]
     budgeted = variant == "persistent"
     steps = 0
@@ -311,21 +323,11 @@ def run(
             if not colors:  # a stuck pick, or the cap ran out
                 stalled = steps < cap
                 break
-            if trace:
-                if variant == "parallel":
-                    counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
-                else:
-                    # the counts before the step, minus what recoloring v back
-                    # to its old color would change: local, where a full
-                    # recount would cost O(n + m) per step
-                    (v,), (c,) = vertices, colors
-                    d_mono, d_iso, d_eip = state.recount_change(v, shadow[v])
-                    counts = (counts[0] - d_mono, counts[1] - d_iso, counts[2] - d_eip)
-                    shadow[v] = c
-                record(steps, vertices, colors, counts)
+            if observe is not None:
+                observe(state, steps, vertices, colors)
     finally:
         draws.close()
-    result = RunResult(
+    return RunResult(
         steps=steps,
         terminated=not conflicted,
         initial_phi_num=initial_num,
@@ -333,4 +335,3 @@ def run(
         min_conflicted=least if steps else initial_conflicted,
         stalled=stalled,
     )
-    return result, lines

@@ -20,7 +20,7 @@ either way the results come back in index order. Results flow out as CSV
 ``CELL_FIELDS`` columns) and JSON lines (audit reports, traces); every
 output starts with a metadata header sufficient to reproduce it. The audit
 sweep here picks the states to audit; ``audit.report_lines`` owns the
-format of its lines, and ``dynamics.run`` builds the trace lines.
+format of its lines, and ``dynamics.Trace`` builds the trace lines.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from ._version import __version__
 from . import graph as graphs
 from .audit import report_lines
-from .dynamics import STEPS, RunResult, make_rng, run
+from .dynamics import STEPS, Observer, RunResult, make_rng, run
 from .graph import Graph, usable_cpus
 from .state import ColoringState, init_random
 
@@ -227,6 +227,7 @@ class ExperimentConfig:
 
     def resolved_id(self) -> str:
         family, *fields = self.graph_fields()
+        fields.sort(key=lambda field: field[0] == "path")  # last, so it spells no other field
         parts = [family, *(f"{name}{value}" for name, value in fields), self.variant, self.init]
         return "-".join(parts if self.k is None else [*parts, f"k{self.k}"])
 
@@ -284,13 +285,13 @@ def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
 
 
 def run_one(graph: Graph, index: int, config: ExperimentConfig,
-            trace: bool = False) -> tuple[RunResult, list[dict]]:
-    """Run ``index`` of the ensemble: what ``run`` returns, with ``wall_ns`` filled in."""
+            observe: Observer | None = None) -> RunResult:
+    """Run ``index`` of the ensemble: ``run`` with ``observe``, and ``wall_ns`` filled in."""
     rng = make_rng(config.master_seed, index)
     state = initial_state(graph, config, rng)
     start = time.perf_counter_ns()
-    result, lines = run(state, config.variant, config.cap, rng, trace)
-    return replace(result, wall_ns=time.perf_counter_ns() - start), lines
+    result = run(state, config.variant, config.cap, rng, observe)
+    return replace(result, wall_ns=time.perf_counter_ns() - start)
 
 
 # what every task of a pool shares (an ensemble's graph, an audit's spec), set
@@ -353,9 +354,8 @@ def run_ensemble(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    pairs = ordered_map(partial(run_one, config=config), graph, range(config.seeds),
-                        workers if config.seeds >= 4 else 1)
-    results = [result for result, _ in pairs]
+    results = list(ordered_map(partial(run_one, config=config), graph, range(config.seeds),
+                               workers if config.seeds >= 4 else 1))
     return summarize(results), results
 
 

@@ -31,6 +31,7 @@ from colorsim import (
     run_ensemble,
     scaling_fit,
 )
+from colorsim.dynamics import Trace
 from colorsim.harness import build_graph, cell_columns, run_one, run_rows, write_runs_csv
 from exact_laws import (
     binomial_two_sided_p,
@@ -321,7 +322,7 @@ def test_criterion_11_psi_step_size():
     worst = 0.0
     runs = 0
     for index in range(100):
-        result, trace = run_one(graph, index, cfg, trace=True)
+        result = run_one(graph, index, cfg, trace := Trace())
         assert result.terminated
         runs += 1
         prev = psi_value(Fraction(trace[0]["phi_num"], 100 * d), n, d)

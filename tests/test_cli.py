@@ -333,13 +333,16 @@ class TestSweepFileCells:
         assert len(reads) == 1
 
     def test_graph_fields_are_compared_as_values(self, reads, capsys):
-        # both ids read file-pathg-n5-uniform-random, yet the graphs differ
+        # path g-n5, and path g with n 5: the path comes last in config_id, so
+        # it cannot spell the n of another cell
         Path("g-n5").write_text("0 1\n")
         Path("g").write_text("0 1\n")
         _, _, agg = self.sweep(capsys, [{"family": "file", "path": "g-n5"},
                                         {"family": "file", "path": "g", "n": 5}])
         _, (columns, *rows) = self.rows(agg)
         assert [row[columns.index("n")] for row in rows] == ["2", "5"]
+        assert [row[columns.index("config_id")] for row in rows] == [
+            "file-pathg-n5-uniform-random", "file-n5-pathg-uniform-random"]
         assert reads == [("0 1\n", None), ("0 1\n", 5)]
 
     def test_a_path_with_a_comma_and_a_quote_keeps_every_row_whole(self, reads, capsys):
@@ -586,6 +589,11 @@ BAD_INPUT = [
     ("gen", "--family", "file", "--graph", "{tmp}/three.txt", "--out", "{tmp}/g.txt"),
     ("gen", "--family", "file", "--graph", "{tmp}/negative.txt", "--out", "{tmp}/g.txt"),
     ("sweep", "--config", "{tmp}/small.json", "--per-run", "{tmp}/missing/runs.csv"),
+    # an empty output path is a path that cannot be opened, not a missing flag
+    ("run", "--family", "complete", "--n", "3", "--trace-out", ""),
+    ("sweep", "--config", "{tmp}/small.json", "--per-run", ""),
+    ("sweep", "--config", "{tmp}/small.json", "--aggregate", ""),
+    ("audit", "--instances", "2", "--out", ""),
     # a color is 1 + draw(k), and draw takes bounds below 2**32
     ("run", "--family", "complete", "--n", "4", "--k", "4294967296"),
     # an edge-list index at or above twice the edge lines, --n and the
@@ -766,10 +774,10 @@ def test_argparse_refusal_names_the_problem(argv, command, named, capsys):
 
 
 def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
-    # the result line is printed before the trace is written
+    # the trace is written before the result line, so a refusal prints nothing
     code, stdout, err = run_cli(capsys, "run", "--family", "complete", "--n", "3",
                                 "--trace-out", str(tmp_path / "missing" / "t.jsonl"))
-    assert code == 1 and stdout.startswith("config_id=complete-n3-") and stdout.count("\n") == 1
+    assert code == 1 and stdout == ""
     assert err.startswith("run: cannot write ") and err.count("\n") == 1
 
 

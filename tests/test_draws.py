@@ -27,6 +27,7 @@ from colorsim.dynamics import (
     STEPS,
     BufferedDraws,
     RunResult,
+    Trace,
 )
 import oracle
 
@@ -240,7 +241,9 @@ def test_run_equals_reference_loop(variant, trace):
         k = k or g.max_degree + 1
         for seed in range(6):
             buffered, plain = make_rng(case, seed), make_rng(case, seed)
-            got = run(init_random(g, k, buffered), variant, cap, buffered, trace=trace)
+            lines = Trace()  # left empty untraced, as reference_run's records are
+            got = run(init_random(g, k, buffered), variant, cap, buffered,
+                      lines if trace else None), lines
             want = reference_run(init_random(g, k, plain), variant, cap, plain, trace)
             assert got == want, (case, seed)
             assert stream_state(buffered) == stream_state(plain), (case, seed)
@@ -249,7 +252,7 @@ def test_run_equals_reference_loop(variant, trace):
 def test_run_from_a_fixed_coloring_without_pending_half():
     g = complete(8)
     buffered, plain = make_rng(9, 0), make_rng(9, 0)
-    got = run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, buffered)
+    got = run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, buffered), []
     want = reference_run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, plain, False)
     assert got == want
     assert stream_state(buffered) == stream_state(plain)
@@ -261,7 +264,7 @@ def test_persistent_stall_equals_reference_loop():
     g = complete(3)
     cap = 10**6
     buffered, plain = make_rng(3, 0), make_rng(3, 0)
-    got = run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, buffered)
+    got = run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, buffered), []
     want = reference_run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, plain, False)
     assert got[0].stalled and got[0].steps == 0
     assert got == want

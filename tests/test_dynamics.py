@@ -22,7 +22,7 @@ from colorsim import (
     step_persistent,
     step_uniform,
 )
-from colorsim.dynamics import STEPS
+from colorsim.dynamics import STEPS, Trace
 from exact_laws import selection_distribution
 import oracle
 from test_state import four_vertex_graphs, walk_states
@@ -279,7 +279,7 @@ class TestRun:
     def test_edgeless_graph(self):
         g = erdos_renyi(5, 0.0, 0)
         s = init_random(g, 3, make_rng(0, 0))
-        result, _ = run(s, "uniform", 1000, make_rng(0, 1))
+        result = run(s, "uniform", 1000, make_rng(0, 1))
         assert result.steps == 0 and result.terminated
 
     def test_rejects_a_negative_cap(self):
@@ -288,7 +288,7 @@ class TestRun:
 
     def test_proper_initial_coloring(self):
         s = ColoringState(cycle(4), 3, [1, 2, 1, 2])
-        result, _ = run(s, "uniform", 1000, make_rng(0, 0))
+        result = run(s, "uniform", 1000, make_rng(0, 0))
         assert result.steps == 0 and result.terminated and result.final_phi_num == 0
         assert result.min_conflicted == 0
 
@@ -296,12 +296,12 @@ class TestRun:
         # star: the center and one leaf share color 1, three leaves hold 2;
         # recoloring the center to 2 raises the conflicted count from 2 to 4
         g = from_edge_list("0 1\n0 2\n0 3\n0 4")
-        result, _ = run(ColoringState(g, 2, [1, 1, 2, 2, 2]), "uniform", 0, make_rng(0, 0))
+        result = run(ColoringState(g, 2, [1, 1, 2, 2, 2]), "uniform", 0, make_rng(0, 0))
         assert result.steps == 0 and result.min_conflicted == 2
         rises = 0
         for seed in range(20):
             s = ColoringState(g, 2, [1, 1, 2, 2, 2])
-            result, _ = run(s, "uniform", 1, make_rng(0, seed))
+            result = run(s, "uniform", 1, make_rng(0, seed))
             assert result.min_conflicted == len(s.conflicted)
             rises += len(s.conflicted) > 2
         assert rises
@@ -311,7 +311,7 @@ class TestRun:
         for i in range(1000):
             rng = make_rng(1, i)
             s = init_random(g, 8, rng)
-            result, _ = run(s, "uniform", 10**6, rng)
+            result = run(s, "uniform", 10**6, rng)
             assert result.terminated and result.final_phi_num == 0
 
     def test_absorption(self):
@@ -319,7 +319,7 @@ class TestRun:
         rng = make_rng(3, 0)
         s = init_random(g, 6, rng)
         run(s, "uniform", 10**6, rng)
-        again, _ = run(s, "uniform", 10**6, rng)
+        again = run(s, "uniform", 10**6, rng)
         assert again.steps == 0 and again.terminated
 
     def test_reproducible_traces(self):
@@ -329,7 +329,7 @@ class TestRun:
         def one():
             rng = make_rng(12, 5)
             s = init_random(g, k, rng)
-            return run(s, "component_view", 10**5, rng, trace=True)
+            return run(s, "component_view", 10**5, rng, trace := Trace()), trace
 
         r1, t1 = one()
         r2, t2 = one()
@@ -340,7 +340,7 @@ class TestRun:
         k = g.max_degree + 1
         rng = make_rng(7, 0)
         s = init_random(g, k, rng)
-        result, trace = run(s, "uniform", 10**5, rng, trace=True)
+        result = run(s, "uniform", 10**5, rng, trace := Trace())
         assert trace[0]["t"] == 0
         replay = ColoringState(g, k, list(init_random(g, k, make_rng(7, 0)).colors))
         for rec in trace[1:]:
@@ -362,7 +362,7 @@ class TestRun:
         rng = make_rng(3, 1)
         s = init_random(g, k, rng)
         colors = list(s.colors)
-        _, trace = run(s, variant, 400, rng, trace=True)
+        run(s, variant, 400, rng, trace := Trace())
         assert len(trace) > 2
         for rec in trace:
             for v, c in zip(rec["vertices"], rec["colors"]):
@@ -376,14 +376,14 @@ class TestRun:
 
     def test_cap_exhaustion(self):
         s = ColoringState(complete(30), 30, [1] * 30)
-        result, _ = run(s, "parallel", 50, make_rng(0, 0))
+        result = run(s, "parallel", 50, make_rng(0, 0))
         assert not result.terminated and result.steps == 50 and not result.stalled
 
     def test_persistent_counts_all_draws_and_respects_cap(self):
         g = disjoint_cliques(4, 6)
         rng = make_rng(8, 0)
         s = ColoringState(g, 6, [1] * g.n)
-        result, _ = run(s, "persistent", 40, rng)
+        result = run(s, "persistent", 40, rng)
         if not result.terminated:
             assert result.steps == 40
 
@@ -391,7 +391,7 @@ class TestRun:
         # triangle (1, 2, 1) at k=2: the picked vertex sees both colors, so the
         # run stalls at its first pick, having made no color draw
         s = ColoringState(complete(3), 2, [1, 2, 1])
-        result, _ = run(s, "persistent", ExperimentConfig(family="complete", n=3).cap,
+        result = run(s, "persistent", ExperimentConfig(family="complete", n=3).cap,
                         make_rng(0, 0))
         assert result.stalled and not result.terminated
         assert result.steps == 0 and result.min_conflicted == 2
@@ -400,7 +400,7 @@ class TestRun:
         # color 5 fits, but seed 8 draws 5 blocked colors first: the cap runs
         # out mid-step
         s = one_free_color()
-        result, _ = run(s, "persistent", 5, make_rng(8, 0))
+        result = run(s, "persistent", 5, make_rng(8, 0))
         assert not result.stalled and not result.terminated and result.steps == 5
         assert s.colors == (1, 1, 2, 3, 4)
 
@@ -408,6 +408,62 @@ class TestRun:
         s = conflicted_pair()
         with pytest.raises(ValueError):
             run(s, "other", 10, make_rng(0, 0))
+
+
+class TestObserve:
+    """``run`` calls ``observe(state, 0, (), ())`` first, then ``observe(state, t,
+    vertices, colors)`` after each applied step, t being the steps so far."""
+
+    @staticmethod
+    def observed(state, variant, cap, rng):
+        """The run's result and its calls, each with the sorted conflicted set then."""
+        calls = []
+
+        def observe(seen, t, vertices, colors):
+            assert seen is state
+            calls.append((t, vertices, colors, state.conflicted_vertices()))
+
+        return run(state, variant, cap, rng, observe), calls
+
+    def test_a_stall_makes_only_the_first_call(self):
+        s = ColoringState(complete(3), 2, [1, 2, 1])
+        result, calls = self.observed(s, "persistent", 10**6, make_rng(0, 0))
+        assert result.stalled and calls == [(0, (), (), (0, 2))]
+
+    def test_a_step_the_cap_cut_off_is_not_observed(self):
+        result, calls = self.observed(one_free_color(), "persistent", 5, make_rng(8, 0))
+        assert result.steps == 5 and not result.stalled and calls == [(0, (), (), (0, 1))]
+
+    def test_persistent_t_jumps_by_each_steps_draws(self, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            step = step_persistent(*args)
+            draws.append(step[2])
+            return step
+
+        monkeypatch.setattr(dynamics, "step_persistent", counted)
+        rng = make_rng(5, 0)
+        result, calls = self.observed(init_random(disjoint_cliques(4, 6), 6, rng), "persistent",
+                                      10**5, rng)
+        ts = [t for t, *_ in calls]
+        assert result.terminated and max(draws) > 1
+        assert [b - a for a, b in zip(ts, ts[1:])] == draws
+        assert ts[-1] == result.steps
+
+    def test_a_capped_run_makes_no_call_past_the_cap(self):
+        result, calls = self.observed(ColoringState(complete(7), 7, [1] * 7), "uniform", 9,
+                                      make_rng(2, 0))
+        assert not result.terminated and result.steps == 9
+        assert [t for t, *_ in calls] == list(range(10))
+
+    def test_a_parallel_call_shows_the_sorted_frozen_set(self):
+        g = erdos_renyi(20, 0.3, 4)
+        rng = make_rng(4, 0)
+        result, calls = self.observed(init_random(g, g.max_degree + 1, rng), "parallel", 200, rng)
+        assert len(calls) > 2 and calls[-1][0] == result.steps
+        for (_, _, _, frozen), (_, vertices, colors, _) in zip(calls, calls[1:]):
+            assert vertices == frozen and len(colors) == len(vertices) >= 2
 
 
 @pytest.mark.parametrize("variant, update, unused", [
@@ -431,7 +487,7 @@ def test_run_calls_its_step_and_one_update_per_step(variant, update, unused, mon
         monkeypatch.setattr(ColoringState, name, counted(name, getattr(ColoringState, name)))
     rng = make_rng(3, 0)
     state = init_random(disjoint_cliques(4, 6), 6, rng)
-    result, _ = run(state, variant, 10_000, rng)
+    result = run(state, variant, 10_000, rng)
     assert result.terminated and result.steps > 1
     assert calls["step"] == calls[update] == result.steps
     assert calls[unused] == 0

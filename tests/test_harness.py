@@ -28,6 +28,7 @@ from colorsim.harness import (
     aggregate_row,
 )
 from colorsim.audit import state_digest
+from colorsim.dynamics import Trace
 from exact_laws import theorem_step_budget
 
 
@@ -205,7 +206,7 @@ class TestRunEnsemble:
         (tmp_path / "g.txt").write_text("0 1\n1 2\n")
         cfg = ExperimentConfig(family="file", path=str(tmp_path / "g.txt"), n=5)
         assert build_graph(cfg).n == 5
-        assert cfg.resolved_id() == f"file-path{tmp_path / 'g.txt'}-n5-uniform-random"
+        assert cfg.resolved_id() == f"file-n5-path{tmp_path / 'g.txt'}-uniform-random"
 
     def test_rejects_explicit_colors_without_explicit_init(self):
         # the colors would go unused, yet appear in every output's config header
@@ -232,7 +233,7 @@ class TestRunEnsemble:
     (dict(family="erdos_renyi", n=30, p=0.2, graph_seed=2),
      "erdos_renyi-n30-p0.2-graph_seed2-uniform-random"),
     (dict(family="file", path="a.txt"), "file-patha.txt-uniform-random"),
-    (dict(family="file", path="a.txt", n=8), "file-patha.txt-n8-uniform-random"),
+    (dict(family="file", path="a.txt", n=8), "file-n8-patha.txt-uniform-random"),
 ], ids=["complete", "cliques", "bipartite", "cycle", "er", "er_graph_seed", "file", "file_n"])
 def test_config_id_of_each_family(fields, config_id):
     assert ExperimentConfig(**fields).resolved_id() == config_id
@@ -459,7 +460,7 @@ class TestWriters:
 
     def test_jsonl_meta_first(self):
         cfg = ExperimentConfig(family="complete", n=5, k=5, seeds=1, master_seed=1)
-        result, trace = run_one(build_graph(cfg), 0, cfg, trace=True)
+        result = run_one(build_graph(cfg), 0, cfg, trace := Trace())
         buf = io.StringIO()
         write_jsonl(buf, {"kind": "trace"}, trace)
         lines = buf.getvalue().splitlines()

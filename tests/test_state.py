@@ -16,6 +16,7 @@ from colorsim import (
     run,
 )
 from colorsim import harness
+from colorsim.dynamics import Trace
 from colorsim.harness import AuditSweepSpec, audit_instance
 from colorsim.state import potential
 import oracle
@@ -294,11 +295,11 @@ class TestRecount:
         monkeypatch.setattr(ColoringState, "_pair_table", refuse)
         g = erdos_renyi(30, 0.2, 4)
         k = g.max_degree + 1
-        for variant in ("uniform", "persistent"):
+        for variant in ("uniform", "persistent", "component_view"):
             rng = make_rng(9, 0)
             s = init_random(g, k, rng)
             before = s.phi_num
-            result, records = run(s, variant, 10_000, rng, trace=True)
+            result = run(s, variant, 10_000, rng, records := Trace())
             assert result.terminated and records[0]["phi_num"] == before
             assert records[-1]["phi_num"] == s.phi_num == 0
         # path 1-1-1 to 3-1-1: one monochromatic edge fewer, which is now an
@@ -326,7 +327,7 @@ class TestOneScan:
     def test_one_scan_per_uniform_run(self, scans):
         g = disjoint_cliques(32, 32)
         rng = make_rng(1, 0)
-        result, _ = run(init_random(g, g.max_degree + 1, rng), "uniform", 10**6, rng)
+        result = run(init_random(g, g.max_degree + 1, rng), "uniform", 10**6, rng)
         assert result.terminated and result.initial_phi_num > 0
         assert len(scans) == 1
 
