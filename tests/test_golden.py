@@ -128,8 +128,8 @@ GOLDEN = {
         ("8e8420deae3b218603a6c3c3e618618f89f016747858e10b5709ab69928a8168",)),
     "gen_er_blocks": (0, "74f2fd5f1ff20f1719920533cb6f4f3e669234556cb217f4acee388072b7664b",
         ("51e9e8b1a0b117d9fd4fb20c50099a5c3befc9d81e33eae6ebc2210043003407",)),
-    "run_file": (0, "06ded4af130e5e31bbd7a60685b292e1589afc5e3e92ea2b3479474d245b764c",
-        ("8589a37173cd68f72cbe5069ae15603ba338421f0b6787bc3f4bbf311ac39369",)),
+    "run_file": (0, "11c878ee121488be3392cde68e10d37c1b986e4ccbc6fca438b0c9692ec47a05",
+        ("f7ff78cf3caf9e281e5e1dd8d7afe7b746abf6b632e43fc7e4367eb579475320",)),
     "run_k1": (2, "9c0e889a354b222d8ac81485f2d1229ef0a75f8937f1789588b8a4b67163c8f4",
         ("a089002598a3f4c1dc6807ea0972249d136bf029fc8c62c5453dbaf55a984511",)),
     "run_wide_k": (0, "d77c994bccbcc086c44637d2a81ef59ad1910cbbb0528e07a8d0afc76f702f02",
