@@ -24,11 +24,11 @@ pass at construction, else on read).
 ``recount_change`` gives the change of (mono, iso, e_ip) that recoloring one
 vertex would cause without applying it, looking only near that vertex: its
 old- and new-colored neighbors, their pair partners and the neighbors of
-every vertex whose status changes; traced runs use it to follow the potential
-step by step. ``outcome_classes`` gives the same changes for all k colors of
-a vertex at once, one class per neighbor color plus one for the colors no
-neighbor carries, each with the number of colors it stands for; the exact
-audit sums them. Both share one private recount, which takes the counts of
+every vertex whose status changes; ``dynamics.Trace`` follows the potential
+with it step by step. ``outcome_classes`` gives the same changes for all k
+colors of a vertex at once, one class per neighbor color plus one for the
+colors no neighbor carries, each with the number of colors it stands for; the
+exact audit sums them. Both share one private recount, which takes the counts of
 properly colored and isolated-pair neighbors of the vertices it changes from
 a lookup. ``neighbor_counts`` is the one local count: ``recount_change`` and
 the audit's isolated-pair bound read it, while ``outcome_classes`` reads the
