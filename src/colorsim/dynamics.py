@@ -20,8 +20,9 @@ and the color draws it consumed (only the persistent variant uses more than
 one). A persistent step that accepts no color returns ``colors == ()`` and
 leaves the state unchanged; ``run`` tells a stuck pick (a stall) from a spent
 cap by whether steps remain. ``run`` returns a ``RunResult`` and shows each
-applied step to an optional observer; the observer ``Trace`` builds the JSON
-lines ``colorsim run --trace-out`` writes, here and nowhere else.
+applied step to an optional observer; the loop itself keeps only the step
+count, the conflicted count and the stall. The observer ``Trace`` builds the
+JSON lines ``colorsim run --trace-out`` writes, here and nowhere else.
 
 RNG contract: a named, versioned, splittable generator (numpy PCG64 seeded
 through SeedSequence). Per-run streams come from
@@ -157,18 +158,17 @@ class RunResult:
     variant it counts rounds. ``terminated`` implies the final coloring is
     proper; a non-terminated, non-stalled run used exactly ``cap`` steps.
     The potentials are the integer numerators over 100 * max_degree
-    (``state.potential`` gives the pair). ``min_conflicted`` is the
-    least conflicted count after step 1 or later, or the initial count if the
-    run took no step, so a proper start gives 0. ``wall_ns`` is the run's wall
-    time, which ``harness.run_one`` fills in and ``run`` leaves 0; it is a
-    measurement, not part of the result, so equality ignores it.
+    (``state.potential`` gives the pair). ``wall_ns`` is the run's wall time,
+    which ``harness.run_one`` fills in and ``run`` leaves 0; it is a
+    measurement, not part of the result, so equality ignores it. Anything
+    read along the way, such as the least conflicted count a run reaches, is
+    an observer's (see ``run``).
     """
 
     steps: int
     terminated: bool
     initial_phi_num: int
     final_phi_num: int
-    min_conflicted: int
     stalled: bool = False
     wall_ns: int = field(default=0, compare=False)
 
@@ -302,8 +302,7 @@ def run(state: ColoringState, variant: str, cap: int, rng: np.random.Generator,
     if cap < 0:
         raise ValueError("cap must be >= 0")
     initial_num = state.phi_num
-    conflicted = initial_conflicted = len(state.conflicted)
-    least = state.graph.n  # no count after a step exceeds n
+    conflicted = len(state.conflicted)
     if observe is not None:
         observe(state, 0, (), ())
     step = globals()[STEPS[variant]]
@@ -318,8 +317,6 @@ def run(state: ColoringState, variant: str, cap: int, rng: np.random.Generator,
                 step(state, draw, cap - steps) if budgeted else step(state, draw))
             steps += used
             conflicted = len(state.conflicted)  # apply_batch replaces the list
-            if conflicted < least:
-                least = conflicted
             if not colors:  # a stuck pick, or the cap ran out
                 stalled = steps < cap
                 break
@@ -332,6 +329,5 @@ def run(state: ColoringState, variant: str, cap: int, rng: np.random.Generator,
         terminated=not conflicted,
         initial_phi_num=initial_num,
         final_phi_num=state.phi_num if conflicted else 0,  # no monochromatic edge: phi is 0
-        min_conflicted=least if steps else initial_conflicted,
         stalled=stalled,
     )

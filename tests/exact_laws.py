@@ -112,9 +112,9 @@ def termination_cdf(n: int, rounds: int) -> np.ndarray:
 def reach_probability(n: int, threshold: int, rounds: int) -> float:
     """P(the conflicted count is <= threshold at some round 1..rounds, or 0 at start).
 
-    The event ``min_conflicted <= threshold`` of a run's record: round 0 does
-    not count, except that a run whose initial coloring is proper takes no
-    rounds and records its count 0.
+    The event "the least count a ``ConflictedCounts`` observer reads is
+    <= threshold": round 0 does not count, except that a run whose initial
+    coloring is proper takes no rounds and reads its count 0.
     """
     matrix = transition_matrix(n)
     law = matrix[n].copy()

@@ -43,6 +43,7 @@ from exact_laws import (
     selection_distribution,
     termination_cdf,
 )
+from observers import ConflictedCounts
 import oracle
 
 
@@ -260,20 +261,25 @@ def test_criterion_09_parallel_stalling():
     <= 2 (epsilon = 0.1) with probability 0.721. Both counts of 100 runs must
     pass an exact two-sided binomial test at alpha = 1e-3 against those
     probabilities, and no run may record a conflicted count of 1, which the
-    chain cannot reach.
+    chain cannot reach. A ``ConflictedCounts`` observer reads each run's least
+    count after round 1 or later (0 for a proper start).
     """
     cfg = ExperimentConfig(
         family="complete", n=20, k=20, variant="parallel",
         seeds=100, master_seed=9, cap=10**4,
     )
-    _, records = run_ensemble(build_graph(cfg), cfg)
+    graph = build_graph(cfg)
+    terminations, least = 0, []
+    for index in range(cfg.seeds):  # as run_ensemble runs them on one worker
+        counts = ConflictedCounts()
+        terminations += run_one(graph, index, cfg, counts).terminated
+        least.append(counts.least())
     p_done = float(termination_cdf(20, cfg.cap)[-1])
     p_low = reach_probability(20, 2, cfg.cap)
-    terminations = sum(r.terminated for r in records)
-    ever_below = sum(r.min_conflicted <= 0.1 * cfg.n for r in records)
+    ever_below = sum(count <= 0.1 * cfg.n for count in least)
     pv_done = binomial_two_sided_p(terminations, cfg.seeds, p_done)
     pv_low = binomial_two_sided_p(ever_below, cfg.seeds, p_low)
-    ones = sum(r.min_conflicted == 1 for r in records)
+    ones = least.count(1)
     ok = min(pv_done, pv_low) >= 1e-3 and ones == 0
     report(9, ok, f"terminations={terminations} (exact mean {cfg.seeds * p_done:.2f}, "
                   f"p={pv_done:.3f}), runs reaching <= 2: {ever_below} "

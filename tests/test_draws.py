@@ -29,6 +29,7 @@ from colorsim.dynamics import (
     RunResult,
     Trace,
 )
+from observers import ConflictedCounts
 import oracle
 
 HALF = 2**32
@@ -192,7 +193,11 @@ class TestHandBack:
 
 
 def reference_run(state, variant, cap, rng, trace):
-    """``run`` rebuilt from step calls on a plain generator, traced by the oracle."""
+    """``run`` rebuilt from step calls on a plain generator, traced by the oracle.
+
+    Returns the ``RunResult``, the trace lines (none untraced) and the least
+    conflicted count after a step, or the initial count if the run took no step.
+    """
     step = getattr(dynamics, STEPS[variant])
     draw = lambda n: int(rng.integers(n))
     initial_num = state.phi_num
@@ -220,9 +225,8 @@ def reference_run(state, variant, cap, rng, trace):
             break
         if trace and colors:
             records.append(record(steps, vertices, colors))
-    result = RunResult(steps, counts[-1] == 0, initial_num, state.phi_num,
-                       min(counts[1:] or counts), stalled)
-    return result, records
+    result = RunResult(steps, counts[-1] == 0, initial_num, state.phi_num, stalled)
+    return result, records, min(counts[1:] or counts)
 
 
 CASES = [
@@ -241,20 +245,24 @@ def test_run_equals_reference_loop(variant, trace):
         k = k or g.max_degree + 1
         for seed in range(6):
             buffered, plain = make_rng(case, seed), make_rng(case, seed)
-            lines = Trace()  # left empty untraced, as reference_run's records are
-            got = run(init_random(g, k, buffered), variant, cap, buffered,
-                      lines if trace else None), lines
-            want = reference_run(init_random(g, k, plain), variant, cap, plain, trace)
-            assert got == want, (case, seed)
+            lines, counts = Trace(), ConflictedCounts()  # lines stay empty untraced, as the records do
+            result = run(init_random(g, k, buffered), variant, cap, buffered,
+                         lines if trace else counts)
+            want, records, least = reference_run(init_random(g, k, plain), variant, cap, plain,
+                                                 trace)
+            assert (result, lines) == (want, records), (case, seed)
+            if not trace:
+                assert counts.least() == least, (case, seed)
             assert stream_state(buffered) == stream_state(plain), (case, seed)
 
 
 def test_run_from_a_fixed_coloring_without_pending_half():
     g = complete(8)
     buffered, plain = make_rng(9, 0), make_rng(9, 0)
-    got = run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, buffered), []
+    result = run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, buffered,
+                 counts := ConflictedCounts())
     want = reference_run(ColoringState(g, 8, [1] * 8), "uniform", 10**5, plain, False)
-    assert got == want
+    assert (result, [], counts.least()) == want
     assert stream_state(buffered) == stream_state(plain)
 
 
@@ -264,8 +272,9 @@ def test_persistent_stall_equals_reference_loop():
     g = complete(3)
     cap = 10**6
     buffered, plain = make_rng(3, 0), make_rng(3, 0)
-    got = run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, buffered), []
+    result = run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, buffered,
+                 counts := ConflictedCounts())
     want = reference_run(ColoringState(g, 2, [1, 2, 1]), "persistent", cap, plain, False)
-    assert got[0].stalled and got[0].steps == 0
-    assert got == want
+    assert result.stalled and result.steps == 0
+    assert (result, [], counts.least()) == want
     assert stream_state(buffered) == stream_state(plain)

@@ -24,6 +24,7 @@ from colorsim import (
 )
 from colorsim.dynamics import STEPS, Trace
 from exact_laws import selection_distribution
+from observers import ConflictedCounts
 import oracle
 from test_state import four_vertex_graphs, walk_states
 
@@ -288,21 +289,22 @@ class TestRun:
 
     def test_proper_initial_coloring(self):
         s = ColoringState(cycle(4), 3, [1, 2, 1, 2])
-        result = run(s, "uniform", 1000, make_rng(0, 0))
+        result = run(s, "uniform", 1000, make_rng(0, 0), counts := ConflictedCounts())
         assert result.steps == 0 and result.terminated and result.final_phi_num == 0
-        assert result.min_conflicted == 0
+        assert counts.least() == 0
 
     def test_min_conflicted_counts_from_step_one(self):
         # star: the center and one leaf share color 1, three leaves hold 2;
         # recoloring the center to 2 raises the conflicted count from 2 to 4
         g = from_edge_list("0 1\n0 2\n0 3\n0 4")
-        result = run(ColoringState(g, 2, [1, 1, 2, 2, 2]), "uniform", 0, make_rng(0, 0))
-        assert result.steps == 0 and result.min_conflicted == 2
+        result = run(ColoringState(g, 2, [1, 1, 2, 2, 2]), "uniform", 0, make_rng(0, 0),
+                     counts := ConflictedCounts())
+        assert result.steps == 0 and counts.least() == 2
         rises = 0
         for seed in range(20):
             s = ColoringState(g, 2, [1, 1, 2, 2, 2])
-            result = run(s, "uniform", 1, make_rng(0, seed))
-            assert result.min_conflicted == len(s.conflicted)
+            run(s, "uniform", 1, make_rng(0, seed), counts := ConflictedCounts())
+            assert counts.least() == len(s.conflicted)
             rises += len(s.conflicted) > 2
         assert rises
 
@@ -392,9 +394,9 @@ class TestRun:
         # run stalls at its first pick, having made no color draw
         s = ColoringState(complete(3), 2, [1, 2, 1])
         result = run(s, "persistent", ExperimentConfig(family="complete", n=3).cap,
-                        make_rng(0, 0))
+                     make_rng(0, 0), counts := ConflictedCounts())
         assert result.stalled and not result.terminated
-        assert result.steps == 0 and result.min_conflicted == 2
+        assert result.steps == 0 and counts.least() == 2
 
     def test_budget_exhaustion_is_not_a_stall(self):
         # color 5 fits, but seed 8 draws 5 blocked colors first: the cap runs

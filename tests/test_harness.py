@@ -30,6 +30,7 @@ from colorsim.harness import (
 from colorsim.audit import state_digest
 from colorsim.dynamics import Trace
 from exact_laws import theorem_step_budget
+from observers import ConflictedCounts
 
 
 class TestScalingFit:
@@ -240,12 +241,25 @@ def test_config_id_of_each_family(fields, config_id):
 
 
 class TestParallelRunRecords:
-    """Survival of the parallel variant, read from ``run_ensemble`` records."""
+    """Survival of the parallel variant, read from ``run_ensemble`` records and,
+    for the least conflicted count, from each run's ``ConflictedCounts``."""
 
     @staticmethod
     def ensemble(**fields):
         cfg = ExperimentConfig(family="complete", variant="parallel", **fields)
         return run_ensemble(build_graph(cfg), cfg)
+
+    @staticmethod
+    def observed(**fields):
+        """(record, least conflicted count) of each run, run one by one as
+        ``run_ensemble`` runs them on one worker."""
+        cfg = ExperimentConfig(family="complete", variant="parallel", **fields)
+        graph = build_graph(cfg)
+        runs = []
+        for index in range(cfg.seeds):
+            counts = ConflictedCounts()
+            runs.append((run_one(graph, index, cfg, counts), counts.least()))
+        return runs
 
     def test_k2_terminates_quickly(self):
         stats, records = self.ensemble(n=2, k=2, seeds=50, master_seed=6, cap=10**6)
@@ -254,18 +268,21 @@ class TestParallelRunRecords:
 
     def test_run_starting_proper_records_count_zero(self):
         # K_2 at k=2, master seed 1: seeds 0 and 1 draw a proper coloring
-        stats, records = self.ensemble(n=2, k=2, seeds=6, master_seed=1, cap=10**6)
-        assert [(r.steps, r.min_conflicted) for r in records[:2]] == [(0, 0), (0, 0)]
-        for r in records:  # 0 is below every threshold epsilon * n
-            assert r.terminated and r.min_conflicted == 0
+        runs = self.observed(n=2, k=2, seeds=6, master_seed=1, cap=10**6)
+        assert [(r.steps, least) for r, least in runs[:2]] == [(0, 0), (0, 0)]
+        for r, least in runs:  # 0 is below every threshold epsilon * n
+            assert r.terminated and least == 0
 
     def test_record_shape(self):
-        stats, records = self.ensemble(n=6, k=6, seeds=10, master_seed=7, cap=10**5)
+        fields = dict(n=6, k=6, seeds=10, master_seed=7, cap=10**5)
+        stats, records = self.ensemble(**fields)
+        runs = self.observed(**fields)
         assert len(records) == 10 == stats.seeds
-        for r in records:
+        assert [r for r, _ in runs] == records
+        for r, least in runs:
             assert r.terminated or r.steps == 10**5
-            assert 0 <= r.min_conflicted <= 6
-            assert r.terminated == (r.min_conflicted == 0)
+            assert 0 <= least <= 6
+            assert r.terminated == (least == 0)
 
 
 class TestSweep:

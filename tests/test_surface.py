@@ -1,18 +1,22 @@
 """Every name ``colorsim`` exports has a reader outside ``tests/``, and so
-do every public method and property of an exported class and every public
-function and class a ``colorsim`` module defines.
+do every public method and property of an exported class, every public
+function and class a ``colorsim`` module defines, and every field of a
+dataclass or NamedTuple a ``colorsim`` module defines.
 
 A name counts as read when the package's own modules (``__init__`` aside),
 ``perfbench/`` or ``tools/`` load it, take it as an attribute, import it, or
 spell it as an exact string constant (the step table names its functions
-that way). A name only tests reach belongs in ``tests/``, not in the package.
-Dataclass fields and slots are out of scope: they are data, not code.
+that way, the CSV writers their columns). A keyword argument that sets a
+field is a write, not a read. A name only tests reach belongs in ``tests/``,
+not in the package; a field only tests read is a per-run count the package
+pays for on their behalf. Slots are out of scope.
 
 The test oracles share no code with the fast path they check, so they import
 nothing from ``colorsim``.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import types
@@ -79,6 +83,24 @@ DEFINED = [f"{module.__name__}.{name}" for module in MODULES
 @pytest.mark.parametrize("qualname", DEFINED)
 def test_definition_has_a_reader_outside_tests(qualname):
     assert qualname.rsplit(".", 1)[1] in REFERENCED, f"only tests reach {qualname}"
+
+
+def record_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a dataclass or a NamedTuple; none for any other class."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return getattr(cls, "_fields", ()) if issubclass(cls, tuple) else ()
+
+
+FIELDS = [f"{module.__name__}.{name}.{field}" for module in MODULES
+          for name, value in vars(module).items()
+          if isinstance(value, type) and value.__module__ == module.__name__
+          for field in record_fields(value)]
+
+
+@pytest.mark.parametrize("qualname", FIELDS)
+def test_field_has_a_reader_outside_tests(qualname):
+    assert qualname.rsplit(".", 1)[1] in REFERENCED, f"only tests read {qualname}"
 
 
 @pytest.mark.parametrize("oracle", ["oracle.py", "exact_laws.py"])
