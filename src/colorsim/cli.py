@@ -157,13 +157,25 @@ def _cmd_run(args) -> int:
     with _refusing():
         config = _config_from_args(args, args.variant)
         graph = build_graph(config)
-        trace = Trace() if args.trace_out is not None else None
-        result = run_one(graph, 0, config, trace)
-    if trace is not None:  # written before the result line, so a refusal prints nothing
-        meta = {"tool": f"colorsim {__version__}", "config": public_config(config)}
-        with (_refusing(f"cannot write {args.trace_out}: "),
-              open(args.trace_out, "w", encoding="utf-8") as f):
-            write_jsonl(f, meta, trace)
+    path = args.trace_out
+    out = None  # the trace file, opened at the t=0 line, so a refused start leaves none
+
+    def emit(line: dict) -> None:
+        nonlocal out
+        with _refusing(f"cannot write {path}: "):
+            if out is None:
+                out = open(path, "w", encoding="utf-8")
+                write_jsonl(out, {"tool": f"colorsim {__version__}",
+                                  "config": public_config(config)}, ())
+            out.write(json.dumps(line, sort_keys=True) + "\n")
+
+    try:
+        with _refusing():
+            result = run_one(graph, 0, config, None if path is None else Trace(emit))
+    finally:  # closed before the result line, so a failed write prints nothing
+        if out is not None:
+            with _refusing(f"cannot write {path}: "):
+                out.close()
     columns = cell_columns(config, graph)
     cell = " ".join(f"{key}={value}" for key, value in columns.items() if key != "family")
     initial_phi, final_phi = (Fraction(*potential(columns["delta"], num))

@@ -256,7 +256,7 @@ def step_parallel(state: ColoringState, draw: Draw) -> Step:
     return frozen, colors, 1
 
 
-class Trace(list):
+class Trace:
     """The JSON lines of ``colorsim run --trace-out``, as ``run``'s ``observe``.
 
     A t=0 line of the initial state, then one per applied step, each with
@@ -265,8 +265,12 @@ class Trace(list):
     ``parallel`` round (it freezes both ends of a conflict, so two or more
     vertices) reads the state's counts. A one-vertex step takes the latest
     line's counts minus what recoloring v back would change
-    (``recount_change``): local, where a full recount costs O(n + m).
+    (``recount_change``): local, where a full recount costs O(n + m). Each
+    line goes to ``emit`` as a dict when it is made; the trace keeps none.
     """
+
+    def __init__(self, emit: Callable[[dict], object]):
+        self._emit = emit
 
     def __call__(self, state: ColoringState, t: int, vertices: tuple, colors: tuple) -> None:
         if len(vertices) == 1:
@@ -279,9 +283,9 @@ class Trace(list):
             self._colors = list(state.colors)  # the colors at the latest line
             self._counts = (state.mono_edge_count, state.iso_edge_count, state.e_ip)
         mono, iso, e_ip = self._counts
-        self.append({"t": t, "vertices": list(vertices), "colors": list(colors),
-                     "mono_edges": mono, "iso_edges": iso, "iso_proper_edges": e_ip,
-                     "phi_num": phi_numerator(state.graph.max_degree, mono, iso, e_ip)})
+        self._emit({"t": t, "vertices": list(vertices), "colors": list(colors),
+                    "mono_edges": mono, "iso_edges": iso, "iso_proper_edges": e_ip,
+                    "phi_num": phi_numerator(state.graph.max_degree, mono, iso, e_ip)})
 
 
 def run(state: ColoringState, variant: str, cap: int, rng: np.random.Generator,

@@ -328,7 +328,8 @@ def test_criterion_11_psi_step_size():
     worst = 0.0
     runs = 0
     for index in range(100):
-        result = run_one(graph, index, cfg, trace := Trace())
+        trace = []
+        result = run_one(graph, index, cfg, Trace(trace.append))
         assert result.terminated
         runs += 1
         prev = psi_value(Fraction(trace[0]["phi_num"], 100 * d), n, d)

@@ -774,7 +774,7 @@ def test_argparse_refusal_names_the_problem(argv, command, named, capsys):
 
 
 def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
-    # the trace is written before the result line, so a refusal prints nothing
+    # the trace is closed before the result line, so a refusal prints nothing
     code, stdout, err = run_cli(capsys, "run", "--family", "complete", "--n", "3",
                                 "--trace-out", str(tmp_path / "missing" / "t.jsonl"))
     assert code == 1 and stdout == ""
@@ -794,6 +794,31 @@ def cli_env() -> dict:
     """The environment of a ``python -m colorsim.cli`` subprocess run on this tree."""
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
+# runs the command in its argv and prints its peak RSS in KB; RUSAGE_CHILDREN
+# keeps the most over every child waited for, so each reading needs a fresh wrapper
+PEAK_RSS = """import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_trace_lines_are_written_as_the_run_goes(tmp_path):
+    # 2 * 10**4 parallel rounds on K20 make a 3.8 MB trace; held in memory
+    # until the run ended, it raised the peak by 12 MB
+    argv = [sys.executable, "-m", "colorsim.cli", "run", "--family", "complete", "--n", "20",
+            "--variant", "parallel", "--cap", "20000"]
+
+    def peak_kb(*extra):
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv, *extra], env=cli_env(),
+                              capture_output=True, text=True, timeout=120, check=True)
+        return int(proc.stdout)
+
+    trace = tmp_path / "t.jsonl"
+    untraced, traced = peak_kb(), peak_kb("--trace-out", str(trace))
+    assert trace.read_text().count("\n") == 2 + 20_000  # meta, t=0, then each round
+    assert traced - untraced <= 4 * 1024, (untraced, traced)
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

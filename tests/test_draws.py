@@ -245,9 +245,9 @@ def test_run_equals_reference_loop(variant, trace):
         k = k or g.max_degree + 1
         for seed in range(6):
             buffered, plain = make_rng(case, seed), make_rng(case, seed)
-            lines, counts = Trace(), ConflictedCounts()  # lines stay empty untraced, as the records do
+            lines, counts = [], ConflictedCounts()  # lines stay empty untraced, as the records do
             result = run(init_random(g, k, buffered), variant, cap, buffered,
-                         lines if trace else counts)
+                         Trace(lines.append) if trace else counts)
             want, records, least = reference_run(init_random(g, k, plain), variant, cap, plain,
                                                  trace)
             assert (result, lines) == (want, records), (case, seed)

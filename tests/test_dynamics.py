@@ -331,7 +331,8 @@ class TestRun:
         def one():
             rng = make_rng(12, 5)
             s = init_random(g, k, rng)
-            return run(s, "component_view", 10**5, rng, trace := Trace()), trace
+            trace = []
+            return run(s, "component_view", 10**5, rng, Trace(trace.append)), trace
 
         r1, t1 = one()
         r2, t2 = one()
@@ -342,7 +343,8 @@ class TestRun:
         k = g.max_degree + 1
         rng = make_rng(7, 0)
         s = init_random(g, k, rng)
-        result = run(s, "uniform", 10**5, rng, trace := Trace())
+        trace = []
+        result = run(s, "uniform", 10**5, rng, Trace(trace.append))
         assert trace[0]["t"] == 0
         replay = ColoringState(g, k, list(init_random(g, k, make_rng(7, 0)).colors))
         for rec in trace[1:]:
@@ -363,8 +365,8 @@ class TestRun:
         k = g.max_degree + 1
         rng = make_rng(3, 1)
         s = init_random(g, k, rng)
-        colors = list(s.colors)
-        run(s, variant, 400, rng, trace := Trace())
+        colors, trace = list(s.colors), []
+        run(s, variant, 400, rng, Trace(trace.append))
         assert len(trace) > 2
         for rec in trace:
             for v, c in zip(rec["vertices"], rec["colors"]):

@@ -477,7 +477,8 @@ class TestWriters:
 
     def test_jsonl_meta_first(self):
         cfg = ExperimentConfig(family="complete", n=5, k=5, seeds=1, master_seed=1)
-        result = run_one(build_graph(cfg), 0, cfg, trace := Trace())
+        trace = []
+        result = run_one(build_graph(cfg), 0, cfg, Trace(trace.append))
         buf = io.StringIO()
         write_jsonl(buf, {"kind": "trace"}, trace)
         lines = buf.getvalue().splitlines()

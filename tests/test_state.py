@@ -298,8 +298,8 @@ class TestRecount:
         for variant in ("uniform", "persistent", "component_view"):
             rng = make_rng(9, 0)
             s = init_random(g, k, rng)
-            before = s.phi_num
-            result = run(s, variant, 10_000, rng, records := Trace())
+            before, records = s.phi_num, []
+            result = run(s, variant, 10_000, rng, Trace(records.append))
             assert result.terminated and records[0]["phi_num"] == before
             assert records[-1]["phi_num"] == s.phi_num == 0
         # path 1-1-1 to 3-1-1: one monochromatic edge fewer, which is now an
