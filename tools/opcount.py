@@ -1,6 +1,6 @@
 """Count the bytecodes colorsim's own frames execute per step, on fixed runs.
 
-    python3 tools/opcount.py [--src DIR] [--case NAME ...]
+    python3 tools/opcount.py [--src DIR]
 
 A cost count that does not spread from run to run, unlike a wall time. Each
 case is run 0 of a fixed config at master seed 1 with k = D + 1: ``uniform``,
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from collections import Counter
@@ -38,14 +39,14 @@ CASES = {
 
 def count(config) -> tuple[int, Counter]:
     """Run 0 of ``config`` traced: its steps and the bytecodes each colorsim code object ran."""
-    import colorsim
+    import colorsim  # the package ``main`` put first on sys.path (``--src``)
     from colorsim.dynamics import make_rng, run
     from colorsim.harness import build_graph, initial_state
 
     graph = build_graph(config)
     rng = make_rng(config.master_seed, 0)
     state = initial_state(graph, config, rng)
-    package = str(Path(colorsim.__file__).parent) + "/"
+    package = os.path.join(os.path.dirname(colorsim.__file__), "")  # with a trailing separator
     ops = Counter()
 
     def on_opcode(frame, event, arg):
@@ -84,16 +85,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the colorsim package")
-    parser.add_argument("--case", action="append", choices=list(CASES),
-                        help="a case to count (repeatable; default all)")
     args = parser.parse_args(argv)
     if not (args.src / "colorsim" / "__init__.py").is_file():
         parser.error(f"no colorsim package in {args.src}")
     sys.path.insert(0, str(args.src.resolve()))
     from colorsim.harness import ExperimentConfig
 
-    for case in args.case or CASES:
-        config = ExperimentConfig(**CASES[case], master_seed=1)
+    for case, fields in CASES.items():
+        config = ExperimentConfig(**fields, master_seed=1)
         print(json.dumps(report(case, *count(config))), flush=True)
     return 0
 
