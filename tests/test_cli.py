@@ -805,8 +805,8 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 def test_trace_lines_are_written_as_the_run_goes(tmp_path):
-    # 2 * 10**4 parallel rounds on K20 make a 3.8 MB trace; held in memory
-    # until the run ended, it raised the peak by 12 MB
+    # 2 * 10**4 parallel rounds on K20 make a 3.8 MB trace; holding its
+    # lines in memory until the run ends would add about 12 MB to the peak
     argv = [sys.executable, "-m", "colorsim.cli", "run", "--family", "complete", "--n", "20",
             "--variant", "parallel", "--cap", "20000"]
 

@@ -8,8 +8,8 @@ A name counts as read when the package's own modules (``__init__`` aside),
 spell it as an exact string constant (the step table names its functions
 that way, the CSV writers their columns). A keyword argument that sets a
 field is a write, not a read. A name only tests reach belongs in ``tests/``,
-not in the package; a field only tests read is a per-run count the package
-pays for on their behalf. Slots are out of scope.
+not in the package; a field only tests read is work the package does for
+them alone. Slots are out of scope.
 
 The test oracles share no code with the fast path they check, so they import
 nothing from ``colorsim``.
