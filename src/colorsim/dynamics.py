@@ -86,12 +86,13 @@ class BufferedDraws:
     m mod 2**32 < n), giving m >> 32. n = 1 reads nothing; every other bound
     raises ``ValueError``. This class reads the halves from ``random_raw``
     blocks instead of one numpy call per draw. A half left pending in the
-    generator (``has_uint32``) is read first.
+    generator (``has_uint32``) moves to the buffer and is read first.
 
     The generator runs ahead of what was read until ``close()``, which
-    leaves it exactly where ``Generator.integers`` would have: advanced by
-    the words read, with an unread high half pending. Draw nothing after
-    ``close()``.
+    leaves it exactly where ``Generator.integers`` would have: it steps back
+    over the whole words fetched but unread (``advance`` works modulo
+    PCG64's period, 2**128), and an odd number of unread halves leaves the
+    next one pending. Draw nothing after ``close()``.
     """
 
     BLOCK = 256  # words per ``random_raw`` call
@@ -99,20 +100,19 @@ class BufferedDraws:
     def __init__(self, rng: np.random.Generator):
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise TypeError("BufferedDraws needs a PCG64 generator")
-        self._bg = rng.bit_generator
-        entry = self._bg.state
-        self._entry = entry
-        self._pending = entry["has_uint32"]
-        self._buf = [entry["uinteger"]] if self._pending else []  # unread halves, last first
-        self._fetched = self._pending  # halves ever put in the buffer
+        self._bg = bg = rng.bit_generator
+        state = bg.state
+        self._buf = []  # unread halves, last first; None once closed
+        if state["has_uint32"]:
+            self._buf.append(state["uinteger"])
+            bg.state = {**state, "has_uint32": 0, "uinteger": 0}
 
     def _refill(self) -> int:
         """Fetch a block, keep its halves and return the first."""
-        if self._entry is None:
+        if self._buf is None:
             raise ValueError("draws are closed")
         raw = self._bg.random_raw(self.BLOCK).astype("<u8", copy=False)
         halves = raw.view("<u4")[::-1].tolist()
-        self._fetched += len(halves)
         self._buf = halves
         return halves.pop()
 
@@ -132,21 +132,16 @@ class BufferedDraws:
 
     def close(self) -> None:
         """Hand the stream back: the generator state numpy would have left."""
-        if self._entry is None:
+        buf, self._buf = self._buf, None
+        if buf is None:
             return
-        used = self._fetched - len(self._buf)
         bg = self._bg
-        if used == 0:
-            bg.state = self._entry
-        else:
-            halves = used - self._pending  # read from fetched words
-            bg.state = {**self._entry, "has_uint32": 0, "uinteger": 0}
-            bg.advance((halves + 1) // 2)
-            if halves % 2:
-                state = bg.state
-                state["has_uint32"], state["uinteger"] = 1, self._buf[-1]
-                bg.state = state
-        self._entry, self._buf = None, []
+        if len(buf) > 1:
+            bg.advance((1 << 128) - len(buf) // 2)
+        if len(buf) % 2:  # the high half of a word read in part, or the entry half
+            state = bg.state
+            state["has_uint32"], state["uinteger"] = 1, buf[-1]
+            bg.state = state
 
 
 @dataclass(frozen=True)

@@ -278,3 +278,36 @@ def test_persistent_stall_equals_reference_loop():
     assert result.stalled and result.steps == 0
     assert (result, [], counts.least()) == want
     assert stream_state(buffered) == stream_state(plain)
+
+
+class StopRun(Exception):
+    """Raised by an observer to end a run from inside its loop."""
+
+
+def raise_at(steps):
+    """An observer that raises at the first applied step that brings the run to ``steps``."""
+    def observe(state, t, vertices, colors):
+        if t >= steps:
+            raise StopRun
+    return observe
+
+
+@pytest.mark.parametrize("variant, steps", [("uniform", 700), ("persistent", 700),
+                                            ("parallel", 40)])
+def test_run_hands_the_stream_back_when_an_observer_raises(variant, steps):
+    # n = 961 is odd, so init_random leaves a half pending; each run crosses
+    # several 512-half block refills before the observer raises
+    g = disjoint_cliques(31, 31)
+    k = g.max_degree + 1
+    buffered, plain = make_rng(31, 0), make_rng(31, 0)
+    state = init_random(g, k, buffered)
+    assert buffered.bit_generator.state["has_uint32"] == 1
+    with pytest.raises(StopRun):
+        run(state, variant, 10**6, buffered, raise_at(steps))
+    want = init_random(g, k, plain)
+    step = getattr(dynamics, STEPS[variant])
+    taken = 0
+    while taken < steps:  # a persistent step counts its draws
+        taken += step(want, lambda n: int(plain.integers(n)))[2]
+    assert state.colors == want.colors
+    assert stream_state(buffered) == stream_state(plain)
