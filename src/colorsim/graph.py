@@ -22,9 +22,9 @@ neighbors stay chunk-sized; only numpy arrays are graph-sized.
 the row-by-row sampler draws (``tests/test_graph.py`` keeps that sampler as
 the reference). The blocks are split into one contiguous span per usable CPU
 and the spans are drawn on threads: pair j takes word j of the seeded PCG64
-stream, and a span's generator is the seeded one moved forward with
-``advance`` to the span's first pair, so the graph does not depend on the
-number of spans. ``usable_cpus`` is also the bound on ensemble pool width.
+stream, and each span's generator is the graph's seed sequence advanced to
+the span's first pair, so the graph does not depend on the number of spans.
+``usable_cpus`` is also the bound on ensemble pool width.
 """
 
 from __future__ import annotations
@@ -207,32 +207,27 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     The blocks are split into T = min(usable CPUs, blocks) contiguous spans,
     drawn on T threads (numpy's fill, compare and ``flatnonzero`` release the
     GIL). A PCG64 ``random`` double uses exactly one 64-bit word, so pair j
-    takes word j of the seeded stream: span 0 draws from the seeded
-    generator, and span i > 0 from a copy of its entry state moved forward
-    with ``advance`` to the span's first pair. The hits are joined in span
-    order, so every T gives the same graph. With T = 1 the blocks are drawn
-    inline; otherwise the threads are joined before this returns.
+    takes word j of the seeded stream: each span draws from a generator
+    seeded with ``SeedSequence(seed)`` and moved with ``advance`` to the
+    span's first pair. The hits are joined in span order, so every T gives
+    the same graph. With T = 1 the one span is drawn inline; otherwise the
+    threads are joined before this returns.
     """
     if n < 1:
         raise ValueError("erdos_renyi needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    seq = np.random.SeedSequence(seed)
     rows = np.arange(n - 1)
     starts = rows * (n - 1) - rows * (rows - 1) // 2  # flat index of pair (u, u + 1)
     pairs = n * (n - 1) // 2
     blocks = -(-pairs // _BLOCK)
-    threads = min(usable_cpus(), blocks)
-    if threads <= 1:
-        hits = _draw_hits(rng, p, 0, pairs)
+    threads = max(1, min(usable_cpus(), blocks))
+    bounds = [min(i * blocks // threads * _BLOCK, pairs) for i in range(threads + 1)]
+    gens = [np.random.Generator(np.random.PCG64(seq).advance(first)) for first in bounds[:-1]]
+    if threads == 1:
+        hits = _draw_hits(gens[0], p, 0, pairs)
     else:
-        bounds = [min(i * blocks // threads * _BLOCK, pairs) for i in range(threads + 1)]
-        entry = rng.bit_generator.state
-        gens = [rng]
-        for first in bounds[1:-1]:
-            bits = np.random.PCG64()
-            bits.state = entry
-            gens.append(np.random.Generator(bits.advance(first)))
         from concurrent.futures import ThreadPoolExecutor  # loaded only when threads draw
         with ThreadPoolExecutor(max_workers=threads) as pool:
             spans = pool.map(_draw_hits, gens, [p] * threads, bounds[:-1], bounds[1:])
