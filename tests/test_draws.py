@@ -306,8 +306,9 @@ def test_run_hands_the_stream_back_when_an_observer_raises(variant, steps):
         run(state, variant, 10**6, buffered, raise_at(steps))
     want = init_random(g, k, plain)
     step = getattr(dynamics, STEPS[variant])
+    draw = lambda n: int(plain.integers(n))
     taken = 0
     while taken < steps:  # a persistent step counts its draws
-        taken += step(want, lambda n: int(plain.integers(n)))[2]
+        taken += step(want, draw)[2]
     assert state.colors == want.colors
     assert stream_state(buffered) == stream_state(plain)
