@@ -390,7 +390,7 @@ def build_parser() -> _Parser:
     p_audit = sub.add_parser("audit", help="exact drift-inequality sweep")
     p_audit.add_argument("--instances", type=int, default=AuditSweepSpec.instances)
     p_audit.add_argument("--max-n", type=int, default=AuditSweepSpec.max_n,
-                         help="vertex bound of the er and cycle instances only")
+                         help="vertex bound of every instance; any value >= 50 draws the same ones")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--families", help="comma list: " + ",".join(
         f.alias for f in FAMILIES.values() if f.sample))

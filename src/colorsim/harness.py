@@ -94,51 +94,53 @@ class Family:
     """A graph family: CLI alias, required config fields, constructor, audit sampler.
 
     Both callables look the generators up in ``graphs`` when called, so a wrapper
-    installed there sees every build. ``min_max_n`` is the least ``max_n`` the
-    sampler accepts, the fewest vertices of its instances, or 0 where the
-    sampler ignores ``max_n``. ``optional`` names the other fields it reads when set.
+    installed there sees every build. ``sample`` draws an instance of at most
+    ``spec.max_n`` vertices, and ``min_max_n`` is the least ``max_n`` it accepts,
+    the fewest vertices of its instances. ``optional`` names the other fields it
+    reads when set.
     """
 
     alias: str
     fields: tuple[str, ...]
     build: Callable[[ExperimentConfig], Graph]
     sample: Callable[[AuditSweepSpec, np.random.Generator], Graph] | None = None
-    min_max_n: int = 0
+    min_max_n: int = 2
     bipartite: bool = False
     optional: tuple[str, ...] = ()
 
 
-# vertex range (capped above by max_n) and edge probabilities of the er audit instances
-ER_N_RANGE = (5, 50)
+# edge probabilities of the er audit instances
 ER_P_VALUES = (0.1, 0.3, 0.7)
 
 
-def _sample_erdos_renyi(spec: AuditSweepSpec, rng: np.random.Generator) -> Graph:
-    lo, hi = ER_N_RANGE
-    n = lo + int(rng.integers(min(hi, spec.max_n) - lo + 1))
-    p = ER_P_VALUES[int(rng.integers(len(ER_P_VALUES)))]
-    return graphs.erdos_renyi(n, p, int(rng.integers(2**63)))
+def _size(rng: np.random.Generator, lo: int, hi: int, cap: int) -> int:
+    """A size drawn uniformly from lo..min(hi, cap); the draw is the same for any cap >= hi."""
+    return lo + int(rng.integers(min(hi, cap) - lo + 1))
 
 
 # canonical name -> family, in the CLI's --family order; the samplers keep
-# the draw order of every audit instance
+# the draw order of every audit instance, and each size is capped so that no
+# instance has more than max_n vertices
 FAMILIES = {
     "complete": Family("complete", ("n",), lambda c: graphs.complete(c.n),
-                       lambda spec, rng: graphs.complete(2 + int(rng.integers(11)))),
+                       lambda spec, rng: graphs.complete(_size(rng, 2, 12, spec.max_n))),
     "disjoint_cliques": Family(
         "cliques", ("count", "size"), lambda c: graphs.disjoint_cliques(c.count, c.size),
-        lambda spec, rng: graphs.disjoint_cliques(1 + int(rng.integers(3)),
-                                                  2 + int(rng.integers(9)))),
+        lambda spec, rng: graphs.disjoint_cliques(
+            count := _size(rng, 1, 3, spec.max_n // 2), _size(rng, 2, 10, spec.max_n // count))),
     "complete_bipartite": Family(
         "bipartite", ("a", "b"), lambda c: graphs.complete_bipartite(c.a, c.b),
-        lambda spec, rng: graphs.complete_bipartite(1 + int(rng.integers(10)),
-                                                    1 + int(rng.integers(10))),
+        lambda spec, rng: graphs.complete_bipartite(
+            a := _size(rng, 1, 10, spec.max_n - 1), _size(rng, 1, 10, spec.max_n - a)),
         bipartite=True),
     "cycle": Family("cycle", ("n",), lambda c: graphs.cycle(c.n),
-                    lambda spec, rng: graphs.cycle(3 + int(rng.integers(min(48, spec.max_n - 2)))),
-                    min_max_n=3),
-    "erdos_renyi": Family("er", ("n", "p"), lambda c: graphs.erdos_renyi(c.n, c.p, c.graph_seed),
-                          _sample_erdos_renyi, min_max_n=ER_N_RANGE[0], optional=("graph_seed",)),
+                    lambda spec, rng: graphs.cycle(_size(rng, 3, 50, spec.max_n)), min_max_n=3),
+    "erdos_renyi": Family(
+        "er", ("n", "p"), lambda c: graphs.erdos_renyi(c.n, c.p, c.graph_seed),
+        lambda spec, rng: graphs.erdos_renyi(
+            _size(rng, 5, 50, spec.max_n), ER_P_VALUES[int(rng.integers(len(ER_P_VALUES)))],
+            int(rng.integers(2**63))),
+        min_max_n=5, optional=("graph_seed",)),
     "file": Family("file", ("path",), lambda c: graphs.from_edge_list(
         Path(c.path).read_text(encoding="utf-8"), n=c.n), optional=("n",)),
 }
@@ -444,11 +446,10 @@ class AuditSweepSpec:
     """Deterministic generator spec for random (graph, coloring) audits.
 
     The four fields are the ``audit`` command's options, and its defaults.
-    ``max_n`` bounds only the ``erdos_renyi`` (``ER_N_RANGE``) and ``cycle``
-    (3..50 vertices) samplers, so every ``max_n`` >= 50 draws the same
-    instances; the ``complete`` (2..12 vertices), ``disjoint_cliques`` (up to
-    30) and ``complete_bipartite`` (up to 20) samplers ignore it. States
-    whose enumeration exceeds ``audit.OUTCOME_BUDGET`` outcomes are skipped.
+    ``max_n`` bounds the vertex count of every instance, and must be at least
+    each family's ``min_max_n``. No sampler draws more than 50 vertices, so
+    every ``max_n`` >= 50 draws the same instances. States whose enumeration
+    exceeds ``audit.OUTCOME_BUDGET`` outcomes are skipped.
     """
 
     instances: int = 1000
@@ -464,8 +465,6 @@ class AuditSweepSpec:
     def __post_init__(self):
         if self.instances < 0:
             raise ValueError("instances must be >= 0")
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if not self.families:
@@ -475,8 +474,7 @@ class AuditSweepSpec:
             if name not in samplers:
                 raise ValueError(f"unknown audit family {name!r}; "
                                  f"choose from {', '.join(samplers)}")
-            fewest = FAMILIES[name].min_max_n
-            if fewest and self.max_n < fewest:
+            if self.max_n < (fewest := FAMILIES[name].min_max_n):
                 raise ValueError(f"max_n {self.max_n} is too small for {name}, whose "
                                  f"instances have at least {fewest} vertices")
 

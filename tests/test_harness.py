@@ -12,6 +12,7 @@ from colorsim import (
     AuditSweepSpec,
     ExperimentConfig,
     drift_audit_sweep,
+    make_rng,
     run_ensemble,
     scaling_fit,
 )
@@ -356,10 +357,41 @@ class TestSweepOfVariants:
         assert all(stats.termination_fraction == 1.0 for _, stats in pairs)
 
 
+SAMPLING_FAMILIES = [name for name, family in harness.FAMILIES.items() if family.sample]
+
+
 class TestAuditSweep:
     def test_empty_families_refused(self):
         with pytest.raises(ValueError, match="families must name at least one family"):
             AuditSweepSpec(instances=3, families=())
+
+    @pytest.mark.parametrize("name", SAMPLING_FAMILIES)
+    def test_max_n_bounds_every_instance(self, name):
+        # every max_n below 30, where the caps bind, from the least the family accepts
+        family = harness.FAMILIES[name]
+        for max_n in range(family.min_max_n, 30):
+            spec = AuditSweepSpec(instances=300, master_seed=39, families=(name,), max_n=max_n)
+            sizes = [family.sample(spec, make_rng(spec.master_seed, index)).n
+                     for index in range(spec.instances)]
+            assert max(sizes) <= max_n, (max_n, max(sizes))
+
+    @pytest.mark.parametrize("name", SAMPLING_FAMILIES)
+    def test_max_n_refused_below_the_fewest_vertices(self, name):
+        fewest = harness.FAMILIES[name].min_max_n
+        AuditSweepSpec(instances=1, families=(name,), max_n=fewest)
+        with pytest.raises(ValueError, match=f"max_n {fewest - 1} is too small for {name}, "
+                                             f"whose instances have at least {fewest} vertices"):
+            AuditSweepSpec(instances=1, families=(name,), max_n=fewest - 1)
+
+    @pytest.mark.parametrize("name", SAMPLING_FAMILIES)
+    def test_max_n_of_50_and_more_draws_the_same_instances(self, name):
+        # no sampler draws past 50 vertices, so the benchmark's audits at
+        # max-n 50 draw what an unbounded audit would
+        specs = [AuditSweepSpec(instances=200, master_seed=39, families=(name,), max_n=max_n)
+                 for max_n in (50, 500)]
+        digests = [[state_digest(audit_instance(spec, index)[0])
+                    for index in range(spec.instances)] for spec in specs]
+        assert digests[0] == digests[1]
 
     def test_small_sweep_no_violations(self):
         spec = AuditSweepSpec(instances=40, master_seed=17, max_n=30)
