@@ -57,6 +57,7 @@ CASES = {
     # an edgeless graph: every mean is 0, so the ratio column prints nan
     "compare_nan": (("compare", "--family", "er", "--n", "6", "--p", "0", "--seeds", "3",
                      "--variants", "uniform,persistent"), ()),
+    # at max-n 20 a draw of three cliques caps each at 6 vertices
     "audit": (("audit", "--instances", "30", "--max-n", "20",
                "--families", "cliques,bipartite,complete,cycle,er",
                "--out", "{tmp}/audit.jsonl"), ("audit.jsonl",)),
@@ -119,7 +120,7 @@ GOLDEN = {
     "compare_nan": (0, "22c1da39f9febe6212e7f10077954039a186d404dab5059886142143d3dd956b",
         ()),
     "audit": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        ("ce54e2e8e2b8ffc4a925f645ffa9d09b5660716a91b678af3283211935810c89",)),
+        ("a112bd80fd3e4949d3cc2acd1243e4907ee72ef96cd8cf359715f935c98c8c08",)),
     "audit_bipartite": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ("563f5336dd6274fb736898845d747e035271194ce85902595c59e11fd86950c3",)),
     "audit_pool": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
