@@ -10,6 +10,12 @@ conflicted vertices and monochromatic components that
   ``persistent`` variant a color draw raises u with probability (s-u)/s and
   no other draw changes the count. The draws a clique consumes are therefore
   a sum of independent geometrics, the same for both variants.
+* ``clique_steps_law``: the same count for ``uniform`` at any k >= s from a
+  random start, where a step raises u with probability (k-u)/k. The start
+  holds j distinct colors with probability C(k, j)·S(s, j)·j!/k^s (S the
+  Stirling numbers of the second kind), and the steps are the geometrics for
+  u = j..s-1. On count×K_s a run's steps are the sum of its cliques' counts,
+  which are independent.
 * The ``parallel`` chain on K_n with k = n: the proper vertices hold pairwise
   distinct colors, so the conflicted count r alone is a Markov chain on
   {0, 2, 3, ..., n}. One round throws the r conflicted vertices (balls) into
@@ -40,7 +46,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, log
+from math import comb, factorial, log
 
 import numpy as np
 
@@ -58,6 +64,46 @@ def clique_draws_law(s: int) -> tuple[Fraction, Fraction]:
         mean += 1 / p
         variance += (1 - p) / (p * p)
     return mean, variance
+
+
+def _stirling2(s: int, j: int) -> int:
+    """Ways to split s labelled items into j nonempty blocks."""
+    return sum((-1) ** i * comb(j, i) * (j - i) ** s for i in range(j + 1)) // factorial(j)
+
+
+def initial_distinct_law(s: int, k: int) -> list[Fraction]:
+    """P(u0 = j), j = 0..s: a uniform coloring of K_s from k colors uses j distinct colors."""
+    return [Fraction(comb(k, j) * _stirling2(s, j) * factorial(j), k**s) for j in range(s + 1)]
+
+
+def clique_steps_given(s: int, k: int, u0: int) -> tuple[Fraction, Fraction]:
+    """Mean and variance of the ``uniform`` steps on K_s with k >= s colors from u0 distinct.
+
+    The sum over u = u0..s-1 of geometrics with success probability (k-u)/k.
+    """
+    mean = Fraction(0)
+    variance = Fraction(0)
+    for u in range(u0, s):
+        p = Fraction(k - u, k)
+        mean += 1 / p
+        variance += (1 - p) / (p * p)
+    return mean, variance
+
+
+def clique_steps_law(s: int, k: int) -> tuple[Fraction, Fraction]:
+    """Mean and variance of the ``uniform`` steps on K_s with k >= s colors, random start.
+
+    The mixture over u0 of ``clique_steps_given``: E[T] = Σ_j P_j·m_j and
+    Var T = Σ_j P_j·(v_j + m_j²) - E[T]².
+    """
+    if k < s:
+        raise ValueError(f"need k >= s, got k={k}, s={s}")
+    mean = second = Fraction(0)
+    for u0, weight in enumerate(initial_distinct_law(s, k)):
+        m, v = clique_steps_given(s, k, u0)
+        mean += weight * m
+        second += weight * (v + m * m)
+    return mean, second - mean * mean
 
 
 @lru_cache(maxsize=None)

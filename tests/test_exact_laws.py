@@ -1,16 +1,25 @@
-"""The exact laws behind acceptance criteria 8-10, checked by brute force."""
+"""The exact laws behind acceptance criteria 8-10 and the clique steps law, checked by brute force.
 
+The clique steps law is also checked against ``run_ensemble``'s means.
+"""
+
+import math
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from statistics import NormalDist
 
 import pytest
 
-from colorsim import ColoringState, complete
+from colorsim import ColoringState, ExperimentConfig, complete, run_ensemble
+from colorsim.harness import build_graph
 from exact_laws import (
     binomial_two_sided_p,
     cdf_median,
     clique_draws_law,
+    clique_steps_given,
+    clique_steps_law,
+    initial_distinct_law,
     median_band,
     reach_probability,
     termination_cdf,
@@ -81,15 +90,18 @@ def _solve(matrix, rhs):
     return [row[-1] for row in rows]
 
 
-def _step_moments(s: int, variant: str):
-    """Mean and variance of the steps from all-ones on K_s, k = s, by first-step analysis.
+def _step_moments(s: int, variant: str, k: int | None = None, random_start: bool = False):
+    """Mean and variance of the steps on K_s with k colors (default s), by first-step analysis.
 
     Writes each variant's step rule out over every coloring of K_s: a uniform
     step picks a conflicted vertex and any color; a persistent step picks a
     conflicted vertex and draws until a color free of its neighbors comes up,
-    every draw counting as a step.
+    every draw counting as a step. The run starts from all-ones, or with
+    ``random_start`` from each of the k^s colorings with equal weight.
     """
-    states = [c for c in product(range(1, s + 1), repeat=s) if _conflicted(list(c))]
+    k = k or s
+    colorings = list(product(range(1, k + 1), repeat=s))
+    states = [c for c in colorings if _conflicted(list(c))]
     index = {c: i for i, c in enumerate(states)}
     size = len(states)
     # Per state: (probability, next state, E[D], E[D^2]) for each move, D the steps it takes.
@@ -99,11 +111,11 @@ def _step_moments(s: int, variant: str):
         out = []
         for v in conflicted:
             if variant == "uniform":
-                options, p = range(1, s + 1), Fraction(1)
+                options, p = range(1, k + 1), Fraction(1)
             else:
                 blocked = {c[w] for w in range(s) if w != v}
-                options = [x for x in range(1, s + 1) if x not in blocked]
-                p = Fraction(len(options), s)
+                options = [x for x in range(1, k + 1) if x not in blocked]
+                p = Fraction(len(options), k)
             for x in options:
                 nxt = c[:v] + (x,) + c[v + 1:]
                 w = Fraction(1, len(conflicted) * len(options))
@@ -123,13 +135,56 @@ def _step_moments(s: int, variant: str):
 
     first = solve(lambda d1, d2, nxt: d1)
     second = solve(lambda d1, d2, nxt: d2 + (2 * d1 * first[index[nxt]] if nxt in index else 0))
-    ones = index[(1,) * s]
-    return first[ones], second[ones] - first[ones] ** 2
+    starts = colorings if random_start else [(1,) * s]
+    mean = sum(first[index[c]] for c in starts if c in index) / len(starts)
+    return mean, sum(second[index[c]] for c in starts if c in index) / len(starts) - mean**2
 
 
 @pytest.mark.parametrize("variant", ["uniform", "persistent"])
 def test_clique_draws_law_matches_the_step_rules_on_k3(variant):
     assert _step_moments(3, variant) == clique_draws_law(3)
+
+
+def test_initial_distinct_law_matches_enumeration():
+    for s, k in [(1, 3), (3, 3), (3, 5), (4, 4), (4, 6), (5, 7)]:
+        counts = [0] * (s + 1)
+        for colors in product(range(k), repeat=s):
+            counts[len(set(colors))] += 1
+        assert initial_distinct_law(s, k) == [Fraction(c, k**s) for c in counts], (s, k)
+
+
+def test_clique_steps_law():
+    # K4 at k = 4 from a random start, as the exact chain on every coloring gives
+    assert clique_steps_law(4, 4)[0] == Fraction(13, 3)
+    for s in range(2, 12):
+        assert clique_steps_given(s, s, 1) == clique_draws_law(s), s
+    with pytest.raises(ValueError, match="need k >= s"):
+        clique_steps_law(4, 3)
+
+
+@pytest.mark.parametrize("s, k", [(3, 3), (3, 4), (3, 5)])
+def test_clique_steps_law_matches_the_step_rules(s, k):
+    assert _step_moments(s, "uniform", k, random_start=True) == clique_steps_law(s, k)
+
+
+def test_clique_steps_law_predicts_the_ensemble_means():
+    """8×K8 at k = 8, 9 and 16, 1000 runs each from a random start at master seed 16.
+
+    A run's steps are the sum of 8 independent per-clique counts, so the mean
+    of 1000 runs has standard error sqrt(8·Var/1000). Per-clique exact means
+    13.743, 8.461, 2.606 and variances 76.01, 27.26, 3.967. Each |z| must stay
+    within the two-sided bound of α = 1e-3, Bonferroni-split over the three.
+    """
+    bound = NormalDist().inv_cdf(1 - 1e-3 / 3 / 2)
+    zs = []
+    for k in (8, 9, 16):
+        mean, variance = clique_steps_law(8, k)
+        cfg = ExperimentConfig(family="disjoint_cliques", count=8, size=8, k=k,
+                               seeds=1000, master_seed=16)
+        stats, _ = run_ensemble(build_graph(cfg), cfg)
+        assert stats.termination_fraction == 1.0
+        zs.append((stats.mean_steps - float(8 * mean)) / math.sqrt(float(8 * variance) / cfg.seeds))
+    assert all(abs(z) <= bound for z in zs), (zs, bound)
 
 
 def test_values_pinned_in_the_criteria_docstrings():
