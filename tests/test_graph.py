@@ -270,6 +270,9 @@ class TestEdgeList:
     def test_index_beyond_int64_is_a_value_error(self):
         with pytest.raises(ValueError, match="too large"):
             from_edge_list("0 1\n0 99999999999999999999")
+        # an n that lifts the vertex bound past the index leaves it to int64 to refuse
+        with pytest.raises(ValueError, match="^vertex count 100000000000000000000 too large$"):
+            from_edge_list("0 18446744073709551615", n=10**20)
 
     def test_comments_and_blanks_ignored(self):
         g = from_edge_list("# header\n\n0 1\n")
