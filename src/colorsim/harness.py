@@ -95,9 +95,9 @@ class Family:
 
     Both callables look the generators up in ``graphs`` when called, so a wrapper
     installed there sees every build. ``sample`` draws an instance of at most
-    ``spec.max_n`` vertices, and ``min_max_n`` is the least ``max_n`` it accepts,
-    the fewest vertices of its instances. ``optional`` names the other fields it
-    reads when set.
+    ``spec.max_n`` vertices, and the same instance for any ``max_n`` of 50 or
+    more; ``min_max_n`` is the least ``max_n`` it accepts, the fewest vertices of
+    its instances. ``optional`` names the other fields it reads when set.
     """
 
     alias: str
