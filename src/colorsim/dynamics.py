@@ -39,6 +39,7 @@ against numpy, so a numpy release that changes its method fails there.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -154,8 +155,8 @@ class RunResult:
     proper; a non-terminated, non-stalled run used exactly ``cap`` steps.
     The potentials are the integer numerators over 100 * max_degree
     (``state.potential`` gives the pair). ``wall_ns`` is the run's wall time,
-    which ``harness.run_one`` fills in and ``run`` leaves 0; it is a
-    measurement, not part of the result, so equality ignores it. Anything
+    which ``run`` measures from after its argument checks to its return; it is
+    a measurement, not part of the result, so equality ignores it. Anything
     read along the way, such as the least conflicted count a run reaches, is
     an observer's (see ``run``).
     """
@@ -300,6 +301,7 @@ def run(state: ColoringState, variant: str, cap: int, rng: np.random.Generator,
         raise ValueError(f"unknown variant {variant!r}")
     if cap < 0:
         raise ValueError("cap must be >= 0")
+    start = time.perf_counter_ns()
     initial_num = state.phi_num
     conflicted = len(state.conflicted)
     if observe is not None:
@@ -329,4 +331,5 @@ def run(state: ColoringState, variant: str, cap: int, rng: np.random.Generator,
         initial_phi_num=initial_num,
         final_phi_num=state.phi_num if conflicted else 0,  # no monochromatic edge: phi is 0
         stalled=stalled,
+        wall_ns=time.perf_counter_ns() - start,
     )

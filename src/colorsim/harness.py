@@ -28,11 +28,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator, TextIO, get_type_hints
 
 import numpy as np
@@ -157,7 +156,8 @@ class ExperimentConfig:
     """One ensemble cell: a graph family, a variant, and run parameters.
 
     Construction validates the cell against the family, step and init tables
-    and raises ``ValueError`` with a one-line reason.
+    and raises ``ValueError`` with a one-line reason. ``path`` is stored in one
+    spelling (``./a.txt`` is ``a.txt``; ``..`` stays, since ``a/..`` need not be ``.``).
     """
 
     family: str
@@ -183,6 +183,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, kind) or (
                     isinstance(value, float) and not math.isfinite(value)):
                 raise ValueError(f"bad {name}: {value!r}")
+        if self.path is not None:
+            object.__setattr__(self, "path", str(PurePosixPath(self.path)))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
@@ -288,12 +290,9 @@ def initial_state(graph: Graph, config: ExperimentConfig, rng) -> ColoringState:
 
 def run_one(graph: Graph, index: int, config: ExperimentConfig,
             observe: Observer | None = None) -> RunResult:
-    """Run ``index`` of the ensemble: ``run`` with ``observe``, and ``wall_ns`` filled in."""
+    """Run ``index`` of the ensemble: ``run`` with ``observe`` on stream ``index``."""
     rng = make_rng(config.master_seed, index)
-    state = initial_state(graph, config, rng)
-    start = time.perf_counter_ns()
-    result = run(state, config.variant, config.cap, rng, observe)
-    return replace(result, wall_ns=time.perf_counter_ns() - start)
+    return run(initial_state(graph, config, rng), config.variant, config.cap, rng, observe)
 
 
 # what every task of a pool shares (an ensemble's graph, an audit's spec), set

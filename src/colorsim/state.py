@@ -245,7 +245,6 @@ class ColoringState:
         dense[i] = last
         pos[last] = i
         dense.pop()
-        pos[v] = -1
 
     # -- recoloring ---------------------------------------------------------
 

@@ -158,6 +158,9 @@ def test_a_pair_count_that_is_no_decimal_integer_is_a_usage_error(tmp_path, caps
     ("higher", [70.0, 125.0, 130.0], [131.0, 132.0, 133.0], "no worse"),
     # better in 2 of 3 pairs only: no gain, and within the bound
     ("lower", [1.0, 1.01, 1.02], [0.9, 0.91, 1.03], "no worse"),
+    # better in 3 of 3 pairs by far more than the parent's spread, but a gain
+    # needs at least 10 pairs
+    ("higher", [100.0, 100.1, 100.2], [110.0, 110.1, 110.2], "no worse"),
 ])
 def test_verdict(better, parent, change, expected):
     assert bench_pairs.verdict(parent, change, better, 0.1) == expected

@@ -332,6 +332,18 @@ class TestSweepFileCells:
                             {"family": "file", "path": "a.txt", "variant": "persistent"}])
         assert len(reads) == 1
 
+    def test_two_spellings_of_a_path_give_one_id_and_one_build(self, reads, capsys):
+        Path("g.txt").write_text("0 1\n1 2\n")
+        stdout, runs, agg = self.sweep(capsys, [{"family": "file", "path": "g.txt"},
+                                                {"family": "file", "path": "./g.txt"}])
+        ids = {"file-pathg.txt-uniform-random"}
+        assert {line.split(": ")[0] for line in stdout.splitlines()} == ids
+        for text in (runs, agg):
+            header_ids, (columns, *rows) = self.rows(text)
+            assert set(header_ids) == ids
+            assert {row[columns.index("config_id")] for row in rows} == ids
+        assert len(reads) == 1
+
     def test_graph_fields_are_compared_as_values(self, reads, capsys):
         # path g-n5, and path g with n 5: the path comes last in config_id, so
         # it cannot spell the n of another cell

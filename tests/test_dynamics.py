@@ -283,6 +283,12 @@ class TestRun:
         result = run(s, "uniform", 1000, make_rng(0, 1))
         assert result.steps == 0 and result.terminated
 
+    @pytest.mark.parametrize("variant", STEPS)
+    def test_run_measures_its_wall_time(self, variant):
+        # K8 in one color at k = 8: no variant ends it in 0 steps
+        result = run(ColoringState(complete(8), 8, [1] * 8), variant, 100, make_rng(0, 0))
+        assert result.steps >= 1 and result.wall_ns > 0
+
     def test_rejects_a_negative_cap(self):
         with pytest.raises(ValueError, match="cap must be >= 0"):
             run(ColoringState(cycle(4), 3, [1, 1, 1, 1]), "uniform", -1, make_rng(0, 0))

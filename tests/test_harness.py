@@ -236,7 +236,13 @@ class TestRunEnsemble:
      "erdos_renyi-n30-p0.2-graph_seed2-uniform-random"),
     (dict(family="file", path="a.txt"), "file-patha.txt-uniform-random"),
     (dict(family="file", path="a.txt", n=8), "file-n8-patha.txt-uniform-random"),
-], ids=["complete", "cliques", "bipartite", "cycle", "er", "er_graph_seed", "file", "file_n"])
+    # a path has one spelling: no "." part and no empty one, but ".." stays, since
+    # a/.. is not the current directory when a is a symlink
+    (dict(family="file", path="./a.txt"), "file-patha.txt-uniform-random"),
+    (dict(family="file", path="dir//a.txt"), "file-pathdir/a.txt-uniform-random"),
+    (dict(family="file", path="a/../g.txt"), "file-patha/../g.txt-uniform-random"),
+], ids=["complete", "cliques", "bipartite", "cycle", "er", "er_graph_seed", "file", "file_n",
+        "file_dot", "file_double_slash", "file_dotdot"])
 def test_config_id_of_each_family(fields, config_id):
     assert ExperimentConfig(**fields).resolved_id() == config_id
 

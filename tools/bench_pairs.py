@@ -4,7 +4,8 @@
         --workloads audit_mixed:10 cliques_uniform:3 --out BENCH.json [--cpus 0]
 
 Each checkout is a directory holding a full tree (``perfbench/`` and
-``src/``). A workload runs in at least 2 pairs. Pair ``i`` (from 0) runs
+``src/``). A workload runs in at least 2 pairs, and reads a ``gain`` only
+in at least 10 pairs. Pair ``i`` (from 0) runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in both
 directories with ``S = i + 1``; the parent runs first in even pairs and the
 change first in odd ones. With ``--cpus LIST`` (comma-separated CPU numbers,
@@ -99,10 +100,11 @@ def verdict(parent: list[float], change: list[float], better: str,
             bound: float | None) -> str | None:
     """How the change's runs of one metric read against the parent's, paired by index.
 
-    ``gain`` when the change reads better in at least 9 of every 10 pairs (a
-    tie counts for neither side) and its median is better than the parent's
-    by more than the parent's interquartile range; ``worse`` when its median
-    is worse by more than ``bound`` times the parent's median; ``unresolved``
+    ``gain`` when, in at least 10 pairs, the change reads better in at least
+    9 of every 10 pairs (a tie counts for neither side) and its median is
+    better than the parent's by more than the parent's interquartile range;
+    fewer pairs never read ``gain``. ``worse`` when its median is worse by
+    more than ``bound`` times the parent's median; ``unresolved``
     when neither holds and the parent's interquartile range is wider than
     that bound, unless every change run reads better than every parent run;
     ``no worse`` otherwise. None when the metric declares no bound.
@@ -113,7 +115,8 @@ def verdict(parent: list[float], change: list[float], better: str,
     p, c = summary(parent), summary(change)
     spread, margin = p["q3"] - p["q1"], bound * abs(p["median"])
     ahead = sign * (c["median"] - p["median"])
-    if 10 * better_pairs(parent, change, sign) >= 9 * len(parent) and ahead > spread:
+    wins = 10 * better_pairs(parent, change, sign) >= 9 * len(parent)
+    if len(parent) >= 10 and wins and ahead > spread:
         return "gain"
     if -ahead > margin:
         return "worse"
