@@ -103,11 +103,11 @@ def verdict(parent: list[float], change: list[float], better: str,
     ``gain`` when, in at least 10 pairs, the change reads better in at least
     9 of every 10 pairs (a tie counts for neither side) and its median is
     better than the parent's by more than the parent's interquartile range;
-    fewer pairs never read ``gain``. ``worse`` when its median is worse by
-    more than ``bound`` times the parent's median; ``unresolved``
-    when neither holds and the parent's interquartile range is wider than
-    that bound, unless every change run reads better than every parent run;
-    ``no worse`` otherwise. None when the metric declares no bound.
+    ``worse`` when its median is worse by more than ``bound`` times the
+    parent's median; ``unresolved`` when neither holds and the parent's
+    interquartile range is wider than that bound, unless every change run
+    reads better than every parent run; ``no worse`` otherwise. None when the
+    metric declares no bound.
     """
     if bound is None:
         return None
